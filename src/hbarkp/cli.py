@@ -22,9 +22,11 @@ from random import Random
 
 from . import dataio, fbuild, kpconst, symfun, taubuild, verify
 from .dataio import DataFormatError
-from .hscalar import HContext, HbarValueError, default_window, scalar_to_json
+from .hscalar import (
+    HContext, HbarValueError, HbarWindowError, default_window, scalar_to_json,
+)
 from .partitions import partitions_upto
-from .rational import Rational, parse_rational
+from .rational import Rational
 from .sampling import random_rational_matrix
 from .tpoly import TPoly
 from .xseries import OrderExhaustedError
@@ -38,7 +40,7 @@ class CommandError(Exception):
 
 def _context_from_args(args, weight) -> HContext:
     if args.hbar is not None:
-        return HContext.numeric(parse_rational(args.hbar))
+        return HContext.numeric(args.hbar)
     if args.window is not None:
         lo, hi = args.window
         return HContext.symbolic(lo, hi)
@@ -355,8 +357,8 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DataFormatError, HbarValueError, OrderExhaustedError,
-            ValueError, OSError, KeyError) as exc:
+    except (DataFormatError, HbarValueError, HbarWindowError,
+            OrderExhaustedError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,7 +53,12 @@ class HContext:
 
     @staticmethod
     def numeric(value) -> "HContext":
-        return HContext("numeric", value=Rational(value))
+        """Fix hbar to a rational value, given as a number or "p/q" text."""
+        try:
+            r = parse_rational(value) if isinstance(value, str) else Rational(value)
+        except ZeroDivisionError as exc:
+            raise HbarValueError(f"hbar value {value!r} divides by zero") from exc
+        return HContext("numeric", value=r)
 
     @property
     def is_numeric(self) -> bool:
@@ -225,12 +230,6 @@ class HPoly:
             total += c * v ** e
         return total
 
-    def min_exp(self) -> int | None:
-        return min(self.terms) if self.terms else None
-
-    def max_exp(self) -> int | None:
-        return max(self.terms) if self.terms else None
-
     def even_only(self) -> bool:
         """True when only even hbar powers appear."""
         return all(e % 2 == 0 for e in self.terms)
@@ -255,13 +254,6 @@ def scalar_inv(c):
     if c == 0:
         raise ZeroDivisionError("inverse of zero scalar")
     return Rational(1) / Rational(c)
-
-
-def scalar_eval(c, value):
-    """Value of a scalar at hbar = value (no-op for plain rationals)."""
-    if isinstance(c, HPoly):
-        return c.eval_at(value)
-    return Rational(c)
 
 
 def scalar_even_only(c) -> bool:

@@ -10,13 +10,8 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Rational
-
-
-def rational(num, den=1):
-    """Build an exact rational from integers (or another rational)."""
-    return Rational(num, den)
 
 
 def parse_rational(text: str):

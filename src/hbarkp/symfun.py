@@ -53,12 +53,12 @@ def schur(lam: Partition, ctx: HContext, weight_cap: int,
     n = lam.ell
     if n == 0:
         return TPoly.one(ctx, weight_cap, z_cap, nslots)
-    rows = [
-        [elementary_h(lam[i] - i + j, ctx, weight_cap, z_cap, nslots)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return det(rows)
+
+    def h(k):
+        # h_k = 0 for k < 0 enters as the int 0, a structural zero for det.
+        return elementary_h(k, ctx, weight_cap, z_cap, nslots) if k >= 0 else 0
+
+    return det([[h(lam[i] - i + j) for j in range(n)] for i in range(n)])
 
 
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int,

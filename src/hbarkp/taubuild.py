@@ -92,9 +92,8 @@ def c_lambda(lam, data: TauData, _dcache: dict | None = None) -> XSeries:
                     Rational(comb(j - 1, k)) * ctx.hbar_pow(k) * Rational((-1) ** k)
                 )
                 entry = term if entry is None else entry + term
-            if entry is None:
-                entry = XSeries.zero(ctx, data.x_cap)
-            row.append(entry)
+            # None: every c_m here has m < 0, a structural zero for det.
+            row.append(0 if entry is None else entry)
         rows.append(row)
     d = det(rows)
     if n == 1:

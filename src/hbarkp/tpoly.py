@@ -19,8 +19,6 @@ instances are immutable.
 
 from __future__ import annotations
 
-from math import comb
-
 from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
 from .rational import Rational
 from .xseries import XSeries
@@ -155,10 +153,6 @@ class TPoly:
         for p in parts:
             exps[p - 1] = exps.get(p - 1, 0) + 1
         texp = tuple(exps.get(i, 0) for i in range(max(exps) + 1)) if parts else ()
-        key = (_trim(texp), _trim(zexp))
-        return self.terms.get(key, self.ctx.zero())
-
-    def coeff_exp(self, texp, zexp=()):
         key = (_trim(texp), _trim(zexp))
         return self.terms.get(key, self.ctx.zero())
 
@@ -416,7 +410,3 @@ class TPoly:
 
     def __repr__(self):
         return f"TPoly({self.render()})"
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -1,10 +1,15 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import hbarkp
 from hbarkp import dataio
 from hbarkp.cli import main
 from hbarkp.sampling import random_f_data, random_tau_data
@@ -202,3 +207,38 @@ def test_symbolic_hbar_flag(tmp_path):
     doc = read(out)
     # t^h_(1,1) = t_1^2 - 2 hbar t_2: symbolic coefficient map
     assert doc["table"]["1,1"] == {"0,1": {"1": "-2"}, "2": {"0": "1"}}
+
+
+def run_cli(*argv):
+    """Run the command line in a fresh interpreter, as a user would."""
+    src = str(Path(hbarkp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "hbarkp.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def _tau_doc(hbar, weight):
+    return {
+        "hbar": hbar,
+        "caps": {"weight": weight, "x_order": 2, "z_order": 0},
+        "c": {str(k): ["1", "1", "1/2"] for k in range(weight + 1)},
+    }
+
+
+def test_exit_2_on_zero_denominator_hbar(tmp_path):
+    path = tmp_path / "hbar_1_0.json"
+    dataio.dump(_tau_doc({"mode": "rational", "value": "1/0"}, 2), path)
+    for argv in (["tau", "--input", str(path)],
+                 ["schur", "--weight", "2", "--hbar", "1/0"]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
+def test_exit_2_on_too_narrow_hbar_window(tmp_path):
+    path = tmp_path / "narrow.json"
+    dataio.dump(_tau_doc({"mode": "symbolic", "window": [-1, 1]}, 3), path)
+    proc = run_cli("tau", "--input", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "window" in proc.stderr
