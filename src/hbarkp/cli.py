@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from random import Random
 
 from . import dataio, fbuild, kpconst, symfun, taubuild, verify
@@ -188,31 +189,21 @@ def _clamp_series(s, x_order):
     return XSeries(s.ctx, s.cap, s.coeffs[: x_order + 1], valid=x_order)
 
 
-def _clamp_tau(ts, weight, x_order):
-    from .taubuild import TauSeries
-
+def _clamp(series, weight, x_order):
+    """A tau or F table cut down to a smaller weight cap and/or x order."""
     if weight is None and x_order is None:
-        return ts
-    W = ts.weight_cap if weight is None else weight
-    if W > ts.weight_cap:
+        return series
+    W = series.weight_cap if weight is None else weight
+    if W > series.weight_cap:
         raise CommandError("--weight exceeds the table's weight cap")
-    table = {lam: _clamp_series(s, x_order)
-             for lam, s in ts.table.items() if lam.weight <= W}
-    return TauSeries(ts.ctx, W, ts.x_cap, table)
-
-
-def _clamp_f(fs, weight, x_order):
-    from .fbuild import FSeries
-
-    if weight is None and x_order is None:
-        return fs
-    W = fs.weight_cap if weight is None else weight
-    if W > fs.weight_cap:
-        raise CommandError("--weight exceeds the table's weight cap")
-    table = {lam: _clamp_series(s, x_order)
-             for lam, s in fs.table.items() if lam.weight <= W}
-    return FSeries(fs.ctx, W, fs.x_cap, _clamp_series(fs.f0, x_order),
-                   table, symbolic=False)
+    changes = {
+        "weight_cap": W,
+        "table": {lam: _clamp_series(s, x_order)
+                  for lam, s in series.table.items() if lam.weight <= W},
+    }
+    if hasattr(series, "f0"):
+        changes["f0"] = _clamp_series(series.f0, x_order)
+    return replace(series, **changes)
 
 
 def _residual_doc(res: verify.Residual) -> dict:
@@ -244,11 +235,11 @@ def cmd_verify(args) -> int:
     z_cap = args.z_order
     if "c_lambda" in doc:
         ts = dataio.tau_series_from_document(doc)
-        ts = _clamp_tau(ts, args.weight, args.x_order)
+        ts = _clamp(ts, args.weight, args.x_order)
         poly = ts.assemble()
     elif "f_lambda" in doc:
         fs = dataio.f_series_from_document(doc)
-        fs = _clamp_f(fs, args.weight, args.x_order)
+        fs = _clamp(fs, args.weight, args.x_order)
         poly = fs.assemble()
     else:
         raise DataFormatError("no c_lambda / f_lambda table to verify")

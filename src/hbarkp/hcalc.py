@@ -220,7 +220,10 @@ def dh_apply(k: int, poly: TPoly) -> TPoly:
 
 def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
     """Substitute t_k -> t_k + sign * (hbar/k) zeta_slot^k, truncated at the
-    slot's z-degree cap.  Composing shifts in different slots commutes."""
+    slot's z-degree cap.  Composing shifts in different slots commutes.
+
+    The shift moves k units of t-weight into z-degree, so it preserves the
+    total degree and the result keeps the input's total-degree cap."""
     if not (0 <= slot < poly.nslots):
         raise ValueError("slot out of range")
     if sign not in (1, -1):
@@ -259,7 +262,8 @@ def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
             )
             c = coeff if fac is None else coeff * fac
             out[key] = out[key] + c if key in out else c
-    return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out)
+    return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out,
+                 degree_cap=poly.degree_cap)
 
 
 def _last_nonzero(xs) -> int:

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import Rational, format_rational, parse_rational
+from .rational import (
+    Rational, ZeroDenominatorError, format_rational, parse_rational,
+)
 
 
 class HbarWindowError(ArithmeticError):
@@ -56,7 +58,7 @@ class HContext:
         """Fix hbar to a rational value, given as a number or "p/q" text."""
         try:
             r = parse_rational(value) if isinstance(value, str) else Rational(value)
-        except ZeroDivisionError as exc:
+        except ZeroDenominatorError as exc:
             raise HbarValueError(f"hbar value {value!r} divides by zero") from exc
         return HContext("numeric", value=r)
 

@@ -14,9 +14,21 @@ except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Rational
 
 
+class ZeroDenominatorError(ValueError):
+    """Rational text with a zero denominator, such as "1/0"."""
+
+
 def parse_rational(text: str):
-    """Parse "p/q" or "p" into a rational."""
-    return Rational(text.strip())
+    """Parse "p/q" or "p" into a rational.
+
+    Anything but text, and text with a zero q, raises ``ValueError``, which
+    the command line reports as malformed input."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational must be text such as \"p/q\": {text!r}")
+    try:
+        return Rational(text.strip())
+    except ZeroDivisionError as exc:
+        raise ZeroDenominatorError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(r) -> str:

@@ -3,9 +3,11 @@
 A monomial is a pair of exponent tuples: one for the times (t_k exponent
 a_k contributes k*a_k to the weight) and one for the slot variables
 zeta_1..zeta_m, each slot standing for one expansion variable z_i^{-1}.
-Storage is graded-truncated: monomials above the weight cap or above the
-per-slot z-degree cap are dropped, which is sound for graded series
-because multiplication only raises both degrees.
+Storage is graded-truncated by three caps: monomials above the weight cap,
+above the per-slot z-degree cap, or above the total-degree cap (t-weight
+plus the sum of the zeta exponents; ``None``, the default, means no cap)
+are dropped.  That is sound for graded series because multiplication only
+raises all three degrees, so a dropped monomial never feeds a kept one.
 
 Coefficients may be scalars (rationals / hbar-Laurent polynomials) or
 ``XSeries`` values (for assembled tau/F objects that still depend on x).
@@ -13,11 +15,14 @@ Zero scalar coefficients are never stored; zero ``XSeries`` coefficients
 are kept when their valid order is below the cap, because "zero so far"
 at low valid order is information that min-combining must not lose.
 
-Both caps are explicit constructor parameters, never ambient state, and
-instances are immutable.
+All three caps are explicit constructor parameters, never ambient state,
+and instances are immutable.  Products enforce the total-degree cap inside
+the pair loop, so a capped product costs only what it keeps.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
 from .rational import Rational
@@ -41,6 +46,12 @@ def weight_of(texp: tuple) -> int:
     return sum((k + 1) * a for k, a in enumerate(texp))
 
 
+def degree_of(key: tuple) -> int:
+    """Total degree of a monomial key: t-weight plus the zeta exponents."""
+    texp, zexp = key
+    return weight_of(texp) + sum(zexp)
+
+
 def _droppable(c) -> bool:
     if isinstance(c, XSeries):
         return c.valid == c.cap and c.is_zero()
@@ -53,15 +64,28 @@ def _coeff_is_zero(c) -> bool:
     return scalar_is_zero(c)
 
 
+def _graded_items(terms: dict, by_degree: bool) -> list:
+    """(sort degree, weight, texp, zexp, coeff) rows in ascending sort degree;
+    the sort degree is the total degree if ``by_degree``, else the weight."""
+    items = []
+    for (t, z), c in terms.items():
+        w = weight_of(t)
+        items.append((w + sum(z) if by_degree else w, w, t, z, c))
+    items.sort(key=itemgetter(0))
+    return items
+
+
 class TPoly:
-    __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "terms")
+    __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap", "terms")
 
     def __init__(self, ctx: HContext, weight_cap: int, z_cap: int = 0,
-                 nslots: int = 0, terms: dict | None = None, _clean=False):
+                 nslots: int = 0, terms: dict | None = None, _clean=False,
+                 degree_cap: int | None = None):
         self.ctx = ctx
         self.weight_cap = weight_cap
         self.z_cap = z_cap
         self.nslots = nslots
+        self.degree_cap = degree_cap
         if terms is None:
             terms = {}
         if _clean:
@@ -73,7 +97,10 @@ class TPoly:
             zexp = _trim(zexp)
             if len(zexp) > nslots:
                 raise CapError("more z-slots than declared")
-            if weight_of(texp) > weight_cap or any(d > z_cap for d in zexp):
+            w = weight_of(texp)
+            if w > weight_cap or any(d > z_cap for d in zexp):
+                continue
+            if degree_cap is not None and w + sum(zexp) > degree_cap:
                 continue
             if _droppable(c):
                 continue
@@ -84,7 +111,10 @@ class TPoly:
 
     def _like(self, terms, _clean=False) -> "TPoly":
         return TPoly(self.ctx, self.weight_cap, self.z_cap, self.nslots,
-                     terms, _clean=_clean)
+                     terms, _clean=_clean, degree_cap=self.degree_cap)
+
+    def _constant_like(self, value) -> "TPoly":
+        return self._like({((), ()): value})
 
     @staticmethod
     def zero(ctx, weight_cap, z_cap=0, nslots=0) -> "TPoly":
@@ -109,14 +139,16 @@ class TPoly:
         return TPoly(ctx, weight_cap, z_cap, nslots, {(texp, ()): Rational(1)})
 
     @staticmethod
-    def var_zeta(ctx, weight_cap, slot: int, z_cap, nslots, power: int = 1) -> "TPoly":
+    def var_zeta(ctx, weight_cap, slot: int, z_cap, nslots, power: int = 1,
+                 degree_cap=None) -> "TPoly":
         """zeta_slot^power, the slot variable standing for z_slot^{-1}."""
         if not (0 <= slot < nslots):
             raise ValueError("slot out of range")
         if power > z_cap:
             raise CapError("zeta power exceeds z cap")
         zexp = (0,) * slot + (power,)
-        return TPoly(ctx, weight_cap, z_cap, nslots, {((), zexp): Rational(1)})
+        return TPoly(ctx, weight_cap, z_cap, nslots, {((), zexp): Rational(1)},
+                     degree_cap=degree_cap)
 
     def monomial_times(self, parts) -> "TPoly":
         """Product t_{p1} t_{p2} ... for a part list (used by basis builders)."""
@@ -134,18 +166,24 @@ class TPoly:
     # -- structure ----------------------------------------------------------
 
     def _same_shape(self, other: "TPoly"):
-        if (self.ctx, self.weight_cap, self.z_cap, self.nslots) != (
-            other.ctx, other.weight_cap, other.z_cap, other.nslots
-        ):
+        if (self.ctx, self.weight_cap, self.z_cap, self.nslots,
+                self.degree_cap) != (other.ctx, other.weight_cap, other.z_cap,
+                                     other.nslots, other.degree_cap):
             raise ValueError("incompatible polynomial shapes (ctx/caps/slots)")
 
-    def with_slots(self, nslots: int, z_cap: int) -> "TPoly":
-        """Re-embed with a new slot configuration (existing slots must fit)."""
-        for (_, zexp) in self.terms:
+    def with_slots(self, nslots: int, z_cap: int,
+                   degree_cap: int | None = None) -> "TPoly":
+        """Re-embed with a new slot configuration (existing slots must fit)
+        and a new total-degree cap, dropping the monomials above it."""
+        terms = {}
+        for key, c in self.terms.items():
+            zexp = key[1]
             if len(zexp) > nslots or any(d > z_cap for d in zexp):
                 raise CapError("existing z monomials do not fit new slots")
-        return TPoly(self.ctx, self.weight_cap, z_cap, nslots,
-                     dict(self.terms), _clean=True)
+            if degree_cap is None or degree_of(key) <= degree_cap:
+                terms[key] = c
+        return TPoly(self.ctx, self.weight_cap, z_cap, nslots, terms,
+                     _clean=True, degree_cap=degree_cap)
 
     def coeff(self, parts=(), zexp=()):
         """Coefficient of the monomial t_{parts} * zeta^zexp (0 if absent)."""
@@ -174,8 +212,7 @@ class TPoly:
         if isinstance(other, _SCALARS):
             if other == 0:
                 return self
-            other = TPoly.constant(self.ctx, self.weight_cap, other,
-                                   self.z_cap, self.nslots)
+            other = self._constant_like(other)
         elif not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
@@ -209,21 +246,23 @@ class TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
-        W, Z = self.weight_cap, self.z_cap
-        items1 = sorted(
-            ((weight_of(t), t, z, c) for (t, z), c in self.terms.items()),
-            key=lambda it: it[0],
-        )
-        items2 = sorted(
-            ((weight_of(t), t, z, c) for (t, z), c in other.terms.items()),
-            key=lambda it: it[0],
-        )
+        W, Z, D = self.weight_cap, self.z_cap, self.degree_cap
+        # Both operands are sorted by the degree that the outer cap bounds
+        # (total degree under a total-degree cap, else t-weight), so the
+        # first partner over that cap ends the inner loop; a partner over
+        # the weight cap alone is skipped.
+        limit = W if D is None else D
+        items1 = _graded_items(self.terms, D is not None)
+        items2 = _graded_items(other.terms, D is not None)
         out: dict = {}
-        for w1, t1, z1, c1 in items1:
-            budget = W - w1
-            for w2, t2, z2, c2 in items2:
-                if w2 > budget:
+        for s1, w1, t1, z1, c1 in items1:
+            budget = limit - s1
+            w_budget = W - w1
+            for s2, w2, t2, z2, c2 in items2:
+                if s2 > budget:
                     break
+                if w2 > w_budget:
+                    continue
                 if z1 and z2:
                     n = max(len(z1), len(z2))
                     za = z1 + (0,) * (n - len(z1))
@@ -260,15 +299,14 @@ class TPoly:
         return self._like(out, _clean=True)
 
     def pow_int(self, n: int) -> "TPoly":
-        out = TPoly.one(self.ctx, self.weight_cap, self.z_cap, self.nslots)
+        out = self._constant_like(Rational(1))
         for _ in range(n):
             out = out * self
         return out
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
-            other = TPoly.constant(self.ctx, self.weight_cap, other,
-                                   self.z_cap, self.nslots)
+            other = self._constant_like(other)
         elif not isinstance(other, TPoly):
             return NotImplemented
         return (self - other).is_zero()
@@ -327,28 +365,33 @@ class TPoly:
 
     def restrict_weight(self, bound: int) -> "TPoly":
         """Keep monomials with t-weight + total z-degree <= bound."""
-        out = {
-            (t, z): c
-            for (t, z), c in self.terms.items()
-            if weight_of(t) + sum(z) <= bound
-        }
+        out = {k: c for k, c in self.terms.items() if degree_of(k) <= bound}
         return self._like(out, _clean=True)
 
     # -- exp / log ----------------------------------------------------------
+
+    def _degree_bound(self) -> int:
+        """Largest total degree a stored monomial can have.
+
+        The exp and log series stop once the powers of their argument are
+        empty, which takes at most this many steps plus one.  An argument
+        whose constant monomial is a zero x-series kept for its valid order
+        never empties them: from there on each power is zero and carries
+        only valid orders that an earlier power already brought in."""
+        bound = self.weight_cap + self.nslots * self.z_cap
+        return bound if self.degree_cap is None else min(bound, self.degree_cap)
 
     def exp(self) -> "TPoly":
         """Graded exponential; requires no constant monomial."""
         if ((), ()) in self.terms and not _coeff_is_zero(self.terms[((), ())]):
             raise ValueError("exp needs zero constant monomial")
-        acc = TPoly.one(self.ctx, self.weight_cap, self.z_cap, self.nslots)
+        acc = self._constant_like(Rational(1))
         term = acc
-        n = 1
-        while True:
+        for n in range(1, self._degree_bound() + 2):
             term = (term * self).scale(Rational(1, n))
             if not term.terms:
                 break
             acc = acc + term
-            n += 1
         return acc
 
     def log_unit(self) -> "TPoly":
@@ -361,18 +404,15 @@ class TPoly:
             c0_inv = scalar_inv(c0)
             log_c0 = None
         rest = self.scale(c0_inv) - 1
-        acc = TPoly.zero(self.ctx, self.weight_cap, self.z_cap, self.nslots)
-        term = TPoly.one(self.ctx, self.weight_cap, self.z_cap, self.nslots)
-        n = 1
-        while True:
+        acc = self._like({}, _clean=True)
+        term = self._constant_like(Rational(1))
+        for n in range(1, self._degree_bound() + 2):
             term = term * rest
             if not term.terms:
                 break
             acc = acc + term.scale(Rational((-1) ** (n + 1), n))
-            n += 1
         if isinstance(c0, XSeries):
-            acc = acc + TPoly.constant(self.ctx, self.weight_cap, log_c0,
-                                       self.z_cap, self.nslots)
+            acc = acc + self._constant_like(log_c0)
         elif not scalar_is_zero(c0 - 1):
             raise ValueError("scalar constant coefficient must be 1 for log")
         return acc
@@ -385,7 +425,7 @@ class TPoly:
         if not self.terms:
             return "0"
         bits = []
-        for (texp, zexp) in sorted(self.terms, key=lambda k: (weight_of(k[0]) + sum(k[1]), k)):
+        for (texp, zexp) in sorted(self.terms, key=lambda k: (degree_of(k), k)):
             c = self.terms[(texp, zexp)]
             vars_ = []
             for i, a in enumerate(texp):

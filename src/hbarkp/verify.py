@@ -6,11 +6,34 @@ multiplying with the slot variables zeta_i = z_i^{-1}), and passes iff the
 residual vanishes identically on its trusted region.  No tolerances exist
 anywhere: a coefficient either is exactly zero or the check fails.
 
-Trusted region: the inputs are graded-truncated at a weight cap W, so a
-residual monomial is fully determined exactly when its t-weight plus total
-z-degree stays within W adjusted by the operations used (each t_1
-derivative costs one unit, each explicit zeta prefactor adds one).  The
-checks restrict themselves to that provably exact region.
+Trusted region.  The total degree of a monomial is its t-weight plus the
+sum of its zeta exponents.  The inputs are graded-truncated at a weight cap
+W, so a residual monomial is fully determined exactly when its total degree
+is at most ``trust``: W + 1 for the Fay identities, W + 2 for the
+three-term relation and W + m(m-1)/2 for the m-point determinant (the zeta
+prefactors raise the degree that the truncated inputs still pin down).
+
+The trusted region is also the truncation rule: each check builds its
+residual in ``TPoly``s whose total-degree cap is ``trust``, so no monomial
+above it is ever computed.  That is exact, not approximate:
+
+- total degree adds under products and is never negative, so the part of
+  a product up to the cap depends only on the parts of its factors up to
+  the cap; sums, scalings and x-derivatives of coefficients keep it;
+- ``miwa_shift`` preserves it (t_k -> t_k + (hbar/k) zeta^k moves k units
+  of t-weight into z-degree);
+- d_1 lowers it by one, so d_1 of a capped polynomial would lack its top
+  degree.  The checks apply d_1 only to Miwa shifts of the input, and the
+  input carries no zeta-monomials (one that does is refused), so those
+  shifts have total degree at most W <= ``trust`` and are complete.
+
+So a monomial above ``trust`` never feeds one inside it, and every
+residual coefficient inside the trusted region, its x-series valid order
+included, is the one the uncapped computation gives.  The weight cap and
+the per-slot z cap still apply as before.  Each check multiplies its zeta
+prefactors into the lower-degree factor before the tau x tau (or F)
+product, so the cap prunes early.  A private ``_*_residual`` function per
+check takes the cap (``None`` for none); the public check passes ``trust``.
 """
 
 from __future__ import annotations
@@ -22,7 +45,7 @@ from .hscalar import scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
-from .tpoly import TPoly, weight_of
+from .tpoly import TPoly
 from .xseries import XSeries
 
 
@@ -54,14 +77,14 @@ def _render_coeff(c) -> str:
     return render_scalar(c)
 
 
-def _poly_residual(identity: str, poly: TPoly, trust: int) -> Residual:
+def _poly_residual(identity: str, poly: TPoly) -> Residual:
+    """The verdict on a residual built under the cap ``trust``: it holds
+    only monomials of the trusted region, and all of them must vanish."""
     worst = None
     for key in sorted(poly.terms):
-        texp, zexp = key
-        if weight_of(texp) + sum(zexp) > trust:
-            continue
         c = poly.terms[key]
         if _coeff_nonzero(c):
+            texp, zexp = key
             worst = (f"t-exps {texp}, zeta-exps {zexp}: "
                      f"coefficient {_render_coeff(c)}")
             break
@@ -69,7 +92,7 @@ def _poly_residual(identity: str, poly: TPoly, trust: int) -> Residual:
         "weight": poly.weight_cap,
         "z": poly.z_cap,
         "slots": poly.nslots,
-        "trust": trust,
+        "trust": poly.degree_cap,
     }
     return Residual(identity, caps, worst is None, worst, poly)
 
@@ -83,8 +106,34 @@ def _check_unit_constant(tau: TPoly):
         raise ValueError("tau is not invertible: zero constant coefficient")
 
 
-def _zeta(ctx, W, Z, m, slot, power=1) -> TPoly:
-    return TPoly.var_zeta(ctx, W, slot, Z, m, power)
+def _embed(poly: TPoly, nslots: int, z_cap: int, cap: int | None) -> TPoly:
+    """The input in ``nslots`` slots under the total-degree cap ``cap``.
+
+    An input that already carries zeta-monomials is refused: capping the
+    inputs of d_1 at ``cap`` is exact only when they have no monomial above
+    the weight cap in total degree."""
+    if any(zexp for _, zexp in poly.terms):
+        raise ValueError("the input to a check must not carry zeta-monomials")
+    return poly.with_slots(nslots, z_cap, cap)
+
+
+def _zetas(T: TPoly) -> list:
+    return [TPoly.var_zeta(T.ctx, T.weight_cap, s, T.z_cap, T.nslots,
+                           degree_cap=T.degree_cap) for s in range(T.nslots)]
+
+
+def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
+    _check_unit_constant(tau)
+    T = _embed(tau, 2, z_cap, cap)
+    t1 = miwa_shift(T, 0)
+    t2 = miwa_shift(T, 1)
+    t12 = miwa_shift(t1, 1)
+    z1, z2 = _zetas(T)
+    pre = (z1 * z2).scale(T.ctx.hbar_pow(1))
+    left = (pre * t1.diff_t(1)) * t2 - (pre * t2.diff_t(1)) * t1
+    dz = z1 - z2
+    right = (dz * t12) * T - (dz * t1) * t2
+    return left - right
 
 
 def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
@@ -93,18 +142,20 @@ def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
     hbar zeta1 zeta2 [ (d_1 tau^{[z1]}) tau^{[z2]} - (d_1 tau^{[z2]}) tau^{[z1]} ]
       = (zeta1 - zeta2) ( tau^{[z1,z2]} tau - tau^{[z1]} tau^{[z2]} ).
     """
-    _check_unit_constant(tau)
-    ctx = tau.ctx
-    W = tau.weight_cap
-    T = tau.with_slots(2, z_cap)
-    t1 = miwa_shift(T, 0)
-    t2 = miwa_shift(T, 1)
-    t12 = miwa_shift(t1, 1)
-    z1 = _zeta(ctx, W, z_cap, 2, 0)
-    z2 = _zeta(ctx, W, z_cap, 2, 1)
-    left = (t1.diff_t(1) * t2 - t2.diff_t(1) * t1).scale(ctx.hbar_pow(1)) * (z1 * z2)
-    right = (z1 - z2) * (t12 * T - t1 * t2)
-    return _poly_residual("differential-fay", left - right, W + 1)
+    trust = tau.weight_cap + 1
+    return _poly_residual("differential-fay", _fay_residual(tau, z_cap, trust))
+
+
+def _hirota3_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
+    T = _embed(tau, 3, z_cap, cap)
+    sh = [miwa_shift(T, s) for s in range(3)]
+    zs = _zetas(T)
+    total = None
+    for (a, b), c in (((0, 1), 2), ((1, 2), 0), ((2, 0), 1)):
+        pair = miwa_shift(sh[a], b)
+        term = ((zs[b] - zs[a]) * zs[c] * pair) * sh[c]
+        total = term if total is None else total + term
+    return total
 
 
 def check_hirota3(tau: TPoly, z_cap: int = 4) -> Residual:
@@ -112,46 +163,27 @@ def check_hirota3(tau: TPoly, z_cap: int = 4) -> Residual:
 
     sum over cyclic (a,b,c) of (zeta_b - zeta_a) zeta_c tau^{[za,zb]} tau^{[zc]} = 0.
     """
+    trust = tau.weight_cap + 2
+    return _poly_residual("hirota-3-term", _hirota3_residual(tau, z_cap, trust))
+
+
+def _det_m_residual(tau: TPoly, m: int, z_cap: int, cap: int | None) -> TPoly:
     ctx = tau.ctx
-    W = tau.weight_cap
-    T = tau.with_slots(3, z_cap)
-    sh = [miwa_shift(T, s) for s in range(3)]
-    sh_pair = {
-        (0, 1): miwa_shift(sh[0], 1),
-        (1, 2): miwa_shift(sh[1], 2),
-        (2, 0): miwa_shift(sh[2], 0),
-    }
-    zs = [_zeta(ctx, W, z_cap, 3, s) for s in range(3)]
-    total = None
-    for (a, b), c in (((0, 1), 2), ((1, 2), 0), ((2, 0), 1)):
-        term = (zs[b] - zs[a]) * zs[c] * (sh_pair[(a, b)] * sh[c])
-        total = term if total is None else total + term
-    return _poly_residual("hirota-3-term", total, W + 2)
-
-
-def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
-    """m-point determinant identity, rows cleared by zeta_j^{m-1}:
-
-    prod_{i<j} (zeta_i - zeta_j) tau^{[z1..zm]} tau^{m-1}
-      = det_{jk}[ zeta_j^{m-k} (1 - hbar zeta_j d_1)^{k-1} tau^{[zj]} ].
-    """
-    if m < 2:
-        raise ValueError("needs at least two points")
-    ctx = tau.ctx
-    W = tau.weight_cap
-    T = tau.with_slots(m, z_cap)
+    T = _embed(tau, m, z_cap, cap)
     sh = [miwa_shift(T, s) for s in range(m)]
     all_shift = T
     for s in range(m):
         all_shift = miwa_shift(all_shift, s)
-    zs = [_zeta(ctx, W, z_cap, m, s) for s in range(m)]
+    zs = _zetas(T)
 
-    left = all_shift
-    for _ in range(m - 1):
-        left = left * T
+    left = None
     for i in range(m):
         for j in range(i + 1, m):
-            left = left * (zs[i] - zs[j])
+            dz = zs[i] - zs[j]
+            left = dz if left is None else left * dz
+    left = left * all_shift
+    for _ in range(m - 1):
+        left = left * T
 
     rows = []
     for j in range(m):
@@ -169,9 +201,20 @@ def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
                 entry = term if entry is None else entry + term
             row.append(entry)
         rows.append(row)
-    right = det(rows)
-    trust = W + m * (m - 1) // 2
-    return _poly_residual(f"determinant-{m}-point", left - right, trust)
+    return left - det(rows)
+
+
+def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
+    """m-point determinant identity, rows cleared by zeta_j^{m-1}:
+
+    prod_{i<j} (zeta_i - zeta_j) tau^{[z1..zm]} tau^{m-1}
+      = det_{jk}[ zeta_j^{m-k} (1 - hbar zeta_j d_1)^{k-1} tau^{[zj]} ].
+    """
+    if m < 2:
+        raise ValueError("needs at least two points")
+    trust = tau.weight_cap + m * (m - 1) // 2
+    return _poly_residual(f"determinant-{m}-point",
+                          _det_m_residual(tau, m, z_cap, trust))
 
 
 def _shift_f(F: TPoly, slots) -> TPoly:
@@ -179,6 +222,23 @@ def _shift_f(F: TPoly, slots) -> TPoly:
     for s in slots:
         out = miwa_shift(out, s)
     return out
+
+
+def _kp2_residual(F: TPoly, z_cap: int, x_form: bool,
+                  cap: int | None) -> TPoly:
+    ctx = F.ctx
+    G2 = _embed(F, 2, z_cap, cap)
+    f1 = _shift_f(G2, (0,))
+    f2 = _shift_f(G2, (1,))
+    f12 = _shift_f(G2, (0, 1))
+    big_g = (f12 - f1 - f2 + G2).scale(ctx.hbar_pow(-2))
+    z1, z2 = _zetas(G2)
+    if x_form:
+        d_f = G2.map_coeffs(lambda s: s.diff())
+    else:
+        d_f = G2.diff_t(1)
+    jump = (_shift_f(d_f, (0,)) - _shift_f(d_f, (1,))).scale(ctx.hbar_pow(-1))
+    return (z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump
 
 
 def check_kp2(F: TPoly, z_cap: int = 4, x_form: bool = False) -> Residual:
@@ -196,24 +256,9 @@ def check_kp2(F: TPoly, z_cap: int = 4, x_form: bool = False) -> Residual:
     and the x-form reacts to low-weight corruption at lower expansion
     order).
     """
-    ctx = F.ctx
-    W = F.weight_cap
-    G2 = F.with_slots(2, z_cap)
-    f1 = _shift_f(G2, (0,))
-    f2 = _shift_f(G2, (1,))
-    f12 = _shift_f(G2, (0, 1))
-    big_g = (f12 - f1 - f2 + G2).scale(ctx.hbar_pow(-2))
-    z1 = _zeta(ctx, W, z_cap, 2, 0)
-    z2 = _zeta(ctx, W, z_cap, 2, 1)
-    if x_form:
-        d_f = G2.map_coeffs(lambda s: s.diff())
-        tag = "fay-F-form-x"
-    else:
-        d_f = G2.diff_t(1)
-        tag = "fay-F-form"
-    jump = (_shift_f(d_f, (0,)) - _shift_f(d_f, (1,))).scale(ctx.hbar_pow(-1))
-    resid = (z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump
-    return _poly_residual(tag, resid, W + 1)
+    trust = F.weight_cap + 1
+    tag = "fay-F-form-x" if x_form else "fay-F-form"
+    return _poly_residual(tag, _kp2_residual(F, z_cap, x_form, trust))
 
 
 def jacobi_minor_identity(rows) -> Residual:

@@ -92,6 +92,21 @@ def test_fseries_and_kp2(tmp_path, f_file):
                  "--output", str(tmp_path / "r.json")]) == 0
 
 
+def test_kp2_at_a_smaller_x_order_terminates(tmp_path, f_file):
+    """Clamping the x order leaves a zero constant in Delta Delta F that is
+    kept for its valid order; exp must still stop."""
+    table = tmp_path / "f_table.json"
+    assert main(["fseries", "--input", f_file, "--output", str(table)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbarkp.cli", "verify", "kp2", "--input",
+         str(table), "--x-order", "2", "--z-order", "3"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(
+            Path(hbarkp.__file__).resolve().parent.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True
+
+
 def test_fseries_symbolic(tmp_path):
     out = tmp_path / "sym.json"
     assert main(["fseries", "--mode", "symbolic", "--weight", "3",
@@ -233,6 +248,22 @@ def test_exit_2_on_zero_denominator_hbar(tmp_path):
         proc = run_cli(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "zero denominator"),
+    ({"0": "1/0"}, "zero denominator"),
+    ({"0": 1}, "must be text"),
+], ids=["string", "hbar-dict", "number-in-hbar-dict"])
+def test_exit_2_on_bad_coefficient(tmp_path, bad, message):
+    doc = _tau_doc({"mode": "rational", "value": "1/2"}, 2)
+    doc["c"]["1"] = ["1", bad, "1"]
+    path = tmp_path / "bad_coeff.json"
+    dataio.dump(doc, path)
+    proc = run_cli("tau", "--input", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_exit_2_on_too_narrow_hbar_window(tmp_path):

@@ -15,8 +15,12 @@ from hbarkp.sampling import (
     random_tpoly,
 )
 from hbarkp.taubuild import TauSeries, tau_series
-from hbarkp.tpoly import TPoly
+from hbarkp.tpoly import TPoly, degree_of
 from hbarkp.verify import (
+    _det_m_residual,
+    _fay_residual,
+    _hirota3_residual,
+    _kp2_residual,
     check_det_m,
     check_fay,
     check_hirota3,
@@ -195,6 +199,72 @@ def test_residual_reports_caps(num_ctx):
     assert r.caps["z"] == 3
     assert r.caps["slots"] == 2
     assert r.identity == "differential-fay"
+
+
+# -- the trusted region: sound and tight ---------------------------------------
+
+def _residual_fns(tau, F, Z):
+    """(name, residual as a function of the total-degree cap, trust) per check."""
+    W = tau.weight_cap
+    return [
+        ("fay", lambda cap: _fay_residual(tau, Z, cap), W + 1),
+        ("hirota3", lambda cap: _hirota3_residual(tau, Z, cap), W + 2),
+        ("det-2", lambda cap: _det_m_residual(tau, 2, Z, cap), W + 1),
+        ("det-3", lambda cap: _det_m_residual(tau, 3, Z, cap), W + 3),
+        ("kp2", lambda cap: _kp2_residual(F, Z, False, cap), W + 1),
+        ("kp2-x", lambda cap: _kp2_residual(F, Z, True, cap), W + 1),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trusted_region_is_sound_and_tight(num_ctx, seed):
+    """On valid tables each check's residual built under the cap ``trust``
+    is the uncapped residual restricted to ``trust`` (the cap loses
+    nothing), it is zero there (sound), and the uncapped residual has a
+    nonzero monomial at ``trust + 1`` (so ``trust`` is the largest correct
+    choice)."""
+    W, Z = 3, 4
+    tau = tau_series(random_tau_data(Random(seed), num_ctx, W, W)).assemble()
+    F = f_series(random_f_data(Random(seed), num_ctx, W, W)).assemble()
+    for name, build, trust in _residual_fns(tau, F, Z):
+        full = build(None)
+        capped = build(trust)
+        want = full.restrict_weight(trust)
+        assert set(capped.terms) == set(want.terms), name
+        for key, c in want.terms.items():
+            got = capped.terms[key]
+            assert (got.valid, got.coeffs) == (c.valid, c.coeffs), (name, key)
+        assert capped.is_zero(), name
+        assert any(degree_of(key) == trust + 1 and not c.is_zero()
+                   for key, c in full.terms.items()), name
+
+
+def test_capped_residual_keeps_the_corruption(num_ctx):
+    """On a corrupted tau table the capped residuals of the tau-side checks
+    still equal the uncapped ones on the trusted region, nonzero
+    coefficients and valid orders alike."""
+    ts = tau_series(random_tau_data(Random(5), num_ctx, 4, 4))
+    tau = perturbed(ts, (1, 1), Rational(1)).assemble()
+    for name, build, trust in _residual_fns(tau, None, 4)[:4]:
+        capped = build(trust)
+        want = build(None).restrict_weight(trust)
+        assert not capped.is_zero(), name
+        assert set(capped.terms) == set(want.terms), name
+        for key, c in want.terms.items():
+            got = capped.terms[key]
+            assert (got.valid, got.coeffs) == (c.valid, c.coeffs), (name, key)
+
+
+def test_checks_refuse_inputs_with_zeta_monomials(num_ctx):
+    """The cap is exact only when d_1 meets complete Miwa shifts, which
+    needs an input without zeta-monomials."""
+    tau = TPoly.one(num_ctx, 3, 2, 1) + TPoly.var_zeta(num_ctx, 3, 0, 2, 1)
+    for check in (lambda: check_fay(tau, 2), lambda: check_hirota3(tau, 2),
+                  lambda: check_det_m(tau, 3, 2), lambda: check_kp2(tau, 2)):
+        with pytest.raises(ValueError, match="zeta"):
+            check()
+    # an input that declares slots but carries no zeta-monomial is accepted
+    assert check_fay(TPoly.one(num_ctx, 3, 2, 1), 2).passed
 
 
 # -- matrix identities --------------------------------------------------------
