@@ -5,6 +5,7 @@ over exact rationals, and verifies them against the Hirota bilinear /
 differential Fay identities with zero-tolerance polynomial residuals.
 """
 
+from .errors import HbarkpError
 from .hscalar import HContext, HPoly, HbarValueError, HbarWindowError, default_window
 from .partitions import Partition, dominance, partitions_of, partitions_upto, stats
 from .rational import Rational
@@ -12,6 +13,7 @@ from .tpoly import CapError, TPoly
 from .xseries import OrderExhaustedError, XSeries
 
 __all__ = [
+    "HbarkpError",
     "HContext",
     "HPoly",
     "HbarValueError",

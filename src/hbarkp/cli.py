@@ -22,15 +22,12 @@ from dataclasses import replace
 from random import Random
 
 from . import dataio, fbuild, kpconst, symfun, taubuild, verify
-from .dataio import DataFormatError
-from .hscalar import (
-    HContext, HbarValueError, HbarWindowError, default_window, scalar_to_json,
-)
+from .errors import HbarkpError
+from .hscalar import HContext, default_window, scalar_to_json
 from .partitions import partitions_upto
 from .rational import Rational
 from .sampling import random_rational_matrix
 from .tpoly import TPoly
-from .xseries import OrderExhaustedError
 
 
 class CommandError(Exception):
@@ -194,6 +191,8 @@ def _clamp(series, weight, x_order):
     if weight is None and x_order is None:
         return series
     W = series.weight_cap if weight is None else weight
+    if W < 0:
+        raise CommandError("--weight must be nonnegative")
     if W > series.weight_cap:
         raise CommandError("--weight exceeds the table's weight cap")
     changes = {
@@ -215,8 +214,16 @@ def _residual_doc(res: verify.Residual) -> dict:
     }
 
 
+# The table each check reads: the bilinear identities test tau, kp2 tests F.
+_TABLE_OF_CHECK = {"fay": "c_lambda", "hirota3": "c_lambda",
+                   "detm": "c_lambda", "kp2": "f_lambda"}
+_TABLE_KIND = {"c_lambda": "tau", "f_lambda": "F"}
+
+
 def cmd_verify(args) -> int:
     if args.check == "appendix":
+        if args.matrices < 1:
+            raise CommandError("--matrices must be at least 1")
         rng = Random(args.seed)
         results = []
         ok = True
@@ -233,16 +240,15 @@ def cmd_verify(args) -> int:
 
     doc = dataio.load(args.input)
     z_cap = args.z_order
-    if "c_lambda" in doc:
-        ts = dataio.tau_series_from_document(doc)
-        ts = _clamp(ts, args.weight, args.x_order)
-        poly = ts.assemble()
-    elif "f_lambda" in doc:
-        fs = dataio.f_series_from_document(doc)
-        fs = _clamp(fs, args.weight, args.x_order)
-        poly = fs.assemble()
+    table = _TABLE_OF_CHECK[args.check]
+    if table not in doc:
+        raise CommandError(f"verify {args.check} needs a {table} "
+                           f"({_TABLE_KIND[table]}) table")
+    if table == "c_lambda":
+        series = dataio.tau_series_from_document(doc)
     else:
-        raise DataFormatError("no c_lambda / f_lambda table to verify")
+        series = dataio.f_series_from_document(doc)
+    poly = _clamp(series, args.weight, args.x_order).assemble()
 
     if args.check == "fay":
         res = verify.check_fay(poly, z_cap)
@@ -250,10 +256,8 @@ def cmd_verify(args) -> int:
         res = verify.check_hirota3(poly, z_cap)
     elif args.check == "detm":
         res = verify.check_det_m(poly, args.points, z_cap)
-    elif args.check == "kp2":
-        res = verify.check_kp2(poly, z_cap)
     else:
-        raise CommandError(f"unknown check {args.check!r}")
+        res = verify.check_kp2(poly, z_cap)
     _emit(args, _residual_doc(res))
     return 0 if res.passed else 1
 
@@ -348,8 +352,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (DataFormatError, HbarValueError, HbarWindowError,
-            OrderExhaustedError, ValueError, OSError, KeyError) as exc:
+    except (HbarkpError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import HbarkpError
 from .fbuild import FData, FSeries
 from .hscalar import HContext, scalar_from_json, scalar_to_json
 from .partitions import Partition
@@ -27,8 +28,8 @@ from .taubuild import TauData, TauSeries
 from .xseries import XSeries
 
 
-class DataFormatError(ValueError):
-    pass
+class DataFormatError(HbarkpError, ValueError):
+    """A document that does not hold what its command needs."""
 
 
 def hbar_to_json(ctx: HContext) -> dict:

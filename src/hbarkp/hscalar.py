@@ -13,6 +13,13 @@ hbar^{-w} at weight w while F = hbar^2 log(tau) shifts exponents up, so a
 computation at weight cap W normally lives inside [-(W+2), W+2]; wider
 windows are an explicit constructor choice.
 
+A product of two ``HPoly`` values does not multiply and add rationals term
+by term: each operand is written as integer numerators over the lcm of its
+denominators, the numerators are convolved as plain ints, and each output
+coefficient is reduced once, so the results are the same canonical
+rationals.  ``numerators`` and ``reduce_terms`` are the two halves of that,
+shared with the ``XSeries`` and ``TPoly`` products.
+
 All values are immutable; operations are pure.
 """
 
@@ -20,16 +27,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import HbarkpError
 from .rational import (
-    Rational, ZeroDenominatorError, format_rational, parse_rational,
+    Rational, ZeroDenominatorError, common_denominator, format_rational,
+    parse_rational,
 )
 
 
-class HbarWindowError(ArithmeticError):
+class HbarWindowError(HbarkpError, ArithmeticError):
     """A Laurent coefficient fell outside the declared exponent window."""
 
 
-class HbarValueError(ArithmeticError):
+class HbarValueError(HbarkpError, ArithmeticError):
     """Invalid numeric use of hbar (e.g. dividing by hbar when it is 0)."""
 
 
@@ -91,6 +100,21 @@ class HContext:
         return self.hbar_pow(1)
 
 
+def window_error(ctx: HContext, e: int) -> HbarWindowError:
+    return HbarWindowError(f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")
+
+
+def numerators(terms: dict, den) -> dict:
+    """The rational ``terms`` as integer numerators over ``den``, a common
+    multiple of their denominators."""
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def reduce_terms(nums: dict, den) -> dict:
+    """Integer numerators over ``den`` back to rationals, zeros dropped."""
+    return {e: Rational(n, den) for e, n in nums.items() if n}
+
+
 def _coerce_terms(other):
     if isinstance(other, (int, Rational)):
         return {0: Rational(other)}
@@ -115,9 +139,7 @@ class HPoly:
             if c == 0:
                 continue
             if e < ctx.lo or e > ctx.hi:
-                raise HbarWindowError(
-                    f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]"
-                )
+                raise window_error(ctx, e)
             clean[e] = c
         self.ctx = ctx
         self.terms = clean
@@ -170,16 +192,26 @@ class HPoly:
         if not isinstance(other, HPoly):
             return NotImplemented
         self._check_ctx(other)
+        ctx, t1, t2 = self.ctx, self.terms, other.terms
+        if not t1 or not t2:
+            return HPoly(ctx, {}, _clean=True)
+        # The extreme exponents of a product of nonzero Laurent polynomials
+        # never cancel, so the window holds iff it holds at both ends.
+        e = min(t1) + min(t2)
+        if e < ctx.lo:
+            raise window_error(ctx, e)
+        e = max(t1) + max(t2)
+        if e > ctx.hi:
+            raise window_error(ctx, e)
+        d1 = common_denominator(t1.values())
+        d2 = common_denominator(t2.values())
+        n2 = numerators(t2, d2).items()
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, a in numerators(t1, d1).items():
+            for e2, b in n2:
                 e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return HPoly(self.ctx, out)
+                out[e] = out.get(e, 0) + a * b
+        return HPoly(ctx, reduce_terms(out, d1 * d2), _clean=True)
 
     __rmul__ = __mul__
 

@@ -8,13 +8,17 @@ in canonical reduced form with positive denominator.
 
 from __future__ import annotations
 
+from math import lcm
+
+from .errors import HbarkpError
+
 try:
     from gmpy2 import mpq as Rational
 except ImportError:  # gmpy2 is the optional "fast" extra
     from fractions import Fraction as Rational
 
 
-class ZeroDenominatorError(ValueError):
+class ZeroDenominatorError(HbarkpError, ValueError):
     """Rational text with a zero denominator, such as "1/0"."""
 
 
@@ -29,6 +33,18 @@ def parse_rational(text: str):
         return Rational(text.strip())
     except ZeroDivisionError as exc:
         raise ZeroDenominatorError(f"zero denominator in {text!r}") from exc
+
+
+def common_denominator(values, den=1):
+    """The lcm of ``den`` and the denominators of the rationals ``values``.
+
+    Only ``.denominator`` is read, so ints, ``Fraction`` and ``mpq`` all
+    serve."""
+    for r in values:
+        d = r.denominator
+        if den % d:
+            den = lcm(den, d)
+    return den
 
 
 def format_rational(r) -> str:

@@ -17,21 +17,27 @@ at low valid order is information that min-combining must not lose.
 
 All three caps are explicit constructor parameters, never ambient state,
 and instances are immutable.  Products enforce the total-degree cap inside
-the pair loop, so a capped product costs only what it keeps.
+the pair loop, so a capped product costs only what it keeps.  When every
+coefficient of both operands is an ``XSeries``, a product encodes each
+operand once as integer numerators over the lcm of its denominators and
+accumulates each output monomial's numerators in one integer buffer
+(``xseries.int_kernel``); each coefficient is reduced to canonical
+rationals once, at the end.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
+from .errors import HbarkpError
 from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
 from .rational import Rational
-from .xseries import XSeries
+from .xseries import XSeries, int_kernel
 
 _SCALARS = (int, Rational, HPoly)
 
 
-class CapError(ValueError):
+class CapError(HbarkpError, ValueError):
     """A construction requires more weight / z-degree than the caps allow."""
 
 
@@ -62,6 +68,28 @@ def _coeff_is_zero(c) -> bool:
     if isinstance(c, XSeries):
         return c.is_zero()
     return scalar_is_zero(c)
+
+
+def _series_kernel(*operands):
+    """The integer product kernel when every coefficient of the operands is
+    an XSeries of one context and x cap, else None.  Mixed coefficients go
+    through their own products, which raise on mixed contexts or caps."""
+    ref = None
+    for terms in operands:
+        for c in terms.values():
+            if type(c) is not XSeries:
+                return None
+            if ref is None:
+                ref = c
+            elif c.cap != ref.cap or (c.ctx is not ref.ctx and c.ctx != ref.ctx):
+                return None
+    return None if ref is None else int_kernel(ref.ctx, ref.cap)
+
+
+def _encoded(kernel, terms: dict):
+    """(den, terms with each XSeries replaced by its integer code)."""
+    den, codes = kernel.encode(terms.values())
+    return den, dict(zip(terms, codes))
 
 
 def _graded_items(terms: dict, by_degree: bool) -> list:
@@ -252,8 +280,13 @@ class TPoly:
         # first partner over that cap ends the inner loop; a partner over
         # the weight cap alone is skipped.
         limit = W if D is None else D
-        items1 = _graded_items(self.terms, D is not None)
-        items2 = _graded_items(other.terms, D is not None)
+        terms1, terms2 = self.terms, other.terms
+        kernel = _series_kernel(terms1, terms2)
+        if kernel is not None:
+            den1, terms1 = _encoded(kernel, terms1)
+            den2, terms2 = _encoded(kernel, terms2)
+        items1 = _graded_items(terms1, D is not None)
+        items2 = _graded_items(terms2, D is not None)
         out: dict = {}
         for s1, w1, t1, z1, c1 in items1:
             budget = limit - s1
@@ -277,11 +310,17 @@ class TPoly:
                 ta = t1 + (0,) * (n - len(t1))
                 tb = t2 + (0,) * (n - len(t2))
                 key = (tuple(a + b for a, b in zip(ta, tb)), zk)
+                if kernel is not None:
+                    kernel.add_product(out, key, c1, c2)
+                    continue
                 p = c1 * c2
                 if key in out:
                     out[key] = out[key] + p
                 else:
                     out[key] = p
+        if kernel is not None:
+            den = den1 * den2
+            out = {k: kernel.decode(den, acc) for k, acc in out.items()}
         clean = {k: c for k, c in out.items() if not _droppable(c)}
         return self._like(clean, _clean=True)
 

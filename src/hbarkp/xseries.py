@@ -10,15 +10,27 @@ get differentiated, inverted and recombined.
 
 Coefficients are scalars in the sense of ``hscalar`` (rationals, or Laurent
 polynomials in hbar).  Instances are immutable.
+
+Products run on the integer kernel at the end of this module: every
+coefficient of an operand becomes an integer numerator (numeric hbar) or a
+dict from hbar exponent to integer numerator (formal hbar) over the lcm of
+the operand's denominators.  The numerators are convolved as plain ints and
+each output coefficient is reduced once, so the results are the same
+canonical rationals that term-by-term rational arithmetic gives.
+``TPoly`` products feed the same kernel with one denominator per operand.
 """
 
 from __future__ import annotations
 
-from .hscalar import HContext, HPoly, scalar_inv, scalar_is_zero
-from .rational import Rational
+from .errors import HbarkpError
+from .hscalar import (
+    HContext, HPoly, numerators, reduce_terms, scalar_inv, scalar_is_zero,
+    window_error,
+)
+from .rational import ZERO, Rational, common_denominator
 
 
-class OrderExhaustedError(ArithmeticError):
+class OrderExhaustedError(HbarkpError, ArithmeticError):
     """Asked for an x-coefficient beyond the trustworthy order."""
 
 
@@ -123,15 +135,13 @@ class XSeries:
             return self.scale(other)
         if not isinstance(other, XSeries):
             return NotImplemented
-        v = self._join(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for j in range(v + 1):
-            s = a[0] * b[j]
-            for i in range(1, j + 1):
-                s = s + a[i] * b[j - i]
-            out.append(s)
-        return XSeries(self.ctx, self.cap, tuple(out), valid=v)
+        self._join(other)
+        kernel = int_kernel(self.ctx, self.cap)
+        da, (a,) = kernel.encode((self,))
+        db, (b,) = kernel.encode((other,))
+        out: dict = {}
+        kernel.add_product(out, None, a, b)
+        return kernel.decode(da * db, out[None])
 
     __rmul__ = __mul__
 
@@ -224,3 +234,163 @@ class XSeries:
 
     def __repr__(self):
         return f"XSeries(valid={self.valid}, coeffs={list(self.coeffs)})"
+
+
+# ---------------------------------------------------------------------------
+# integer kernel for products
+#
+# ``encode`` writes series over one common denominator as codes
+# (valid, first, entries): ``first`` is the index of the first HPoly
+# coefficient (valid + 1 if there is none) and ``entries`` lists the nonzero
+# coefficients in index order.  ``add_product`` adds the product of two codes
+# into an accumulator [valid, first, buffer] of integer numerators, and
+# ``decode`` reduces an accumulator to an XSeries: its valid order is the
+# minimum over the products added, and a coefficient is an HPoly iff one of
+# the products had an HPoly factor at or below it, as with HPoly * Rational.
+
+
+class _NumericInts:
+    """Numeric hbar: a coefficient is one integer numerator."""
+
+    def __init__(self, ctx: HContext, cap: int):
+        self.ctx = ctx
+        self.cap = cap
+
+    @staticmethod
+    def encode(series):
+        series = tuple(series)
+        den = 1
+        for s in series:
+            den = common_denominator(s.coeffs, den)
+        codes = []
+        for s in series:
+            entries = [(i, c.numerator * (den // c.denominator))
+                       for i, c in enumerate(s.coeffs) if c]
+            codes.append((s.valid, s.valid + 1, entries))
+        return den, codes
+
+    def add_product(self, out, key, a, b):
+        acc = _accumulator(out, key, a, b, _int_buffer)
+        buf, v = acc[2], acc[0]
+        eb = b[2]
+        for i, x in a[2]:
+            if i > v:
+                break
+            room = v - i
+            for k, y in eb:
+                if k > room:
+                    break
+                buf[i + k] += x * y
+
+    def decode(self, den, acc):
+        v, _, buf = acc
+        return XSeries(self.ctx, self.cap,
+                       [Rational(n, den) if n else ZERO for n in buf[: v + 1]],
+                       valid=v)
+
+
+class _SymbolicInts:
+    """Formal hbar: a coefficient is a dict hbar exponent -> numerator.
+
+    A nonzero HPoly entry carries its exponent span, so that every pair of
+    HPoly coefficients the rational product would multiply, through the
+    pair's own common valid order, raises ``HbarWindowError`` as that
+    product would: its extreme exponents never cancel."""
+
+    def __init__(self, ctx: HContext, cap: int):
+        self.ctx = ctx
+        self.cap = cap
+
+    def encode(self, series):
+        series = tuple(series)
+        ctx = self.ctx
+        den = 1
+        for s in series:
+            for c in s.coeffs:
+                if isinstance(c, HPoly):
+                    if c.ctx is not ctx and c.ctx != ctx:
+                        raise ValueError("mixed hbar contexts")
+                    den = common_denominator(c.terms.values(), den)
+                else:
+                    den = common_denominator((c,), den)
+        codes = []
+        for s in series:
+            first = s.valid + 1
+            entries = []
+            for i, c in enumerate(s.coeffs):
+                if isinstance(c, HPoly):
+                    first = min(first, i)
+                    t = c.terms
+                    if t:
+                        entries.append((i, numerators(t, den), (min(t), max(t))))
+                elif c:
+                    entries.append(
+                        (i, {0: c.numerator * (den // c.denominator)}, None))
+            codes.append((s.valid, first, entries))
+        return den, codes
+
+    def add_product(self, out, key, a, b):
+        acc = _accumulator(out, key, a, b, _dict_buffer)
+        buf, v = acc[2], acc[0]
+        reach = min(a[0], b[0])
+        lo, hi = self.ctx.lo, self.ctx.hi
+        eb = b[2]
+        for i, ta, sa in a[2]:
+            if i > reach:
+                break
+            for k, tb, sb in eb:
+                j = i + k
+                if j > reach:
+                    break
+                if sa is not None and sb is not None:
+                    if sa[0] + sb[0] < lo:
+                        raise window_error(self.ctx, sa[0] + sb[0])
+                    if sa[1] + sb[1] > hi:
+                        raise window_error(self.ctx, sa[1] + sb[1])
+                if j > v:
+                    continue
+                nums = buf[j]
+                for e1, x in ta.items():
+                    for e2, y in tb.items():
+                        e = e1 + e2
+                        nums[e] = nums.get(e, 0) + x * y
+
+    def decode(self, den, acc):
+        v, first, buf = acc
+        ctx = self.ctx
+        coeffs = []
+        for j in range(v + 1):
+            if j >= first:
+                coeffs.append(HPoly(ctx, reduce_terms(buf[j], den), _clean=True))
+            else:
+                n = buf[j].get(0, 0)
+                coeffs.append(Rational(n, den) if n else ZERO)
+        return XSeries(ctx, self.cap, coeffs, valid=v)
+
+
+def _int_buffer(v):
+    return [0] * (v + 1)
+
+
+def _dict_buffer(v):
+    return [{} for _ in range(v + 1)]
+
+
+def _accumulator(out, key, a, b, new_buffer):
+    """The accumulator out[key], made or updated for one more product a * b."""
+    v = min(a[0], b[0])
+    first = min(a[1], b[1])
+    acc = out.get(key)
+    if acc is None:
+        out[key] = acc = [v, first, new_buffer(v)]
+    else:
+        if v < acc[0]:
+            acc[0] = v
+        if first < acc[1]:
+            acc[1] = first
+    return acc
+
+
+def int_kernel(ctx: HContext, cap: int):
+    """The integer product kernel for series with this context and x cap."""
+    return _NumericInts(ctx, cap) if ctx.is_numeric else _SymbolicInts(ctx, cap)

@@ -273,3 +273,50 @@ def test_exit_2_on_too_narrow_hbar_window(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "window" in proc.stderr
+
+
+def test_verify_refuses_a_table_of_the_wrong_kind(tmp_path, tau_file, f_file,
+                                                  capsys):
+    """kp2 checks F and the bilinear identities check tau; a table of the
+    other kind is bad input, not a failed verification."""
+    tau_table = tmp_path / "tau_table.json"
+    f_table = tmp_path / "f_table.json"
+    assert main(["tau", "--input", tau_file, "--output", str(tau_table)]) == 0
+    assert main(["fseries", "--input", f_file, "--output", str(f_table)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "kp2", "--input", str(tau_table)]) == 2
+    assert "f_lambda (F) table" in capsys.readouterr().err
+    for check in ("fay", "hirota3", "detm"):
+        assert main(["verify", check, "--input", str(f_table)]) == 2
+        assert "c_lambda (tau) table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrices", ["0", "-1"])
+def test_verify_appendix_refuses_no_matrices(matrices, capsys):
+    assert main(["verify", "appendix", "--matrices", matrices]) == 2
+    assert "--matrices" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_negative_weight(tmp_path, tau_file, capsys):
+    table = tmp_path / "tau_table.json"
+    assert main(["tau", "--input", tau_file, "--output", str(table)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "fay", "--input", str(table), "--weight", "-1"]) == 2
+    assert "--weight must be nonnegative" in capsys.readouterr().err
+
+
+def test_domain_errors_share_one_base():
+    from hbarkp.dataio import DataFormatError
+    from hbarkp.errors import HbarkpError
+    from hbarkp.hscalar import HbarValueError, HbarWindowError
+    from hbarkp.rational import ZeroDenominatorError
+    from hbarkp.tpoly import CapError
+    from hbarkp.xseries import OrderExhaustedError
+
+    for error, base in ((HbarWindowError, ArithmeticError),
+                        (HbarValueError, ArithmeticError),
+                        (OrderExhaustedError, ArithmeticError),
+                        (DataFormatError, ValueError),
+                        (CapError, ValueError),
+                        (ZeroDenominatorError, ValueError)):
+        assert issubclass(error, HbarkpError) and issubclass(error, base)

@@ -1,0 +1,299 @@
+"""The integer product kernels of XSeries, HPoly and TPoly against a
+schoolbook reference that multiplies and adds the rationals pair by pair.
+
+The kernels must agree with it in value, in coefficient type (a
+coefficient is an HPoly iff a pair behind it had an HPoly factor), in
+valid order and in the set of kept monomials, and must raise
+``HbarWindowError`` on exactly the inputs the reference raises on: a
+pair that leaves the window raises even when the sum would cancel it.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hbarkp.hscalar import HContext, HPoly, HbarWindowError
+from hbarkp.rational import Rational
+from hbarkp.tpoly import TPoly, _droppable, weight_of
+from hbarkp.xseries import XSeries
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
+                    database=None)
+NUMERIC = HContext.numeric(Rational(2, 3))
+WIDE = HContext.symbolic(-8, 8)
+NARROW = HContext.symbolic(-2, 2)
+
+
+# -- schoolbook reference ------------------------------------------------------
+
+def ref_scalar_mul(x, y):
+    """x * y, summing term products one by one; an HPoly * HPoly product
+    is window-checked as a whole, a product with a rational never is."""
+    hx, hy = isinstance(x, HPoly), isinstance(y, HPoly)
+    if not hx and not hy:
+        return Rational(x) * Rational(y)
+    if hx and hy and x.ctx != y.ctx:
+        raise ValueError("mixed hbar contexts")
+    ctx = x.ctx if hx else y.ctx
+    tx = x.terms if hx else {0: Rational(x)}
+    ty = y.terms if hy else {0: Rational(y)}
+    out = {}
+    for e1, c1 in tx.items():
+        for e2, c2 in ty.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    if hx and hy:
+        return HPoly(ctx, out)
+    return HPoly(ctx, {e: c for e, c in out.items() if c != 0}, _clean=True)
+
+
+def ref_xseries_mul(a: XSeries, b: XSeries) -> XSeries:
+    if a.ctx != b.ctx:
+        raise ValueError("mixed hbar contexts")
+    if a.cap != b.cap:
+        raise ValueError("mixed x caps")
+    v = min(a.valid, b.valid)
+    out = []
+    for j in range(v + 1):
+        s = ref_scalar_mul(a.coeffs[0], b.coeffs[j])
+        for i in range(1, j + 1):
+            s = s + ref_scalar_mul(a.coeffs[i], b.coeffs[j - i])
+        out.append(s)
+    return XSeries(a.ctx, a.cap, out, valid=v)
+
+
+def ref_coeff_mul(x, y):
+    if isinstance(x, XSeries) and isinstance(y, XSeries):
+        return ref_xseries_mul(x, y)
+    if isinstance(x, XSeries) or isinstance(y, XSeries):
+        return x * y  # XSeries.scale, term by term
+    return ref_scalar_mul(x, y)
+
+
+def _add_exps(a, b):
+    n = max(len(a), len(b))
+    s = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+         for i in range(n)]
+    while s and s[-1] == 0:
+        s.pop()
+    return tuple(s)
+
+
+def ref_tpoly_mul(p: TPoly, q: TPoly) -> dict:
+    out = {}
+    for (t1, z1), c1 in p.terms.items():
+        for (t2, z2), c2 in q.terms.items():
+            t, z = _add_exps(t1, t2), _add_exps(z1, z2)
+            w = weight_of(t)
+            if w > p.weight_cap or any(d > p.z_cap for d in z):
+                continue
+            if p.degree_cap is not None and w + sum(z) > p.degree_cap:
+                continue
+            prod = ref_coeff_mul(c1, c2)
+            out[(t, z)] = out[(t, z)] + prod if (t, z) in out else prod
+    return {k: c for k, c in out.items() if not _droppable(c)}
+
+
+# -- comparison ----------------------------------------------------------------
+
+def assert_same_scalar(got, want):
+    assert isinstance(got, HPoly) == isinstance(want, HPoly), (got, want)
+    if isinstance(want, HPoly):
+        assert got.ctx == want.ctx
+        assert got.terms == want.terms
+    else:
+        assert got == want
+
+
+def assert_same_series(got: XSeries, want: XSeries):
+    assert (got.cap, got.valid) == (want.cap, want.valid)
+    assert len(got.coeffs) == len(want.coeffs)
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert_same_scalar(g, w)
+
+
+def assert_same_coeff(got, want):
+    assert isinstance(got, XSeries) == isinstance(want, XSeries)
+    if isinstance(want, XSeries):
+        assert_same_series(got, want)
+    else:
+        assert_same_scalar(got, want)
+
+
+def outcome(fn, *args):
+    """('ok', value) or ('raise', exception type)."""
+    try:
+        return "ok", fn(*args)
+    except (HbarWindowError, ValueError) as exc:
+        return "raise", type(exc)
+
+
+# -- strategies ----------------------------------------------------------------
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+# int, Fraction and zero coefficients; mpq when it is the backend
+rationals = st.one_of(st.integers(-3, 3), fractions.map(Rational),
+                      st.just(Rational(0)))
+
+
+def hpolys(ctx):
+    return st.dictionaries(st.integers(ctx.lo, ctx.hi), fractions,
+                           max_size=3).map(lambda t: HPoly(ctx, t))
+
+
+def scalars(ctx):
+    if ctx.is_numeric:
+        return rationals
+    return st.one_of(rationals, hpolys(ctx))
+
+
+@st.composite
+def series(draw, ctx, cap):
+    valid = draw(st.integers(0, cap))
+    # fewer coefficients than valid + 1 leaves Rational(0) pads
+    coeffs = draw(st.lists(scalars(ctx), max_size=valid + 1))
+    return XSeries(ctx, cap, coeffs, valid=valid)
+
+
+contexts = st.sampled_from([NUMERIC, WIDE, NARROW])
+
+
+@st.composite
+def series_pairs(draw):
+    ctx = draw(contexts)
+    cap = draw(st.integers(0, 4))
+    return draw(series(ctx, cap)), draw(series(ctx, cap))
+
+
+@st.composite
+def tpoly_pairs(draw):
+    ctx = draw(contexts)
+    cap = draw(st.integers(0, 3))
+    W = draw(st.integers(0, 4))
+    nslots = draw(st.integers(0, 2))
+    Z = draw(st.integers(0, 2))
+    D = draw(st.one_of(st.none(), st.integers(0, W + nslots * Z)))
+    # all-XSeries operands take the integer kernel; a scalar among them
+    # sends the product coefficient by coefficient
+    mixed = draw(st.booleans())
+    coeff = st.one_of(series(ctx, cap), scalars(ctx)) if mixed else series(ctx, cap)
+    keys = st.tuples(
+        st.lists(st.integers(0, 2), max_size=3).map(tuple),
+        st.lists(st.integers(0, Z), max_size=nslots).map(tuple))
+
+    def poly():
+        terms = draw(st.dictionaries(keys, coeff, max_size=6))
+        return TPoly(ctx, W, Z, nslots, terms, degree_cap=D)
+    return poly(), poly()
+
+
+# -- properties ----------------------------------------------------------------
+
+@SETTINGS
+@given(ctx=st.sampled_from([WIDE, NARROW]), data=st.data())
+def test_hpoly_product_matches_reference(ctx, data):
+    a, b = data.draw(hpolys(ctx)), data.draw(hpolys(ctx))
+    got, want = outcome(HPoly.__mul__, a, b), outcome(ref_scalar_mul, a, b)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert_same_scalar(got[1], want[1])
+    else:
+        assert got[1] is want[1]
+
+
+@SETTINGS
+@given(series_pairs())
+def test_xseries_product_matches_reference(pair):
+    a, b = pair
+    got, want = outcome(XSeries.__mul__, a, b), outcome(ref_xseries_mul, a, b)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert_same_series(got[1], want[1])
+    else:
+        assert got[1] is want[1]
+
+
+@SETTINGS
+@given(tpoly_pairs())
+def test_tpoly_product_matches_reference(pair):
+    p, q = pair
+    got, want = outcome(TPoly.__mul__, p, q), outcome(ref_tpoly_mul, p, q)
+    assert got[0] == want[0]
+    if want[0] == "raise":
+        assert got[1] is want[1]
+        return
+    got, want = got[1].terms, want[1]
+    assert set(got) == set(want)
+    for key, c in want.items():
+        assert_same_coeff(got[key], c)
+
+
+# -- windows, contexts and caps --------------------------------------------------
+
+def h(ctx, e, c=1):
+    return HPoly(ctx, {e: Rational(c)})
+
+
+def test_window_error_when_pairs_leave_but_the_sum_cancels():
+    """h * h^2 - h^2 * h is zero, but each pair is hbar^3 outside [-2, 2]."""
+    ctx = NARROW
+    a = XSeries(ctx, 1, [h(ctx, 1), h(ctx, 2)])
+    b = XSeries(ctx, 1, [h(ctx, 1, -1), h(ctx, 2)])
+    for fn in (ref_xseries_mul, XSeries.__mul__):
+        with pytest.raises(HbarWindowError):
+            fn(a, b)
+    # the same pairs as monomials h + h^2 t1 and -h + h^2 t1 at weight cap 1
+    p = TPoly(ctx, 1, terms={((), ()): h(ctx, 1), ((1,), ()): h(ctx, 2)})
+    q = TPoly(ctx, 1, terms={((), ()): h(ctx, 1, -1), ((1,), ()): h(ctx, 2)})
+    with pytest.raises(HbarWindowError):
+        p * q
+    one = XSeries.one(ctx, 1)
+    ps = TPoly(ctx, 1, terms={k: one.scale(c) for k, c in p.terms.items()})
+    qs = TPoly(ctx, 1, terms={k: one.scale(c) for k, c in q.terms.items()})
+    for fn in (ref_tpoly_mul, TPoly.__mul__):
+        with pytest.raises(HbarWindowError):
+            fn(ps, qs)
+
+
+def test_window_is_checked_past_a_lower_valid_order_of_the_same_key():
+    """A pair is checked through its own valid order, even where another
+    pair on the same key has already cut the result's valid order."""
+    ctx = NARROW
+    low = XSeries(ctx, 2, [Rational(1)], valid=0)
+    hi_a = XSeries(ctx, 2, [Rational(1), h(ctx, 2)])
+    hi_b = XSeries(ctx, 2, [h(ctx, 1), h(ctx, 1)])
+    t1 = ((1,), ())
+    p = TPoly(ctx, 2, terms={((), ()): low, t1: hi_a})
+    q = TPoly(ctx, 2, terms={t1: low, ((), ()): hi_b})
+    for fn in (ref_tpoly_mul, TPoly.__mul__):
+        with pytest.raises(HbarWindowError):
+            fn(p, q)
+
+
+def test_mixed_contexts_and_caps_raise():
+    other = HContext.symbolic(-3, 3)
+    with pytest.raises(ValueError, match="mixed hbar contexts"):
+        h(WIDE, 1) * h(other, 1)
+    a = XSeries(WIDE, 2, [h(WIDE, 1)])
+    with pytest.raises(ValueError, match="mixed x caps"):
+        a * XSeries(WIDE, 3, [h(WIDE, 1)])
+    with pytest.raises(ValueError, match="mixed hbar contexts"):
+        a * XSeries(other, 2, [h(other, 1)])
+    # coefficients of one polynomial with different x caps
+    t1 = ((1,), ())
+    p = TPoly(WIDE, 2, terms={((), ()): a, t1: XSeries(WIDE, 3, [1])})
+    q = TPoly(WIDE, 2, terms={((), ()): a})
+    for fn in (ref_tpoly_mul, TPoly.__mul__):
+        with pytest.raises(ValueError, match="mixed x caps"):
+            fn(p, q)
+
+
+def test_results_are_canonical_rationals():
+    a = XSeries(NUMERIC, 2, [Rational(1, 6), Rational(1, 4), Rational(1, 10)])
+    b = XSeries(NUMERIC, 2, [Rational(3, 2), Rational(-2, 3), Rational(5, 7)])
+    got = a * b
+    want = ref_xseries_mul(a, b)
+    for g, w in zip(got.coeffs, want.coeffs):
+        assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
+        assert type(g) is Rational
