@@ -220,6 +220,26 @@ _TABLE_OF_CHECK = {"fay": "c_lambda", "hirota3": "c_lambda",
 _TABLE_KIND = {"c_lambda": "tau", "f_lambda": "F"}
 
 
+def _least_z_order(check: str, points: int) -> int:
+    """The smallest ``--z-order`` at which a check can fail.
+
+    Below it the residual vanishes for every table, KP or not, so a pass
+    there says nothing.  The residual of the m-point identity changes sign
+    when two points are swapped, so it is the Vandermonde in
+    zeta_1..zeta_m times a symmetric series.  The bound for detm fits the
+    reading that the first part of that series a non-KP tau makes nonzero
+    has degree 4: its monomials of least largest slot degree,
+    m - 1 + ceil(4/m), come from the partitions of 4 into at most m parts
+    with the shortest first row.  Measured with non-KP tables (W = 4..7; W = 4, 5 for m = 5 and
+    W = 4 for m = 6): the Fay, three-term and F-form checks and detm with
+    2, 3, 4, 5, 6 points pass at every z order below 3, 3, 3, 3, 4, 4, 5, 6
+    respectively and fail at it.  tests/test_cli.py pins all but m = 5, 6.
+    """
+    if check == "detm" and points >= 2:
+        return points - 1 + -(-4 // points)
+    return 3
+
+
 def cmd_verify(args) -> int:
     if args.check == "appendix":
         if args.matrices < 1:
@@ -238,8 +258,12 @@ def cmd_verify(args) -> int:
         _emit(args, {"checks": results, "pass": ok})
         return 0 if ok else 1
 
-    doc = dataio.load(args.input)
     z_cap = args.z_order
+    least = _least_z_order(args.check, args.points)
+    if z_cap < least:
+        raise CommandError(f"verify {args.check} cannot fail below "
+                           f"--z-order {least}; got {z_cap}")
+    doc = dataio.load(args.input)
     table = _TABLE_OF_CHECK[args.check]
     if table not in doc:
         raise CommandError(f"verify {args.check} needs a {table} "

@@ -19,6 +19,7 @@ y_l = f_l / (hbar l).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .hscalar import HContext, HbarValueError, scalar_is_zero
 from .lops import DiffPoly, l_word
@@ -26,7 +27,7 @@ from .partitions import Partition, partitions_of, partitions_upto
 from .rational import Rational
 from .symfun import h_apply, t_hbar, transition_L
 from .taubuild import TauData
-from .tpoly import TPoly
+from .tpoly import TPoly, linear_combination
 from .xseries import XSeries
 
 
@@ -93,21 +94,22 @@ class FSeries:
         """f_0 + sum f_lam / sigma * t^hbar_lam as a time polynomial."""
         if self.symbolic:
             raise ValueError("assemble requires concrete coefficients")
-        acc = TPoly.constant(self.ctx, self.weight_cap, self.f0, z_cap, nslots)
-        for lam, c in self.table.items():
-            basis = t_hbar(lam, self.ctx, self.weight_cap, z_cap, nslots)
-            acc = acc + basis.scale(c.scale(Rational(1, lam.sigma)))
-        return acc
+        ctx, W = self.ctx, self.weight_cap
+        pairs = chain(
+            [(TPoly.one(ctx, W, z_cap, nslots), self.f0)],
+            ((t_hbar(lam, ctx, W, z_cap, nslots), c.scale(Rational(1, lam.sigma)))
+             for lam, c in self.table.items()))
+        return linear_combination(pairs, ctx, W, z_cap, nslots)
 
     def plain_taylor(self) -> dict:
         """Coefficients d_lam F|_{t=0} of the plain monomial basis.
 
-        Obtained from the assembled polynomial: applying d_{lam_1} d_{lam_2}...
+        Read off the assembled polynomial: applying d_{lam_1} d_{lam_2}...
         at t = 0 multiplies the t_lam coefficient by sigma(lam)."""
         poly = self.assemble()
         out = {}
         for lam in partitions_upto(self.weight_cap, 1):
-            v = poly.diff_parts(tuple(lam)).constant_coeff()
+            v = poly.derivative_at_zero(tuple(lam))
             if not isinstance(v, XSeries):
                 v = XSeries.constant(self.ctx, self.x_cap, v)
             out[lam] = v

@@ -12,10 +12,12 @@ from __future__ import annotations
 from functools import cache
 from math import comb, factorial
 
-from .hscalar import HContext
+from .hscalar import HContext, HPoly, window_error
 from .linalg import det
+from .partitions import compositions
 from .rational import Rational
 from .tpoly import TPoly
+from .xseries import XSeries
 
 _SCALARS_OK = (int,)
 
@@ -143,21 +145,6 @@ class DiffOperator:
         return f"DiffOperator({self.render()})"
 
 
-def _compositions(total: int, parts: int):
-    """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @cache
 def dh_operator(k: int, ctx: HContext) -> DiffOperator:
     """The deformed derivative of order k as an explicit operator.
@@ -174,7 +161,7 @@ def dh_operator(k: int, ctx: HContext) -> DiffOperator:
     terms: dict = {}
     for l in range(1, k + 1):
         pref = ctx.hbar_pow(l - 1) * Rational(k, factorial(l))
-        for ks in _compositions(k, l):
+        for ks in compositions(k, l):
             denom = 1
             for a in ks:
                 denom *= a
@@ -216,6 +203,49 @@ def dh_determinant(n: int, ctx: HContext) -> DiffOperator:
 
 def dh_apply(k: int, poly: TPoly) -> TPoly:
     return dh_operator(k, poly.ctx).apply(poly)
+
+
+def dh_at_zero(k: int, poly: TPoly):
+    """``dh_apply(k, poly).constant_coeff()`` without applying the operator
+    to all of ``poly``: each term d_{k_1}...d_{k_r} is read at t = 0 by
+    ``TPoly.derivative_at_zero``, and the terms are summed as
+    ``DiffOperator.apply`` sums them.  With a formal hbar, the products that
+    ``apply`` forms on the other monomials are window-checked first, so the
+    same ``HbarWindowError`` is raised."""
+    ctx = poly.ctx
+    op = dh_operator(k, ctx)
+    if not ctx.is_numeric:
+        _check_apply_window(op, poly)
+    acc = TPoly.zero(ctx, poly.weight_cap, poly.z_cap, poly.nslots)
+    for ks, c in op.terms.items():
+        at_zero = TPoly.constant(ctx, poly.weight_cap, poly.derivative_at_zero(ks),
+                                 poly.z_cap, poly.nslots)
+        acc = acc + at_zero.scale(c)
+    return acc.constant_coeff()
+
+
+def _check_apply_window(op: DiffOperator, poly: TPoly) -> None:
+    """Raise the ``HbarWindowError`` of ``op.apply(poly)``: it scales the
+    coefficient of every monomial divisible by a term's derivatives (times
+    a nonzero integer, which keeps its hbar exponents) by the term's
+    coefficient, term by term, monomial by monomial, x-power by x-power."""
+    ctx = poly.ctx
+    for ks, c in op.terms.items():
+        if not isinstance(c, HPoly) or not c.terms:
+            continue
+        c_lo, c_hi = min(c.terms), max(c.terms)
+        need = {k - 1: ks.count(k) for k in set(ks)}
+        for (texp, _), coeff in poly.terms.items():
+            if any(i >= len(texp) or texp[i] < m for i, m in need.items()):
+                continue
+            values = coeff.coeffs if isinstance(coeff, XSeries) else (coeff,)
+            for v in values:
+                if not isinstance(v, HPoly) or not v.terms:
+                    continue
+                if min(v.terms) + c_lo < ctx.lo:
+                    raise window_error(ctx, min(v.terms) + c_lo)
+                if max(v.terms) + c_hi > ctx.hi:
+                    raise window_error(ctx, max(v.terms) + c_hi)
 
 
 def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:

@@ -17,7 +17,7 @@ from functools import cache
 from math import factorial
 
 from .hscalar import HContext
-from .partitions import Partition
+from .partitions import Partition, compositions
 from .rational import Rational
 
 
@@ -101,18 +101,8 @@ def p_table(bound: int):
         for j in range(1, bound + 1):
             total = i + j
             for m in range(1, total // 2 + 1):
-                for s in _compositions(total - m, m):
+                for s in compositions(total - m, m):
                     c = p_const(i, j, s)
                     if c != 0:
                         out[(i, j, s)] = c
     return out
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

@@ -18,6 +18,7 @@ from functools import cache
 
 from .hscalar import HContext, scalar_is_zero
 from .kpconst import p_const
+from .partitions import compositions
 from .rational import Rational
 from .xseries import XSeries
 
@@ -182,17 +183,6 @@ class DiffPoly:
         return f"DiffPoly({self.render()})"
 
 
-def _compositions_ge2(total: int, parts: int):
-    """Ordered tuples of `parts` integers >= 2 summing to `total`."""
-    if parts == 1:
-        if total >= 2:
-            yield (total,)
-        return
-    for first in range(2, total - 2 * (parts - 1) + 1):
-        for rest in _compositions_ge2(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @cache
 def _l_on_source(i: int, j: int, ctx: HContext) -> DiffPoly:
     """L_i applied to the bare source f_j:
@@ -201,7 +191,7 @@ def _l_on_source(i: int, j: int, ctx: HContext) -> DiffPoly:
     total = i + j
     out: dict = {}
     for m in range(1, total // 2 + 1):
-        for s_tuple in _compositions_ge2(total, m):
+        for s_tuple in compositions(total, m, 2):
             c = p_const(i, j, tuple(v - 1 for v in s_tuple))
             if c == 0:
                 continue
@@ -209,19 +199,6 @@ def _l_on_source(i: int, j: int, ctx: HContext) -> DiffPoly:
             cc = ctx.scalar(c)
             out[key] = out[key] + cc if key in out else cc
     return DiffPoly(ctx, out)
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
@@ -242,7 +219,7 @@ def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
         n = len(gens)
         if n == 0:
             continue  # L_i(constant) = 0
-        for ks in _weak_compositions(i, n):
+        for ks in compositions(i, n, 0):
             nu = sum(1 for k in ks if k)
             denom = 1
             for k in ks:

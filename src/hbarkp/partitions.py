@@ -103,6 +103,22 @@ def partitions_upto(w: int, min_weight: int = 0):
         yield from partitions_of(n)
 
 
+def compositions(total: int, parts: int, least: int = 1):
+    """Ordered tuples of ``parts`` integers >= ``least`` summing to
+    ``total``, in lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total - least * (parts - 1) + 1):
+        for rest in compositions(total - first, parts - 1, least):
+            yield (first,) + rest
+
+
 GREATER = "greater"
 LESS = "less"
 EQUAL = "equal"

@@ -11,6 +11,18 @@ the determinant
 tau = sum_lam c_lam(x) s_lam(t / hbar).  Conversely the data are recovered
 from tau as c_0 = tau(x; 0) and c_k = (hbar/k) * (deformed d_k) tau at
 t = 0; both directions are exposed here and round-trip.
+
+``tau_series`` builds a whole table as one computation.  The entry in row
+i and column j depends only on the row label a = lam_i - i and on j, so
+each entry is built once per table, not once per diagram; the minors of
+the lower rows are shared between diagrams under (labels of those rows,
+columns) through ``linalg.det``'s ``row_keys``/``memo``; and each power
+c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
+c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
+and ``extract_cauchy_like_tau`` reads (deformed d_k) tau at t = 0 off the
+coefficients of tau (``hcalc.dh_at_zero``) instead of applying the
+operator to all of it.  Values, valid orders, coefficient types and window
+errors are those of building each diagram alone and summing term by term.
 """
 
 from __future__ import annotations
@@ -23,8 +35,8 @@ from .linalg import det
 from .partitions import Partition, partitions_upto
 from .rational import Rational
 from .symfun import schur
-from .tpoly import TPoly
-from .hcalc import dh_apply
+from .tpoly import TPoly, linear_combination
+from .hcalc import dh_at_zero
 from .xseries import XSeries
 
 
@@ -62,47 +74,73 @@ class TauData:
         return self.c[k]
 
 
-def c_lambda(lam, data: TauData, _dcache: dict | None = None) -> XSeries:
-    """Coefficient series of one diagram (see module docstring)."""
+class _Table:
+    """What the diagrams of one table share (see the module docstring):
+    the derivatives d_x^k c_m, the matrix entries by (row label, column),
+    the minors of the lower rows and the powers of c_0^{-1}."""
+
+    def __init__(self, data: TauData):
+        self.data = data
+        self.derivs: dict = {}
+        self.entries: dict = {}
+        self.minors: dict = {}
+        self.inv0: XSeries | None = None
+        self.inv0_pows: list = []
+
+    def dx(self, m: int, k: int) -> XSeries:
+        """d_x^k c_m."""
+        key = (m, k)
+        if key not in self.derivs:
+            self.derivs[key] = (self.data.series(m) if k == 0
+                                else self.dx(m, k - 1).diff())
+        return self.derivs[key]
+
+    def entry(self, a: int, j: int):
+        """sum_{k<j} (-hbar)^k C(j-1, k) d_x^k c_{a+j-k}, or the int 0 when
+        every c_m in it has m < 0 (a structural zero for det)."""
+        key = (a, j)
+        if key not in self.entries:
+            ctx = self.data.ctx
+            entry = None
+            for k in range(j):
+                m = a + j - k
+                if m < 0:
+                    continue
+                term = self.dx(m, k).scale(
+                    Rational(comb(j - 1, k)) * ctx.hbar_pow(k) * Rational((-1) ** k)
+                )
+                entry = term if entry is None else entry + term
+            self.entries[key] = 0 if entry is None else entry
+        return self.entries[key]
+
+    def inv0_pow(self, p: int) -> XSeries:
+        """c_0^{-p}, built as ``c_0.inverse().pow_int(p)`` builds it."""
+        if self.inv0 is None:
+            self.inv0 = self.data.series(0).inverse()
+            self.inv0_pows = [self.inv0.pow_int(0)]
+        pows = self.inv0_pows
+        while len(pows) <= p:
+            pows.append(pows[-1] * self.inv0)
+        return pows[p]
+
+
+def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
+    """Coefficient series of one diagram (see module docstring).
+
+    ``tau_series`` passes one ``_Table`` for all the diagrams it builds."""
     lam = Partition(lam)
     n = lam.ell
     if n == 0:
         return data.series(0)
     if lam.weight > data.K:
         raise ValueError("data index cap too small for this diagram")
-    dcache = _dcache if _dcache is not None else {}
-    ctx = data.ctx
-
-    def dx(m: int, k: int) -> XSeries:
-        key = (m, k)
-        if key not in dcache:
-            dcache[key] = data.series(m) if k == 0 else dx(m, k - 1).diff()
-        return dcache[key]
-
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            entry = None
-            for k in range(j):
-                m = lam[i - 1] - i + j - k
-                if m < 0:
-                    continue
-                term = dx(m, k).scale(
-                    Rational(comb(j - 1, k)) * ctx.hbar_pow(k) * Rational((-1) ** k)
-                )
-                entry = term if entry is None else entry + term
-            # None: every c_m here has m < 0, a structural zero for det.
-            row.append(0 if entry is None else entry)
-        rows.append(row)
-    d = det(rows)
+    table = _Table(data) if _table is None else _table
+    labels = [lam[i] - i - 1 for i in range(n)]
+    rows = [[table.entry(a, j) for j in range(1, n + 1)] for a in labels]
+    d = det(rows, labels, table.minors)
     if n == 1:
         return d
-    inv0 = dcache.get(("inv0",))
-    if inv0 is None:
-        inv0 = data.series(0).inverse()
-        dcache[("inv0",)] = inv0
-    return d * inv0.pow_int(n - 1)
+    return d * table.inv0_pow(n - 1)
 
 
 @dataclass(frozen=True)
@@ -119,11 +157,10 @@ class TauSeries:
 
     def assemble(self, z_cap: int = 0, nslots: int = 0) -> TPoly:
         """The polynomial sum of c_lam(x) * s_lam(t/hbar) up to the cap."""
-        acc = TPoly.zero(self.ctx, self.weight_cap, z_cap, nslots)
-        for lam, c in self.table.items():
-            basis = schur(lam, self.ctx, self.weight_cap, z_cap, nslots)
-            acc = acc + basis.times_over_hbar().scale(c)
-        return acc
+        W = self.weight_cap
+        pairs = ((schur(lam, self.ctx, W, z_cap, nslots).times_over_hbar(), c)
+                 for lam, c in self.table.items())
+        return linear_combination(pairs, self.ctx, W, z_cap, nslots)
 
 
 def tau_series(data: TauData, weight_cap: int | None = None) -> TauSeries:
@@ -131,9 +168,9 @@ def tau_series(data: TauData, weight_cap: int | None = None) -> TauSeries:
     W = data.weight_cap if weight_cap is None else weight_cap
     if data.K < W:
         raise ValueError("data index cap must reach the weight cap")
-    dcache: dict = {}
+    shared = _Table(data)
     table = {
-        lam: c_lambda(lam, data, dcache)
+        lam: c_lambda(lam, data, shared)
         for lam in partitions_upto(W)
     }
     return TauSeries(data.ctx, W, data.x_cap, table)
@@ -157,7 +194,7 @@ def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> Tau
         )
     out = [_as_xseries(tau.constant_coeff(), ctx, x_cap)]
     for k in range(1, K + 1):
-        v = dh_apply(k, tau).constant_coeff()
+        v = dh_at_zero(k, tau)
         s = _as_xseries(v, ctx, x_cap)
         out.append(s.scale(ctx.hbar_pow(1) * Rational(1, k)))
     return TauData(ctx, min(K, tau.weight_cap), x_cap, tuple(out))

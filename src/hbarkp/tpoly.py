@@ -27,6 +27,7 @@ rationals once, at the end.
 
 from __future__ import annotations
 
+from math import factorial
 from operator import itemgetter
 
 from .errors import HbarkpError
@@ -101,6 +102,56 @@ def _graded_items(terms: dict, by_degree: bool) -> list:
         items.append((w + sum(z) if by_degree else w, w, t, z, c))
     items.sort(key=itemgetter(0))
     return items
+
+
+def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
+                       nslots: int = 0) -> "TPoly":
+    """The sum of ``basis.scale(coeff)`` over ``pairs``, as ``TPoly.zero(ctx,
+    weight_cap, z_cap, nslots)`` plus each term in turn would give it.
+
+    Each ``basis`` has scalar coefficients and that shape; each ``coeff``
+    is an XSeries of ``ctx``, all with one x cap.  The series and the basis
+    scalars are each written once over one common denominator
+    (``xseries.int_kernel``), every monomial's x-coefficients accumulate
+    integer numerators, and each is reduced once.  The result is the
+    term-by-term sum: values, valid orders, coefficient types, kept
+    monomials, and the ``HbarWindowError`` of the first product, in the
+    order of the pairs, of their monomials and of the x-powers, that leaves
+    the window (``pairs`` may be lazy: a basis is made only after the
+    products of the pairs before it are checked).
+    """
+    kernel = None
+    bases, series = [], []
+    for basis, coeff in pairs:
+        if kernel is None:
+            kernel = int_kernel(ctx, coeff.cap)
+        if coeff.cap != kernel.cap or coeff.ctx != ctx:
+            raise ValueError("mixed hbar contexts or x caps")
+        kernel.check_scaled(coeff, basis.terms.values())
+        bases.append(basis)
+        series.append(coeff)
+    if kernel is None:
+        return TPoly.zero(ctx, weight_cap, z_cap, nslots)
+    den_c, codes = kernel.encode(series)
+    den_b, scalars = kernel.encode_scalars(
+        c for basis in bases for c in basis.terms.values())
+    scalars = iter(scalars)
+    out: dict = {}
+    for basis, coeff, code in zip(bases, series, codes):
+        # A zero series of full valid order gives terms that TPoly.scale
+        # drops (a TPoly stores no zero scalar).
+        dropped = coeff.valid == coeff.cap and not code[2]
+        for key in basis.terms:
+            s = next(scalars)
+            if not dropped:
+                kernel.add_scaled(out, key, code, s)
+    den = den_c * den_b
+    terms = {}
+    for key, acc in out.items():
+        c = kernel.decode_scaled(den, acc)
+        if not _droppable(c):
+            terms[key] = c
+    return TPoly(ctx, weight_cap, z_cap, nslots, terms, _clean=True)
 
 
 class TPoly:
@@ -224,6 +275,15 @@ class TPoly:
 
     def constant_coeff(self):
         return self.terms.get(((), ()), self.ctx.zero())
+
+    def derivative_at_zero(self, parts):
+        """``self.diff_parts(parts).constant_coeff()``, read off without
+        differentiating: the coefficient of t_{parts} times the factorials
+        of the multiplicities of the parts."""
+        sigma = 1
+        for p in set(parts):
+            sigma *= factorial(parts.count(p))
+        return self.coeff(parts) * sigma
 
     def monomials(self):
         return sorted(self.terms)

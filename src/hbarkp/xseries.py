@@ -240,13 +240,22 @@ class XSeries:
 # integer kernel for products
 #
 # ``encode`` writes series over one common denominator as codes
-# (valid, first, entries): ``first`` is the index of the first HPoly
-# coefficient (valid + 1 if there is none) and ``entries`` lists the nonzero
-# coefficients in index order.  ``add_product`` adds the product of two codes
-# into an accumulator [valid, first, buffer] of integer numerators, and
-# ``decode`` reduces an accumulator to an XSeries: its valid order is the
-# minimum over the products added, and a coefficient is an HPoly iff one of
-# the products had an HPoly factor at or below it, as with HPoly * Rational.
+# (valid, first, entries[, flags]): ``first`` is the index of the first HPoly
+# coefficient (valid + 1 if there is none), ``entries`` lists the nonzero
+# coefficients in index order and, in formal mode, ``flags`` says of each
+# coefficient whether it is an HPoly.  ``add_product`` adds the product of
+# two codes into an accumulator [valid, first, buffer] of integer
+# numerators, and ``decode`` reduces an accumulator to an XSeries: its valid
+# order is the minimum over the products added, and a coefficient is an
+# HPoly iff one of the products had an HPoly factor at or below it, as with
+# HPoly * Rational.
+#
+# Linear combinations of series with scalar weights (``tpoly.
+# linear_combination``) use the same codes: ``encode_scalars`` writes the
+# weights over one common denominator, ``add_scaled`` adds a code times a
+# weight into an accumulator [valid, types, buffer] and ``decode_scaled``
+# reduces it.  There a coefficient is an HPoly iff the coefficient or the
+# weight of one of the terms behind it was, as with ``XSeries.scale``.
 
 
 class _NumericInts:
@@ -288,6 +297,27 @@ class _NumericInts:
                        [Rational(n, den) if n else ZERO for n in buf[: v + 1]],
                        valid=v)
 
+    @staticmethod
+    def encode_scalars(values):
+        values = tuple(values)
+        den = common_denominator(values)
+        return den, [v.numerator * (den // v.denominator) for v in values]
+
+    @staticmethod
+    def check_scaled(series, scalars):
+        """A numeric hbar has no window to leave."""
+
+    @staticmethod
+    def add_scaled(out, key, a, s):
+        acc = _scaled_accumulator(out, key, a, _int_buffer)
+        buf, v = acc[2], acc[0]
+        for i, x in a[2]:
+            if i > v:
+                break
+            buf[i] += x * s
+
+    decode_scaled = decode
+
 
 class _SymbolicInts:
     """Formal hbar: a coefficient is a dict hbar exponent -> numerator.
@@ -317,16 +347,20 @@ class _SymbolicInts:
         for s in series:
             first = s.valid + 1
             entries = []
+            flags = []
             for i, c in enumerate(s.coeffs):
                 if isinstance(c, HPoly):
                     first = min(first, i)
+                    flags.append(True)
                     t = c.terms
                     if t:
                         entries.append((i, numerators(t, den), (min(t), max(t))))
-                elif c:
-                    entries.append(
-                        (i, {0: c.numerator * (den // c.denominator)}, None))
-            codes.append((s.valid, first, entries))
+                else:
+                    flags.append(False)
+                    if c:
+                        entries.append(
+                            (i, {0: c.numerator * (den // c.denominator)}, None))
+            codes.append((s.valid, first, entries, flags))
         return den, codes
 
     def add_product(self, out, key, a, b):
@@ -357,15 +391,80 @@ class _SymbolicInts:
 
     def decode(self, den, acc):
         v, first, buf = acc
+        return self._decode(den, v, buf, [j >= first for j in range(v + 1)])
+
+    def _decode(self, den, v, buf, types):
         ctx = self.ctx
         coeffs = []
         for j in range(v + 1):
-            if j >= first:
+            if types[j]:
                 coeffs.append(HPoly(ctx, reduce_terms(buf[j], den), _clean=True))
             else:
                 n = buf[j].get(0, 0)
                 coeffs.append(Rational(n, den) if n else ZERO)
         return XSeries(ctx, self.cap, coeffs, valid=v)
+
+    @staticmethod
+    def encode_scalars(values):
+        """Codes (numerators, exponent span or None, is an HPoly)."""
+        values = tuple(values)
+        den = 1
+        for v in values:
+            den = common_denominator(
+                v.terms.values() if isinstance(v, HPoly) else (v,), den)
+        codes = []
+        for v in values:
+            if isinstance(v, HPoly):
+                t = v.terms
+                codes.append((numerators(t, den), (min(t), max(t)) if t else None,
+                              True))
+            else:
+                codes.append(({0: v.numerator * (den // v.denominator)} if v else {},
+                              None, False))
+        return den, codes
+
+    def check_scaled(self, series, scalars):
+        """Raise the ``HbarWindowError`` that ``series.scale(s)`` for each
+        of ``scalars`` in turn would raise: an HPoly * HPoly product checks
+        its extreme exponents, the lowest first."""
+        lo, hi = self.ctx.lo, self.ctx.hi
+        spans = [(min(c.terms), max(c.terms)) for c in series.coeffs
+                 if isinstance(c, HPoly) and c.terms]
+        for s in scalars:
+            if not spans or not isinstance(s, HPoly) or not s.terms:
+                continue
+            s_lo, s_hi = min(s.terms), max(s.terms)
+            for c_lo, c_hi in spans:
+                if c_lo + s_lo < lo:
+                    raise window_error(self.ctx, c_lo + s_lo)
+                if c_hi + s_hi > hi:
+                    raise window_error(self.ctx, c_hi + s_hi)
+
+    def add_scaled(self, out, key, a, s):
+        acc = _scaled_accumulator(out, key, a, _dict_buffer)
+        v, types, buf = acc
+        nums, _, s_is_hpoly = s
+        flags = a[3]
+        for j in range(v + 1):
+            if s_is_hpoly or flags[j]:
+                types[j] = True
+        for i, ta, _ in a[2]:
+            if i > v:
+                break
+            b = buf[i]
+            for e1, x in ta.items():
+                for e2, y in nums.items():
+                    e = e1 + e2
+                    b[e] = b.get(e, 0) + x * y
+        if v == self.cap and not any(n for b in buf for n in b.values()):
+            # The term-by-term sum drops a monomial whose coefficient
+            # cancels to a zero of full valid order, and the next term
+            # starts it afresh, with that term's coefficient types.
+            acc[1] = [False] * (v + 1)
+
+    def decode_scaled(self, den, acc):
+        v, types, buf = acc
+        return self._decode(den, v, buf, types)
 
 
 def _int_buffer(v):
@@ -388,6 +487,18 @@ def _accumulator(out, key, a, b, new_buffer):
             acc[0] = v
         if first < acc[1]:
             acc[1] = first
+    return acc
+
+
+def _scaled_accumulator(out, key, a, new_buffer):
+    """The accumulator out[key] of a linear combination, made or updated
+    for one more term with code ``a``."""
+    v = a[0]
+    acc = out.get(key)
+    if acc is None:
+        out[key] = acc = [v, [False] * (v + 1), new_buffer(v)]
+    elif v < acc[0]:
+        acc[0] = v
     return acc
 
 

@@ -11,8 +11,13 @@ import pytest
 
 import hbarkp
 from hbarkp import dataio
-from hbarkp.cli import main
-from hbarkp.sampling import random_f_data, random_tau_data
+from hbarkp.cli import _least_z_order, main
+from hbarkp.fbuild import FSeries
+from hbarkp.hscalar import HContext
+from hbarkp.partitions import partitions_upto
+from hbarkp.sampling import random_f_data, random_tau_data, random_xseries
+from hbarkp.taubuild import TauSeries
+from hbarkp.verify import check_det_m, check_fay, check_hirota3, check_kp2
 
 
 @pytest.fixture
@@ -320,3 +325,57 @@ def test_domain_errors_share_one_base():
                         (CapError, ValueError),
                         (ZeroDenominatorError, ValueError)):
         assert issubclass(error, HbarkpError) and issubclass(error, base)
+
+
+# -- z orders at which a check cannot fail ----------------------------------------
+
+def non_kp_table(kind, hbar, W=4, X=2):
+    """A tau (or F) table with random coefficients: no KP solution."""
+    ctx = HContext.numeric(hbar)
+    rng = Random(11)
+    if kind == "tau":
+        table = {lam: random_xseries(rng, ctx, X, nonzero_const=not lam)
+                 for lam in partitions_upto(W)}
+        return TauSeries(ctx, W, X, table)
+    table = {lam: random_xseries(rng, ctx, X) for lam in partitions_upto(W, 1)}
+    return FSeries(ctx, W, X, random_xseries(rng, ctx, X), table, symbolic=False)
+
+
+# The number of points matters to detm alone.
+CHECKS = {
+    ("fay", 3): ("tau", check_fay),
+    ("hirota3", 3): ("tau", check_hirota3),
+    ("kp2", 3): ("F", check_kp2),
+    ("detm", 2): ("tau", lambda tau, z: check_det_m(tau, 2, z)),
+    ("detm", 3): ("tau", lambda tau, z: check_det_m(tau, 3, z)),
+    ("detm", 4): ("tau", lambda tau, z: check_det_m(tau, 4, z)),
+}
+
+
+@pytest.mark.parametrize("check, points", sorted(CHECKS))
+@pytest.mark.parametrize("hbar", ["1/2", "3/2"])
+def test_least_z_order_is_where_a_non_kp_table_first_fails(check, points, hbar):
+    kind, run = CHECKS[check, points]
+    poly = non_kp_table(kind, hbar).assemble()
+    least = _least_z_order(check, points)
+    assert run(poly, least - 1).passed
+    assert not run(poly, least).passed
+
+
+@pytest.mark.parametrize("check, points", sorted(CHECKS))
+def test_verify_refuses_a_z_order_where_the_check_cannot_fail(tmp_path, check,
+                                                                points, capsys):
+    kind = CHECKS[check, points][0]
+    table = non_kp_table(kind, "1/2")
+    path = tmp_path / "table.json"
+    if kind == "tau":
+        dataio.dump(dataio.tau_series_to_document(table), path)
+    else:
+        dataio.dump(dataio.f_series_to_document(table), path)
+    least = _least_z_order(check, points)
+    argv = ["verify", check, "--input", str(path), "--points", str(points)]
+    assert main(argv + ["--z-order", str(least - 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot fail below --z-order {least}" in err
+    assert err.count("\n") == 1
+    assert main(argv + ["--z-order", str(least)]) == 1

@@ -6,6 +6,12 @@ coefficient is an HPoly iff a pair behind it had an HPoly factor), in
 valid order and in the set of kept monomials, and must raise
 ``HbarWindowError`` on exactly the inputs the reference raises on: a
 pair that leaves the window raises even when the sum would cancel it.
+
+The same holds for the kernel linear combination behind the tau and F
+assemblies (``tpoly.linear_combination``), against the sum of
+``basis.scale(coeff)`` term by term, and for the reads at t = 0
+(``TPoly.derivative_at_zero``, ``hcalc.dh_at_zero``) against
+differentiating the whole polynomial.
 """
 
 from fractions import Fraction
@@ -14,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbarkp.hcalc import dh_apply, dh_at_zero
 from hbarkp.hscalar import HContext, HPoly, HbarWindowError
 from hbarkp.rational import Rational
-from hbarkp.tpoly import TPoly, _droppable, weight_of
+from hbarkp.tpoly import TPoly, _droppable, linear_combination, weight_of
 from hbarkp.xseries import XSeries
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -127,6 +134,14 @@ def outcome(fn, *args):
         return "ok", fn(*args)
     except (HbarWindowError, ValueError) as exc:
         return "raise", type(exc)
+
+
+def outcome_text(fn, *args):
+    """('ok', value) or ('raise', exception type and message)."""
+    try:
+        return "ok", fn(*args)
+    except (HbarWindowError, ValueError) as exc:
+        return "raise", (type(exc), str(exc))
 
 
 # -- strategies ----------------------------------------------------------------
@@ -297,3 +312,146 @@ def test_results_are_canonical_rationals():
     for g, w in zip(got.coeffs, want.coeffs):
         assert (g.numerator, g.denominator) == (w.numerator, w.denominator)
         assert type(g) is Rational
+
+
+# -- linear combinations: the tau and F assemblies --------------------------------
+
+def ref_linear_combination(pairs, ctx, W, Z, nslots):
+    acc = TPoly.zero(ctx, W, Z, nslots)
+    for basis, coeff in pairs:
+        acc = acc + basis.scale(coeff)
+    return acc
+
+
+@st.composite
+def combinations(draw):
+    """Bases with scalar coefficients on a few monomials, each paired with
+    a series from a small pool that holds a zero of full valid order, with
+    weights +-1 and +-hbar among the scalars, so that sums cancel and a
+    monomial can drop out and come back."""
+    ctx = draw(contexts)
+    cap = draw(st.integers(0, 3))
+    W = draw(st.integers(2, 3))
+    nslots = draw(st.integers(0, 1))
+    Z = draw(st.integers(0, 1))
+    nonzero = series(ctx, cap).filter(lambda s: not s.is_zero())
+    pool = draw(st.lists(nonzero, min_size=1, max_size=2))
+    pool += [draw(series(ctx, cap)), XSeries.zero(ctx, cap)]
+    units = [Rational(1), Rational(-1)]
+    if not ctx.is_numeric:
+        units += [ctx.hbar_pow(1), -ctx.hbar_pow(1)]
+    weights = st.one_of(st.sampled_from(units), scalars(ctx))
+    keys = st.tuples(st.sampled_from([(), (1,), (0, 1)]),
+                     st.sampled_from([()] + [(Z,)] * nslots))
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        terms = draw(st.dictionaries(keys, weights, min_size=1, max_size=3))
+        pairs.append((TPoly(ctx, W, Z, nslots, terms), draw(st.sampled_from(pool))))
+    return pairs, ctx, W, Z, nslots
+
+
+@SETTINGS
+@given(combinations())
+def test_linear_combination_matches_the_term_by_term_sum(case):
+    pairs, *shape = case
+    got = outcome_text(linear_combination, pairs, *shape)
+    want = outcome_text(ref_linear_combination, pairs, *shape)
+    assert got[0] == want[0]
+    if want[0] == "raise":
+        assert got[1] == want[1]
+        return
+    got, want = got[1], want[1]
+    assert (got.weight_cap, got.z_cap, got.nslots) == (want.weight_cap, want.z_cap,
+                                                       want.nslots)
+    assert set(got.terms) == set(want.terms)
+    for key, c in want.terms.items():
+        assert_same_coeff(got.terms[key], c)
+
+
+def _rational_edge_cases():
+    """Term lists whose sum at t_1 has rational coefficients only, though
+    some terms carry hbar: the first cancels to a zero of full valid order,
+    which the sum drops before the last term brings t_1 back; in the
+    second, a zero series of full valid order times hbar is dropped."""
+    ctx = WIDE
+    a = XSeries(ctx, 1, [Rational(1), Rational(1)])
+
+    def at_t1(c):
+        return TPoly(ctx, 1, terms={((1,), ()): c})
+    return {
+        "cancel-and-restart": [(at_t1(h(ctx, 1)), a), (at_t1(h(ctx, 1, -1)), a),
+                               (at_t1(Rational(1)), a)],
+        "zero-series-term": [(at_t1(Rational(1)), a),
+                             (at_t1(h(ctx, 1)), XSeries.zero(ctx, 1))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rational_edge_cases()))
+def test_linear_combination_keeps_rational_types(name):
+    pairs = _rational_edge_cases()[name]
+    got = linear_combination(pairs, WIDE, 1).terms[((1,), ())]
+    want = ref_linear_combination(pairs, WIDE, 1, 0, 0).terms[((1,), ())]
+    assert_same_coeff(got, want)
+    assert not any(isinstance(c, HPoly) for c in got.coeffs)
+
+
+def test_linear_combination_raises_the_first_window_error():
+    """Both ends of hbar^-2 + hbar^2 times hbar^-1 + hbar leave [-2, 2];
+    the low end is checked first, and a later pair never gets its turn."""
+    ctx = NARROW
+    a = XSeries(ctx, 0, [HPoly(ctx, {-2: Rational(1), 2: Rational(1)})])
+    first = TPoly(ctx, 1, terms={((), ()): HPoly(ctx, {-1: Rational(1),
+                                                       1: Rational(1)})})
+    later = TPoly(ctx, 1, terms={((1,), ()): h(ctx, -2)})
+    for fn in (linear_combination, ref_linear_combination):
+        with pytest.raises(HbarWindowError, match=r"hbar\^-3 "):
+            fn([(first, a), (later, a)], ctx, 1, 0, 0)
+
+
+# -- reads at t = 0 -------------------------------------------------------------
+
+@st.composite
+def polys_and_orders(draw):
+    ctx = draw(contexts)
+    cap = draw(st.integers(0, 3))
+    W = draw(st.integers(1, 4))
+    coeff = st.one_of(series(ctx, cap), scalars(ctx)) if draw(st.booleans()) \
+        else series(ctx, cap)
+    keys = st.tuples(st.lists(st.integers(0, 3), max_size=4).map(tuple),
+                     st.just(()))
+    terms = draw(st.dictionaries(keys, coeff, max_size=8))
+    return TPoly(ctx, W, terms=terms), draw(st.integers(1, W))
+
+
+@SETTINGS
+@given(polys_and_orders())
+def test_dh_at_zero_matches_the_applied_operator(case):
+    poly, k = case
+    got = outcome_text(dh_at_zero, k, poly)
+    want = outcome_text(lambda: dh_apply(k, poly).constant_coeff())
+    assert got[0] == want[0]
+    if want[0] == "raise":
+        assert got[1] == want[1]
+    else:
+        assert_same_coeff(got[1], want[1])
+
+
+@SETTINGS
+@given(polys_and_orders(), st.data())
+def test_derivative_at_zero_matches_differentiating(case, data):
+    poly, _ = case
+    parts = tuple(data.draw(st.lists(st.integers(1, 3), max_size=4)))
+    assert_same_coeff(poly.derivative_at_zero(parts),
+                      poly.diff_parts(parts).constant_coeff())
+
+
+def test_dh_at_zero_raises_where_apply_leaves_the_window_off_t_zero():
+    """d_2 + hbar d_1^2 on hbar^2 t_1^3: the d_1^2 term scales 6 hbar^2 t_1
+    by hbar, which leaves [-2, 2], though nothing reaches t = 0.  On
+    hbar^2 t_1, which d_1^2 annihilates, nothing is scaled."""
+    cubic = TPoly(NARROW, 3, terms={((3,), ()): h(NARROW, 2)})
+    linear = TPoly(NARROW, 3, terms={((1,), ()): h(NARROW, 2)})
+    for fn in (dh_at_zero, lambda k, p: dh_apply(k, p).constant_coeff()):
+        with pytest.raises(HbarWindowError, match=r"hbar\^3 "):
+            fn(2, cubic)
+        assert_same_coeff(fn(2, linear), NARROW.zero())

@@ -1,10 +1,13 @@
 """The determinant: agreement with the permutation expansion, structural
-zeros, XSeries valid orders and the number of ring products."""
+zeros, XSeries valid orders, the number of ring products, and minors
+shared across a family of matrices."""
 
 from itertools import permutations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarkp.linalg import det
 from hbarkp.rational import Rational
@@ -97,3 +100,35 @@ def test_det_has_no_factorial_step():
     d = det([[Counted(e) for e in row] for row in plain])
     assert Counted.products <= n * 2 ** (n - 1)  # the expansion takes 7 * 8! = 282240
     assert d.value == det(plain)
+
+
+# A family of labelled rows: row ``a`` of every matrix below is FAMILY[a]
+# cut to the matrix's size, with int 0 holes (structural zeros) and
+# Rational(0) entries (ring zeros) among the rationals.
+entries = st.integers(-4, 5).map(lambda v: 0 if v == 5 else Rational(v))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.lists(st.lists(entries, min_size=5, max_size=5),
+                       min_size=1, max_size=4),
+       data=st.data())
+def test_det_with_a_shared_memo_equals_det_alone(family, data):
+    labels = st.integers(0, len(family) - 1)
+    memo: dict = {}
+    for _ in range(data.draw(st.integers(1, 6))):
+        n = data.draw(st.integers(0, 5))
+        keys = data.draw(st.lists(labels, min_size=n, max_size=n))
+        rows = [family[a][:n] for a in keys]
+        got = det(rows, keys, memo)
+        want = det(rows)
+        assert got == want == reference_det(rows)
+        assert type(got) is type(want)
+
+
+def test_det_memo_needs_row_keys():
+    with pytest.raises(ValueError):
+        det([[1]], memo={})
+    with pytest.raises(ValueError):
+        det([[1]], row_keys=["a"])
+    with pytest.raises(ValueError):
+        det([[1]], row_keys=["a", "b"], memo={})

@@ -181,6 +181,33 @@ def test_determinant_identity_m2_m3(tau_data):
     assert check_det_m(tau, 3, z_cap=3).passed
 
 
+def test_determinant_identity_m3_at_a_z_order_that_can_fail(tau_data):
+    """Below z order 4 the 3-point residual vanishes for any tau."""
+    tau = tau_series(tau_data).assemble()
+    assert check_det_m(tau, 3, z_cap=4).passed
+
+
+def _typed(series):
+    """Valid order, cap and each coefficient with its type."""
+    return (series.valid, series.cap,
+            [("HPoly", c.ctx, c.terms) if isinstance(c, HPoly) else ("Q", c)
+             for c in series.coeffs])
+
+
+@pytest.mark.parametrize("ctx, W", [
+    (HContext.numeric(Rational(1, 2)), 6),
+    (HContext.numeric(Rational(3, 2)), 5),
+    (HContext.symbolic(-8, 8), 5),
+], ids=["hbar=1/2", "hbar=3/2", "symbolic"])
+def test_table_wide_sharing_matches_one_diagram_at_a_time(ctx, W):
+    """tau_series shares entries, minors and powers of 1/c_0 across the
+    table; each c_lambda alone builds its own."""
+    data = random_tau_data(Random(W), ctx, W, W)
+    table = tau_series(data).table
+    for lam in partitions_upto(W):
+        assert _typed(table[lam]) == _typed(c_lambda(lam, data))
+
+
 def test_data_validation(num_ctx):
     zero = XSeries.zero(num_ctx, 4)
     with pytest.raises(ValueError):
