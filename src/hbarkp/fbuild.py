@@ -220,8 +220,6 @@ def f_series_from_plain_table(ctx: HContext, weight_cap: int, x_cap: int,
                 if mu == lam:
                     break
                 c = basis[mu].coeff(tuple(lam))
-                from .hscalar import scalar_is_zero
-
                 if scalar_is_zero(c):
                     continue
                 acc = acc - table[mu].scale(Rational(1, mu.sigma) * c)

@@ -5,45 +5,40 @@ dtilde = {d_1, d_2/2, d_3/3, ...}; it reduces to d_k at hbar = 0 and obeys
 a generalized Leibniz rule.  The Miwa shift t -> t +/- hbar [z^{-1}]
 substitutes t_k -> t_k +/- (hbar/k) zeta^k into one z-slot and equals the
 action of exp(+/- hbar D(z)) with D(z) = sum_k zeta^k d_k / k.
+
+``DiffOperator`` keeps only its constructors and ``apply``; its ring
+arithmetic (sum, product, scaling, equality, rendering) is
+``sparse.MultisetPoly``'s.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .hscalar import HContext, HPoly, window_error
 from .linalg import det
 from .partitions import compositions
 from .rational import Rational
+from .sparse import MultisetPoly
 from .tpoly import TPoly
 from .xseries import XSeries
 
-_SCALARS_OK = (int,)
 
-
-class DiffOperator:
+class DiffOperator(MultisetPoly):
     """Finite sum of scalar multiples of products of time derivatives.
 
-    Terms are stored canonically: a sorted tuple of derivative indices
-    (k_1 <= k_2 <= ...) mapping to its scalar coefficient.  Composition is
-    commutative (constant-coefficient operators), so this is just a
-    polynomial ring in the symbols d_1, d_2, ...
+    A monomial is a sorted tuple of derivative indices (k_1 <= k_2 <= ...).
+    Composition is commutative (constant-coefficient operators), so this is
+    the polynomial ring in the symbols d_1, d_2, ... of ``sparse``.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
+    _render_key = staticmethod(lambda ks: (len(ks), ks))
 
-    def __init__(self, ctx: HContext, terms: dict, _clean=False):
-        from .hscalar import scalar_is_zero
-
-        self.ctx = ctx
-        if _clean:
-            self.terms = terms
-        else:
-            self.terms = {
-                tuple(sorted(ks)): c for ks, c in terms.items()
-                if not scalar_is_zero(c)
-            }
+    @staticmethod
+    def _symbol_text(k: int) -> str:
+        return f"d{k}"
 
     @staticmethod
     def identity(ctx: HContext) -> "DiffOperator":
@@ -53,66 +48,10 @@ class DiffOperator:
     def single(ctx: HContext, k: int) -> "DiffOperator":
         return DiffOperator(ctx, {(k,): Rational(1)})
 
-    @staticmethod
-    def constant(ctx: HContext, c) -> "DiffOperator":
-        return DiffOperator(ctx, {(): c})
-
-    @staticmethod
-    def zero(ctx: HContext) -> "DiffOperator":
-        return DiffOperator(ctx, {}, _clean=True)
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS_OK) and other == 0:
-            return self
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        terms = dict(self.terms)
-        for ks, c in other.terms.items():
-            s = terms.get(ks, 0) + c
-            from .hscalar import scalar_is_zero
-
-            if scalar_is_zero(s):
-                terms.pop(ks, None)
-            else:
-                terms[ks] = s
-        return DiffOperator(self.ctx, terms, _clean=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOperator(self.ctx, {k: -c for k, c in self.terms.items()},
-                            _clean=True)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __mul__(self, other):
-        """Composition (= commutative product of derivative monomials)."""
-        if not isinstance(other, DiffOperator):
-            return self.scale(other)
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                p = c1 * c2
-                out[key] = out[key] + p if key in out else p
-        return DiffOperator(self.ctx, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "DiffOperator":
-        return DiffOperator(self.ctx, {k: c * s for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return (self - other).terms == {}
-
-    __hash__ = None
-
     def apply(self, poly: TPoly) -> TPoly:
         """Linear, exact application; each d_k lowers weight by k."""
-        acc = TPoly.zero(poly.ctx, poly.weight_cap, poly.z_cap, poly.nslots)
+        acc = TPoly.zero(poly.ctx, poly.weight_cap, poly.z_cap, poly.nslots,
+                         poly.degree_cap)
         for ks, c in self.terms.items():
             q = poly
             for k in ks:
@@ -122,27 +61,6 @@ class DiffOperator:
             else:
                 acc = acc + q.scale(c)
         return acc
-
-    def render(self) -> str:
-        from .hscalar import render_scalar
-
-        if not self.terms:
-            return "0"
-        bits = []
-        for ks in sorted(self.terms, key=lambda k: (len(k), k)):
-            c = self.terms[ks]
-            mono = "*".join(
-                f"d{k}" if ks.count(k) == 1 else f"d{k}^{ks.count(k)}"
-                for k in sorted(set(ks))
-            ) or "1"
-            cs = render_scalar(c)
-            if "+" in cs or "-" in cs[1:]:
-                cs = f"({cs})"
-            bits.append(cs if mono == "1" else f"{cs}*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"DiffOperator({self.render()})"
 
 
 @cache
@@ -158,17 +76,11 @@ def dh_operator(k: int, ctx: HContext) -> DiffOperator:
         raise ValueError("order must be nonnegative")
     if k == 0:
         return DiffOperator.identity(ctx)
-    terms: dict = {}
+    pairs = []
     for l in range(1, k + 1):
         pref = ctx.hbar_pow(l - 1) * Rational(k, factorial(l))
-        for ks in compositions(k, l):
-            denom = 1
-            for a in ks:
-                denom *= a
-            key = tuple(sorted(ks))
-            c = pref * Rational(1, denom)
-            terms[key] = terms[key] + c if key in terms else c
-    return DiffOperator(ctx, terms)
+        pairs += ((ks, pref * Rational(1, prod(ks))) for ks in compositions(k, l))
+    return DiffOperator(ctx, pairs)
 
 
 def dh_determinant(n: int, ctx: HContext) -> DiffOperator:

@@ -26,12 +26,14 @@ All values are immutable; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg, not_
 
 from .errors import HbarkpError
 from .rational import (
     Rational, ZeroDenominatorError, common_denominator, format_rational,
     parse_rational,
 )
+from .sparse import add_terms, map_terms
 
 
 class HbarWindowError(HbarkpError, ArithmeticError):
@@ -155,19 +157,13 @@ class HPoly:
         elif not isinstance(other, HPoly):
             return NotImplemented
         self._check_ctx(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return HPoly(self.ctx, terms, _clean=True)
+        return HPoly(self.ctx, add_terms(self.terms, other.terms, not_),
+                     _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HPoly(self.ctx, {e: -c for e, c in self.terms.items()}, _clean=True)
+        return HPoly(self.ctx, map_terms(self.terms, neg, not_), _clean=True)
 
     def __sub__(self, other):
         if isinstance(other, HPoly):
@@ -242,10 +238,6 @@ class HPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def shift(self, k: int) -> "HPoly":
-        """Multiply by hbar^k (window-checked)."""
-        return HPoly(self.ctx, {e + k: c for e, c in self.terms.items()})
 
     def inv_unit(self) -> "HPoly":
         """Invert a monomial c*hbar^e; other shapes are not units here."""

@@ -3,7 +3,10 @@ f_1, f_2, ... and their x-derivatives, together with the commuting family
 of operators L_i acting on it.
 
 A generator is a pair (s, l) standing for the l-th derivative of f_s.
-``DiffPoly`` is a scalar-weighted sum of generator multisets.  The
+``DiffPoly`` is a scalar-weighted sum of generator multisets: a
+``sparse.MultisetPoly``, which holds its ring arithmetic (sum, product,
+scaling, equality, rendering), so it keeps only generator validation and
+its domain methods (``coefficient``, ``x_deriv``, ``substitute``).  The
 operators L_i are fixed by three properties: they commute with d/dx, act
 on a bare source f_j through the universal constants P_{ij}, and satisfy
 the generalized hbar-Leibniz rule on products (with L_0 the identity).
@@ -16,94 +19,34 @@ from __future__ import annotations
 
 from functools import cache
 
-from .hscalar import HContext, scalar_is_zero
+from .hscalar import HContext
 from .kpconst import p_const
 from .partitions import compositions
 from .rational import Rational
+from .sparse import MultisetPoly
 from .xseries import XSeries
 
 # generator: (source index s >= 1, derivative order l >= 0)
 
 
-class DiffPoly:
-    __slots__ = ("ctx", "terms")
+class DiffPoly(MultisetPoly):
+    """A polynomial in the generators (s, l), the ring of ``sparse``."""
 
-    def __init__(self, ctx: HContext, terms: dict, _clean=False):
-        self.ctx = ctx
-        if _clean:
-            self.terms = terms
-        else:
-            clean = {}
-            for gens, c in terms.items():
-                if scalar_is_zero(c):
-                    continue
-                key = tuple(sorted(gens))
-                for (s, l) in key:
-                    if s < 1 or l < 0:
-                        raise ValueError(f"bad generator {(s, l)}")
-                clean[key] = clean[key] + c if key in clean else c
-            self.terms = {k: c for k, c in clean.items() if not scalar_is_zero(c)}
+    __slots__ = ()
+
+    def _check_monomial(self, gens: tuple) -> None:
+        for (s, l) in gens:
+            if s < 1 or l < 0:
+                raise ValueError(f"bad generator {(s, l)}")
 
     @staticmethod
-    def zero(ctx: HContext) -> "DiffPoly":
-        return DiffPoly(ctx, {}, _clean=True)
-
-    @staticmethod
-    def one(ctx: HContext) -> "DiffPoly":
-        return DiffPoly(ctx, {(): Rational(1)}, _clean=True)
+    def _symbol_text(gen: tuple) -> str:
+        s, l = gen
+        return f"f{s}" if l == 0 else (f"d(f{s})" if l == 1 else f"d^{l}(f{s})")
 
     @staticmethod
     def generator(ctx: HContext, s: int, l: int = 0) -> "DiffPoly":
         return DiffPoly(ctx, {((s, l),): Rational(1)})
-
-    def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        terms = dict(self.terms)
-        for gens, c in other.terms.items():
-            s = terms.get(gens, 0) + c
-            if scalar_is_zero(s):
-                terms.pop(gens, None)
-            else:
-                terms[gens] = s
-        return DiffPoly(self.ctx, terms, _clean=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffPoly(self.ctx, {g: -c for g, c in self.terms.items()},
-                        _clean=True)
-
-    def __sub__(self, other):
-        return self.__add__(-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, DiffPoly):
-            return self.scale(other)
-        out: dict = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
-                key = tuple(sorted(g1 + g2))
-                p = c1 * c2
-                out[key] = out[key] + p if key in out else p
-        return DiffPoly(self.ctx, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "DiffPoly":
-        return DiffPoly(self.ctx, {g: c * s for g, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return (self - other).terms == {}
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, gens) -> object:
         """Scalar coefficient of the monomial given as (s, l) pairs."""
@@ -111,30 +54,19 @@ class DiffPoly:
 
     def x_deriv(self) -> "DiffPoly":
         """Derivation d/dx: raises one generator's order, Leibniz-style."""
-        out: dict = {}
+        pairs = []
         for gens, c in self.terms.items():
-            seen = set()
-            for idx, (s, l) in enumerate(gens):
-                if (s, l) in seen:
-                    continue
-                seen.add((s, l))
-                mult = gens.count((s, l))
-                lifted = list(gens)
-                lifted[idx] = (s, l + 1)
-                key = tuple(sorted(lifted))
-                p = (mult * c)
-                out[key] = out[key] + p if key in out else p
-        return DiffPoly(self.ctx, out)
+            for s, l in sorted(set(gens)):
+                i = gens.index((s, l))
+                pairs.append((gens[:i] + ((s, l + 1),) + gens[i + 1:],
+                              gens.count((s, l)) * c))
+        return DiffPoly(self.ctx, pairs)
 
     def x_deriv_n(self, n: int) -> "DiffPoly":
         out = self
         for _ in range(n):
             out = out.x_deriv()
         return out
-
-    def f_weights(self):
-        """Total s+l weight of each monomial (the grading L_i raises by i)."""
-        return {g: sum(s + l for (s, l) in g) for g in self.terms}
 
     def substitute(self, data, like: XSeries | None = None) -> XSeries:
         """Evaluate on concrete sources: (s, l) -> l-th derivative of data[s].
@@ -159,29 +91,6 @@ class DiffPoly:
             total = total + prod.scale(c)
         return total
 
-    def render(self) -> str:
-        from .hscalar import render_scalar
-
-        if not self.terms:
-            return "0"
-        bits = []
-        for gens in sorted(self.terms):
-            c = self.terms[gens]
-            parts = []
-            for (s, l) in sorted(set(gens)):
-                m = gens.count((s, l))
-                base = f"f{s}" if l == 0 else (f"d(f{s})" if l == 1 else f"d^{l}(f{s})")
-                parts.append(base if m == 1 else f"{base}^{m}")
-            mono = "*".join(parts) if parts else "1"
-            cs = render_scalar(c)
-            if "+" in cs or "-" in cs[1:]:
-                cs = f"({cs})"
-            bits.append(cs if mono == "1" else f"{cs}*{mono}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"DiffPoly({self.render()})"
-
 
 @cache
 def _l_on_source(i: int, j: int, ctx: HContext) -> DiffPoly:
@@ -189,16 +98,13 @@ def _l_on_source(i: int, j: int, ctx: HContext) -> DiffPoly:
     sum over ordered tuples (s_1..s_m), s_k >= 2, sum = i + j of
     P_{ij}(s_1-1, ..., s_m-1) * d(f_{s_1-1}) ... d(f_{s_m-1})."""
     total = i + j
-    out: dict = {}
+    pairs = []
     for m in range(1, total // 2 + 1):
         for s_tuple in compositions(total, m, 2):
-            c = p_const(i, j, tuple(v - 1 for v in s_tuple))
-            if c == 0:
-                continue
-            key = tuple(sorted((v - 1, 1) for v in s_tuple))
-            cc = ctx.scalar(c)
-            out[key] = out[key] + cc if key in out else cc
-    return DiffPoly(ctx, out)
+            sources = tuple(v - 1 for v in s_tuple)
+            pairs.append((tuple((s, 1) for s in sources),
+                          ctx.scalar(p_const(i, j, sources))))
+    return DiffPoly(ctx, pairs)
 
 
 def l_apply(i: int, poly: DiffPoly) -> DiffPoly:

@@ -20,10 +20,6 @@ from .rational import Rational
 from .tpoly import CapError, TPoly
 
 
-def _shape(ctx, weight_cap, z_cap, nslots):
-    return TPoly.zero(ctx, weight_cap, z_cap, nslots)
-
-
 @cache
 def elementary_h(k: int, ctx: HContext, weight_cap: int,
                  z_cap: int = 0, nslots: int = 0) -> TPoly:
@@ -32,7 +28,7 @@ def elementary_h(k: int, ctx: HContext, weight_cap: int,
     h_k = sum over partitions lambda of k of t_lambda / sigma(lambda),
     which matches the generating series exp(sum t_j z^j) = sum h_k z^k.
     """
-    base = _shape(ctx, weight_cap, z_cap, nslots)
+    base = TPoly.zero(ctx, weight_cap, z_cap, nslots)
     if k < 0:
         return base
     if k > weight_cap:
@@ -64,7 +60,7 @@ def schur(lam: Partition, ctx: HContext, weight_cap: int,
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int,
                z_cap: int = 0, nslots: int = 0) -> TPoly:
     """The plain monomial t_lambda = t_{lam_1} t_{lam_2} ..."""
-    return _shape(ctx, weight_cap, z_cap, nslots).monomial_times(lam)
+    return TPoly.zero(ctx, weight_cap, z_cap, nslots).monomial_times(lam)
 
 
 def h_product(lam: Partition, ctx: HContext, weight_cap: int,
@@ -166,7 +162,7 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int,
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap, z_cap, nslots)
     _, linv = transition_L(lam.weight)
-    out = _shape(ctx, weight_cap, z_cap, nslots)
+    out = TPoly.zero(ctx, weight_cap, z_cap, nslots)
     for mu in partitions_of(lam.weight):
         c = linv.entry(lam, mu)
         if c == 0:
@@ -192,7 +188,7 @@ def t_hbar(lam: Partition, ctx: HContext, weight_cap: int,
         return TPoly.one(ctx, weight_cap, z_cap, nslots)
     _, linv = transition_L(lam.weight)
     pref = Rational(lam.sigma, lam.rho)
-    out = _shape(ctx, weight_cap, z_cap, nslots)
+    out = TPoly.zero(ctx, weight_cap, z_cap, nslots)
     for mu in partitions_of(lam.weight):
         c = linv.entry(lam, mu)
         if c == 0:

@@ -16,8 +16,11 @@ are kept when their valid order is below the cap, because "zero so far"
 at low valid order is information that min-combining must not lose.
 
 All three caps are explicit constructor parameters, never ambient state,
-and instances are immutable.  Products enforce the total-degree cap inside
-the pair loop, so a capped product costs only what it keeps.  When every
+and instances are immutable.  Sums, negation, scaling, coefficient maps
+and rendering are ``sparse``'s shared term arithmetic, with ``_droppable``
+as the zero test; the product keeps its own loop.  Products enforce the
+total-degree cap inside the pair loop, so a capped product costs only
+what it keeps.  When every
 coefficient of both operands is an ``XSeries``, a product encodes each
 operand once as integer numerators over the lcm of its denominators and
 accumulates each output monomial's numerators in one integer buffer
@@ -28,11 +31,12 @@ rationals once, at the end.
 from __future__ import annotations
 
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, neg
 
 from .errors import HbarkpError
 from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
 from .rational import Rational
+from .sparse import add_terms, coeff_text, map_terms, render_terms
 from .xseries import XSeries, int_kernel
 
 _SCALARS = (int, Rational, HPoly)
@@ -69,6 +73,22 @@ def _coeff_is_zero(c) -> bool:
     if isinstance(c, XSeries):
         return c.is_zero()
     return scalar_is_zero(c)
+
+
+def _coeff_text(c) -> str:
+    if isinstance(c, XSeries):
+        return f"[{', '.join(str(v) for v in c.coeffs)}]"
+    return coeff_text(c)
+
+
+def _monomial_text(key: tuple) -> str:
+    texp, zexp = key
+    vars_ = []
+    for name, exps in (("t", texp), ("zeta", zexp)):
+        for i, a in enumerate(exps):
+            if a:
+                vars_.append(f"{name}{i + 1}" if a == 1 else f"{name}{i + 1}^{a}")
+    return "*".join(vars_) or "1"
 
 
 def _series_kernel(*operands):
@@ -196,8 +216,9 @@ class TPoly:
         return self._like({((), ()): value})
 
     @staticmethod
-    def zero(ctx, weight_cap, z_cap=0, nslots=0) -> "TPoly":
-        return TPoly(ctx, weight_cap, z_cap, nslots, {}, _clean=True)
+    def zero(ctx, weight_cap, z_cap=0, nslots=0, degree_cap=None) -> "TPoly":
+        return TPoly(ctx, weight_cap, z_cap, nslots, {}, _clean=True,
+                     degree_cap=degree_cap)
 
     @staticmethod
     def one(ctx, weight_cap, z_cap=0, nslots=0) -> "TPoly":
@@ -304,22 +325,13 @@ class TPoly:
         elif not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in terms:
-                s = terms[key] + c
-                if _droppable(s):
-                    del terms[key]
-                else:
-                    terms[key] = s
-            else:
-                terms[key] = c
-        return self._like(terms, _clean=True)
+        return self._like(add_terms(self.terms, other.terms, _droppable),
+                          _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()}, _clean=True)
+        return self.map_coeffs(neg)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -390,12 +402,7 @@ class TPoly:
         """Multiply every coefficient by a scalar or an XSeries."""
         if isinstance(s, _SCALARS) and scalar_is_zero(s):
             return self._like({}, _clean=True)
-        out = {}
-        for key, c in self.terms.items():
-            p = c * s
-            if not _droppable(p):
-                out[key] = p
-        return self._like(out, _clean=True)
+        return self.map_coeffs(lambda c: c * s)
 
     def pow_int(self, n: int) -> "TPoly":
         out = self._constant_like(Rational(1))
@@ -442,12 +449,7 @@ class TPoly:
         return self._like(out, _clean=True)
 
     def map_coeffs(self, fn) -> "TPoly":
-        out = {}
-        for key, c in self.terms.items():
-            p = fn(c)
-            if not _droppable(p):
-                out[key] = p
-        return self._like(out, _clean=True)
+        return self._like(map_terms(self.terms, fn, _droppable), _clean=True)
 
     def zeta_coefficient(self, slot: int, power: int) -> "TPoly":
         """Coefficient of zeta_slot^power (slot exponent removed)."""
@@ -519,33 +521,9 @@ class TPoly:
     # -- rendering ----------------------------------------------------------
 
     def render(self) -> str:
-        from .hscalar import render_scalar
-
-        if not self.terms:
-            return "0"
-        bits = []
-        for (texp, zexp) in sorted(self.terms, key=lambda k: (degree_of(k), k)):
-            c = self.terms[(texp, zexp)]
-            vars_ = []
-            for i, a in enumerate(texp):
-                if a == 1:
-                    vars_.append(f"t{i + 1}")
-                elif a > 1:
-                    vars_.append(f"t{i + 1}^{a}")
-            for i, d in enumerate(zexp):
-                if d == 1:
-                    vars_.append(f"zeta{i + 1}")
-                elif d > 1:
-                    vars_.append(f"zeta{i + 1}^{d}")
-            mono = "*".join(vars_) if vars_ else "1"
-            if isinstance(c, XSeries):
-                cs = f"[{', '.join(str(v) for v in c.coeffs)}]"
-            else:
-                cs = render_scalar(c)
-                if "+" in cs or "-" in cs[1:]:
-                    cs = f"({cs})"
-            bits.append(f"{cs}*{mono}" if mono != "1" else cs)
-        return " + ".join(bits)
+        return render_terms(
+            (_coeff_text(self.terms[key]), _monomial_text(key))
+            for key in sorted(self.terms, key=lambda k: (degree_of(k), k)))
 
     def __repr__(self):
         return f"TPoly({self.render()})"

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .hscalar import scalar_is_zero
+from .hscalar import render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
@@ -70,8 +70,6 @@ def _coeff_nonzero(c) -> bool:
 
 
 def _render_coeff(c) -> str:
-    from .hscalar import render_scalar
-
     if isinstance(c, XSeries):
         return "[" + ", ".join(render_scalar(v) for v in c.coeffs) + "]"
     return render_scalar(c)

@@ -169,3 +169,29 @@ def test_dispersionless_limit_is_plain_derivative():
     ctx0 = HContext.numeric(0)
     for k in range(1, 7):
         assert dh_operator(k, ctx0) == DiffOperator.single(ctx0, k)
+
+
+def test_dh_apply_keeps_the_total_degree_cap(rng):
+    """A capped operand gives the uncapped result restricted to the cap, and
+    keeps its cap; the first case used to raise on mixed shapes."""
+    num = HContext.numeric(Rational(1, 2))
+    t1_squared = {((2,), ()): 1}
+    capped = dh_apply(2, TPoly(num, 3, terms=t1_squared, degree_cap=3))
+    plain = dh_apply(2, TPoly(num, 3, terms=t1_squared)).restrict_weight(3)
+    assert capped.degree_cap == 3
+    assert capped.terms == plain.terms == {((), ()): 1}
+    W = 5
+    for ctx in (CTX, num):
+        for cap in range(W + 1):
+            for k in range(1, W + 1):
+                p = random_tpoly(rng, ctx, W, n_terms=4, max_weight=cap)
+                got = dh_apply(k, p.with_slots(0, 0, degree_cap=cap))
+                assert got.degree_cap == cap
+                assert got.terms == dh_apply(k, p).restrict_weight(cap).terms
+
+
+def test_diff_operator_sums_colliding_monomials():
+    """Keys that sort to one monomial are summed, as in ``DiffPoly``."""
+    op = DiffOperator(CTX, {(1, 2): 1, (2, 1): 1})
+    assert op.terms == {(1, 2): 2}
+    assert DiffOperator(CTX, {(1, 2): 1, (2, 1): -1}).is_zero()
