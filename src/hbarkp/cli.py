@@ -30,6 +30,10 @@ from .sampling import random_rational_matrix
 from .tpoly import TPoly
 
 
+# Largest weight ``transition`` accepts; its cost grows about x2 per weight.
+TRANSITION_MAX_WEIGHT = 14
+
+
 class CommandError(Exception):
     def __init__(self, message, code=2):
         super().__init__(message)
@@ -88,8 +92,9 @@ def cmd_schur(args) -> int:
 
 def cmd_transition(args) -> int:
     n = args.weight
-    if n < 1:
-        raise CommandError("transition needs --weight >= 1")
+    if not 1 <= n <= TRANSITION_MAX_WEIGHT:
+        raise CommandError(
+            f"transition needs 1 <= --weight <= {TRANSITION_MAX_WEIGHT}")
     L, Linv = symfun.transition_L(n)
     def as_json(matrix):
         return {
@@ -313,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schur)
 
     p = sub.add_parser("transition", help="transition matrices at one weight")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True,
+                   help=f"weight, 1 to {TRANSITION_MAX_WEIGHT}")
     common(p)
     p.set_defaults(func=cmd_transition)
 

@@ -1,4 +1,4 @@
-"""Generic exact linear algebra on small matrices.
+"""Exact determinants and minors of small matrices.
 
 ``det`` works over any commutative ring whose elements support ``+``,
 unary ``-`` and ``*`` (rationals, hbar-Laurent scalars, XSeries, TPoly,
@@ -100,25 +100,3 @@ def minor(rows, drop_rows, drop_cols):
         if i not in dr
     ]
 
-
-def invert_rational_matrix(rows):
-    """Exact inverse of a square matrix over Q (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Rational(x) for x in row] for row in rows]
-    inv = [[Rational(1) if i == j else Rational(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        scale = Rational(1) / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv

@@ -14,10 +14,10 @@ from functools import cache
 from math import factorial
 
 from .hscalar import HContext
-from .linalg import det, invert_rational_matrix
+from .linalg import det
 from .partitions import Partition, partitions_of
 from .rational import Rational
-from .tpoly import CapError, TPoly
+from .tpoly import CapError, TPoly, texp_of
 
 
 @cache
@@ -98,54 +98,72 @@ class TransitionMatrix:
         return self.entries[self.index[Partition(lam)]][self.index[Partition(mu)]]
 
 
-def _mapping_count(lam: Partition, mu: Partition) -> int:
-    """Number of maps f from rows of lam onto positions of mu with
-    row sums matching mu (the image is forced into the first ell(mu)
-    positions: any mass landing outside would violate mu_i = 0)."""
-    lm, lmu = lam.ell, mu.ell
-    if lm == 0:
-        return 1 if lmu == 0 else 0
-    if lmu == 0:
-        return 0
-    count = 0
-    sums = [0] * lmu
+def _transition_row(lam: Partition) -> dict:
+    """Row lam of L as {mu: L_{lam mu}} over its nonzero entries.
 
-    def rec(j: int):
-        nonlocal count
-        if j == lm:
-            count += sums == list(mu)
-            return
-        for i in range(lmu):
-            s = sums[i] + lam[j]
-            if s > mu[i]:
-                continue
-            sums[i] = s
-            rec(j + 1)
-            sums[i] -= lam[j]
-
-    rec(0)
-    return count
+    L_{lam mu}, the coefficient of x^mu in prod_i (sum_j x_j^{lam_i}), counts
+    the ways to send the rows of lam to positions j that then hold mu_j.
+    Rows are placed one at a time; a state is the partition of the sums so
+    far, counted for one fixed arrangement (by symmetry, all agree).  A row
+    p put on a position holding w (0: an empty one) gives the state nu, in
+    which any of the positions holding w + p could have taken it."""
+    states = {(): 1}
+    for p in lam:
+        nxt: dict = {}
+        for kappa, count in states.items():
+            for w in set(kappa) | {0}:
+                nu = list(kappa)
+                if w:
+                    nu.remove(w)
+                nu = tuple(sorted(nu + [w + p], reverse=True))
+                nxt[nu] = nxt.get(nu, 0) + count * nu.count(w + p)
+        states = nxt
+    return states
 
 
 @cache
 def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
     """The (L, L^{-1}) pair at weight n.
 
-    L is strictly lower triangular with respect to dominance: the (lam, mu)
-    entry vanishes unless mu dominates lam, and the diagonal entry is
-    sigma(lam) > 0, so the inverse is exact over Q.
+    L is lower triangular in ``partitions_of`` order: the (lam, mu) entry
+    vanishes unless mu dominates lam, and the diagonal entry is
+    sigma(lam) > 0.  So L^{-1} is lower triangular too, and forward
+    substitution gives it exactly over Q, one row at a time.
     """
     if n < 1:
         raise ValueError("transition matrices start at weight 1")
     labels = partitions_of(n)
-    entries = [
-        [Rational(_mapping_count(lam, mu)) for mu in labels] for lam in labels
-    ]
-    inv = invert_rational_matrix(entries)
+    index = {lam: i for i, lam in enumerate(labels)}
+    zero = Rational(0)
+    entries = []
+    for lam in labels:
+        row = [zero] * len(labels)
+        for mu, count in _transition_row(lam).items():
+            row[index[mu]] = Rational(count)
+        entries.append(row)
+    # Row i of L^{-1} is (e_i - sum_{k < i} L_{ik} (row k of L^{-1})) / L_{ii}.
+    inv = []
+    for i, row in enumerate(entries):
+        acc = [zero] * len(labels)
+        acc[i] = Rational(1)
+        for k in range(i):
+            c = row[k]
+            if c:
+                for j, v in enumerate(inv[k][:k + 1]):
+                    if v:
+                        acc[j] -= c * v
+        inv.append([v / row[i] for v in acc])
     return (
         TransitionMatrix(n, labels, entries, "L"),
         TransitionMatrix(n, labels, inv, "L-inverse"),
     )
+
+
+def _inverse_row(lam: Partition):
+    """(mu, (L^{-1})_{lam mu}) over the nonzero entries of row lam."""
+    _, linv = transition_L(lam.weight)
+    row = linv.entries[linv.index[lam]]
+    return [(mu, c) for mu, c in zip(linv.labels, row) if c]
 
 
 @cache
@@ -161,14 +179,8 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int,
         raise CapError(f"m_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap, z_cap, nslots)
-    _, linv = transition_L(lam.weight)
-    out = TPoly.zero(ctx, weight_cap, z_cap, nslots)
-    for mu in partitions_of(lam.weight):
-        c = linv.entry(lam, mu)
-        if c == 0:
-            continue
-        out = out + power_sum(mu, ctx, weight_cap, z_cap, nslots).scale(c)
-    return out
+    terms = {(texp_of(mu), ()): c * mu.rho for mu, c in _inverse_row(lam)}
+    return TPoly(ctx, weight_cap, z_cap, nslots, terms)
 
 
 @cache
@@ -186,16 +198,13 @@ def t_hbar(lam: Partition, ctx: HContext, weight_cap: int,
         raise CapError(f"t^h_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap, z_cap, nslots)
-    _, linv = transition_L(lam.weight)
     pref = Rational(lam.sigma, lam.rho)
-    out = TPoly.zero(ctx, weight_cap, z_cap, nslots)
-    for mu in partitions_of(lam.weight):
-        c = linv.entry(lam, mu)
-        if c == 0:
-            continue
-        s = (pref * c * Rational(mu.rho)) * ctx.hbar_pow(lam.ell - mu.ell)
-        out = out + t_monomial(mu, ctx, weight_cap, z_cap, nslots).scale(s)
-    return out
+    terms = {
+        (texp_of(mu), ()):
+            (pref * c * mu.rho) * ctx.hbar_pow(lam.ell - mu.ell)
+        for mu, c in _inverse_row(lam)
+    }
+    return TPoly(ctx, weight_cap, z_cap, nslots, terms)
 
 
 def scalar_product(u: TPoly, v: TPoly):

@@ -53,6 +53,14 @@ def _trim(exps) -> tuple:
     return tuple(exps)
 
 
+def texp_of(parts) -> tuple:
+    """The t-exponents of t_{p1} t_{p2} ... for a list of parts."""
+    texp = [0] * max(parts, default=0)
+    for p in parts:
+        texp[p - 1] += 1
+    return tuple(texp)
+
+
 def weight_of(texp: tuple) -> int:
     return sum((k + 1) * a for k, a in enumerate(texp))
 
@@ -77,7 +85,7 @@ def _coeff_is_zero(c) -> bool:
 
 def _coeff_text(c) -> str:
     if isinstance(c, XSeries):
-        return f"[{', '.join(str(v) for v in c.coeffs)}]"
+        return c.render()
     return coeff_text(c)
 
 
@@ -252,13 +260,7 @@ class TPoly:
 
     def monomial_times(self, parts) -> "TPoly":
         """Product t_{p1} t_{p2} ... for a part list (used by basis builders)."""
-        exps = {}
-        for p in parts:
-            exps[p - 1] = exps.get(p - 1, 0) + 1
-        if not parts:
-            texp = ()
-        else:
-            texp = tuple(exps.get(i, 0) for i in range(max(exps) + 1))
+        texp = texp_of(parts)
         if weight_of(texp) > self.weight_cap:
             raise CapError("monomial exceeds weight cap")
         return self._like({(texp, ()): Rational(1)})
@@ -287,11 +289,7 @@ class TPoly:
 
     def coeff(self, parts=(), zexp=()):
         """Coefficient of the monomial t_{parts} * zeta^zexp (0 if absent)."""
-        exps = {}
-        for p in parts:
-            exps[p - 1] = exps.get(p - 1, 0) + 1
-        texp = tuple(exps.get(i, 0) for i in range(max(exps) + 1)) if parts else ()
-        key = (_trim(texp), _trim(zexp))
+        key = (texp_of(parts), _trim(zexp))
         return self.terms.get(key, self.ctx.zero())
 
     def constant_coeff(self):

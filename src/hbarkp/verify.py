@@ -71,7 +71,7 @@ def _coeff_nonzero(c) -> bool:
 
 def _render_coeff(c) -> str:
     if isinstance(c, XSeries):
-        return "[" + ", ".join(render_scalar(v) for v in c.coeffs) + "]"
+        return c.render()
     return render_scalar(c)
 
 

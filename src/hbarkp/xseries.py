@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .errors import HbarkpError
 from .hscalar import (
-    HContext, HPoly, numerators, reduce_terms, scalar_inv, scalar_is_zero,
-    window_error,
+    HContext, HPoly, numerators, reduce_terms, render_scalar, scalar_inv,
+    scalar_is_zero, window_error,
 )
 from .rational import ZERO, Rational, common_denominator
 
@@ -231,6 +231,10 @@ class XSeries:
         )
 
     __hash__ = None  # unhashable: equality is order-relative
+
+    def render(self) -> str:
+        """The coefficients as ``[c0, c1, ...]``, each one as a scalar."""
+        return "[" + ", ".join(render_scalar(v) for v in self.coeffs) + "]"
 
     def __repr__(self):
         return f"XSeries(valid={self.valid}, coeffs={list(self.coeffs)})"

@@ -10,7 +10,7 @@ from random import Random
 import pytest
 
 import hbarkp
-from hbarkp import dataio
+from hbarkp import dataio, symfun
 from hbarkp.cli import _least_z_order, main
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
@@ -56,6 +56,30 @@ def test_transition_output(tmp_path):
     doc = read(out)
     assert doc["L"]["1,1"] == {"2": "1", "1,1": "2"}
     assert doc["L_inverse"]["1,1"] == {"2": "-1/2", "1,1": "1/2"}
+
+
+def test_transition_refuses_weights_above_its_limit(tmp_path, monkeypatch,
+                                                    capsys):
+    """Weight 14 reaches the matrices (a stub here: the real ones take
+    about a second) and weight 15 exits 2 before building anything."""
+    real = symfun.transition_L
+    built = []
+
+    def stub(n):
+        built.append(n)
+        return real(1)
+
+    monkeypatch.setattr(symfun, "transition_L", stub)
+    out = tmp_path / "trans.json"
+    assert main(["transition", "--weight", "14", "--output", str(out)]) == 0
+    assert built == [14]
+    assert read(out)["weight"] == 14
+    capsys.readouterr()
+    assert main(["transition", "--weight", "15"]) == 2
+    assert built == [14]
+    err = capsys.readouterr().err
+    assert "--weight <= 14" in err
+    assert err.count("\n") == 1
 
 
 def test_pconst_output(tmp_path):

@@ -11,6 +11,7 @@ from hbarkp.hscalar import HContext, HPoly, scalar_is_zero
 from hbarkp.lops import DiffPoly
 from hbarkp.rational import Rational
 from hbarkp.tpoly import TPoly
+from hbarkp.verify import _render_coeff
 from hbarkp.xseries import XSeries
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -134,3 +135,13 @@ def test_tpoly_render():
     })
     assert series.render() == "[-2, 0, 3] + [1/2, -1, 0]*t1 + -5*t2"
     assert TPoly.zero(num, 3).render() == "0"
+
+
+def test_tpoly_render_of_formal_hbar_series_matches_the_verdict_text():
+    ctx = HContext.symbolic(-4, 4)
+    series = XSeries(ctx, 2, [HPoly(ctx, {0: Rational(-1, 2), 1: 1}),
+                              Rational(-1), HPoly(ctx, {-1: 3})])
+    poly = TPoly(ctx, 3, 0, 0, {((1,), ()): series, ((), ()): Rational(2)})
+    assert poly.render() == "2 + [-1/2 + hbar, -1, 3*hbar^-1]*t1"
+    assert _render_coeff(series) == "[-1/2 + hbar, -1, 3*hbar^-1]"
+    assert series.render() == _render_coeff(series)

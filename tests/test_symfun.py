@@ -3,6 +3,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbarkp.hscalar import HContext
 from hbarkp.partitions import Partition, dominates, partitions_of, partitions_upto
@@ -239,6 +241,69 @@ def test_transition_triangularity_and_inverse():
                 assert s == (1 if lam == mu else 0)
 
 
+def _mapping_count(lam, mu):
+    """Brute-force L_{lam mu}: every map from the rows of lam to the
+    positions of mu whose row sums give mu."""
+    lm, lmu = lam.ell, mu.ell
+    if lm == 0:
+        return 1 if lmu == 0 else 0
+    if lmu == 0:
+        return 0
+    count = 0
+    sums = [0] * lmu
+
+    def rec(j):
+        nonlocal count
+        if j == lm:
+            count += sums == list(mu)
+            return
+        for i in range(lmu):
+            s = sums[i] + lam[j]
+            if s > mu[i]:
+                continue
+            sums[i] = s
+            rec(j + 1)
+            sums[i] -= lam[j]
+
+    rec(0)
+    return count
+
+
+@st.composite
+def partition_pair(draw):
+    labels = partitions_of(draw(st.integers(1, 8)))
+    return draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(partition_pair())
+def test_transition_entries_match_the_enumeration(pair):
+    lam, mu = pair
+    L, _ = transition_L(lam.weight)
+    assert L.entry(lam, mu) == _mapping_count(lam, mu)
+
+
+def test_transition_is_lower_triangular_in_partitions_of_order():
+    for n in range(1, 11):
+        L, Linv = transition_L(n)
+        assert L.labels == partitions_of(n)
+        for i, lam in enumerate(L.labels):
+            assert L.entries[i][i] == lam.sigma
+            assert all(v == 0 for v in L.entries[i][i + 1:])
+            assert all(v == 0 for v in Linv.entries[i][i + 1:])
+
+
+def test_transition_inverse_up_to_weight_10():
+    for n in range(1, 11):
+        L, Linv = transition_L(n)
+        size = len(L.labels)
+        for i in range(size):
+            for j in range(size):
+                s = sum((L.entries[i][k] * Linv.entries[k][j]
+                         for k in range(size)), Rational(0))
+                assert s == (1 if i == j else 0)
+
+
 def test_power_sum_expands_over_monomials():
     """p_lam = sum_mu L_{lam mu} m_mu, the matrix's defining property."""
     for n in range(1, 7):
@@ -281,6 +346,37 @@ def test_t_hbar_matches_scaled_monomial():
         scaled = monomial_m(lam, ctx, W).times_over_hbar().scale(
             Rational(lam.sigma, lam.rho) * ctx.hbar_pow(lam.ell))
         assert direct == scaled
+
+
+def _sum_over_inverse_row(lam, ctx, coeff):
+    """sum over mu of coeff(mu, (L^{-1})_{lam mu}) t_mu, one scaled
+    monomial at a time."""
+    _, linv = transition_L(lam.weight)
+    out = TPoly.zero(ctx, W)
+    for mu in partitions_of(lam.weight):
+        c = linv.entry(lam, mu)
+        if c != 0:
+            out = out + t_monomial(mu, ctx, W).scale(coeff(mu, c))
+    return out
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric(Rational(1, 2)), CTX],
+                         ids=["numeric", "formal"])
+def test_t_hbar_and_monomial_equal_the_term_by_term_sum(ctx):
+    for lam in partitions_upto(W, 1):
+        pref = Rational(lam.sigma, lam.rho)
+        cases = [
+            (t_hbar(lam, ctx, W), _sum_over_inverse_row(
+                lam, ctx, lambda mu, c: (pref * c * Rational(mu.rho))
+                * ctx.hbar_pow(lam.ell - mu.ell))),
+            (monomial_m(lam, ctx, W), _sum_over_inverse_row(
+                lam, ctx, lambda mu, c: Rational(mu.rho) * c)),
+        ]
+        for got, want in cases:
+            assert got == want
+            assert got.terms.keys() == want.terms.keys()
+            for key, c in want.terms.items():
+                assert type(got.terms[key]) is type(c)
 
 
 # -- scalar product -------------------------------------------------------------
