@@ -7,7 +7,7 @@ differential Fay identities with zero-tolerance polynomial residuals.
 
 from .errors import HbarkpError
 from .hscalar import HContext, HPoly, HbarValueError, HbarWindowError, default_window
-from .partitions import Partition, dominance, partitions_of, partitions_upto, stats
+from .partitions import Partition, dominance, partitions_of, partitions_upto
 from .rational import Rational
 from .tpoly import CapError, TPoly
 from .xseries import OrderExhaustedError, XSeries
@@ -23,7 +23,6 @@ __all__ = [
     "dominance",
     "partitions_of",
     "partitions_upto",
-    "stats",
     "Rational",
     "CapError",
     "TPoly",

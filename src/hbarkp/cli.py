@@ -136,20 +136,8 @@ def cmd_fseries(args) -> int:
     data = dataio.f_data_from_document(doc)
     fs = fbuild.f_series(data)
     if args.basis == "t_plain":
-        plain = fs.plain_taylor()
-        table = {lam.serialize(): dataio.xseries_to_json(v) if hasattr(v, "coeffs")
-                 else scalar_to_json(v)
-                 for lam, v in sorted(plain.items(), key=lambda kv: (kv[0].weight, kv[0]))}
-        _emit(args, {
-            "hbar": dataio.hbar_to_json(fs.ctx),
-            "caps": dataio.caps_to_json(fs.weight_cap, fs.x_cap, args.z_order),
-            "basis": "t_plain",
-            "mode": "concrete",
-            "f0": dataio.xseries_to_json(fs.f0),
-            "f_lambda": table,
-        })
-    else:
-        _emit(args, dataio.f_series_to_document(fs, z_order=args.z_order))
+        fs = replace(fs, table=fs.plain_taylor())
+    _emit(args, dataio.f_series_to_document(fs, args.z_order, args.basis))
     return 0
 
 

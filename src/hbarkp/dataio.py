@@ -140,10 +140,8 @@ def tau_series_to_document(ts: TauSeries, z_order=0) -> dict:
     return {
         "hbar": hbar_to_json(ts.ctx),
         "caps": caps_to_json(ts.weight_cap, ts.x_cap, z_order),
-        "c_lambda": {
-            lam.serialize(): xseries_to_json(s)
-            for lam, s in sorted(ts.table.items(), key=lambda kv: (kv[0].weight, kv[0]))
-        },
+        "c_lambda": {lam.serialize(): xseries_to_json(s)
+                     for lam, s in ts.table.items()},
     }
 
 
@@ -160,7 +158,7 @@ def tau_series_from_document(doc) -> TauSeries:
 
 def f_series_to_document(fs: FSeries, z_order=0, basis="t_hbar") -> dict:
     table = {}
-    for lam, val in sorted(fs.table.items(), key=lambda kv: (kv[0].weight, kv[0])):
+    for lam, val in fs.table.items():
         if fs.symbolic:
             table[lam.serialize()] = val.render()
         else:

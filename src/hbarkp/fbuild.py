@@ -26,7 +26,7 @@ from .lops import DiffPoly, l_word
 from .partitions import Partition, partitions_of, partitions_upto
 from .rational import Rational
 from .symfun import h_apply, t_hbar, transition_L
-from .taubuild import TauData
+from .taubuild import TauData, as_xseries
 from .tpoly import TPoly, linear_combination
 from .xseries import XSeries
 
@@ -90,16 +90,16 @@ class FSeries:
     def coefficient(self, lam):
         return self.table[Partition(lam)]
 
-    def assemble(self, z_cap: int = 0, nslots: int = 0) -> TPoly:
+    def assemble(self) -> TPoly:
         """f_0 + sum f_lam / sigma * t^hbar_lam as a time polynomial."""
         if self.symbolic:
             raise ValueError("assemble requires concrete coefficients")
         ctx, W = self.ctx, self.weight_cap
         pairs = chain(
-            [(TPoly.one(ctx, W, z_cap, nslots), self.f0)],
-            ((t_hbar(lam, ctx, W, z_cap, nslots), c.scale(Rational(1, lam.sigma)))
+            [(TPoly.one(ctx, W), self.f0)],
+            ((t_hbar(lam, ctx, W), c.scale(Rational(1, lam.sigma)))
              for lam, c in self.table.items()))
-        return linear_combination(pairs, ctx, W, z_cap, nslots)
+        return linear_combination(pairs, ctx, W)
 
     def plain_taylor(self) -> dict:
         """Coefficients d_lam F|_{t=0} of the plain monomial basis.
@@ -107,13 +107,9 @@ class FSeries:
         Read off the assembled polynomial: applying d_{lam_1} d_{lam_2}...
         at t = 0 multiplies the t_lam coefficient by sigma(lam)."""
         poly = self.assemble()
-        out = {}
-        for lam in partitions_upto(self.weight_cap, 1):
-            v = poly.derivative_at_zero(tuple(lam))
-            if not isinstance(v, XSeries):
-                v = XSeries.constant(self.ctx, self.x_cap, v)
-            out[lam] = v
-        return out
+        return {lam: as_xseries(poly.derivative_at_zero(tuple(lam)), self.ctx,
+                                self.x_cap)
+                for lam in partitions_upto(self.weight_cap, 1)}
 
 
 def f_series(data: FData, weight_cap: int | None = None) -> FSeries:
@@ -136,11 +132,16 @@ def f_series_symbolic(ctx: HContext, weight_cap: int) -> FSeries:
     return FSeries(ctx, weight_cap, 0, None, table, symbolic=True)
 
 
-def _kappa(k: int):
-    """First column of the inverse transition matrix at weight k."""
+def _conversion_weights(ctx: HContext, k: int):
+    """(lam, k * kappa_lam / rho(lam) * hbar^{ell-1}) for each partition lam
+    of k, in ``partitions_of`` order, whose kappa_lam = (L^{-1})_{lam (k)},
+    the first column of the inverse transition matrix, is nonzero."""
     _, linv = transition_L(k)
     one_row = Partition((k,))
-    return {lam: linv.entry(lam, one_row) for lam in partitions_of(k)}
+    for lam in partitions_of(k):
+        c = linv.entry(lam, one_row)
+        if c:
+            yield lam, Rational(k) * Rational(c, lam.rho) * ctx.hbar_pow(lam.ell - 1)
 
 
 def cauchy_from_cauchylike(data: FData, k: int) -> XSeries:
@@ -148,27 +149,16 @@ def cauchy_from_cauchylike(data: FData, k: int) -> XSeries:
     k * sum over |lam| = k of kappa_lam / rho(lam) * f_lam * hbar^{ell-1}."""
     if k < 1 or k > data.K:
         raise ValueError("k out of range of the data")
-    kap = _kappa(k)
     total = XSeries.zero(data.ctx, data.x_cap)
-    for lam in partitions_of(k):
-        c = kap[lam]
-        if c == 0:
-            continue
-        val = f_lambda(lam, data.ctx, data)
-        s = Rational(k) * Rational(c, lam.rho) * data.ctx.hbar_pow(lam.ell - 1)
-        total = total + val.scale(s)
+    for lam, s in _conversion_weights(data.ctx, k):
+        total = total + f_lambda(lam, data.ctx, data).scale(s)
     return total
 
 
 def cauchy_from_cauchylike_symbolic(ctx: HContext, k: int) -> DiffPoly:
     """Same expansion with symbolic coefficients."""
-    kap = _kappa(k)
     total = DiffPoly.zero(ctx)
-    for lam in partitions_of(k):
-        c = kap[lam]
-        if c == 0:
-            continue
-        s = Rational(k) * Rational(c, lam.rho) * ctx.hbar_pow(lam.ell - 1)
+    for lam, s in _conversion_weights(ctx, k):
         total = total + f_lambda(lam, ctx).scale(s)
     return total
 
@@ -179,18 +169,13 @@ def cauchylike_from_cauchy(ctx: HContext, weight_cap: int, x_cap: int,
     contributions (which only involve f_1..f_{k-1}) from d_k F|_0."""
     fs: list[XSeries] = []
     for k in range(1, len(plain) + 1):
-        kap = _kappa(k)
         correction = XSeries.zero(ctx, x_cap)
         partial = {s + 1: fs[s] for s in range(len(fs))}
-        for lam in partitions_of(k):
+        for lam, s in _conversion_weights(ctx, k):
             if lam.ell < 2:
-                continue
-            c = kap[lam]
-            if c == 0:
                 continue
             word = l_word(tuple(lam[:-1]), lam[-1], ctx)
             val = word.substitute(partial, like=f0)
-            s = Rational(k) * Rational(c, lam.rho) * ctx.hbar_pow(lam.ell - 1)
             correction = correction + val.scale(s)
         fs.append(plain[k - 1] - correction)
     return FData(ctx, weight_cap, x_cap, f0, tuple(fs))

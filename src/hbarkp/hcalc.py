@@ -16,12 +16,12 @@ from __future__ import annotations
 from functools import cache
 from math import comb, factorial, prod
 
-from .hscalar import HContext, HPoly, window_error
+from .hscalar import HContext, HPoly, check_window
 from .linalg import det
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly
-from .tpoly import TPoly
+from .tpoly import TPoly, _trim
 from .xseries import XSeries
 
 
@@ -152,12 +152,8 @@ def _check_apply_window(op: DiffOperator, poly: TPoly) -> None:
                 continue
             values = coeff.coeffs if isinstance(coeff, XSeries) else (coeff,)
             for v in values:
-                if not isinstance(v, HPoly) or not v.terms:
-                    continue
-                if min(v.terms) + c_lo < ctx.lo:
-                    raise window_error(ctx, min(v.terms) + c_lo)
-                if max(v.terms) + c_hi > ctx.hi:
-                    raise window_error(ctx, max(v.terms) + c_hi)
+                if isinstance(v, HPoly) and v.terms:
+                    check_window(ctx, min(v.terms) + c_lo, max(v.terms) + c_hi)
 
 
 def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
@@ -198,21 +194,11 @@ def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
         for exps, zd, fac in states:
             nz = list(zexp) + [0] * (poly.nslots - len(zexp))
             nz[slot] += zd
-            key = (
-                tuple(exps[: _last_nonzero(exps)]),
-                tuple(nz[: _last_nonzero(nz)]),
-            )
+            key = (_trim(exps), _trim(nz))
             c = coeff if fac is None else coeff * fac
             out[key] = out[key] + c if key in out else c
     return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out,
                  degree_cap=poly.degree_cap)
-
-
-def _last_nonzero(xs) -> int:
-    n = len(xs)
-    while n and xs[n - 1] == 0:
-        n -= 1
-    return n
 
 
 def delta_apply(poly: TPoly, slot: int) -> TPoly:

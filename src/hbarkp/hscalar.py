@@ -17,8 +17,12 @@ A product of two ``HPoly`` values does not multiply and add rationals term
 by term: each operand is written as integer numerators over the lcm of its
 denominators, the numerators are convolved as plain ints, and each output
 coefficient is reduced once, so the results are the same canonical
-rationals.  ``numerators`` and ``reduce_terms`` are the two halves of that,
-shared with the ``XSeries`` and ``TPoly`` products.
+rationals.  The rules of that arithmetic live here once and the
+``XSeries`` and ``TPoly`` products share them: ``check_window`` (the
+window holds for a product iff it holds at its extreme exponents, which
+never cancel), ``scalar_codes`` (the integer code of formal-hbar scalars
+over one denominator), ``mul_add`` (the convolution of two codes) and
+``numerators`` / ``reduce_terms`` (into and out of the integer code).
 
 All values are immutable; operations are pure.
 """
@@ -106,10 +110,55 @@ def window_error(ctx: HContext, e: int) -> HbarWindowError:
     return HbarWindowError(f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")
 
 
+def check_window(ctx: HContext, lo: int, hi: int) -> None:
+    """Raise the ``HbarWindowError`` of a product of nonzero Laurent
+    polynomials whose exponents add up to ``lo`` at the low end and ``hi``
+    at the high end: the extreme exponents of such a product never cancel,
+    so the window holds iff it holds at both ends.  The low end is checked
+    first."""
+    if lo < ctx.lo:
+        raise window_error(ctx, lo)
+    if hi > ctx.hi:
+        raise window_error(ctx, hi)
+
+
 def numerators(terms: dict, den) -> dict:
     """The rational ``terms`` as integer numerators over ``den``, a common
     multiple of their denominators."""
     return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def scalar_codes(values):
+    """(den, codes): formal-hbar scalars written over ``den``, the lcm of
+    their denominators.
+
+    Each code is (numerators by hbar exponent, exponent span (lo, hi) or
+    None, whether the value is an ``HPoly``); a zero value has no
+    numerators, and only a nonzero ``HPoly`` has a span."""
+    values = tuple(values)
+    den = 1
+    for v in values:
+        den = common_denominator(
+            v.terms.values() if isinstance(v, HPoly) else (v,), den)
+    codes = []
+    for v in values:
+        if isinstance(v, HPoly):
+            t = v.terms
+            codes.append((numerators(t, den), (min(t), max(t)) if t else None,
+                          True))
+        else:
+            codes.append(({0: v.numerator * (den // v.denominator)} if v else {},
+                          None, False))
+    return den, codes
+
+
+def mul_add(out: dict, a: dict, b: dict) -> None:
+    """Add the product of the codes ``a`` and ``b`` (hbar exponent ->
+    integer numerator) into ``out``."""
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + x * y
 
 
 def reduce_terms(nums: dict, den) -> dict:
@@ -191,39 +240,14 @@ class HPoly:
         ctx, t1, t2 = self.ctx, self.terms, other.terms
         if not t1 or not t2:
             return HPoly(ctx, {}, _clean=True)
-        # The extreme exponents of a product of nonzero Laurent polynomials
-        # never cancel, so the window holds iff it holds at both ends.
-        e = min(t1) + min(t2)
-        if e < ctx.lo:
-            raise window_error(ctx, e)
-        e = max(t1) + max(t2)
-        if e > ctx.hi:
-            raise window_error(ctx, e)
+        check_window(ctx, min(t1) + min(t2), max(t1) + max(t2))
         d1 = common_denominator(t1.values())
         d2 = common_denominator(t2.values())
-        n2 = numerators(t2, d2).items()
         out: dict = {}
-        for e1, a in numerators(t1, d1).items():
-            for e2, b in n2:
-                e = e1 + e2
-                out[e] = out.get(e, 0) + a * b
+        mul_add(out, numerators(t1, d1), numerators(t2, d2))
         return HPoly(ctx, reduce_terms(out, d1 * d2), _clean=True)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Rational)):
-            return self * (Rational(1) / Rational(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv_unit() ** (-n)
-        out = HPoly(self.ctx, {0: Rational(1)})
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
 
     def __eq__(self, other):
         lift = _coerce_terms(other)

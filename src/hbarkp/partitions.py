@@ -153,18 +153,3 @@ def dominance(lam: Partition, mu: Partition) -> str:
 
 def dominates(lam: Partition, mu: Partition) -> bool:
     return dominance(lam, mu) in (GREATER, EQUAL)
-
-
-class PartitionStats:
-    __slots__ = ("sigma", "rho", "zee", "ell", "weight")
-
-    def __init__(self, lam: Partition):
-        self.sigma = lam.sigma
-        self.rho = lam.rho
-        self.zee = lam.zee
-        self.ell = lam.ell
-        self.weight = lam.weight
-
-
-def stats(lam: Partition) -> PartitionStats:
-    return PartitionStats(lam)

@@ -53,4 +53,3 @@ def format_rational(r) -> str:
 
 
 ZERO = Rational(0)
-ONE = Rational(1)

@@ -61,9 +61,10 @@ def mul_terms(a: dict, b: dict, join, is_zero) -> dict:
 
 
 def coeff_text(c) -> str:
-    """A scalar as a factor: parenthesised when it has an inner sign."""
+    """A scalar as a factor: parenthesised when it is a sum, whose terms
+    ``render_scalar`` joins with spaces."""
     cs = hscalar.render_scalar(c)
-    return f"({cs})" if "+" in cs or "-" in cs[1:] else cs
+    return f"({cs})" if " " in cs else cs
 
 
 def render_terms(pairs) -> str:

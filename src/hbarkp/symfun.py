@@ -21,14 +21,13 @@ from .tpoly import CapError, TPoly, texp_of
 
 
 @cache
-def elementary_h(k: int, ctx: HContext, weight_cap: int,
-                 z_cap: int = 0, nslots: int = 0) -> TPoly:
+def elementary_h(k: int, ctx: HContext, weight_cap: int) -> TPoly:
     """Complete homogeneous polynomial h_k; h_0 = 1 and h_k = 0 for k < 0.
 
     h_k = sum over partitions lambda of k of t_lambda / sigma(lambda),
     which matches the generating series exp(sum t_j z^j) = sum h_k z^k.
     """
-    base = TPoly.zero(ctx, weight_cap, z_cap, nslots)
+    base = TPoly.zero(ctx, weight_cap)
     if k < 0:
         return base
     if k > weight_cap:
@@ -40,59 +39,52 @@ def elementary_h(k: int, ctx: HContext, weight_cap: int,
 
 
 @cache
-def schur(lam: Partition, ctx: HContext, weight_cap: int,
-          z_cap: int = 0, nslots: int = 0) -> TPoly:
+def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Schur polynomial via the Jacobi-Trudi determinant of h's."""
     lam = Partition(lam)
     if lam.weight > weight_cap:
         raise CapError(f"s_{lam} exceeds weight cap {weight_cap}")
     n = lam.ell
     if n == 0:
-        return TPoly.one(ctx, weight_cap, z_cap, nslots)
+        return TPoly.one(ctx, weight_cap)
 
     def h(k):
         # h_k = 0 for k < 0 enters as the int 0, a structural zero for det.
-        return elementary_h(k, ctx, weight_cap, z_cap, nslots) if k >= 0 else 0
+        return elementary_h(k, ctx, weight_cap) if k >= 0 else 0
 
     return det([[h(lam[i] - i + j) for j in range(n)] for i in range(n)])
 
 
-def t_monomial(lam: Partition, ctx: HContext, weight_cap: int,
-               z_cap: int = 0, nslots: int = 0) -> TPoly:
+def t_monomial(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """The plain monomial t_lambda = t_{lam_1} t_{lam_2} ..."""
-    return TPoly.zero(ctx, weight_cap, z_cap, nslots).monomial_times(lam)
+    return TPoly.zero(ctx, weight_cap).monomial_times(lam)
 
 
-def h_product(lam: Partition, ctx: HContext, weight_cap: int,
-              z_cap: int = 0, nslots: int = 0) -> TPoly:
+def h_product(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Product basis h_lambda = h_{lam_1} h_{lam_2} ..."""
-    out = TPoly.one(ctx, weight_cap, z_cap, nslots)
+    out = TPoly.one(ctx, weight_cap)
     for p in lam:
-        out = out * elementary_h(p, ctx, weight_cap, z_cap, nslots)
+        out = out * elementary_h(p, ctx, weight_cap)
     return out
 
 
-def power_sum(lam: Partition, ctx: HContext, weight_cap: int,
-              z_cap: int = 0, nslots: int = 0) -> TPoly:
+def power_sum(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Power sum basis p_lambda = rho(lambda) t_lambda."""
     lam = Partition(lam)
-    return t_monomial(lam, ctx, weight_cap, z_cap, nslots).scale(Rational(lam.rho))
+    return t_monomial(lam, ctx, weight_cap).scale(Rational(lam.rho))
 
 
 class TransitionMatrix:
     """Square rational matrix indexed by the partitions of one weight.
 
-    Rows/columns follow the reverse lexicographic enumeration.  Direction
-    "L" expands power sums over monomial symmetric functions; "L-inverse"
-    is its exact inverse.
+    Rows/columns follow the reverse lexicographic enumeration.
     """
 
-    def __init__(self, weight: int, labels, entries, direction: str):
+    def __init__(self, weight: int, labels, entries):
         self.weight = weight
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.entries = tuple(tuple(row) for row in entries)
-        self.direction = direction
 
     def entry(self, lam, mu):
         return self.entries[self.index[Partition(lam)]][self.index[Partition(mu)]]
@@ -153,10 +145,7 @@ def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
                     if v:
                         acc[j] -= c * v
         inv.append([v / row[i] for v in acc])
-    return (
-        TransitionMatrix(n, labels, entries, "L"),
-        TransitionMatrix(n, labels, inv, "L-inverse"),
-    )
+    return TransitionMatrix(n, labels, entries), TransitionMatrix(n, labels, inv)
 
 
 def _inverse_row(lam: Partition):
@@ -167,8 +156,7 @@ def _inverse_row(lam: Partition):
 
 
 @cache
-def monomial_m(lam: Partition, ctx: HContext, weight_cap: int,
-               z_cap: int = 0, nslots: int = 0) -> TPoly:
+def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Monomial symmetric function m_lambda expressed in the times.
 
     Expanded over power sums through the inverse transition matrix:
@@ -178,14 +166,13 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int,
     if lam.weight > weight_cap:
         raise CapError(f"m_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
-        return TPoly.one(ctx, weight_cap, z_cap, nslots)
+        return TPoly.one(ctx, weight_cap)
     terms = {(texp_of(mu), ()): c * mu.rho for mu, c in _inverse_row(lam)}
-    return TPoly(ctx, weight_cap, z_cap, nslots, terms)
+    return TPoly(ctx, weight_cap, terms=terms)
 
 
 @cache
-def t_hbar(lam: Partition, ctx: HContext, weight_cap: int,
-           z_cap: int = 0, nslots: int = 0) -> TPoly:
+def t_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """hbar-deformed monomial basis element.
 
     t^hbar_lam = (sigma/rho) * hbar^{ell(lam)} * m_lam(t/hbar), expanded in
@@ -197,14 +184,14 @@ def t_hbar(lam: Partition, ctx: HContext, weight_cap: int,
     if lam.weight > weight_cap:
         raise CapError(f"t^h_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
-        return TPoly.one(ctx, weight_cap, z_cap, nslots)
+        return TPoly.one(ctx, weight_cap)
     pref = Rational(lam.sigma, lam.rho)
     terms = {
         (texp_of(mu), ()):
             (pref * c * mu.rho) * ctx.hbar_pow(lam.ell - mu.ell)
         for mu, c in _inverse_row(lam)
     }
-    return TPoly(ctx, weight_cap, z_cap, nslots, terms)
+    return TPoly(ctx, weight_cap, terms=terms)
 
 
 def scalar_product(u: TPoly, v: TPoly):

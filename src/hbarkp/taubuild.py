@@ -155,12 +155,12 @@ class TauSeries:
     def coefficient(self, lam) -> XSeries:
         return self.table[Partition(lam)]
 
-    def assemble(self, z_cap: int = 0, nslots: int = 0) -> TPoly:
+    def assemble(self) -> TPoly:
         """The polynomial sum of c_lam(x) * s_lam(t/hbar) up to the cap."""
         W = self.weight_cap
-        pairs = ((schur(lam, self.ctx, W, z_cap, nslots).times_over_hbar(), c)
+        pairs = ((schur(lam, self.ctx, W).times_over_hbar(), c)
                  for lam, c in self.table.items())
-        return linear_combination(pairs, self.ctx, W, z_cap, nslots)
+        return linear_combination(pairs, self.ctx, W)
 
 
 def tau_series(data: TauData, weight_cap: int | None = None) -> TauSeries:
@@ -176,7 +176,8 @@ def tau_series(data: TauData, weight_cap: int | None = None) -> TauSeries:
     return TauSeries(data.ctx, W, data.x_cap, table)
 
 
-def _as_xseries(value, ctx: HContext, x_cap: int) -> XSeries:
+def as_xseries(value, ctx: HContext, x_cap: int) -> XSeries:
+    """``value`` if it is an XSeries, else the constant series of it."""
     if isinstance(value, XSeries):
         return value
     return XSeries.constant(ctx, x_cap, value)
@@ -192,10 +193,10 @@ def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> Tau
         x_cap = next(
             (c.cap for c in tau.terms.values() if isinstance(c, XSeries)), 0
         )
-    out = [_as_xseries(tau.constant_coeff(), ctx, x_cap)]
+    out = [as_xseries(tau.constant_coeff(), ctx, x_cap)]
     for k in range(1, K + 1):
         v = dh_at_zero(k, tau)
-        s = _as_xseries(v, ctx, x_cap)
+        s = as_xseries(v, ctx, x_cap)
         out.append(s.scale(ctx.hbar_pow(1) * Rational(1, k)))
     return TauData(ctx, min(K, tau.weight_cap), x_cap, tuple(out))
 

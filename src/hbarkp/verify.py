@@ -45,7 +45,7 @@ from .hscalar import render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
-from .tpoly import TPoly
+from .tpoly import TPoly, _coeff_is_zero
 from .xseries import XSeries
 
 
@@ -63,12 +63,6 @@ class Residual:
         return self.passed
 
 
-def _coeff_nonzero(c) -> bool:
-    if isinstance(c, XSeries):
-        return not c.is_zero()
-    return not scalar_is_zero(c)
-
-
 def _render_coeff(c) -> str:
     if isinstance(c, XSeries):
         return c.render()
@@ -81,7 +75,7 @@ def _poly_residual(identity: str, poly: TPoly) -> Residual:
     worst = None
     for key in sorted(poly.terms):
         c = poly.terms[key]
-        if _coeff_nonzero(c):
+        if not _coeff_is_zero(c):
             texp, zexp = key
             worst = (f"t-exps {texp}, zeta-exps {zexp}: "
                      f"coefficient {_render_coeff(c)}")

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .errors import HbarkpError
 from .hscalar import (
-    HContext, HPoly, numerators, reduce_terms, render_scalar, scalar_inv,
-    scalar_is_zero, window_error,
+    HContext, HPoly, check_window, mul_add, reduce_terms, render_scalar,
+    scalar_codes, scalar_inv, scalar_is_zero,
 )
 from .rational import ZERO, Rational, common_denominator
 
@@ -260,6 +260,11 @@ class XSeries:
 # weight into an accumulator [valid, types, buffer] and ``decode_scaled``
 # reduces it.  There a coefficient is an HPoly iff the coefficient or the
 # weight of one of the terms behind it was, as with ``XSeries.scale``.
+#
+# In formal mode the code of a scalar, the window rule and the dict
+# multiply-accumulate are ``hscalar``'s (``scalar_codes``, ``check_window``,
+# ``mul_add``).  ``add_product`` keeps its innermost loop inline: it runs
+# once per pair of x-coefficients of every product.
 
 
 class _NumericInts:
@@ -338,32 +343,24 @@ class _SymbolicInts:
     def encode(self, series):
         series = tuple(series)
         ctx = self.ctx
-        den = 1
-        for s in series:
-            for c in s.coeffs:
-                if isinstance(c, HPoly):
-                    if c.ctx is not ctx and c.ctx != ctx:
-                        raise ValueError("mixed hbar contexts")
-                    den = common_denominator(c.terms.values(), den)
-                else:
-                    den = common_denominator((c,), den)
+        values = [c for s in series for c in s.coeffs]
+        for c in values:
+            if isinstance(c, HPoly) and c.ctx is not ctx and c.ctx != ctx:
+                raise ValueError("mixed hbar contexts")
+        den, scodes = scalar_codes(values)
+        scodes = iter(scodes)
         codes = []
         for s in series:
             first = s.valid + 1
             entries = []
             flags = []
-            for i, c in enumerate(s.coeffs):
-                if isinstance(c, HPoly):
-                    first = min(first, i)
-                    flags.append(True)
-                    t = c.terms
-                    if t:
-                        entries.append((i, numerators(t, den), (min(t), max(t))))
-                else:
-                    flags.append(False)
-                    if c:
-                        entries.append(
-                            (i, {0: c.numerator * (den // c.denominator)}, None))
+            for i in range(len(s.coeffs)):
+                nums, span, is_hpoly = next(scodes)
+                flags.append(is_hpoly)
+                if is_hpoly and i < first:
+                    first = i
+                if nums:
+                    entries.append((i, nums, span))
             codes.append((s.valid, first, entries, flags))
         return den, codes
 
@@ -380,11 +377,9 @@ class _SymbolicInts:
                 j = i + k
                 if j > reach:
                     break
-                if sa is not None and sb is not None:
-                    if sa[0] + sb[0] < lo:
-                        raise window_error(self.ctx, sa[0] + sb[0])
-                    if sa[1] + sb[1] > hi:
-                        raise window_error(self.ctx, sa[1] + sb[1])
+                if sa is not None and sb is not None and (
+                        sa[0] + sb[0] < lo or sa[1] + sb[1] > hi):
+                    check_window(self.ctx, sa[0] + sb[0], sa[1] + sb[1])
                 if j > v:
                     continue
                 nums = buf[j]
@@ -408,30 +403,11 @@ class _SymbolicInts:
                 coeffs.append(Rational(n, den) if n else ZERO)
         return XSeries(ctx, self.cap, coeffs, valid=v)
 
-    @staticmethod
-    def encode_scalars(values):
-        """Codes (numerators, exponent span or None, is an HPoly)."""
-        values = tuple(values)
-        den = 1
-        for v in values:
-            den = common_denominator(
-                v.terms.values() if isinstance(v, HPoly) else (v,), den)
-        codes = []
-        for v in values:
-            if isinstance(v, HPoly):
-                t = v.terms
-                codes.append((numerators(t, den), (min(t), max(t)) if t else None,
-                              True))
-            else:
-                codes.append(({0: v.numerator * (den // v.denominator)} if v else {},
-                              None, False))
-        return den, codes
+    encode_scalars = staticmethod(scalar_codes)
 
     def check_scaled(self, series, scalars):
         """Raise the ``HbarWindowError`` that ``series.scale(s)`` for each
-        of ``scalars`` in turn would raise: an HPoly * HPoly product checks
-        its extreme exponents, the lowest first."""
-        lo, hi = self.ctx.lo, self.ctx.hi
+        of ``scalars`` in turn would raise (``hscalar.check_window``)."""
         spans = [(min(c.terms), max(c.terms)) for c in series.coeffs
                  if isinstance(c, HPoly) and c.terms]
         for s in scalars:
@@ -439,10 +415,7 @@ class _SymbolicInts:
                 continue
             s_lo, s_hi = min(s.terms), max(s.terms)
             for c_lo, c_hi in spans:
-                if c_lo + s_lo < lo:
-                    raise window_error(self.ctx, c_lo + s_lo)
-                if c_hi + s_hi > hi:
-                    raise window_error(self.ctx, c_hi + s_hi)
+                check_window(self.ctx, c_lo + s_lo, c_hi + s_hi)
 
     def add_scaled(self, out, key, a, s):
         acc = _scaled_accumulator(out, key, a, _dict_buffer)
@@ -455,11 +428,7 @@ class _SymbolicInts:
         for i, ta, _ in a[2]:
             if i > v:
                 break
-            b = buf[i]
-            for e1, x in ta.items():
-                for e2, y in nums.items():
-                    e = e1 + e2
-                    b[e] = b.get(e, 0) + x * y
+            mul_add(buf[i], ta, nums)
         if v == self.cap and not any(n for b in buf for n in b.values()):
             # The term-by-term sum drops a monomial whose coefficient
             # cancels to a zero of full valid order, and the next term

@@ -304,6 +304,19 @@ def test_mixed_contexts_and_caps_raise():
             fn(p, q)
 
 
+def test_a_coefficient_of_another_context_raises():
+    """A series of one context that holds an HPoly of another is refused
+    by the product kernel, also where no HPoly * HPoly pair would meet."""
+    stray = XSeries(WIDE, 2, [h(HContext.symbolic(-3, 3), 1), Rational(1)])
+    t1 = ((1,), ())
+    for b in (XSeries(WIDE, 2, [Rational(1), Rational(2)]),
+              XSeries(WIDE, 2, [h(WIDE, 1)])):
+        with pytest.raises(ValueError, match="mixed hbar contexts"):
+            stray * b
+        with pytest.raises(ValueError, match="mixed hbar contexts"):
+            TPoly(WIDE, 2, terms={t1: stray}) * TPoly(WIDE, 2, terms={t1: b})
+
+
 def test_results_are_canonical_rationals():
     a = XSeries(NUMERIC, 2, [Rational(1, 6), Rational(1, 4), Rational(1, 10)])
     b = XSeries(NUMERIC, 2, [Rational(3, 2), Rational(-2, 3), Rational(5, 7)])

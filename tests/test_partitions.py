@@ -11,7 +11,6 @@ from hbarkp.partitions import (
     dominance,
     dominates,
     partitions_of,
-    stats,
 )
 
 
@@ -64,13 +63,13 @@ def test_reverse_lex_order_definition():
 
 
 def test_stats_examples():
-    s = stats(Partition((2, 1)))
+    s = Partition((2, 1))
     assert (s.sigma, s.rho, s.zee, s.ell) == (1, 2, 2, 2)
-    s = stats(Partition((1, 1)))
+    s = Partition((1, 1))
     assert (s.sigma, s.rho, s.zee, s.ell) == (2, 1, 2, 2)
-    s = stats(Partition(()))
+    s = Partition(())
     assert (s.sigma, s.rho, s.zee, s.ell, s.weight) == (1, 1, 1, 0, 0)
-    s = stats(Partition((3, 3, 2, 1, 1, 1)))
+    s = Partition((3, 3, 2, 1, 1, 1))
     assert s.sigma == 2 * 1 * 6
     assert s.rho == 3 * 3 * 2
     assert s.weight == 11

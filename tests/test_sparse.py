@@ -114,7 +114,7 @@ def test_diff_poly_render_with_hbar_coefficients():
         (): Rational(-1, 2),
     })
     assert poly.render() == (
-        "-1/2 + (5/2*hbar^-2)*d(f1)^2 + (-1 + hbar)*d^3(f1)*f2")
+        "-1/2 + 5/2*hbar^-2*d(f1)^2 + (-1 + hbar)*d^3(f1)*f2")
 
 
 def test_tpoly_render():
@@ -126,7 +126,7 @@ def test_tpoly_render():
         ((), ()): HPoly(ctx, {0: -1}),
     })
     assert poly.render() == (
-        "-1 + (3*hbar^-1)*zeta1 + (1 - 1/2*hbar)*t1*zeta2^2 + -7/3*t2^2")
+        "-1 + 3*hbar^-1*zeta1 + (1 - 1/2*hbar)*t1*zeta2^2 + -7/3*t2^2")
     num = HContext.numeric(Rational(1, 2))
     series = TPoly(num, 3, 0, 0, {
         ((1,), ()): XSeries(num, 2, [Rational(1, 2), Rational(-1), Rational(0)]),

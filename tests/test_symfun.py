@@ -59,7 +59,7 @@ def test_h_generating_series():
     gen = arg.exp()
     for k in range(6):
         got = gen.zeta_coefficient(0, k)
-        want = elementary_h(k, CTX, 5, Z, 1)
+        want = elementary_h(k, CTX, 5).with_slots(1, Z)
         assert got == want
 
 
