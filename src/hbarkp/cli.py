@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from random import Random
 
 from . import dataio, fbuild, kpconst, symfun, taubuild, verify
@@ -32,6 +33,10 @@ from .tpoly import TPoly
 
 # Largest weight ``transition`` accepts; its cost grows about x2 per weight.
 TRANSITION_MAX_WEIGHT = 14
+# Most points ``verify detm`` accepts: at W = 3, 6 points take about 28 s
+# and 7 points over 100 s, and 6 is the largest m at which
+# ``_least_z_order`` was measured.
+DETM_MAX_POINTS = 6
 
 
 class CommandError(Exception):
@@ -251,6 +256,9 @@ def cmd_verify(args) -> int:
         _emit(args, {"checks": results, "pass": ok})
         return 0 if ok else 1
 
+    if args.check == "detm" and args.points > DETM_MAX_POINTS:
+        raise CommandError(f"verify detm needs --points <= {DETM_MAX_POINTS}; "
+                           f"got {args.points}")
     z_cap = args.z_order
     least = _least_z_order(args.check, args.points)
     if z_cap < least:
@@ -344,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one identity check")
     p.add_argument("check", choices=["fay", "hirota3", "detm", "kp2", "appendix"])
     p.add_argument("--input", help="emitted c_lambda / f_lambda table")
-    p.add_argument("--points", type=int, default=3, help="m for detm")
+    p.add_argument("--points", type=int, default=3,
+                   help=f"m for detm, at most {DETM_MAX_POINTS}")
     p.add_argument("--weight", type=int, help="verify at a smaller weight cap")
     p.add_argument("--x-order", type=int, help="verify at a smaller x order")
     p.add_argument("--z-order", type=int, default=4)
@@ -356,9 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process, on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "fseries" and args.mode == "concrete" and not args.input:
         print("error: concrete fseries needs --input", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ arithmetic (sum, product, scaling, equality, rendering) is
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from .hscalar import HContext, HPoly, check_window
 from .linalg import det
@@ -156,48 +156,81 @@ def _check_apply_window(op: DiffOperator, poly: TPoly) -> None:
                     check_window(ctx, min(v.terms) + c_lo, max(v.terms) + c_hi)
 
 
-def miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
+@cache
+def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int, nslots: int):
+    """The monomial ``key`` under t_k -> t_k + sign * (hbar/k) zeta_slot^k,
+    truncated at the slot's z cap, as (rows, top): a row (key, num, den, j)
+    is the monomial with factor num/den hbar^j, and ``top`` is the largest j.
+
+    The rows come in the order of the expansion: t-positions in turn, each
+    power of a t_k taken as its terms j = 0..a."""
+    texp, zexp = key
+    base_z = zexp[slot] if slot < len(zexp) else 0
+    # expansion state: (remaining exponents, z-degree added, num, den, j)
+    states = [(texp, 0, 1, 1, 0)]
+    for pos, a in enumerate(texp):
+        if a == 0:
+            continue
+        k = pos + 1
+        new_states = []
+        for exps, zd, num, den, j0 in states:
+            for j in range(0, a + 1):
+                zd2 = zd + k * j
+                if base_z + zd2 > z_cap:
+                    break
+                if j == 0:
+                    new_states.append((exps, zd, num, den, j0))
+                    continue
+                e2 = list(exps)
+                e2[pos] = a - j
+                new_states.append((tuple(e2), zd2, num * comb(a, j) * sign ** j,
+                                   den * k ** j, j0 + j))
+        states = new_states
+    rows = []
+    for exps, zd, num, den, j in states:
+        nz = list(zexp) + [0] * (nslots - len(zexp))
+        nz[slot] += zd
+        g = gcd(num, den)
+        rows.append(((_trim(exps), _trim(nz)), num // g, den // g, j))
+    return tuple(rows), max(j for *_, j in rows)
+
+
+def _check_rows(ctx: HContext, top: int) -> None:
+    """Raise the ``HbarWindowError`` of forming a monomial's Miwa factors.
+    They are built one hbar power at a time, so the first one out of the
+    window is hbar^(hi + 1)."""
+    if not ctx.is_numeric and top > ctx.hi:
+        check_window(ctx, ctx.lo, ctx.hi + 1)
+
+
+def miwa_shift(poly, slot: int, sign: int = 1):
     """Substitute t_k -> t_k + sign * (hbar/k) zeta_slot^k, truncated at the
     slot's z-degree cap.  Composing shifts in different slots commutes.
 
     The shift moves k units of t-weight into z-degree, so it preserves the
-    total degree and the result keeps the input's total-degree cap."""
+    total degree and the result keeps the input's total-degree cap.
+    ``poly`` is a TPoly, or a resident polynomial of the residual checks
+    (``tpoly.resident``), which stays on integer codes."""
     if not (0 <= slot < poly.nslots):
         raise ValueError("slot out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     ctx = poly.ctx
-    Z = poly.z_cap
+    Z, nslots = poly.z_cap, poly.nslots
+
+    def expand(key):
+        return _miwa_rows(key, slot, sign, Z, nslots)
+
+    if not isinstance(poly, TPoly):
+        return poly.substitute(expand, lambda top: _check_rows(ctx, top))
     out: dict = {}
-    for (texp, zexp), coeff in poly.terms.items():
-        base_z = zexp[slot] if slot < len(zexp) else 0
-        # expansion state: (remaining exponents as list, z-degree added, factor)
-        states = [(list(texp), 0, None)]  # factor None means 1
-        for pos, a in enumerate(texp):
-            if a == 0:
-                continue
-            k = pos + 1
-            new_states = []
-            for exps, zd, fac in states:
-                for j in range(0, a + 1):
-                    zd2 = zd + k * j
-                    if base_z + zd2 > Z:
-                        break
-                    if j == 0:
-                        new_states.append((exps, zd, fac))
-                        continue
-                    f = Rational(comb(a, j) * sign ** j, k ** j) * ctx.hbar_pow(j)
-                    e2 = list(exps)
-                    e2[pos] = a - j
-                    new_states.append((e2, zd2, f if fac is None else fac * f))
-            states = new_states
-        for exps, zd, fac in states:
-            nz = list(zexp) + [0] * (poly.nslots - len(zexp))
-            nz[slot] += zd
-            key = (_trim(exps), _trim(nz))
-            c = coeff if fac is None else coeff * fac
-            out[key] = out[key] + c if key in out else c
-    return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out,
+    for key, coeff in poly.terms.items():
+        rows, top = expand(key)
+        _check_rows(ctx, top)
+        for new_key, num, den, j in rows:
+            c = coeff if j == 0 else coeff * (Rational(num, den) * ctx.hbar_pow(j))
+            out[new_key] = out[new_key] + c if new_key in out else c
+    return TPoly(ctx, poly.weight_cap, Z, nslots, out,
                  degree_cap=poly.degree_cap)
 
 

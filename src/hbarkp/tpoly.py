@@ -26,11 +26,16 @@ operand once as integer numerators over the lcm of its denominators and
 accumulates each output monomial's numerators in one integer buffer
 (``xseries.int_kernel``); each coefficient is reduced to canonical
 rationals once, at the end.
+
+The residual checks go one step further: ``resident`` encodes a polynomial
+once, and its private ``_Resident`` form keeps every result on integer
+codes until ``decode``.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from functools import cache
+from math import factorial, lcm
 from operator import itemgetter, neg
 
 from .errors import HbarkpError
@@ -525,3 +530,372 @@ class TPoly:
 
     def __repr__(self):
         return f"TPoly({self.render()})"
+
+
+# ---------------------------------------------------------------------------
+# resident polynomials: the residual checks on integer codes
+#
+# A ``_Resident`` is a TPoly whose coefficients stay integer codes
+# (``xseries.int_kernel``) over one denominator for the whole polynomial,
+# so a chain of sums, scalings, products and Miwa shifts reduces nothing
+# until ``decode``.  Each operation mirrors the TPoly operation it stands
+# for step by step, in the same order of monomials, pairs and x-powers: the
+# decoded result has the same values, valid orders, coefficient types and
+# kept monomials, and the first ``HbarWindowError`` is the same one.
+# The coefficients are x-series of one cap; a polynomial with scalar
+# coefficients is held as x-series of cap 0 and decodes to scalars again.
+
+
+def resident(poly: TPoly) -> "_Resident":
+    """``poly`` on integer codes over one denominator.
+
+    Its coefficients must be x-series of one context and cap, or scalars;
+    scalars among x-series are taken as constant series."""
+    values = list(poly.terms.values())
+    series = [c for c in values if isinstance(c, XSeries)]
+    scalar = not series
+    cap = 0 if scalar else series[0].cap
+    ctx = poly.ctx
+    for c in series:
+        if c.cap != cap or c.ctx != ctx:
+            raise ValueError("mixed hbar contexts or x caps")
+    values = [c if isinstance(c, XSeries) else XSeries.constant(ctx, cap, c)
+              for c in values]
+    kernel = int_kernel(ctx, cap)
+    den, codes = kernel.codes(values)
+    return _Resident(poly, kernel, scalar, den, dict(zip(poly.terms, codes)))
+
+
+class _Packing:
+    """Monomial keys of one shape as ints, so that adding two ints adds
+    their exponents: t_1..t_W, then the slots, each a field of ``width``
+    bits.  The top bit of a slot field is a guard: with ``offset`` added, a
+    sum of two in-cap keys sets a guard bit iff a slot exceeds the z cap.
+    A sum within the weight cap never carries out of a t field."""
+
+    def __init__(self, W: int, Z: int, nslots: int):
+        f = self.width = max(W, Z, 1).bit_length() + 1
+        self.W = W
+        base = f * W
+        self.guard = sum(1 << (base + f * s + f - 1) for s in range(nslots))
+        self.offset = sum(((1 << (f - 1)) - 1 - Z) << (base + f * s)
+                          for s in range(nslots))
+        self.rows: dict = {}   # key -> (int, weight, total degree)
+        self.keys: dict = {}   # int -> key
+
+    def row(self, key):
+        row = self.rows.get(key)
+        if row is None:
+            texp, zexp = key
+            f, p = self.width, 0
+            for i, a in enumerate(texp):
+                p |= a << (f * i)
+            for s, d in enumerate(zexp):
+                p |= d << (f * (self.W + s))
+            w = weight_of(texp)
+            row = self.rows[key] = (p, w, w + sum(zexp))
+            self.keys[p] = key
+        return row
+
+    def key(self, p: int):
+        key = self.keys.get(p)
+        if key is None:
+            f, W = self.width, self.W
+            mask = (1 << f) - 1
+            n = (p.bit_length() + f - 1) // f
+            fields = [(p >> (f * i)) & mask for i in range(max(n, W))]
+            key = (_trim(fields[:W]), _trim(fields[W:]))
+            self.row(key)
+        return key
+
+    def items(self, terms: dict, by_degree: bool) -> list:
+        """(sort degree, weight, int, coeff) rows as ``_graded_items``."""
+        row = self.row
+        items = []
+        for key, c in terms.items():
+            p, w, d = row(key)
+            items.append((d if by_degree else w, w, p, c))
+        items.sort(key=itemgetter(0))
+        return items
+
+    def pairs(self, items1, items2, W: int, limit: int):
+        """(int key, c1, c2) for the pairs that ``TPoly.__mul__``
+        multiplies, in its order."""
+        offset, guard = self.offset, self.guard
+        for s1, w1, p1, c1 in items1:
+            budget = limit - s1
+            w_budget = W - w1
+            for s2, w2, p2, c2 in items2:
+                if s2 > budget:
+                    break
+                if w2 > w_budget:
+                    continue
+                p = p1 + p2
+                if (p + offset) & guard:
+                    continue
+                yield p, c1, c2
+
+
+@cache
+def _packing(W: int, Z: int, nslots: int) -> _Packing:
+    return _Packing(W, Z, nslots)
+
+
+class _Resident:
+    """A TPoly on integer codes; see the block comment above."""
+
+    __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap",
+                 "kernel", "scalar", "den", "terms")
+
+    def __init__(self, shape, kernel, scalar: bool, den: int, terms: dict):
+        self.ctx = shape.ctx
+        self.weight_cap = shape.weight_cap
+        self.z_cap = shape.z_cap
+        self.nslots = shape.nslots
+        self.degree_cap = shape.degree_cap
+        self.kernel = kernel
+        self.scalar = scalar
+        self.den = den
+        self.terms = terms
+
+    def _like(self, terms: dict, den: int) -> "_Resident":
+        return _Resident(self, self.kernel, self.scalar, den, terms)
+
+    def _clean(self, terms: dict, den: int) -> "_Resident":
+        """The polynomial of ``terms`` over ``den`` without the codes TPoly
+        drops (zero series of full valid order, or zero scalars), and with
+        the common factor of the numerators and ``den`` divided out."""
+        kernel = self.kernel
+        cap, is_zero = kernel.cap, kernel.is_zero
+        terms = {k: c for k, c in terms.items() if c[0] != cap or not is_zero(c)}
+        g = kernel.content(terms.values(), den)
+        if g > 1:
+            divide = kernel.divide
+            terms = {k: divide(c, g) for k, c in terms.items()}
+            den //= g
+        return self._like(terms, den)
+
+    def _same_shape(self, other):
+        TPoly._same_shape(self, other)
+
+    def _joined(self, other: "_Resident"):
+        """The pair on one kernel: an empty polynomial, which cannot tell
+        scalars from x-series, takes the other's.  Else they must agree."""
+        self._same_shape(other)
+        if (self.scalar, self.kernel.cap) == (other.scalar, other.kernel.cap):
+            return self, other
+        if not self.terms:
+            return other._like({}, self.den), other
+        if not other.terms:
+            return self, self._like({}, other.den)
+        raise ValueError("mixed x caps, or scalar and x-series coefficients")
+
+    def _packing(self) -> _Packing:
+        return _packing(self.weight_cap, self.z_cap, self.nslots)
+
+    def _limit(self) -> int:
+        """The bound on the sort degree of a product's pairs."""
+        return self.weight_cap if self.degree_cap is None else self.degree_cap
+
+    def _scalar_code(self, s):
+        """(den, code) of one scalar."""
+        den, (code,) = self.kernel.encode_scalars((s,))
+        return den, code
+
+    def _constant_like(self, value) -> "_Resident":
+        den, s = self._scalar_code(value)
+        return self._like({((), ()): self.kernel.constant(s)}, den)
+
+    def decode(self) -> TPoly:
+        """The TPoly this stands for, each coefficient reduced once."""
+        series = self.kernel.series
+        terms = {k: series(self.den, c) for k, c in self.terms.items()}
+        if self.scalar:
+            terms = {k: c.coeffs[0] for k, c in terms.items()}
+        return TPoly(self.ctx, self.weight_cap, self.z_cap, self.nslots, terms,
+                     _clean=True, degree_cap=self.degree_cap)
+
+    # -- sums ---------------------------------------------------------------
+
+    def __add__(self, other):
+        """A scalar is added as a constant series, which sums with a series
+        as the scalar does; TPoly would store a scalar on a monomial that
+        has no coefficient yet."""
+        if isinstance(other, _SCALARS):
+            if other == 0:
+                return self
+            other = self._constant_like(other)
+        elif not isinstance(other, _Resident):
+            return NotImplemented
+        self, other = self._joined(other)
+        kernel = self.kernel
+        add, rescale, is_zero = kernel.add, kernel.rescale, kernel.is_zero
+        cap = kernel.cap
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = (dict(self.terms) if fa == 1 else
+               {k: rescale(c, fa) for k, c in self.terms.items()})
+        for key, c in other.terms.items():
+            if fb != 1:
+                c = rescale(c, fb)
+            if key in out:
+                s = add(out[key], c)
+                if s[0] == cap and is_zero(s):
+                    del out[key]
+                else:
+                    out[key] = s
+            else:
+                out[key] = c
+        return self._like(out, den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        rescale = self.kernel.rescale
+        return self._like({k: rescale(c, -1) for k, c in self.terms.items()},
+                          self.den)
+
+    def __sub__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.__add__(-Rational(other))
+        return self.__add__(-other)
+
+    # -- products -----------------------------------------------------------
+
+    def __mul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        if isinstance(other, TPoly):
+            return self._times_scalars(other, left=False)
+        if not isinstance(other, _Resident):
+            return NotImplemented
+        self, other = self._joined(other)
+        kernel = self.kernel
+        ops1, ops2 = kernel.operands(self.terms.values(), other.terms.values())
+        pack = self._packing()
+        by_degree = self.degree_cap is not None
+        items1 = pack.items(dict(zip(self.terms, ops1)), by_degree)
+        items2 = pack.items(dict(zip(other.terms, ops2)), by_degree)
+        out: dict = {}
+        accumulate = kernel.accumulate
+        for p, a, b in pack.pairs(items1, items2, self.weight_cap,
+                                  self._limit()):
+            accumulate(out, p, a, b)
+        finish, key = kernel.finish, pack.key
+        return self._clean({key(p): finish(acc) for p, acc in out.items()},
+                           self.den * other.den)
+
+    def __rmul__(self, other):
+        if isinstance(other, TPoly):
+            return self._times_scalars(other, left=True)
+        return self.__mul__(other)
+
+    def _times_scalars(self, poly: TPoly, left: bool) -> "_Resident":
+        """The product with a TPoly of scalar coefficients, ``poly`` on the
+        left if ``left``: each pair scales a series (``XSeries.scale``)."""
+        self._same_shape(poly)
+        if any(isinstance(c, XSeries) for c in poly.terms.values()):
+            raise TypeError("a resident polynomial multiplies only "
+                            "scalar-coefficient polynomials")
+        kernel = self.kernel
+        den, scodes = kernel.encode_scalars(poly.terms.values())
+        theirs = dict(zip(poly.terms, scodes))
+        pack = self._packing()
+        by_degree = self.degree_cap is not None
+        items1 = pack.items(theirs if left else self.terms, by_degree)
+        items2 = pack.items(self.terms if left else theirs, by_degree)
+        scale, add = kernel.scale, kernel.add
+        out: dict = {}
+        for p, c1, c2 in pack.pairs(items1, items2, self.weight_cap,
+                                    self._limit()):
+            c = scale(c2, c1) if left else scale(c1, c2)
+            out[p] = add(out[p], c) if p in out else c
+        key = pack.key
+        return self._clean({key(p): c for p, c in out.items()}, self.den * den)
+
+    def scale(self, s) -> "_Resident":
+        """``TPoly.scale`` by a scalar."""
+        if scalar_is_zero(s):
+            return self._like({}, self.den)
+        den, code = self._scalar_code(s)
+        scale = self.kernel.scale
+        return self._like({k: scale(c, code) for k, c in self.terms.items()},
+                          self.den * den)
+
+    # -- calculus and substitutions ------------------------------------------
+
+    def diff_t(self, k: int) -> "_Resident":
+        """Partial derivative with respect to t_k."""
+        rescale = self.kernel.rescale
+        out = {}
+        i = k - 1
+        for (texp, zexp), c in self.terms.items():
+            if i >= len(texp) or texp[i] == 0:
+                continue
+            a = texp[i]
+            nt = list(texp)
+            nt[i] = a - 1
+            out[(_trim(nt), zexp)] = rescale(c, a)
+        return self._like(out, self.den)
+
+    def diff_x(self) -> "_Resident":
+        """The x-derivative of every coefficient (``XSeries.diff``)."""
+        if self.scalar and self.terms:
+            raise TypeError("scalar coefficients have no x-derivative")
+        diff = self.kernel.diff
+        return self._like({k: diff(c) for k, c in self.terms.items()}, self.den)
+
+    def substitute(self, expand, check) -> "_Resident":
+        """Each monomial replaced by a sum of monomials: ``expand(key)`` is
+        (rows, top), a row (key, num, den, j) standing for num/den hbar^j
+        (no factor at all when j is 0), and ``check(top)`` raises before
+        the monomial's rows are formed.  Rows on one key are summed in
+        order; zero series of full valid order are dropped at the end."""
+        kernel = self.kernel
+        ctx = self.ctx
+        rows = [(c, expand(key)) for key, c in self.terms.items()]
+        # numeric hbar: num/den hbar^j is a rational p/q
+        if ctx.is_numeric:
+            vn, vd = ctx.value.numerator, ctx.value.denominator
+            rows = [(c, ([(k, n * vn ** j, d * vd ** j, j) for k, n, d, j in outs],
+                         top)) for c, (outs, top) in rows]
+        L = 1
+        for _, (outs, _) in rows:
+            for _, _, d, _ in outs:
+                if L % d:
+                    L = lcm(L, d)
+        numeric = ctx.is_numeric
+        scale, rescale, add = kernel.scale, kernel.rescale, kernel.add
+        out: dict = {}
+        for c, (outs, top) in rows:
+            check(top)
+            for key, n, d, j in outs:
+                m = n * (L // d)
+                if j and not numeric:
+                    p = scale(c, ({j: m}, (j, j), True))
+                else:
+                    p = rescale(c, m)
+                out[key] = add(out[key], p) if key in out else p
+        return self._clean(out, self.den * L)
+
+    # -- exp ----------------------------------------------------------------
+
+    def exp(self) -> "_Resident":
+        """``TPoly.exp``.  Its constant 1 is held as a constant series, which
+        sums as the scalar 1 does."""
+        c0 = self.terms.get(((), ()))
+        if c0 is not None and not self.kernel.is_zero(c0):
+            raise ValueError("exp needs zero constant monomial")
+        acc = self._constant_like(Rational(1))
+        # 1 * self: a product with the scalar 1 keeps every coefficient and
+        # orders the monomials as the product loop visits them
+        term = self._like(
+            {(t, z): c for _, _, t, z, c in
+             _graded_items(self.terms, self.degree_cap is not None)}, self.den)
+        for n in range(1, TPoly._degree_bound(self) + 2):
+            if n > 1:
+                term = (term * self).scale(Rational(1, n))
+            if not term.terms:
+                break
+            acc = acc + term
+        return acc

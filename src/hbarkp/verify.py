@@ -34,6 +34,18 @@ the per-slot z cap still apply as before.  Each check multiplies its zeta
 prefactors into the lower-degree factor before the tau x tau (or F)
 product, so the cap prunes early.  A private ``_*_residual`` function per
 check takes the cap (``None`` for none); the public check passes ``trust``.
+
+Integer codes.  ``_embed`` encodes the input once (``tpoly.resident``):
+every coefficient becomes integer numerators over one denominator for the
+polynomial.  From there the Miwa shifts, d_1, the hbar and rational
+scalings, the sums, the products with the zeta prefactors, the tau x tau
+(or F) products and the determinant's ring products all act on those
+integers, and the residual is reduced to canonical rationals once, into
+the ``TPoly`` that ``Residual.poly`` holds.  Each of those operations
+mirrors the ``TPoly`` operation it stands for, so the residual, its valid
+orders and coefficient types, and any ``HbarWindowError`` are the ones the
+same steps on ``TPoly`` values give; the trusted-region argument above is
+unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +57,7 @@ from .hscalar import render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
-from .tpoly import TPoly, _coeff_is_zero
+from .tpoly import TPoly, _coeff_is_zero, resident
 from .xseries import XSeries
 
 
@@ -58,6 +70,9 @@ class Residual:
     passed: bool
     worst: str | None
     poly: object | None = None
+    # monomials of the trusted region scanned, and how many are nonzero
+    checked: int = 0
+    nonzero: int = 0
 
     def __bool__(self):
         return self.passed
@@ -72,21 +87,21 @@ def _render_coeff(c) -> str:
 def _poly_residual(identity: str, poly: TPoly) -> Residual:
     """The verdict on a residual built under the cap ``trust``: it holds
     only monomials of the trusted region, and all of them must vanish."""
+    nonzero = [key for key in sorted(poly.terms)
+               if not _coeff_is_zero(poly.terms[key])]
     worst = None
-    for key in sorted(poly.terms):
-        c = poly.terms[key]
-        if not _coeff_is_zero(c):
-            texp, zexp = key
-            worst = (f"t-exps {texp}, zeta-exps {zexp}: "
-                     f"coefficient {_render_coeff(c)}")
-            break
+    if nonzero:
+        texp, zexp = key = nonzero[0]
+        worst = (f"t-exps {texp}, zeta-exps {zexp}: "
+                 f"coefficient {_render_coeff(poly.terms[key])}")
     caps = {
         "weight": poly.weight_cap,
         "z": poly.z_cap,
         "slots": poly.nslots,
         "trust": poly.degree_cap,
     }
-    return Residual(identity, caps, worst is None, worst, poly)
+    return Residual(identity, caps, worst is None, worst, poly,
+                    len(poly.terms), len(nonzero))
 
 
 def _check_unit_constant(tau: TPoly):
@@ -98,15 +113,16 @@ def _check_unit_constant(tau: TPoly):
         raise ValueError("tau is not invertible: zero constant coefficient")
 
 
-def _embed(poly: TPoly, nslots: int, z_cap: int, cap: int | None) -> TPoly:
-    """The input in ``nslots`` slots under the total-degree cap ``cap``.
+def _embed(poly: TPoly, nslots: int, z_cap: int, cap: int | None):
+    """The input in ``nslots`` slots under the total-degree cap ``cap``,
+    encoded once as a resident polynomial (``tpoly.resident``).
 
     An input that already carries zeta-monomials is refused: capping the
     inputs of d_1 at ``cap`` is exact only when they have no monomial above
     the weight cap in total degree."""
     if any(zexp for _, zexp in poly.terms):
         raise ValueError("the input to a check must not carry zeta-monomials")
-    return poly.with_slots(nslots, z_cap, cap)
+    return resident(poly.with_slots(nslots, z_cap, cap))
 
 
 def _zetas(T: TPoly) -> list:
@@ -125,7 +141,7 @@ def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
     left = (pre * t1.diff_t(1)) * t2 - (pre * t2.diff_t(1)) * t1
     dz = z1 - z2
     right = (dz * t12) * T - (dz * t1) * t2
-    return left - right
+    return (left - right).decode()
 
 
 def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
@@ -147,7 +163,7 @@ def _hirota3_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
         pair = miwa_shift(sh[a], b)
         term = ((zs[b] - zs[a]) * zs[c] * pair) * sh[c]
         total = term if total is None else total + term
-    return total
+    return total.decode()
 
 
 def check_hirota3(tau: TPoly, z_cap: int = 4) -> Residual:
@@ -193,7 +209,7 @@ def _det_m_residual(tau: TPoly, m: int, z_cap: int, cap: int | None) -> TPoly:
                 entry = term if entry is None else entry + term
             row.append(entry)
         rows.append(row)
-    return left - det(rows)
+    return (left - det(rows)).decode()
 
 
 def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
@@ -209,7 +225,7 @@ def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
                           _det_m_residual(tau, m, z_cap, trust))
 
 
-def _shift_f(F: TPoly, slots) -> TPoly:
+def _shift_f(F, slots):
     out = F
     for s in slots:
         out = miwa_shift(out, s)
@@ -226,11 +242,11 @@ def _kp2_residual(F: TPoly, z_cap: int, x_form: bool,
     big_g = (f12 - f1 - f2 + G2).scale(ctx.hbar_pow(-2))
     z1, z2 = _zetas(G2)
     if x_form:
-        d_f = G2.map_coeffs(lambda s: s.diff())
+        d_f = G2.diff_x()
     else:
         d_f = G2.diff_t(1)
     jump = (_shift_f(d_f, (0,)) - _shift_f(d_f, (1,))).scale(ctx.hbar_pow(-1))
-    return (z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump
+    return ((z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump).decode()
 
 
 def check_kp2(F: TPoly, z_cap: int = 4, x_form: bool = False) -> Residual:
@@ -294,9 +310,11 @@ def zdet_identity(rows, zs) -> Residual:
 
 def _wrap_matrix_residual(identity: str, resid, size: int) -> Residual:
     if isinstance(resid, TPoly):
-        passed = resid.is_zero()
-        worst = None if passed else resid.render()
+        checked = len(resid.terms)
+        nonzero = sum(not _coeff_is_zero(c) for c in resid.terms.values())
+        worst = None if not nonzero else resid.render()
     else:
-        passed = scalar_is_zero(resid)
-        worst = None if passed else str(resid)
-    return Residual(identity, {"size": size}, passed, worst, resid)
+        checked, nonzero = 1, int(not scalar_is_zero(resid))
+        worst = None if not nonzero else str(resid)
+    return Residual(identity, {"size": size}, not nonzero, worst, resid,
+                    checked, nonzero)

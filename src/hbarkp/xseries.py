@@ -18,9 +18,15 @@ the operand's denominators.  The numerators are convolved as plain ints and
 each output coefficient is reduced once, so the results are the same
 canonical rationals that term-by-term rational arithmetic gives.
 ``TPoly`` products feed the same kernel with one denominator per operand.
+The residual checks keep whole polynomials on the kernel's codes
+(``tpoly.resident``); there a product of numeric codes packs each series
+into one integer (Kronecker substitution), so one integer product
+convolves two series.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .errors import HbarkpError
 from .hscalar import (
@@ -261,6 +267,18 @@ class XSeries:
 # reduces it.  There a coefficient is an HPoly iff the coefficient or the
 # weight of one of the terms behind it was, as with ``XSeries.scale``.
 #
+# The residual checks (``tpoly`` resident polynomials) keep whole
+# polynomials on integer codes from the encoded input to the final scan.
+# Their code of one series is (valid, mask, nums): ``nums`` holds the valid
+# + 1 numerators (ints, or dicts hbar exponent -> nonzero int) and bit j of
+# ``mask`` says whether coefficient j is an HPoly.  ``codes`` encodes
+# series, ``series`` decodes one, ``constant`` is the code of a constant
+# series; ``add``, ``rescale`` (times an int), ``scale`` (times the code of
+# a scalar, as ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep
+# the denominator; a product goes through ``operand``, ``add_product`` and
+# ``finish``.  Each follows the rational operation it stands for in
+# values, valid order, coefficient types and ``HbarWindowError``.
+#
 # In formal mode the code of a scalar, the window rule and the dict
 # multiply-accumulate are ``hscalar``'s (``scalar_codes``, ``check_window``,
 # ``mul_add``).  ``add_product`` keeps its innermost loop inline: it runs
@@ -326,6 +344,105 @@ class _NumericInts:
             buf[i] += x * s
 
     decode_scaled = decode
+
+    # -- resident codes (valid, mask, nums); mask is always 0 here --------
+
+    @classmethod
+    def codes(cls, series):
+        den, codes = cls.encode(series)
+        out = []
+        for v, _, entries in codes:
+            nums = [0] * (v + 1)
+            for i, x in entries:
+                nums[i] = x
+            out.append((v, 0, nums))
+        return den, out
+
+    def series(self, den, a):
+        return self.decode(den, (a[0], None, a[2]))
+
+    def constant(self, s):
+        return (self.cap, 0, [s] + [0] * self.cap)
+
+    @staticmethod
+    def operands(codes1, codes2):
+        """The codes of a product's two operands as Kronecker operands
+        (valid, K, B): K holds the numerators in fields of B bits, the
+        sign carried into the next field, so that K_a * K_b holds the
+        convolution.  B bounds every numerator of a sum of products on one
+        key: at most min(len) pairs meet there, each a sum of at most
+        valid + 1 products."""
+        def bits(codes):
+            return max((abs(x).bit_length() for c in codes for x in c[2]),
+                       default=0)
+        v = max((c[0] for c in codes1), default=0)
+        n = min(len(codes1), len(codes2))
+        B = bits(codes1) + bits(codes2) + (v + 1).bit_length() + n.bit_length() + 1
+
+        def pack(c):
+            K = 0
+            for x in reversed(c[2]):
+                K = (K << B) + x
+            return (c[0], K, B)
+        return [pack(c) for c in codes1], [pack(c) for c in codes2]
+
+    @staticmethod
+    def accumulate(out, key, a, b):
+        """Add the product of two Kronecker operands into out[key]."""
+        v = a[0] if a[0] < b[0] else b[0]
+        acc = out.get(key)
+        if acc is None:
+            out[key] = [v, a[1] * b[1], a[2]]
+        else:
+            if v < acc[0]:
+                acc[0] = v
+            acc[1] += a[1] * b[1]
+
+    @staticmethod
+    def finish(acc):
+        """The code of an accumulated sum of products: its first valid + 1
+        fields, read as signed numerators."""
+        v, K, B = acc
+        mask, half, full = (1 << B) - 1, 1 << (B - 1), 1 << B
+        nums = []
+        for _ in range(v + 1):
+            d = K & mask
+            if d >= half:
+                d -= full
+            nums.append(d)
+            K = (K - d) >> B
+        return (v, 0, nums)
+
+    @staticmethod
+    def add(a, b):
+        v = min(a[0], b[0])
+        return (v, 0, [x + y for x, y in zip(a[2][: v + 1], b[2])])
+
+    @staticmethod
+    def rescale(a, f):
+        return (a[0], 0, [x * f for x in a[2]])
+
+    scale = rescale
+
+    @staticmethod
+    def content(codes, den):
+        """The gcd of ``den`` and every numerator of ``codes``."""
+        return gcd(den, *(x for c in codes for x in c[2]))
+
+    @staticmethod
+    def divide(a, g):
+        return (a[0], 0, [x // g for x in a[2]])
+
+    @staticmethod
+    def diff(a):
+        v, _, nums = a
+        if v == 0:
+            raise OrderExhaustedError("cannot differentiate: valid order 0")
+        return (v - 1, 0, [j * nums[j] for j in range(1, v + 1)])
+
+    @staticmethod
+    def is_zero(a):
+        return not any(a[2])
 
 
 class _SymbolicInts:
@@ -438,6 +555,125 @@ class _SymbolicInts:
     def decode_scaled(self, den, acc):
         v, types, buf = acc
         return self._decode(den, v, buf, types)
+
+    # -- resident codes (valid, mask, nums) ---------------------------------
+
+    def codes(self, series):
+        den, codes = self.encode(series)
+        out = []
+        for v, _, entries, flags in codes:
+            nums = [_EMPTY] * (v + 1)
+            for i, d, _ in entries:
+                nums[i] = d
+            out.append((v, sum(1 << j for j, f in enumerate(flags) if f), nums))
+        return den, out
+
+    def series(self, den, a):
+        v, mask, nums = a
+        return self._decode(den, v, nums, [mask >> j & 1 for j in range(v + 1)])
+
+    def constant(self, s):
+        nums, _, is_hpoly = s
+        return (self.cap, int(is_hpoly), [nums] + [_EMPTY] * self.cap)
+
+    @staticmethod
+    def operand(a):
+        v, mask, nums = a
+        first = (mask & -mask).bit_length() - 1 if mask else v + 1
+        return (v, first, [(i, d, (min(d), max(d)) if mask >> i & 1 else None)
+                           for i, d in enumerate(nums) if d])
+
+    def operands(self, codes1, codes2):
+        operand = self.operand
+        return [operand(c) for c in codes1], [operand(c) for c in codes2]
+
+    def accumulate(self, out, key, a, b):
+        self.add_product(out, key, a, b)
+
+    @staticmethod
+    def finish(acc):
+        v, first, buf = acc
+        mask = ((1 << (v + 1)) - 1) >> first << first
+        return (v, mask, [{e: n for e, n in d.items() if n} if d else _EMPTY
+                          for d in buf[: v + 1]])
+
+    @staticmethod
+    def add(a, b):
+        v = min(a[0], b[0])
+        nums = []
+        for da, db in zip(a[2][: v + 1], b[2]):
+            if not db:
+                nums.append(da)
+            elif not da:
+                nums.append(db)
+            else:
+                d = dict(da)
+                for e, y in db.items():
+                    n = d.get(e, 0) + y
+                    if n:
+                        d[e] = n
+                    else:
+                        del d[e]
+                nums.append(d)
+        return (v, (a[1] | b[1]) & ((1 << (v + 1)) - 1), nums)
+
+    @staticmethod
+    def rescale(a, f):
+        return (a[0], a[1], [{e: x * f for e, x in d.items()} if d else _EMPTY
+                             for d in a[2]])
+
+    @staticmethod
+    def content(codes, den):
+        return gcd(den, *(x for c in codes for d in c[2] for x in d.values()))
+
+    @staticmethod
+    def divide(a, g):
+        return (a[0], a[1], [{e: x // g for e, x in d.items()} if d else _EMPTY
+                             for d in a[2]])
+
+    def scale(self, a, s):
+        """``XSeries.scale`` by the scalar with code ``s``: each nonzero
+        coefficient meets the scalar's window check in index order."""
+        v, mask, nums = a
+        snums, span, is_hpoly = s
+        if is_hpoly:
+            mask = (1 << (v + 1)) - 1
+        if span is not None:
+            ctx = self.ctx
+            s_lo, s_hi = span
+            for d in nums:
+                if d and (min(d) + s_lo < ctx.lo or max(d) + s_hi > ctx.hi):
+                    check_window(ctx, min(d) + s_lo, max(d) + s_hi)
+        if len(snums) == 1:
+            ((e0, y),) = snums.items()
+            if e0:
+                return (v, mask, [{e + e0: x * y for e, x in d.items()}
+                                  if d else _EMPTY for d in nums])
+            return (v, mask, [{e: x * y for e, x in d.items()} if d else _EMPTY
+                              for d in nums])
+        out = []
+        for d in nums:
+            acc: dict = {}
+            mul_add(acc, d, snums)
+            out.append({e: n for e, n in acc.items() if n})
+        return (v, mask, out)
+
+    @staticmethod
+    def diff(a):
+        v, mask, nums = a
+        if v == 0:
+            raise OrderExhaustedError("cannot differentiate: valid order 0")
+        return (v - 1, mask >> 1, [{e: j * x for e, x in nums[j].items()}
+                                   if nums[j] else _EMPTY for j in range(1, v + 1)])
+
+    @staticmethod
+    def is_zero(a):
+        return not any(a[2])
+
+
+# The shared empty numerator dict of a zero coefficient; codes never
+# mutate the dicts they hold.
+_EMPTY: dict = {}
 
 
 def _int_buffer(v):

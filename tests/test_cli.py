@@ -10,8 +10,8 @@ from random import Random
 import pytest
 
 import hbarkp
-from hbarkp import dataio, symfun
-from hbarkp.cli import _least_z_order, main
+from hbarkp import dataio, symfun, verify
+from hbarkp.cli import DETM_MAX_POINTS, _least_z_order, main
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
 from hbarkp.partitions import partitions_upto
@@ -79,6 +79,32 @@ def test_transition_refuses_weights_above_its_limit(tmp_path, monkeypatch,
     assert built == [14]
     err = capsys.readouterr().err
     assert "--weight <= 14" in err
+    assert err.count("\n") == 1
+
+
+def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
+                                                    monkeypatch, capsys):
+    """--points 6 reaches the check (a stub here: the real one takes about
+    half a minute) and --points 7 exits 2 before loading the table."""
+    table = tmp_path / "tau_table.json"
+    assert main(["tau", "--input", tau_file, "--output", str(table),
+                 "--z-order", "7"]) == 0
+    called = []
+
+    def stub(poly, m, z_cap):
+        called.append(m)
+        return check_det_m(poly, 2, 4)
+
+    monkeypatch.setattr(verify, "check_det_m", stub)
+    argv = ["verify", "detm", "--input", str(table), "--z-order", "7",
+            "--output", str(tmp_path / "detm.json")]
+    assert main(argv + ["--points", str(DETM_MAX_POINTS)]) == 0
+    assert called == [6]
+    capsys.readouterr()
+    assert main(argv + ["--points", "7"]) == 2
+    assert called == [6]
+    err = capsys.readouterr().err
+    assert "--points <= 6" in err
     assert err.count("\n") == 1
 
 

@@ -192,6 +192,20 @@ def test_detectability_boundary(num_ctx):
     assert not caught((1, 1), 2)
 
 
+def test_residual_counts_the_scanned_monomials(num_ctx):
+    """``checked`` is every monomial of the trusted region the residual
+    holds, ``nonzero`` those that do not vanish."""
+    ts = tau_series(random_tau_data(Random(5), num_ctx, 4, 4))
+    good = check_fay(ts.assemble(), 4)
+    assert good.checked == len(good.poly.terms) > 0
+    assert good.nonzero == 0
+    bad = check_fay(perturbed(ts, (1, 1), Rational(1)).assemble(), 4)
+    assert bad.checked == len(bad.poly.terms)
+    assert bad.nonzero == sum(not c.is_zero() for c in bad.poly.terms.values())
+    assert 0 < bad.nonzero <= bad.checked
+    assert jacobi_minor_identity(random_rational_matrix(Random(1), 3)).nonzero == 0
+
+
 def test_residual_reports_caps(num_ctx):
     tau = TPoly.one(num_ctx, 4)
     r = check_fay(tau, 3)
