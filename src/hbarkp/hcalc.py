@@ -196,9 +196,10 @@ def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int, nslots: int):
 
 
 def _check_rows(ctx: HContext, top: int) -> None:
-    """Raise the ``HbarWindowError`` of forming a monomial's Miwa factors.
-    They are built one hbar power at a time, so the first one out of the
-    window is hbar^(hi + 1)."""
+    """Raise the ``HbarWindowError`` of a monomial whose Miwa factors reach
+    hbar^top: the factors are products over the t_k of their hbar powers,
+    and forming them one power at a time first leaves the window at
+    hbar^(hi + 1)."""
     if not ctx.is_numeric and top > ctx.hi:
         check_window(ctx, ctx.lo, ctx.hi + 1)
 

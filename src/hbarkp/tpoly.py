@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial, lcm
-from operator import itemgetter, neg
+from operator import itemgetter, mul, neg
 
 from .errors import HbarkpError
 from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
@@ -124,6 +124,21 @@ def _encoded(kernel, terms: dict):
     """(den, terms with each XSeries replaced by its integer code)."""
     den, codes = kernel.encode(terms.values())
     return den, dict(zip(terms, codes))
+
+
+def _diff_terms(terms: dict, k: int, times) -> dict:
+    """The terms of the t_k-derivative; ``times(c, a)`` is the coefficient
+    ``c`` times the exponent ``a`` of t_k."""
+    out = {}
+    i = k - 1
+    for (texp, zexp), c in terms.items():
+        if i >= len(texp) or texp[i] == 0:
+            continue
+        a = texp[i]
+        nt = list(texp)
+        nt[i] = a - 1
+        out[(_trim(nt), zexp)] = times(c, a)
+    return out
 
 
 def _graded_items(terms: dict, by_degree: bool) -> list:
@@ -426,16 +441,7 @@ class TPoly:
 
     def diff_t(self, k: int) -> "TPoly":
         """Partial derivative with respect to t_k."""
-        out = {}
-        i = k - 1
-        for (texp, zexp), c in self.terms.items():
-            if i >= len(texp) or texp[i] == 0:
-                continue
-            a = texp[i]
-            nt = list(texp)
-            nt[i] = a - 1
-            out[(_trim(nt), zexp)] = a * c
-        return self._like(out, _clean=True)
+        return self._like(_diff_terms(self.terms, k, mul), _clean=True)
 
     def diff_parts(self, parts) -> "TPoly":
         out = self
@@ -826,17 +832,8 @@ class _Resident:
 
     def diff_t(self, k: int) -> "_Resident":
         """Partial derivative with respect to t_k."""
-        rescale = self.kernel.rescale
-        out = {}
-        i = k - 1
-        for (texp, zexp), c in self.terms.items():
-            if i >= len(texp) or texp[i] == 0:
-                continue
-            a = texp[i]
-            nt = list(texp)
-            nt[i] = a - 1
-            out[(_trim(nt), zexp)] = rescale(c, a)
-        return self._like(out, self.den)
+        return self._like(_diff_terms(self.terms, k, self.kernel.rescale),
+                          self.den)
 
     def diff_x(self) -> "_Resident":
         """The x-derivative of every coefficient (``XSeries.diff``)."""

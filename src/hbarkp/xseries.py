@@ -275,9 +275,14 @@ class XSeries:
 # series, ``series`` decodes one, ``constant`` is the code of a constant
 # series; ``add``, ``rescale`` (times an int), ``scale`` (times the code of
 # a scalar, as ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep
-# the denominator; a product goes through ``operand``, ``add_product`` and
-# ``finish``.  Each follows the rational operation it stands for in
-# values, valid order, coefficient types and ``HbarWindowError``.
+# the denominator, and ``content`` / ``divide`` take out a common factor.
+# A product of two polynomials writes their codes as ``operands`` once,
+# adds each pair's product into an accumulator (``accumulate``) and reads
+# each accumulator back as a code (``finish``): in formal mode that is
+# ``add_product`` on the sparse entries, in numeric mode one integer
+# product of Kronecker-packed series.  Each operation follows the rational
+# one it stands for in values, valid order, coefficient types and
+# ``HbarWindowError``.
 #
 # In formal mode the code of a scalar, the window rule and the dict
 # multiply-accumulate are ``hscalar``'s (``scalar_codes``, ``check_window``,
@@ -587,8 +592,7 @@ class _SymbolicInts:
         operand = self.operand
         return [operand(c) for c in codes1], [operand(c) for c in codes2]
 
-    def accumulate(self, out, key, a, b):
-        self.add_product(out, key, a, b)
+    accumulate = add_product
 
     @staticmethod
     def finish(acc):
