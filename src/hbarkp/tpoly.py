@@ -610,8 +610,10 @@ class _Packing:
             mask = (1 << f) - 1
             n = (p.bit_length() + f - 1) // f
             fields = [(p >> (f * i)) & mask for i in range(max(n, W))]
-            key = (_trim(fields[:W]), _trim(fields[W:]))
-            self.row(key)
+            texp, zexp = key = (_trim(fields[:W]), _trim(fields[W:]))
+            w = weight_of(texp)
+            self.rows[key] = (p, w, w + sum(zexp))
+            self.keys[p] = key
         return key
 
     def items(self, terms: dict, by_degree: bool) -> list:

@@ -33,12 +33,14 @@ RESIDUAL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
 NUMERIC = HContext.numeric(Rational(2, 3))
 NEGATIVE = HContext.numeric(Rational(-3, 2))
+ZERO = HContext.numeric(0)
 WIDE = HContext.symbolic(-8, 8)
 NARROW = HContext.symbolic(-2, 2)
-contexts = st.sampled_from([NUMERIC, NEGATIVE, WIDE, NARROW])
+contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, WIDE, NARROW])
 # whole residuals at W = 4 need the window a symbolic check is granted
 GRANTED = HContext.symbolic(-30, 30)
-residual_contexts = st.sampled_from([NUMERIC, NEGATIVE, GRANTED, WIDE, NARROW])
+residual_contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, GRANTED, WIDE,
+                                     NARROW])
 
 
 # -- the TPoly path --------------------------------------------------------------
@@ -244,7 +246,8 @@ def nonzero_series(draw, ctx, cap):
     valid = draw(st.integers(0, cap))
     coeffs = draw(st.lists(scalars(ctx), min_size=1, max_size=valid + 1))
     if scalar_is_zero(coeffs[0]):
-        coeffs[0] = ctx.hbar_pow(draw(st.integers(-1, 1)))
+        coeffs[0] = ctx.one() if ctx.is_numeric else ctx.hbar_pow(
+            draw(st.integers(-1, 1)))
     return XSeries(ctx, cap, coeffs, valid=valid)
 
 
@@ -266,15 +269,17 @@ PARTS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2),
 
 
 @st.composite
-def polys(draw, shape, size=6):
-    """Up to ``size`` monomials of weight <= 4, with zeta exponents; a
-    series coefficient may be zero or of low valid order."""
+def polys(draw, shape, size=6, low=False):
+    """Up to ``size`` monomials of weight <= 4 (mostly <= 2 if ``low``, so
+    that products keep them), with zeta exponents; a series coefficient
+    may be zero or of low valid order."""
     ctx, cap, W, Z, nslots, D = shape
     if cap is None:
         coeff = scalars(ctx)
     else:
         coeff = st.one_of(series(ctx, cap), nonzero_series(ctx, cap))
-    keys = st.tuples(st.sampled_from(PARTS).map(texp_of),
+    parts = PARTS[:4] * 3 + PARTS if low else PARTS
+    keys = st.tuples(st.sampled_from(parts).map(texp_of),
                      st.lists(st.integers(0, Z), max_size=nslots).map(tuple))
     n = draw(st.integers(min(size, 2), size))
     terms = draw(st.dictionaries(keys, coeff, min_size=n, max_size=n))
@@ -289,15 +294,17 @@ def scalar_polys(draw, shape):
 
 
 @st.composite
-def poly_pairs(draw):
+def poly_pairs(draw, low=False):
     shape = draw(shapes())
-    return draw(polys(shape)), draw(polys(shape))
+    return draw(polys(shape, low=low)), draw(polys(shape, low=low))
 
 
 def units(ctx):
     """Scalars the checks scale by: rationals times hbar powers."""
-    hbar_pows = st.integers(ctx.lo, ctx.hi) if not ctx.is_numeric \
-        else st.integers(-2, 2)
+    if not ctx.is_numeric:
+        hbar_pows = st.integers(ctx.lo, ctx.hi)
+    else:  # no negative power of hbar = 0
+        hbar_pows = st.integers(-2 if ctx.value else 0, 2)
     return st.builds(lambda r, j: Rational(r) * ctx.hbar_pow(j),
                      st.integers(-3, 3).filter(bool), hbar_pows)
 
@@ -329,11 +336,26 @@ def test_sums_and_differences_match(pair):
 
 
 @SETTINGS
-@given(poly_pairs())
+@given(poly_pairs(low=True))
 def test_products_match(pair):
     p, q = pair
     assert_same_outcome(lambda: (resident(p) * resident(q)).decode(),
                         lambda: p * q)
+
+
+def test_the_first_pair_out_of_the_window_names_the_error():
+    """Pairs of equal degree meet in the order of their monomials, so
+    swapping two monomials of q swaps which end of [-2, 2] is left first."""
+    def h(e):
+        return XSeries(NARROW, 1, [HPoly(NARROW, {e: Rational(1)})])
+    p = TPoly(NARROW, 2, terms={((), ()): h(-2) + h(2)})
+    t2, t11 = ((0, 1), ()), ((2,), ())
+    for terms, power in (({t2: h(-1), t11: h(1)}, -3),
+                         ({t11: h(1), t2: h(-1)}, 3)):
+        q = TPoly(NARROW, 2, terms=terms)
+        for fn in (lambda: p * q, lambda: resident(p) * resident(q)):
+            assert outcome(fn)[1][1] == \
+                f"hbar^{power} outside window [-2, 2]"
 
 
 @SETTINGS
