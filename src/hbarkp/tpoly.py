@@ -577,7 +577,9 @@ class _Packing:
     their exponents: t_1..t_W, then the slots, each a field of ``width``
     bits.  The top bit of a slot field is a guard: with ``offset`` added, a
     sum of two in-cap keys sets a guard bit iff a slot exceeds the z cap.
-    A sum within the weight cap never carries out of a t field."""
+    A sum within the weight cap never carries out of a t field.  The maps
+    between keys and ints keep every key met, at most the monomials within
+    the caps."""
 
     def __init__(self, W: int, Z: int, nslots: int):
         f = self.width = max(W, Z, 1).bit_length() + 1
@@ -590,6 +592,7 @@ class _Packing:
         self.keys: dict = {}   # int -> key
 
     def row(self, key):
+        """(int, weight, total degree) of a key."""
         row = self.rows.get(key)
         if row is None:
             texp, zexp = key
@@ -604,6 +607,7 @@ class _Packing:
         return row
 
     def key(self, p: int):
+        """The key of an int."""
         key = self.keys.get(p)
         if key is None:
             f, W = self.width, self.W
@@ -851,31 +855,18 @@ class _Resident:
         the monomial's rows are formed.  Rows on one key are summed in
         order; zero series of full valid order are dropped at the end."""
         kernel = self.kernel
-        ctx = self.ctx
         rows = [(c, expand(key)) for key, c in self.terms.items()]
-        # numeric hbar: num/den hbar^j is a rational p/q
-        if ctx.is_numeric:
-            vn, vd = ctx.value.numerator, ctx.value.denominator
-            rows = [(c, ([(k, n * vn ** j, d * vd ** j, j) for k, n, d, j in outs],
-                         top)) for c, (outs, top) in rows]
-        L = 1
-        for _, (outs, _) in rows:
-            for _, _, d, _ in outs:
-                if L % d:
-                    L = lcm(L, d)
-        numeric = ctx.is_numeric
-        scale, rescale, add = kernel.scale, kernel.rescale, kernel.add
+        den, factors = kernel.encode_powers(
+            row[1:] for _, (outs, _) in rows for row in outs)
+        factors = iter(factors)
+        scale, add = kernel.scale, kernel.add
         out: dict = {}
         for c, (outs, top) in rows:
             check(top)
-            for key, n, d, j in outs:
-                m = n * (L // d)
-                if j and not numeric:
-                    p = scale(c, ({j: m}, (j, j), True))
-                else:
-                    p = rescale(c, m)
+            for key, *_ in outs:
+                p = scale(c, next(factors))
                 out[key] = add(out[key], p) if key in out else p
-        return self._clean(out, self.den * L)
+        return self._clean(out, self.den * den)
 
     # -- exp ----------------------------------------------------------------
 

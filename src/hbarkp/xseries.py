@@ -26,7 +26,7 @@ convolves two series.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import HbarkpError
 from .hscalar import (
@@ -273,9 +273,11 @@ class XSeries:
 # + 1 numerators (ints, or dicts hbar exponent -> nonzero int) and bit j of
 # ``mask`` says whether coefficient j is an HPoly.  ``codes`` encodes
 # series, ``series`` decodes one, ``constant`` is the code of a constant
-# series; ``add``, ``rescale`` (times an int), ``scale`` (times the code of
-# a scalar, as ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep
-# the denominator, and ``content`` / ``divide`` take out a common factor.
+# series and ``encode_powers`` writes scalars num/den hbar^j (the Miwa
+# factors) as ``encode_scalars`` would write them.  ``add``, ``rescale``
+# (times an int), ``scale`` (times the code of a scalar, as
+# ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep the
+# denominator, and ``content`` / ``divide`` take out a common factor.
 # A product of two polynomials writes their codes as ``operands`` once,
 # adds each pair's product into an accumulator (``accumulate``) and reads
 # each accumulator back as a code (``finish``): in formal mode that is
@@ -334,6 +336,14 @@ class _NumericInts:
         values = tuple(values)
         den = common_denominator(values)
         return den, [v.numerator * (den // v.denominator) for v in values]
+
+    def encode_powers(self, factors):
+        """``encode_scalars`` of the scalars num/den hbar^j given as
+        (num, den, j), without forming them."""
+        vn, vd = self.ctx.value.numerator, self.ctx.value.denominator
+        factors = [(n * vn ** j, d * vd ** j) for n, d, j in factors]
+        den = lcm(*(d for _, d in factors))
+        return den, [n * (den // d) for n, d in factors]
 
     @staticmethod
     def check_scaled(series, scalars):
@@ -526,6 +536,15 @@ class _SymbolicInts:
         return XSeries(ctx, self.cap, coeffs, valid=v)
 
     encode_scalars = staticmethod(scalar_codes)
+
+    @staticmethod
+    def encode_powers(factors):
+        """``encode_scalars`` of the scalars num/den hbar^j given as
+        (num, den, j), without forming them: an HPoly unless j is 0."""
+        factors = list(factors)
+        den = lcm(*(d for _, d, _ in factors))
+        return den, [({j: n * (den // d)}, (j, j), True) if j else
+                     ({0: n * (den // d)}, None, False) for n, d, j in factors]
 
     def check_scaled(self, series, scalars):
         """Raise the ``HbarWindowError`` that ``series.scale(s)`` for each
