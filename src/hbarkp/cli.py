@@ -33,9 +33,9 @@ from .tpoly import TPoly
 
 # Largest weight ``transition`` accepts; its cost grows about x2 per weight.
 TRANSITION_MAX_WEIGHT = 14
-# Most points ``verify detm`` accepts: at W = 3, 6 points take about 28 s
-# and 7 points over 100 s, and 6 is the largest m at which
-# ``_least_z_order`` was measured.
+# Most points ``verify detm`` accepts: at W = 3 and the least z order, 6
+# points take about 9 s and 7 points about 210 s, and 6 is the largest m
+# at which ``_least_z_order`` was measured.
 DETM_MAX_POINTS = 6
 
 

@@ -84,8 +84,8 @@ def test_transition_refuses_weights_above_its_limit(tmp_path, monkeypatch,
 
 def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
                                                     monkeypatch, capsys):
-    """--points 6 reaches the check (a stub here: the real one takes about
-    half a minute) and --points 7 exits 2 before loading the table."""
+    """--points 6 reaches the check (a stub here: the real one takes
+    seconds) and --points 7 exits 2 before loading the table."""
     table = tmp_path / "tau_table.json"
     assert main(["tau", "--input", tau_file, "--output", str(table),
                  "--z-order", "7"]) == 0
