@@ -122,7 +122,15 @@ def cmd_pconst(args) -> int:
     return 0
 
 
+def _check_z_order(args) -> None:
+    """The z order a table records must be a cap, so at least 0."""
+    if args.z_order < 0:
+        raise CommandError(
+            f"--z-order must be nonnegative; got {args.z_order}")
+
+
 def cmd_tau(args) -> int:
+    _check_z_order(args)
     doc = dataio.load(args.input)
     data = dataio.tau_data_from_document(doc)
     ts = taubuild.tau_series(data)
@@ -131,6 +139,7 @@ def cmd_tau(args) -> int:
 
 
 def cmd_fseries(args) -> int:
+    _check_z_order(args)
     if args.mode == "symbolic":
         W = args.weight
         ctx = _context_from_args(args, W)

@@ -38,14 +38,26 @@ def hbar_to_json(ctx: HContext) -> dict:
     return {"mode": "symbolic", "window": [ctx.lo, ctx.hi]}
 
 
+def _exact_int(value) -> int:
+    """A JSON integer; floats and booleans are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def hbar_from_json(obj) -> HContext:
+    """The hbar entry of a document: a rational value is given as text, so
+    that no float reaches the exact engine."""
     try:
         mode = obj["mode"]
         if mode == "rational":
-            return HContext.numeric(obj["value"])
+            value = obj["value"]
+            if not isinstance(value, str):
+                raise TypeError("the hbar value must be text")
+            return HContext.numeric(value)
         if mode == "symbolic":
             lo, hi = obj["window"]
-            return HContext.symbolic(int(lo), int(hi))
+            return HContext.symbolic(_exact_int(lo), _exact_int(hi))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad hbar entry: {obj!r}") from exc
     raise DataFormatError(f"unknown hbar mode: {mode!r}")
@@ -53,8 +65,9 @@ def hbar_from_json(obj) -> HContext:
 
 def caps_from_json(obj) -> tuple[int, int, int]:
     try:
-        return int(obj["weight"]), int(obj["x_order"]), int(obj.get("z_order", 0))
-    except (KeyError, TypeError, ValueError) as exc:
+        return (_exact_int(obj["weight"]), _exact_int(obj["x_order"]),
+                _exact_int(obj.get("z_order", 0)))
+    except (AttributeError, KeyError, TypeError) as exc:
         raise DataFormatError(f"bad caps: {obj!r}") from exc
 
 
@@ -75,6 +88,8 @@ def xseries_from_json(ctx: HContext, cap: int, lst) -> XSeries:
 
 
 def _indexed_series(ctx, x_cap, mapping, what) -> list[XSeries]:
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{what} must be an object")
     try:
         idx = sorted(int(k) for k in mapping)
     except ValueError as exc:
@@ -145,15 +160,26 @@ def tau_series_to_document(ts: TauSeries, z_order=0) -> dict:
     }
 
 
+def _diagram_table(ctx, W, X, mapping, what) -> dict:
+    """A diagram-keyed table of series that reaches its weight cap ``W``;
+    a cap above the table would only make the checks work on zeros."""
+    if not isinstance(mapping, dict):
+        raise DataFormatError(f"{what} must be an object")
+    table = {Partition.parse(key): xseries_from_json(ctx, X, lst)
+             for key, lst in mapping.items()}
+    top = max((lam.weight for lam in table), default=0)
+    if top < W:
+        raise DataFormatError(f"{what} stops at weight {top}, "
+                              f"below its weight cap {W}")
+    return table
+
+
 def tau_series_from_document(doc) -> TauSeries:
     ctx, W, X, _ = document_context(doc)
     if "c_lambda" not in doc:
         raise DataFormatError('tau table needs a "c_lambda" map')
-    table = {}
-    for key, lst in doc["c_lambda"].items():
-        lam = Partition.parse(key)
-        table[lam] = xseries_from_json(ctx, X, lst)
-    return TauSeries(ctx, W, X, table)
+    return TauSeries(ctx, W, X, _diagram_table(ctx, W, X, doc["c_lambda"],
+                                               '"c_lambda"'))
 
 
 def f_series_to_document(fs: FSeries, z_order=0, basis="t_hbar") -> dict:
@@ -179,10 +205,9 @@ def f_series_from_document(doc) -> FSeries:
     ctx, W, X, _ = document_context(doc)
     if doc.get("mode") != "concrete":
         raise DataFormatError("only concrete F tables can be reloaded")
-    table = {
-        Partition.parse(key): xseries_from_json(ctx, X, lst)
-        for key, lst in doc["f_lambda"].items()
-    }
+    if "f_lambda" not in doc:
+        raise DataFormatError('F table needs an "f_lambda" map')
+    table = _diagram_table(ctx, W, X, doc["f_lambda"], '"f_lambda"')
     f0 = xseries_from_json(ctx, X, doc.get("f0", ["0"]))
     basis = doc.get("basis", "t_hbar")
     if basis == "t_plain":
@@ -206,8 +231,13 @@ def dump(doc, path=None) -> str:
 
 
 def load(path) -> dict:
+    """The JSON document in ``path``; its top level must be an object."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{path} must hold a JSON object, "
+                              f"not {type(doc).__name__}")
+    return doc

@@ -20,16 +20,17 @@ and instances are immutable.  Sums, negation, scaling, coefficient maps
 and rendering are ``sparse``'s shared term arithmetic, with ``_droppable``
 as the zero test; the product keeps its own loop.  Products enforce the
 total-degree cap inside the pair loop, so a capped product costs only
-what it keeps.  When every
-coefficient of both operands is an ``XSeries``, a product encodes each
-operand once as integer numerators over the lcm of its denominators and
-accumulates each output monomial's numerators in one integer buffer
-(``xseries.int_kernel``); each coefficient is reduced to canonical
-rationals once, at the end.
+what it keeps.
 
-The residual checks go one step further: ``resident`` encodes a polynomial
-once, and its private ``_Resident`` form keeps every result on integer
-codes until ``decode``.
+``resident`` writes a polynomial whose coefficients are x-series on the
+integer codes of ``xseries.int_kernel``, one denominator for the whole
+polynomial; its private ``_Resident`` form keeps every result on those
+codes until ``decode`` reduces each coefficient to canonical rationals
+once.  When every coefficient of both operands is an x-series of one
+context and cap, ``TPoly.__mul__`` is that resident product; scalar and
+mixed coefficients keep the pair loop.  The residual checks keep their
+whole computation resident, and ``linear_combination`` accumulates the
+same codes.
 """
 
 from __future__ import annotations
@@ -104,26 +105,20 @@ def _monomial_text(key: tuple) -> str:
     return "*".join(vars_) or "1"
 
 
-def _series_kernel(*operands):
-    """The integer product kernel when every coefficient of the operands is
-    an XSeries of one context and x cap, else None.  Mixed coefficients go
-    through their own products, which raise on mixed contexts or caps."""
-    ref = None
-    for terms in operands:
-        for c in terms.values():
-            if type(c) is not XSeries:
-                return None
-            if ref is None:
-                ref = c
-            elif c.cap != ref.cap or (c.ctx is not ref.ctx and c.ctx != ref.ctx):
-                return None
-    return None if ref is None else int_kernel(ref.ctx, ref.cap)
-
-
-def _encoded(kernel, terms: dict):
-    """(den, terms with each XSeries replaced by its integer code)."""
-    den, codes = kernel.encode(terms.values())
-    return den, dict(zip(terms, codes))
+def _series_only(*polys) -> bool:
+    """Whether the polynomials have coefficients and each is an XSeries of
+    the polynomials' context, all of one x cap."""
+    cap = None
+    for poly in polys:
+        ctx = poly.ctx
+        for c in poly.terms.values():
+            if type(c) is not XSeries or (c.ctx is not ctx and c.ctx != ctx):
+                return False
+            if cap is None:
+                cap = c.cap
+            elif c.cap != cap:
+                return False
+    return cap is not None
 
 
 def _diff_terms(terms: dict, k: int, times) -> dict:
@@ -160,13 +155,13 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     Each ``basis`` has scalar coefficients and that shape; each ``coeff``
     is an XSeries of ``ctx``, all with one x cap.  The series and the basis
     scalars are each written once over one common denominator
-    (``xseries.int_kernel``), every monomial's x-coefficients accumulate
-    integer numerators, and each is reduced once.  The result is the
-    term-by-term sum: values, valid orders, coefficient types, kept
-    monomials, and the ``HbarWindowError`` of the first product, in the
-    order of the pairs, of their monomials and of the x-powers, that leaves
-    the window (``pairs`` may be lazy: a basis is made only after the
-    products of the pairs before it are checked).
+    (``xseries.int_kernel``), every monomial's code accumulates the codes
+    times the scalars (``add_scaled``), and each is reduced once.  The
+    result is the term-by-term sum: values, valid orders, coefficient
+    types, kept monomials, and the ``HbarWindowError`` of the first
+    product, in the order of the pairs, of their monomials and of the
+    x-powers, that leaves the window (``pairs`` may be lazy: a basis is
+    made only after the products of the pairs before it are checked).
     """
     kernel = None
     bases, series = [], []
@@ -180,7 +175,7 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
         series.append(coeff)
     if kernel is None:
         return TPoly.zero(ctx, weight_cap, z_cap, nslots)
-    den_c, codes = kernel.encode(series)
+    den_c, codes = kernel.codes(series)
     den_b, scalars = kernel.encode_scalars(
         c for basis in bases for c in basis.terms.values())
     scalars = iter(scalars)
@@ -188,7 +183,7 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     for basis, coeff, code in zip(bases, series, codes):
         # A zero series of full valid order gives terms that TPoly.scale
         # drops (a TPoly stores no zero scalar).
-        dropped = coeff.valid == coeff.cap and not code[2]
+        dropped = coeff.valid == coeff.cap and kernel.is_zero(code)
         for key in basis.terms:
             s = next(scalars)
             if not dropped:
@@ -196,7 +191,7 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     den = den_c * den_b
     terms = {}
     for key, acc in out.items():
-        c = kernel.decode_scaled(den, acc)
+        c = kernel.series(den, acc)
         if not _droppable(c):
             terms[key] = c
     return TPoly(ctx, weight_cap, z_cap, nslots, terms, _clean=True)
@@ -364,19 +359,16 @@ class TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
+        if _series_only(self, other):
+            return (resident(self) * resident(other)).decode()
         W, Z, D = self.weight_cap, self.z_cap, self.degree_cap
         # Both operands are sorted by the degree that the outer cap bounds
         # (total degree under a total-degree cap, else t-weight), so the
         # first partner over that cap ends the inner loop; a partner over
         # the weight cap alone is skipped.
         limit = W if D is None else D
-        terms1, terms2 = self.terms, other.terms
-        kernel = _series_kernel(terms1, terms2)
-        if kernel is not None:
-            den1, terms1 = _encoded(kernel, terms1)
-            den2, terms2 = _encoded(kernel, terms2)
-        items1 = _graded_items(terms1, D is not None)
-        items2 = _graded_items(terms2, D is not None)
+        items1 = _graded_items(self.terms, D is not None)
+        items2 = _graded_items(other.terms, D is not None)
         out: dict = {}
         for s1, w1, t1, z1, c1 in items1:
             budget = limit - s1
@@ -400,17 +392,11 @@ class TPoly:
                 ta = t1 + (0,) * (n - len(t1))
                 tb = t2 + (0,) * (n - len(t2))
                 key = (tuple(a + b for a, b in zip(ta, tb)), zk)
-                if kernel is not None:
-                    kernel.add_product(out, key, c1, c2)
-                    continue
                 p = c1 * c2
                 if key in out:
                     out[key] = out[key] + p
                 else:
                     out[key] = p
-        if kernel is not None:
-            den = den1 * den2
-            out = {k: kernel.decode(den, acc) for k, acc in out.items()}
         clean = {k: c for k, c in out.items() if not _droppable(c)}
         return self._like(clean, _clean=True)
 
@@ -542,12 +528,14 @@ class TPoly:
 # resident polynomials: the residual checks on integer codes
 #
 # A ``_Resident`` is a TPoly whose coefficients stay integer codes
-# (``xseries.int_kernel``) over one denominator for the whole polynomial,
-# so a chain of sums, scalings, products and Miwa shifts reduces nothing
-# until ``decode``.  Each operation mirrors the TPoly operation it stands
-# for step by step, in the same order of monomials, pairs and x-powers: the
+# (valid, mask, nums) of ``xseries.int_kernel``, the one code of an
+# x-series, over one denominator for the whole polynomial, so a chain of
+# sums, scalings, products and Miwa shifts reduces nothing until
+# ``decode``.  Each operation mirrors the TPoly operation it stands for
+# step by step, in the same order of monomials, pairs and x-powers: the
 # decoded result has the same values, valid orders, coefficient types and
-# kept monomials, and the first ``HbarWindowError`` is the same one.
+# kept monomials, and the first ``HbarWindowError`` is the same one.  So
+# ``TPoly.__mul__`` of two x-series polynomials is a resident product.
 # The coefficients are x-series of one cap; a polynomial with scalar
 # coefficients is held as x-series of cap 0 and decodes to scalars again.
 

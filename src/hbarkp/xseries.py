@@ -11,17 +11,18 @@ get differentiated, inverted and recombined.
 Coefficients are scalars in the sense of ``hscalar`` (rationals, or Laurent
 polynomials in hbar).  Instances are immutable.
 
-Products run on the integer kernel at the end of this module: every
-coefficient of an operand becomes an integer numerator (numeric hbar) or a
-dict from hbar exponent to integer numerator (formal hbar) over the lcm of
-the operand's denominators.  The numerators are convolved as plain ints and
-each output coefficient is reduced once, so the results are the same
-canonical rationals that term-by-term rational arithmetic gives.
-``TPoly`` products feed the same kernel with one denominator per operand.
-The residual checks keep whole polynomials on the kernel's codes
-(``tpoly.resident``); there a product of numeric codes packs each series
-into one integer (Kronecker substitution), so one integer product
-convolves two series.
+Products run on the integer kernel at the end of this module, which writes
+a series in one code: each coefficient becomes an integer numerator
+(numeric hbar) or a dict from hbar exponent to integer numerator (formal
+hbar) over the lcm of the denominators, and a bitmask marks the HPoly
+coefficients.  The numerators are convolved as plain ints and each output
+coefficient is reduced once, so the results are the same canonical
+rationals that term-by-term rational arithmetic gives.  A product of two
+series encodes both, multiplies and decodes.  Products of ``TPoly`` values
+with x-series coefficients, their linear combinations and the residual
+checks work on the same codes (``tpoly.resident``); there a product of
+numeric codes packs each series into one integer (Kronecker substitution),
+so one integer product convolves two series.
 """
 
 from __future__ import annotations
@@ -143,11 +144,9 @@ class XSeries:
             return NotImplemented
         self._join(other)
         kernel = int_kernel(self.ctx, self.cap)
-        da, (a,) = kernel.encode((self,))
-        db, (b,) = kernel.encode((other,))
-        out: dict = {}
-        kernel.add_product(out, None, a, b)
-        return kernel.decode(da * db, out[None])
+        da, (a,) = kernel.codes((self,))
+        db, (b,) = kernel.codes((other,))
+        return kernel.series(da * db, kernel.product(a, b))
 
     __rmul__ = __mul__
 
@@ -247,89 +246,48 @@ class XSeries:
 
 
 # ---------------------------------------------------------------------------
-# integer kernel for products
+# integer kernel
 #
-# ``encode`` writes series over one common denominator as codes
-# (valid, first, entries[, flags]): ``first`` is the index of the first HPoly
-# coefficient (valid + 1 if there is none), ``entries`` lists the nonzero
-# coefficients in index order and, in formal mode, ``flags`` says of each
-# coefficient whether it is an HPoly.  ``add_product`` adds the product of
-# two codes into an accumulator [valid, first, buffer] of integer
-# numerators, and ``decode`` reduces an accumulator to an XSeries: its valid
-# order is the minimum over the products added, and a coefficient is an
-# HPoly iff one of the products had an HPoly factor at or below it, as with
-# HPoly * Rational.
+# The kernel writes series over one common denominator as codes
+# (valid, mask, nums): ``nums`` holds the valid + 1 numerators (ints, or
+# dicts hbar exponent -> nonzero int) and bit j of ``mask`` says whether
+# coefficient j is an HPoly.  ``codes`` encodes series and ``series``
+# decodes one; ``constant`` is the code of a constant series.
+# ``encode_scalars`` writes scalars over one common denominator and
+# ``encode_powers`` writes scalars num/den hbar^j (the Miwa factors) as it
+# would.
 #
-# Linear combinations of series with scalar weights (``tpoly.
-# linear_combination``) use the same codes: ``encode_scalars`` writes the
-# weights over one common denominator, ``add_scaled`` adds a code times a
-# weight into an accumulator [valid, types, buffer] and ``decode_scaled``
-# reduces it.  There a coefficient is an HPoly iff the coefficient or the
-# weight of one of the terms behind it was, as with ``XSeries.scale``.
-#
-# The residual checks (``tpoly`` resident polynomials) keep whole
-# polynomials on integer codes from the encoded input to the final scan.
-# Their code of one series is (valid, mask, nums): ``nums`` holds the valid
-# + 1 numerators (ints, or dicts hbar exponent -> nonzero int) and bit j of
-# ``mask`` says whether coefficient j is an HPoly.  ``codes`` encodes
-# series, ``series`` decodes one, ``constant`` is the code of a constant
-# series and ``encode_powers`` writes scalars num/den hbar^j (the Miwa
-# factors) as ``encode_scalars`` would write them.  ``add``, ``rescale``
-# (times an int), ``scale`` (times the code of a scalar, as
+# ``product`` is ``XSeries.__mul__`` on two codes.  A product of two
+# polynomials (``tpoly`` resident polynomials) writes their codes as
+# ``operands`` once, adds each pair's product into an accumulator
+# (``accumulate``) and reads each accumulator back as a code (``finish``):
+# in formal mode that is a convolution of the sparse entries, in numeric
+# mode one integer product of Kronecker-packed series.  There a valid order
+# is the minimum over the products added, and a coefficient is an HPoly iff
+# one of the products had an HPoly factor at or below it, as with
+# HPoly * Rational.  ``add_scaled`` adds a code times a scalar into an
+# accumulator of ``tpoly.linear_combination``, which ``series`` decodes;
+# there a coefficient is an HPoly iff the coefficient or the scalar of one
+# of the terms behind it was, as with ``XSeries.scale``.  ``add``,
+# ``rescale`` (times an int), ``scale`` (times the code of a scalar, as
 # ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep the
-# denominator, and ``content`` / ``divide`` take out a common factor.
-# A product of two polynomials writes their codes as ``operands`` once,
-# adds each pair's product into an accumulator (``accumulate``) and reads
-# each accumulator back as a code (``finish``): in formal mode that is
-# ``add_product`` on the sparse entries, in numeric mode one integer
-# product of Kronecker-packed series.  Each operation follows the rational
-# one it stands for in values, valid order, coefficient types and
-# ``HbarWindowError``.
+# denominator, and ``content`` / ``divide`` take out a common factor.  Each
+# operation follows the rational one it stands for in values, valid order,
+# coefficient types and ``HbarWindowError``.
 #
 # In formal mode the code of a scalar, the window rule and the dict
 # multiply-accumulate are ``hscalar``'s (``scalar_codes``, ``check_window``,
-# ``mul_add``).  ``add_product`` keeps its innermost loop inline: it runs
+# ``mul_add``).  ``accumulate`` keeps its innermost loop inline: it runs
 # once per pair of x-coefficients of every product.
 
 
 class _NumericInts:
-    """Numeric hbar: a coefficient is one integer numerator."""
+    """Numeric hbar: a coefficient is one integer numerator; the mask is
+    always 0."""
 
     def __init__(self, ctx: HContext, cap: int):
         self.ctx = ctx
         self.cap = cap
-
-    @staticmethod
-    def encode(series):
-        series = tuple(series)
-        den = 1
-        for s in series:
-            den = common_denominator(s.coeffs, den)
-        codes = []
-        for s in series:
-            entries = [(i, c.numerator * (den // c.denominator))
-                       for i, c in enumerate(s.coeffs) if c]
-            codes.append((s.valid, s.valid + 1, entries))
-        return den, codes
-
-    def add_product(self, out, key, a, b):
-        acc = _accumulator(out, key, a, b, _int_buffer)
-        buf, v = acc[2], acc[0]
-        eb = b[2]
-        for i, x in a[2]:
-            if i > v:
-                break
-            room = v - i
-            for k, y in eb:
-                if k > room:
-                    break
-                buf[i + k] += x * y
-
-    def decode(self, den, acc):
-        v, _, buf = acc
-        return XSeries(self.ctx, self.cap,
-                       [Rational(n, den) if n else ZERO for n in buf[: v + 1]],
-                       valid=v)
 
     @staticmethod
     def encode_scalars(values):
@@ -351,33 +309,46 @@ class _NumericInts:
 
     @staticmethod
     def add_scaled(out, key, a, s):
-        acc = _scaled_accumulator(out, key, a, _int_buffer)
-        buf, v = acc[2], acc[0]
-        for i, x in a[2]:
-            if i > v:
-                break
-            buf[i] += x * s
+        """Add the code ``a`` times the scalar code ``s`` into out[key]."""
+        acc = out.get(key)
+        if acc is None:
+            out[key] = (a[0], 0, [x * s for x in a[2]])
+        else:
+            out[key] = (min(acc[0], a[0]), 0,
+                        [y + x * s for y, x in zip(acc[2], a[2])])
 
-    decode_scaled = decode
-
-    # -- resident codes (valid, mask, nums); mask is always 0 here --------
-
-    @classmethod
-    def codes(cls, series):
-        den, codes = cls.encode(series)
-        out = []
-        for v, _, entries in codes:
-            nums = [0] * (v + 1)
-            for i, x in entries:
-                nums[i] = x
-            out.append((v, 0, nums))
-        return den, out
+    @staticmethod
+    def codes(series):
+        series = tuple(series)
+        den = 1
+        for s in series:
+            den = common_denominator(s.coeffs, den)
+        return den, [(s.valid, 0, [c.numerator * (den // c.denominator)
+                                   for c in s.coeffs]) for s in series]
 
     def series(self, den, a):
-        return self.decode(den, (a[0], None, a[2]))
+        v, _, nums = a
+        return XSeries(self.ctx, self.cap,
+                       [Rational(n, den) if n else ZERO for n in nums[: v + 1]],
+                       valid=v)
 
     def constant(self, s):
         return (self.cap, 0, [s] + [0] * self.cap)
+
+    @staticmethod
+    def product(a, b):
+        """The schoolbook product of two codes, zeros skipped."""
+        v = min(a[0], b[0])
+        out = [0] * (v + 1)
+        na, nb = a[2], b[2]
+        for i in range(v + 1):
+            x = na[i]
+            if x:
+                for k in range(v + 1 - i):
+                    y = nb[k]
+                    if y:
+                        out[i + k] += x * y
+        return (v, 0, out)
 
     @staticmethod
     def operands(codes1, codes2):
@@ -463,77 +434,14 @@ class _NumericInts:
 class _SymbolicInts:
     """Formal hbar: a coefficient is a dict hbar exponent -> numerator.
 
-    A nonzero HPoly entry carries its exponent span, so that every pair of
-    HPoly coefficients the rational product would multiply, through the
-    pair's own common valid order, raises ``HbarWindowError`` as that
-    product would: its extreme exponents never cancel."""
+    In a product a nonzero HPoly entry carries its exponent span, so that
+    every pair of HPoly coefficients the rational product would multiply,
+    through the pair's own common valid order, raises ``HbarWindowError``
+    as that product would: its extreme exponents never cancel."""
 
     def __init__(self, ctx: HContext, cap: int):
         self.ctx = ctx
         self.cap = cap
-
-    def encode(self, series):
-        series = tuple(series)
-        ctx = self.ctx
-        values = [c for s in series for c in s.coeffs]
-        for c in values:
-            if isinstance(c, HPoly) and c.ctx is not ctx and c.ctx != ctx:
-                raise ValueError("mixed hbar contexts")
-        den, scodes = scalar_codes(values)
-        scodes = iter(scodes)
-        codes = []
-        for s in series:
-            first = s.valid + 1
-            entries = []
-            flags = []
-            for i in range(len(s.coeffs)):
-                nums, span, is_hpoly = next(scodes)
-                flags.append(is_hpoly)
-                if is_hpoly and i < first:
-                    first = i
-                if nums:
-                    entries.append((i, nums, span))
-            codes.append((s.valid, first, entries, flags))
-        return den, codes
-
-    def add_product(self, out, key, a, b):
-        acc = _accumulator(out, key, a, b, _dict_buffer)
-        buf, v = acc[2], acc[0]
-        reach = min(a[0], b[0])
-        lo, hi = self.ctx.lo, self.ctx.hi
-        eb = b[2]
-        for i, ta, sa in a[2]:
-            if i > reach:
-                break
-            for k, tb, sb in eb:
-                j = i + k
-                if j > reach:
-                    break
-                if sa is not None and sb is not None and (
-                        sa[0] + sb[0] < lo or sa[1] + sb[1] > hi):
-                    check_window(self.ctx, sa[0] + sb[0], sa[1] + sb[1])
-                if j > v:
-                    continue
-                nums = buf[j]
-                for e1, x in ta.items():
-                    for e2, y in tb.items():
-                        e = e1 + e2
-                        nums[e] = nums.get(e, 0) + x * y
-
-    def decode(self, den, acc):
-        v, first, buf = acc
-        return self._decode(den, v, buf, [j >= first for j in range(v + 1)])
-
-    def _decode(self, den, v, buf, types):
-        ctx = self.ctx
-        coeffs = []
-        for j in range(v + 1):
-            if types[j]:
-                coeffs.append(HPoly(ctx, reduce_terms(buf[j], den), _clean=True))
-            else:
-                n = buf[j].get(0, 0)
-                coeffs.append(Rational(n, den) if n else ZERO)
-        return XSeries(ctx, self.cap, coeffs, valid=v)
 
     encode_scalars = staticmethod(scalar_codes)
 
@@ -559,49 +467,74 @@ class _SymbolicInts:
                 check_window(self.ctx, c_lo + s_lo, c_hi + s_hi)
 
     def add_scaled(self, out, key, a, s):
-        acc = _scaled_accumulator(out, key, a, _dict_buffer)
-        v, types, buf = acc
-        nums, _, s_is_hpoly = s
-        flags = a[3]
-        for j in range(v + 1):
-            if s_is_hpoly or flags[j]:
-                types[j] = True
-        for i, ta, _ in a[2]:
-            if i > v:
-                break
-            mul_add(buf[i], ta, nums)
+        """Add the code ``a`` times the scalar code ``s`` into out[key], an
+        accumulator [valid, mask, nums] whose dicts may hold zeros."""
+        v, mask, nums = a
+        acc = out.get(key)
+        if acc is None:
+            out[key] = acc = [v, 0, [{} for _ in range(v + 1)]]
+        elif v < acc[0]:
+            acc[0] = v
+        v, buf = acc[0], acc[2]
+        snums, _, s_is_hpoly = s
+        acc[1] |= (1 << (v + 1)) - 1 if s_is_hpoly else mask
+        for i in range(v + 1):
+            if nums[i]:
+                mul_add(buf[i], nums[i], snums)
         if v == self.cap and not any(n for b in buf for n in b.values()):
             # The term-by-term sum drops a monomial whose coefficient
             # cancels to a zero of full valid order, and the next term
             # starts it afresh, with that term's coefficient types.
-            acc[1] = [False] * (v + 1)
-
-    def decode_scaled(self, den, acc):
-        v, types, buf = acc
-        return self._decode(den, v, buf, types)
-
-    # -- resident codes (valid, mask, nums) ---------------------------------
+            acc[1] = 0
 
     def codes(self, series):
-        den, codes = self.encode(series)
+        series = tuple(series)
+        ctx = self.ctx
+        values = [c for s in series for c in s.coeffs]
+        for c in values:
+            if isinstance(c, HPoly) and c.ctx is not ctx and c.ctx != ctx:
+                raise ValueError("mixed hbar contexts")
+        den, scodes = scalar_codes(values)
+        scodes = iter(scodes)
         out = []
-        for v, _, entries, flags in codes:
-            nums = [_EMPTY] * (v + 1)
-            for i, d, _ in entries:
-                nums[i] = d
-            out.append((v, sum(1 << j for j, f in enumerate(flags) if f), nums))
+        for s in series:
+            mask, nums = 0, []
+            for j in range(s.valid + 1):
+                d, _, is_hpoly = next(scodes)
+                if is_hpoly:
+                    mask |= 1 << j
+                nums.append(d or _EMPTY)
+            out.append((s.valid, mask, nums))
         return den, out
 
     def series(self, den, a):
         v, mask, nums = a
-        return self._decode(den, v, nums, [mask >> j & 1 for j in range(v + 1)])
+        ctx = self.ctx
+        coeffs = []
+        for j in range(v + 1):
+            if mask >> j & 1:
+                coeffs.append(HPoly(ctx, reduce_terms(nums[j], den), _clean=True))
+            else:
+                n = nums[j].get(0, 0)
+                coeffs.append(Rational(n, den) if n else ZERO)
+        return XSeries(ctx, self.cap, coeffs, valid=v)
 
     def constant(self, s):
         nums, _, is_hpoly = s
         return (self.cap, int(is_hpoly), [nums] + [_EMPTY] * self.cap)
 
+    def product(self, a, b):
+        """The product of two codes, as one accumulated pair."""
+        out: dict = {}
+        self.accumulate(out, None, self.operand(a), self.operand(b))
+        return self.finish(out[None])
+
     @staticmethod
     def operand(a):
+        """A code as a product operand (valid, first, entries): ``first``
+        is the index of the first HPoly coefficient (valid + 1 if there is
+        none) and ``entries`` lists (index, nums, span or None) of the
+        nonzero coefficients in index order."""
         v, mask, nums = a
         first = (mask & -mask).bit_length() - 1 if mask else v + 1
         return (v, first, [(i, d, (min(d), max(d)) if mask >> i & 1 else None)
@@ -611,7 +544,39 @@ class _SymbolicInts:
         operand = self.operand
         return [operand(c) for c in codes1], [operand(c) for c in codes2]
 
-    accumulate = add_product
+    def accumulate(self, out, key, a, b):
+        """Add the product of two operands into out[key], an accumulator
+        [valid, first, nums]."""
+        reach = min(a[0], b[0])
+        first = min(a[1], b[1])
+        acc = out.get(key)
+        if acc is None:
+            out[key] = acc = [reach, first, [{} for _ in range(reach + 1)]]
+        else:
+            if reach < acc[0]:
+                acc[0] = reach
+            if first < acc[1]:
+                acc[1] = first
+        buf, v = acc[2], acc[0]
+        lo, hi = self.ctx.lo, self.ctx.hi
+        eb = b[2]
+        for i, ta, sa in a[2]:
+            if i > reach:
+                break
+            for k, tb, sb in eb:
+                j = i + k
+                if j > reach:
+                    break
+                if sa is not None and sb is not None and (
+                        sa[0] + sb[0] < lo or sa[1] + sb[1] > hi):
+                    check_window(self.ctx, sa[0] + sb[0], sa[1] + sb[1])
+                if j > v:
+                    continue
+                nums = buf[j]
+                for e1, x in ta.items():
+                    for e2, y in tb.items():
+                        e = e1 + e2
+                        nums[e] = nums.get(e, 0) + x * y
 
     @staticmethod
     def finish(acc):
@@ -699,41 +664,6 @@ class _SymbolicInts:
 _EMPTY: dict = {}
 
 
-def _int_buffer(v):
-    return [0] * (v + 1)
-
-
-def _dict_buffer(v):
-    return [{} for _ in range(v + 1)]
-
-
-def _accumulator(out, key, a, b, new_buffer):
-    """The accumulator out[key], made or updated for one more product a * b."""
-    v = min(a[0], b[0])
-    first = min(a[1], b[1])
-    acc = out.get(key)
-    if acc is None:
-        out[key] = acc = [v, first, new_buffer(v)]
-    else:
-        if v < acc[0]:
-            acc[0] = v
-        if first < acc[1]:
-            acc[1] = first
-    return acc
-
-
-def _scaled_accumulator(out, key, a, new_buffer):
-    """The accumulator out[key] of a linear combination, made or updated
-    for one more term with code ``a``."""
-    v = a[0]
-    acc = out.get(key)
-    if acc is None:
-        out[key] = acc = [v, [False] * (v + 1), new_buffer(v)]
-    elif v < acc[0]:
-        acc[0] = v
-    return acc
-
-
 def int_kernel(ctx: HContext, cap: int):
-    """The integer product kernel for series with this context and x cap."""
+    """The integer kernel for series with this context and x cap."""
     return _NumericInts(ctx, cap) if ctx.is_numeric else _SymbolicInts(ctx, cap)

@@ -429,3 +429,116 @@ def test_verify_refuses_a_z_order_where_the_check_cannot_fail(tmp_path, check,
     assert f"cannot fail below --z-order {least}" in err
     assert err.count("\n") == 1
     assert main(argv + ["--z-order", str(least)]) == 1
+
+
+# -- documents the engine refuses ---------------------------------------------
+
+@pytest.mark.parametrize("argv, top", [
+    (["tau"], [1, 2]),
+    (["fseries"], [1, 2]),
+    (["bridge"], [1, 2]),
+    (["convert", "to-cauchy"], [1, 2]),
+    (["convert", "to-cauchy-like"], [1, 2]),
+    (["verify", "fay"], "c_lambda"),
+], ids=["tau", "fseries", "bridge", "to-cauchy", "to-cauchy-like", "fay"])
+def test_exit_2_on_a_top_level_that_is_not_an_object(tmp_path, capsys, argv,
+                                                      top):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(top))
+    assert main(argv + ["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must hold a JSON object" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name, table", [
+    (["tau"], "c", ["0"]),
+    (["verify", "fay"], "c_lambda", []),
+    (["verify", "kp2"], "f_lambda", "x"),
+], ids=["c", "c_lambda", "f_lambda"])
+def test_exit_2_on_a_table_that_is_not_an_object(tmp_path, capsys, argv,
+                                                 name, table):
+    doc = _tau_doc({"mode": "rational", "value": "1/2"}, 2)
+    doc[name] = table
+    if name == "f_lambda":
+        doc["mode"] = "concrete"
+    path = tmp_path / "table.json"
+    dataio.dump(doc, path)
+    assert main(argv + ["--input", str(path)]) == 2
+    assert f'"{name}" must be an object' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("caps", [
+    {"weight": 2.5, "x_order": 2},
+    {"weight": True, "x_order": 2},
+    {"weight": "2", "x_order": 2},
+    {"weight": 2, "x_order": 2.0},
+    {"weight": 2, "x_order": 2, "z_order": False},
+], ids=["float-weight", "bool-weight", "text-weight", "float-x-order",
+        "bool-z-order"])
+def test_exit_2_on_caps_that_are_not_integers(tmp_path, capsys, caps):
+    doc = _tau_doc({"mode": "rational", "value": "1/2"}, 2)
+    doc["caps"] = caps
+    path = tmp_path / "caps.json"
+    dataio.dump(doc, path)
+    assert main(["tau", "--input", str(path)]) == 2
+    assert "bad caps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hbar", [
+    {"mode": "rational", "value": 0.1},
+    {"mode": "rational", "value": 1},
+    {"mode": "rational", "value": True},
+    {"mode": "symbolic", "window": [-6.5, 6]},
+    {"mode": "symbolic", "window": [-6, True]},
+], ids=["float", "int", "bool", "float-window", "bool-window"])
+def test_exit_2_on_an_hbar_that_is_not_exact_text(tmp_path, capsys, hbar):
+    """A float never reaches the exact engine; an integer window bound is
+    an integer, not a float or a boolean."""
+    path = tmp_path / "hbar.json"
+    dataio.dump(_tau_doc(hbar, 2), path)
+    assert main(["tau", "--input", str(path)]) == 2
+    assert "bad hbar entry" in capsys.readouterr().err
+
+
+def test_library_callers_still_give_hbar_as_a_number():
+    assert HContext.numeric(0).value == 0
+    assert HContext.numeric(3).value == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau"],
+    ["fseries"],
+    ["fseries", "--mode", "symbolic", "--weight", "2"],
+], ids=["tau", "fseries", "fseries-symbolic"])
+def test_exit_2_on_a_negative_z_order(tmp_path, capsys, tau_file, f_file,
+                                      argv):
+    """A table records its z order as a cap, which ``verify`` would refuse
+    below 0; the builders refuse it up front and write nothing."""
+    out = tmp_path / "out.json"
+    if argv == ["tau"]:
+        argv = argv + ["--input", tau_file]
+    elif "--mode" not in argv:
+        argv = argv + ["--input", f_file]
+    assert main(argv + ["--z-order", "-1", "--output", str(out)]) == 2
+    assert "--z-order must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["tau", "F"])
+def test_exit_2_on_a_table_below_its_weight_cap(tmp_path, capsys, kind):
+    """A weight cap above the table's diagrams is refused before the
+    assembly: at a cap of 10**6 the checks would never end."""
+    table = non_kp_table(kind, "1/2", W=2)
+    if kind == "tau":
+        doc = dataio.tau_series_to_document(table)
+        check, name = "fay", "c_lambda"
+    else:
+        doc = dataio.f_series_to_document(table)
+        check, name = "kp2", "f_lambda"
+    doc["caps"]["weight"] = 10 ** 6
+    path = tmp_path / "table.json"
+    dataio.dump(doc, path)
+    assert main(["verify", check, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f'"{name}" stops at weight 2, below its weight cap 1000000' in err

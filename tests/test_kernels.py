@@ -189,8 +189,9 @@ def tpoly_pairs(draw):
     nslots = draw(st.integers(0, 2))
     Z = draw(st.integers(0, 2))
     D = draw(st.one_of(st.none(), st.integers(0, W + nslots * Z)))
-    # all-XSeries operands take the integer kernel; a scalar among them
-    # sends the product coefficient by coefficient
+    # all-XSeries operands take the resident product on the kernel's codes
+    # (tpoly.resident); a scalar among them sends the product coefficient
+    # by coefficient
     mixed = draw(st.booleans())
     coeff = st.one_of(series(ctx, cap), scalars(ctx)) if mixed else series(ctx, cap)
     keys = st.tuples(
