@@ -33,6 +33,9 @@ from .tpoly import TPoly
 
 # Largest weight ``transition`` accepts; its cost grows about x2 per weight.
 TRANSITION_MAX_WEIGHT = 14
+# Largest weight ``schur`` accepts: at 16 each basis takes at most about
+# 7 s, and the Schur basis grows about x1.6 per weight (10 s at 18).
+SCHUR_MAX_WEIGHT = 16
 # Most points ``verify detm`` accepts: at W = 3 and the least z order, 6
 # points take about 9 s and 7 points about 210 s, and 6 is the largest m
 # at which ``_least_z_order`` was measured.
@@ -70,6 +73,8 @@ def _emit(args, doc) -> None:
 
 def cmd_schur(args) -> int:
     W = args.weight
+    if W > SCHUR_MAX_WEIGHT:
+        raise CommandError(f"schur needs --weight <= {SCHUR_MAX_WEIGHT}")
     ctx = _context_from_args(args, W)
     builders = {
         "schur": symfun.schur,
@@ -315,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, help="input data file")
 
     p = sub.add_parser("schur", help="basis tables")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True,
+                   help=f"weight cap, at most {SCHUR_MAX_WEIGHT}")
     p.add_argument("--basis", choices=["schur", "h", "m", "p", "t_hbar"],
                    default="schur")
     common(p)

@@ -22,7 +22,7 @@ import json
 
 from .errors import HbarkpError
 from .fbuild import FData, FSeries
-from .hscalar import HContext, scalar_from_json, scalar_to_json
+from .hscalar import HContext, default_window, scalar_from_json, scalar_to_json
 from .partitions import Partition
 from .taubuild import TauData, TauSeries
 from .xseries import XSeries
@@ -79,15 +79,15 @@ def xseries_to_json(s: XSeries) -> list:
     return [scalar_to_json(c) for c in s.coeffs]
 
 
-def xseries_from_json(ctx: HContext, cap: int, lst) -> XSeries:
+def xseries_from_json(ctx: HContext, cap: int, lst, window=None) -> XSeries:
     if not isinstance(lst, list):
         raise DataFormatError(f"series must be a list: {lst!r}")
-    coeffs = [scalar_from_json(ctx, v) for v in lst]
+    coeffs = [scalar_from_json(ctx, v, window) for v in lst]
     valid = min(len(coeffs) - 1, cap) if coeffs else cap
     return XSeries(ctx, cap, coeffs, valid=valid)
 
 
-def _indexed_series(ctx, x_cap, mapping, what) -> list[XSeries]:
+def _indexed_series(ctx, W, X, mapping, what) -> list[XSeries]:
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
     try:
@@ -96,7 +96,8 @@ def _indexed_series(ctx, x_cap, mapping, what) -> list[XSeries]:
         raise DataFormatError(f"non-integer index in {what}") from exc
     if idx != list(range(len(idx))) or not idx:
         raise DataFormatError(f"{what} must be indexed 0..K without gaps")
-    return [xseries_from_json(ctx, x_cap, mapping[str(k)]) for k in idx]
+    return [xseries_from_json(ctx, X, mapping[str(k)], default_window(W))
+            for k in idx]
 
 
 def document_context(doc) -> tuple[HContext, int, int, int]:
@@ -111,7 +112,7 @@ def tau_data_from_document(doc) -> TauData:
     ctx, W, X, _ = document_context(doc)
     if "c" not in doc:
         raise DataFormatError('tau data need a "c" table')
-    series = _indexed_series(ctx, X, doc["c"], '"c"')
+    series = _indexed_series(ctx, W, X, doc["c"], '"c"')
     return TauData(ctx, W, X, tuple(series))
 
 
@@ -119,7 +120,7 @@ def f_data_from_document(doc) -> FData:
     ctx, W, X, _ = document_context(doc)
     if "f" not in doc:
         raise DataFormatError('F data need an "f" table')
-    series = _indexed_series(ctx, X, doc["f"], '"f"')
+    series = _indexed_series(ctx, W, X, doc["f"], '"f"')
     return FData(ctx, W, X, series[0], tuple(series[1:]))
 
 
@@ -128,7 +129,7 @@ def cauchy_from_document(doc):
     ctx, W, X, _ = document_context(doc)
     if "cauchy" not in doc:
         raise DataFormatError('plain data need a "cauchy" table')
-    series = _indexed_series(ctx, X, doc["cauchy"], '"cauchy"')
+    series = _indexed_series(ctx, W, X, doc["cauchy"], '"cauchy"')
     return ctx, W, X, series[0], tuple(series[1:])
 
 
@@ -165,7 +166,8 @@ def _diagram_table(ctx, W, X, mapping, what) -> dict:
     a cap above the table would only make the checks work on zeros."""
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
-    table = {Partition.parse(key): xseries_from_json(ctx, X, lst)
+    table = {Partition.parse(key): xseries_from_json(ctx, X, lst,
+                                                     default_window(W))
              for key, lst in mapping.items()}
     top = max((lam.weight for lam in table), default=0)
     if top < W:
@@ -208,7 +210,7 @@ def f_series_from_document(doc) -> FSeries:
     if "f_lambda" not in doc:
         raise DataFormatError('F table needs an "f_lambda" map')
     table = _diagram_table(ctx, W, X, doc["f_lambda"], '"f_lambda"')
-    f0 = xseries_from_json(ctx, X, doc.get("f0", ["0"]))
+    f0 = xseries_from_json(ctx, X, doc.get("f0", ["0"]), default_window(W))
     basis = doc.get("basis", "t_hbar")
     if basis == "t_plain":
         from .fbuild import f_series_from_plain_table

@@ -334,15 +334,20 @@ def scalar_to_json(c):
     return format_rational(Rational(c))
 
 
-def scalar_from_json(ctx: HContext, obj):
+def scalar_from_json(ctx: HContext, obj, window=None):
+    """A scalar from text or {hbar exponent: text}.  A numeric hbar's
+    exponents must lie in ``window`` (lo, hi) if given, checked first."""
     if isinstance(obj, str):
         r = parse_rational(obj)
         return ctx.scalar(r)
     if isinstance(obj, dict):
         if ctx.is_numeric:
+            exps = [int(e) for e in obj]
+            if exps and window is not None:
+                check_window(HContext.symbolic(*window), min(exps), max(exps))
             total = Rational(0)
-            for e, r in obj.items():
-                total += parse_rational(r) * ctx.hbar_pow(int(e))
+            for e, r in zip(exps, obj.values()):
+                total += parse_rational(r) * ctx.hbar_pow(e)
             return total
         return HPoly(ctx, {int(e): parse_rational(r) for e, r in obj.items()})
     raise ValueError(f"bad scalar encoding: {obj!r}")

@@ -6,6 +6,10 @@ orthonormal.
 Everything is expressed in the times t_1, t_2, ... (so "symmetric
 function" means an element of Q[t_1, t_2, ...] graded by weight); the
 x-variable picture only appears in tests as a cross-check.
+
+Every basis element but h_lambda is one dict of terms in closed form:
+Schur functions (h_k among them) from the characters of the symmetric
+group, monomial functions and t^hbar from the inverse transition matrix.
 """
 
 from __future__ import annotations
@@ -14,50 +18,70 @@ from functools import cache
 from math import factorial
 
 from .hscalar import HContext
-from .linalg import det
 from .partitions import Partition, partitions_of
 from .rational import Rational
 from .tpoly import CapError, TPoly, texp_of
 
 
-@cache
 def elementary_h(k: int, ctx: HContext, weight_cap: int) -> TPoly:
-    """Complete homogeneous polynomial h_k; h_0 = 1 and h_k = 0 for k < 0.
+    """Complete homogeneous polynomial h_k = s_(k); h_0 = 1, h_k = 0 for k < 0.
 
-    h_k = sum over partitions lambda of k of t_lambda / sigma(lambda),
-    which matches the generating series exp(sum t_j z^j) = sum h_k z^k.
+    Every character of the one-row diagram is 1, so h_k is the sum over
+    partitions lambda of k of t_lambda / sigma(lambda), which matches the
+    generating series exp(sum t_j z^j) = sum h_k z^k.
     """
-    base = TPoly.zero(ctx, weight_cap)
     if k < 0:
-        return base
+        return TPoly.zero(ctx, weight_cap)
     if k > weight_cap:
         raise CapError(f"h_{k} exceeds weight cap {weight_cap}")
-    out = base
-    for lam in partitions_of(k):
-        out = out + base.monomial_times(lam).scale(Rational(1, lam.sigma))
-    return out
+    return schur(Partition((k,) if k else ()), ctx, weight_cap)
+
+
+@cache
+def _character(lam: tuple, mu: tuple) -> int:
+    """The character chi^lam of the symmetric group at the cycle type mu, by
+    Murnaghan-Nakayama: a rim hook of length r = mu_1 removed from lam in
+    every way, with sign (-1)^height.  On the beta-set {lam_i + ell - i}
+    that is a bead moved from b to a free b - r >= 0, passing ``height``
+    beads."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    top = len(lam) - 1
+    beta = [p + top - i for i, p in enumerate(lam)]
+    total = 0
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
+        nu = tuple(x - top + i for i, x in enumerate(moved) if x > top - i)
+        height = sum(c < x < b for x in beta)
+        total += (-1) ** height * _character(nu, rest)
+    return total
 
 
 @cache
 def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
-    """Schur polynomial via the Jacobi-Trudi determinant of h's."""
+    """Schur polynomial s_lam = sum_mu chi^lam(mu) p_mu / z_mu over the
+    partitions mu of |lam|.  With p_mu = rho(mu) t_mu and z_mu =
+    sigma(mu) rho(mu), the coefficient of t_mu is chi^lam(mu) / sigma(mu)."""
     lam = Partition(lam)
     if lam.weight > weight_cap:
         raise CapError(f"s_{lam} exceeds weight cap {weight_cap}")
-    n = lam.ell
-    if n == 0:
-        return TPoly.one(ctx, weight_cap)
-
-    def h(k):
-        # h_k = 0 for k < 0 enters as the int 0, a structural zero for det.
-        return elementary_h(k, ctx, weight_cap) if k >= 0 else 0
-
-    return det([[h(lam[i] - i + j) for j in range(n)] for i in range(n)])
+    terms = {}
+    for mu in partitions_of(lam.weight):
+        chi = _character(lam, mu)
+        if chi:
+            terms[(texp_of(mu), ())] = Rational(chi, mu.sigma)
+    return TPoly(ctx, weight_cap, terms=terms)
 
 
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """The plain monomial t_lambda = t_{lam_1} t_{lam_2} ..."""
-    return TPoly.zero(ctx, weight_cap).monomial_times(lam)
+    if sum(lam) > weight_cap:
+        raise CapError("monomial exceeds weight cap")
+    return TPoly(ctx, weight_cap, terms={(texp_of(lam), ()): Rational(1)})
 
 
 def h_product(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:

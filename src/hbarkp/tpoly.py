@@ -18,9 +18,10 @@ at low valid order is information that min-combining must not lose.
 All three caps are explicit constructor parameters, never ambient state,
 and instances are immutable.  Sums, negation, scaling, coefficient maps
 and rendering are ``sparse``'s shared term arithmetic, with ``_droppable``
-as the zero test; the product keeps its own loop.  Products enforce the
-total-degree cap inside the pair loop, so a capped product costs only
-what it keeps.
+as the zero test.  Every product enumerates its pairs one way
+(``_product_pairs``): monomial keys packed into ints (``_Packing``), both
+operands sorted by the degree that the outer cap bounds, so the cap ends
+the inner loop and a capped product costs only what it keeps.
 
 ``resident`` writes a polynomial whose coefficients are x-series on the
 integer codes of ``xseries.int_kernel``, one denominator for the whole
@@ -28,9 +29,9 @@ polynomial; its private ``_Resident`` form keeps every result on those
 codes until ``decode`` reduces each coefficient to canonical rationals
 once.  When every coefficient of both operands is an x-series of one
 context and cap, ``TPoly.__mul__`` is that resident product; scalar and
-mixed coefficients keep the pair loop.  The residual checks keep their
-whole computation resident, and ``linear_combination`` accumulates the
-same codes.
+mixed coefficients are multiplied pair by pair over the same pairs.  The
+residual checks keep their whole computation resident, and
+``linear_combination`` accumulates the same codes.
 """
 
 from __future__ import annotations
@@ -134,17 +135,6 @@ def _diff_terms(terms: dict, k: int, times) -> dict:
         nt[i] = a - 1
         out[(_trim(nt), zexp)] = times(c, a)
     return out
-
-
-def _graded_items(terms: dict, by_degree: bool) -> list:
-    """(sort degree, weight, texp, zexp, coeff) rows in ascending sort degree;
-    the sort degree is the total degree if ``by_degree``, else the weight."""
-    items = []
-    for (t, z), c in terms.items():
-        w = weight_of(t)
-        items.append((w + sum(z) if by_degree else w, w, t, z, c))
-    items.sort(key=itemgetter(0))
-    return items
 
 
 def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
@@ -273,13 +263,6 @@ class TPoly:
         return TPoly(ctx, weight_cap, z_cap, nslots, {((), zexp): Rational(1)},
                      degree_cap=degree_cap)
 
-    def monomial_times(self, parts) -> "TPoly":
-        """Product t_{p1} t_{p2} ... for a part list (used by basis builders)."""
-        texp = texp_of(parts)
-        if weight_of(texp) > self.weight_cap:
-            raise CapError("monomial exceeds weight cap")
-        return self._like({(texp, ()): Rational(1)})
-
     # -- structure ----------------------------------------------------------
 
     def _same_shape(self, other: "TPoly"):
@@ -361,44 +344,14 @@ class TPoly:
         self._same_shape(other)
         if _series_only(self, other):
             return (resident(self) * resident(other)).decode()
-        W, Z, D = self.weight_cap, self.z_cap, self.degree_cap
-        # Both operands are sorted by the degree that the outer cap bounds
-        # (total degree under a total-degree cap, else t-weight), so the
-        # first partner over that cap ends the inner loop; a partner over
-        # the weight cap alone is skipped.
-        limit = W if D is None else D
-        items1 = _graded_items(self.terms, D is not None)
-        items2 = _graded_items(other.terms, D is not None)
         out: dict = {}
-        for s1, w1, t1, z1, c1 in items1:
-            budget = limit - s1
-            w_budget = W - w1
-            for s2, w2, t2, z2, c2 in items2:
-                if s2 > budget:
-                    break
-                if w2 > w_budget:
-                    continue
-                if z1 and z2:
-                    n = max(len(z1), len(z2))
-                    za = z1 + (0,) * (n - len(z1))
-                    zb = z2 + (0,) * (n - len(z2))
-                    zk = tuple(a + b for a, b in zip(za, zb))
-                    if any(d > Z for d in zk):
-                        continue
-                    zk = _trim(zk)
-                else:
-                    zk = z1 or z2
-                n = max(len(t1), len(t2))
-                ta = t1 + (0,) * (n - len(t1))
-                tb = t2 + (0,) * (n - len(t2))
-                key = (tuple(a + b for a, b in zip(ta, tb)), zk)
-                p = c1 * c2
-                if key in out:
-                    out[key] = out[key] + p
-                else:
-                    out[key] = p
-        clean = {k: c for k, c in out.items() if not _droppable(c)}
-        return self._like(clean, _clean=True)
+        pack, pairs = _product_pairs(self, self.terms, other.terms)
+        for p, c1, c2 in pairs:
+            c = c1 * c2
+            out[p] = out[p] + c if p in out else c
+        key = pack.key
+        return self._like({key(p): c for p, c in out.items()
+                           if not _droppable(c)}, _clean=True)
 
     __rmul__ = __mul__
 
@@ -609,7 +562,8 @@ class _Packing:
         return key
 
     def items(self, terms: dict, by_degree: bool) -> list:
-        """(sort degree, weight, int, coeff) rows as ``_graded_items``."""
+        """(sort degree, weight, int, coeff) rows, stably sorted by the total
+        degree if ``by_degree``, else by the weight."""
         row = self.row
         items = []
         for key, c in terms.items():
@@ -619,8 +573,9 @@ class _Packing:
         return items
 
     def pairs(self, items1, items2, W: int, limit: int):
-        """(int key, c1, c2) for the pairs that ``TPoly.__mul__``
-        multiplies, in its order."""
+        """(int key, c1, c2) for the pairs of rows within the caps, in order.
+        The first partner whose sort degree passes ``limit`` ends the inner
+        loop; a partner over the weight cap alone is skipped."""
         offset, guard = self.offset, self.guard
         for s1, w1, p1, c1 in items1:
             budget = limit - s1
@@ -639,6 +594,18 @@ class _Packing:
 @cache
 def _packing(W: int, Z: int, nslots: int) -> _Packing:
     return _Packing(W, Z, nslots)
+
+
+def _product_pairs(shape, terms1: dict, terms2: dict):
+    """(packing, pairs): the ``_Packing`` of the caps of ``shape`` and its
+    ``pairs`` of ``terms1`` by ``terms2``, sorted by the degree that the
+    outer cap bounds (total degree under a total-degree cap)."""
+    W, D = shape.weight_cap, shape.degree_cap
+    pack = _packing(W, shape.z_cap, shape.nslots)
+    by_degree = D is not None
+    return pack, pack.pairs(pack.items(terms1, by_degree),
+                            pack.items(terms2, by_degree),
+                            W, W if D is None else D)
 
 
 class _Resident:
@@ -689,13 +656,6 @@ class _Resident:
         if not other.terms:
             return self, self._like({}, other.den)
         raise ValueError("mixed x caps, or scalar and x-series coefficients")
-
-    def _packing(self) -> _Packing:
-        return _packing(self.weight_cap, self.z_cap, self.nslots)
-
-    def _limit(self) -> int:
-        """The bound on the sort degree of a product's pairs."""
-        return self.weight_cap if self.degree_cap is None else self.degree_cap
 
     def _scalar_code(self, s):
         """(den, code) of one scalar."""
@@ -772,14 +732,11 @@ class _Resident:
         self, other = self._joined(other)
         kernel = self.kernel
         ops1, ops2 = kernel.operands(self.terms.values(), other.terms.values())
-        pack = self._packing()
-        by_degree = self.degree_cap is not None
-        items1 = pack.items(dict(zip(self.terms, ops1)), by_degree)
-        items2 = pack.items(dict(zip(other.terms, ops2)), by_degree)
+        pack, pairs = _product_pairs(self, dict(zip(self.terms, ops1)),
+                                     dict(zip(other.terms, ops2)))
         out: dict = {}
         accumulate = kernel.accumulate
-        for p, a, b in pack.pairs(items1, items2, self.weight_cap,
-                                  self._limit()):
+        for p, a, b in pairs:
             accumulate(out, p, a, b)
         finish, key = kernel.finish, pack.key
         return self._clean({key(p): finish(acc) for p, acc in out.items()},
@@ -800,14 +757,11 @@ class _Resident:
         kernel = self.kernel
         den, scodes = kernel.encode_scalars(poly.terms.values())
         theirs = dict(zip(poly.terms, scodes))
-        pack = self._packing()
-        by_degree = self.degree_cap is not None
-        items1 = pack.items(theirs if left else self.terms, by_degree)
-        items2 = pack.items(self.terms if left else theirs, by_degree)
+        pack, pairs = _product_pairs(self, theirs if left else self.terms,
+                                     self.terms if left else theirs)
         scale, add = kernel.scale, kernel.add
         out: dict = {}
-        for p, c1, c2 in pack.pairs(items1, items2, self.weight_cap,
-                                    self._limit()):
+        for p, c1, c2 in pairs:
             c = scale(c2, c1) if left else scale(c1, c2)
             out[p] = add(out[p], c) if p in out else c
         key = pack.key
@@ -867,9 +821,11 @@ class _Resident:
         acc = self._constant_like(Rational(1))
         # 1 * self: a product with the scalar 1 keeps every coefficient and
         # orders the monomials as the product loop visits them
+        pack = _packing(self.weight_cap, self.z_cap, self.nslots)
+        key = pack.key
         term = self._like(
-            {(t, z): c for _, _, t, z, c in
-             _graded_items(self.terms, self.degree_cap is not None)}, self.den)
+            {key(p): c for _, _, p, c in
+             pack.items(self.terms, self.degree_cap is not None)}, self.den)
         for n in range(1, TPoly._degree_bound(self) + 2):
             if n > 1:
                 term = (term * self).scale(Rational(1, n))

@@ -17,6 +17,7 @@ from hbarkp.hscalar import HContext
 from hbarkp.partitions import partitions_upto
 from hbarkp.sampling import random_f_data, random_tau_data, random_xseries
 from hbarkp.taubuild import TauSeries
+from hbarkp.tpoly import TPoly
 from hbarkp.verify import check_det_m, check_fay, check_hirota3, check_kp2
 
 
@@ -106,6 +107,28 @@ def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
     err = capsys.readouterr().err
     assert "--points <= 6" in err
     assert err.count("\n") == 1
+
+
+def test_schur_refuses_weights_above_its_limit(tmp_path, monkeypatch, capsys):
+    """Weight 16 reaches the basis (a stub here: the real one takes
+    seconds) and weight 17 exits 2 before building anything."""
+    built = []
+
+    def stub(lam, ctx, weight_cap):
+        built.append(weight_cap)
+        return TPoly.one(ctx, weight_cap)
+
+    monkeypatch.setattr(symfun, "schur", stub)
+    out = tmp_path / "schur.json"
+    assert main(["schur", "--weight", "16", "--output", str(out)]) == 0
+    assert built == [16] * len(list(partitions_upto(16)))
+    capsys.readouterr()
+    for weight in ("17", str(10 ** 6)):
+        assert main(["schur", "--weight", weight]) == 2
+        err = capsys.readouterr().err
+        assert "--weight <= 16" in err
+        assert err.count("\n") == 1
+    assert len(built) == len(list(partitions_upto(16)))
 
 
 def test_pconst_output(tmp_path):
@@ -319,6 +342,26 @@ def test_exit_2_on_bad_coefficient(tmp_path, bad, message):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize("exponent, code", [
+    ("4", 0), ("-4", 0), ("5", 2), ("-5", 2), (str(10 ** 6), 2)])
+def test_numeric_documents_bound_their_hbar_exponents(tmp_path, capsys,
+                                                      exponent, code):
+    """A numeric-hbar coefficient written by hbar exponent may use the
+    exponents of the default window of the document's weight, [-4, 4] at
+    weight 2.  Others are refused before any arithmetic: hbar^(10**6) made
+    ``tau`` compute for seconds and then fail on writing the table."""
+    doc = _tau_doc({"mode": "rational", "value": "1/2"}, 2)
+    doc["c"]["1"] = ["1", {exponent: "1"}, "1"]
+    path = tmp_path / "exponent.json"
+    dataio.dump(doc, path)
+    out = tmp_path / "table.json"
+    assert main(["tau", "--input", str(path), "--output", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: hbar^{exponent} outside window [-4, 4]\n"
+        assert not out.exists()
 
 
 def test_exit_2_on_too_narrow_hbar_window(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarkp.hscalar import HContext
+from hbarkp.linalg import det
 from hbarkp.partitions import Partition, dominates, partitions_of, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_tpoly
@@ -21,7 +22,7 @@ from hbarkp.symfun import (
     t_monomial,
     transition_L,
 )
-from hbarkp.tpoly import CapError, TPoly
+from hbarkp.tpoly import CapError, TPoly, texp_of
 
 W = 6
 CTX = HContext.symbolic(-8, 8)
@@ -180,6 +181,34 @@ def test_schur_bialternant_cross_check():
                 [[_xmono(i, n - (j + 1), n) for j in range(n)]
                  for i in range(n)])
             assert _xpoly_sub(_xpoly_mul(s_x, den), num) == {}
+
+
+def _jacobi_trudi(lam, ctx, cap):
+    """s_lam = det[h_{lam_i - i + j}], with h_k = sum over |mu| = k of
+    t_mu / sigma(mu) built here, not by ``elementary_h``."""
+    def h(k):
+        if k < 0:
+            return 0  # a structural zero for det
+        return TPoly(ctx, cap, terms={(texp_of(mu), ()): Rational(1, mu.sigma)
+                                      for mu in partitions_of(k)})
+
+    n = lam.ell
+    if n == 0:
+        return TPoly.one(ctx, cap)
+    return det([[h(lam[i] - i + j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric(Rational(1, 2)), CTX],
+                         ids=["numeric", "formal"])
+def test_schur_matches_jacobi_trudi(ctx):
+    """The character expansion equals the Jacobi-Trudi determinant for
+    every |lam| <= 8, term for term and with the same coefficient types."""
+    cap = 8
+    for lam in partitions_upto(cap):
+        got, want = schur(lam, ctx, cap).terms, _jacobi_trudi(lam, ctx, cap).terms
+        assert got == want, lam
+        assert {k: type(c) for k, c in got.items()} == {
+            k: type(c) for k, c in want.items()}, lam
 
 
 # -- monomial basis ------------------------------------------------------------
