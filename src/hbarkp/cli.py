@@ -73,8 +73,8 @@ def _emit(args, doc) -> None:
 
 def cmd_schur(args) -> int:
     W = args.weight
-    if W > SCHUR_MAX_WEIGHT:
-        raise CommandError(f"schur needs --weight <= {SCHUR_MAX_WEIGHT}")
+    if not 0 <= W <= SCHUR_MAX_WEIGHT:
+        raise CommandError(f"schur needs 0 <= --weight <= {SCHUR_MAX_WEIGHT}")
     ctx = _context_from_args(args, W)
     builders = {
         "schur": symfun.schur,
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="basis tables")
     p.add_argument("--weight", type=int, required=True,
-                   help=f"weight cap, at most {SCHUR_MAX_WEIGHT}")
+                   help=f"weight cap, 0 to {SCHUR_MAX_WEIGHT}")
     p.add_argument("--basis", choices=["schur", "h", "m", "p", "t_hbar"],
                    default="schur")
     common(p)

@@ -111,7 +111,8 @@ def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
 
 def test_schur_refuses_weights_above_its_limit(tmp_path, monkeypatch, capsys):
     """Weight 16 reaches the basis (a stub here: the real one takes
-    seconds) and weight 17 exits 2 before building anything."""
+    seconds); weight 17, and a negative weight, exit 2 before building
+    anything."""
     built = []
 
     def stub(lam, ctx, weight_cap):
@@ -123,10 +124,10 @@ def test_schur_refuses_weights_above_its_limit(tmp_path, monkeypatch, capsys):
     assert main(["schur", "--weight", "16", "--output", str(out)]) == 0
     assert built == [16] * len(list(partitions_upto(16)))
     capsys.readouterr()
-    for weight in ("17", str(10 ** 6)):
+    for weight in ("17", str(10 ** 6), "-1"):
         assert main(["schur", "--weight", weight]) == 2
         err = capsys.readouterr().err
-        assert "--weight <= 16" in err
+        assert "0 <= --weight <= 16" in err
         assert err.count("\n") == 1
     assert len(built) == len(list(partitions_upto(16)))
 
