@@ -79,12 +79,15 @@ def xseries_to_json(s: XSeries) -> list:
     return [scalar_to_json(c) for c in s.coeffs]
 
 
-def xseries_from_json(ctx: HContext, cap: int, lst, window=None) -> XSeries:
+def xseries_from_json(ctx: HContext, W: int, X: int, lst) -> XSeries:
+    """A series of x cap ``X`` in a document of weight cap ``W``; hbar
+    exponents written in it must lie in ``default_window(W)``."""
     if not isinstance(lst, list):
         raise DataFormatError(f"series must be a list: {lst!r}")
+    window = default_window(W)
     coeffs = [scalar_from_json(ctx, v, window) for v in lst]
-    valid = min(len(coeffs) - 1, cap) if coeffs else cap
-    return XSeries(ctx, cap, coeffs, valid=valid)
+    valid = min(len(coeffs) - 1, X) if coeffs else X
+    return XSeries(ctx, X, coeffs, valid=valid)
 
 
 def _indexed_series(ctx, W, X, mapping, what) -> list[XSeries]:
@@ -96,8 +99,7 @@ def _indexed_series(ctx, W, X, mapping, what) -> list[XSeries]:
         raise DataFormatError(f"non-integer index in {what}") from exc
     if idx != list(range(len(idx))) or not idx:
         raise DataFormatError(f"{what} must be indexed 0..K without gaps")
-    return [xseries_from_json(ctx, X, mapping[str(k)], default_window(W))
-            for k in idx]
+    return [xseries_from_json(ctx, W, X, mapping[str(k)]) for k in idx]
 
 
 def document_context(doc) -> tuple[HContext, int, int, int]:
@@ -166,8 +168,7 @@ def _diagram_table(ctx, W, X, mapping, what) -> dict:
     a cap above the table would only make the checks work on zeros."""
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
-    table = {Partition.parse(key): xseries_from_json(ctx, X, lst,
-                                                     default_window(W))
+    table = {Partition.parse(key): xseries_from_json(ctx, W, X, lst)
              for key, lst in mapping.items()}
     top = max((lam.weight for lam in table), default=0)
     if top < W:
@@ -210,7 +211,7 @@ def f_series_from_document(doc) -> FSeries:
     if "f_lambda" not in doc:
         raise DataFormatError('F table needs an "f_lambda" map')
     table = _diagram_table(ctx, W, X, doc["f_lambda"], '"f_lambda"')
-    f0 = xseries_from_json(ctx, X, doc.get("f0", ["0"]), default_window(W))
+    f0 = xseries_from_json(ctx, W, X, doc.get("f0", ["0"]))
     basis = doc.get("basis", "t_hbar")
     if basis == "t_plain":
         from .fbuild import f_series_from_plain_table
