@@ -36,6 +36,9 @@ TRANSITION_MAX_WEIGHT = 14
 # Largest weight ``schur`` accepts: at 16 each basis takes at most about
 # 7 s, and the Schur basis grows about x1.6 per weight (10 s at 18).
 SCHUR_MAX_WEIGHT = 16
+# Largest weight symbolic ``fseries`` accepts: at 14 it takes about 6 s,
+# and each weight costs about x2.5 (14 s at 15, 41 s at 16).
+FSERIES_MAX_WEIGHT = 14
 # Most points ``verify detm`` accepts: at W = 3 and the least z order, 6
 # points take about 9 s and 7 points about 210 s, and 6 is the largest m
 # at which ``_least_z_order`` was measured.
@@ -147,6 +150,9 @@ def cmd_fseries(args) -> int:
     _check_z_order(args)
     if args.mode == "symbolic":
         W = args.weight
+        if not 0 <= W <= FSERIES_MAX_WEIGHT:
+            raise CommandError(f"symbolic fseries needs 0 <= --weight <= "
+                               f"{FSERIES_MAX_WEIGHT}")
         ctx = _context_from_args(args, W)
         fs = fbuild.f_series_symbolic(ctx, W)
         _emit(args, dataio.f_series_to_document(fs, basis=args.basis))
@@ -306,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hbarkp",
         description="Exact engine for hbar-KP formal solutions and their "
                     "bilinear verification.",
+        epilog=f"A document's caps.x_order is at most {dataio.X_ORDER_MAX}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["concrete", "symbolic"], default="concrete")
     p.add_argument("--basis", choices=["t_hbar", "t_plain"], default="t_hbar")
     p.add_argument("--weight", type=int, default=4,
-                   help="weight cap (symbolic mode only)")
+                   help=f"symbolic mode's weight cap, 0 to {FSERIES_MAX_WEIGHT}")
     p.add_argument("--z-order", type=int, default=0)
     p.add_argument("--input", help="input data file (concrete mode)")
     common(p)

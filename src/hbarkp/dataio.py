@@ -28,6 +28,11 @@ from .taubuild import TauData, TauSeries
 from .xseries import XSeries
 
 
+# Largest caps.x_order: at W = 4 the slowest command on a full document,
+# verify detm, takes about 5 s at 128 and 43 s at 256.
+X_ORDER_MAX = 128
+
+
 class DataFormatError(HbarkpError, ValueError):
     """A document that does not hold what its command needs."""
 
@@ -107,6 +112,8 @@ def document_context(doc) -> tuple[HContext, int, int, int]:
     W, X, Z = caps_from_json(doc.get("caps", {}))
     if W < 1 or X < 0 or Z < 0:
         raise DataFormatError("caps must be positive")
+    if X > X_ORDER_MAX:
+        raise DataFormatError(f"caps.x_order {X} is above {X_ORDER_MAX}")
     return ctx, W, X, Z
 
 

@@ -4,8 +4,9 @@ plain and deformed first-order data, and bridging to the tau-function.
 The data are f_0(x) = F(x; 0) together with f_k(x) = (deformed d_k) F at
 t = 0.  The coefficient of a diagram with more than one row is the
 operator word L_{lam_1} ... L_{lam_{ell-1}}(f_{lam_ell}); one-row diagrams
-contribute f_k itself.  The series is assembled in the hbar-deformed
-monomial basis:
+contribute f_k itself.  ``f_series`` evaluates every word on one encoding
+of the jets d^l f_s (``xseries.Jets``) and decodes once per diagram.  The
+series is assembled in the hbar-deformed monomial basis:
 
     F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam.
 
@@ -28,7 +29,7 @@ from .rational import Rational
 from .symfun import h_apply, t_hbar, transition_L
 from .taubuild import TauData, as_xseries
 from .tpoly import TPoly, linear_combination
-from .xseries import XSeries
+from .xseries import Jets, XSeries
 
 
 @dataclass(frozen=True)
@@ -61,19 +62,15 @@ class FData:
         return {k: self.f[k - 1] for k in range(1, self.K + 1)}
 
 
-def f_lambda(lam, ctx: HContext, data: FData | None = None):
-    """Coefficient of one diagram: symbolic (DiffPoly) by default, or the
-    concrete series when data are supplied."""
+def f_lambda(lam, ctx: HContext) -> DiffPoly:
+    """Coefficient of one diagram, a polynomial in the data
+    (``DiffPoly.substitute`` evaluates it)."""
     lam = Partition(lam)
     if lam.ell == 0:
         raise ValueError("the empty diagram is handled by f_0")
     if lam.ell == 1:
-        sym = DiffPoly.generator(ctx, lam[0], 0)
-    else:
-        sym = l_word(tuple(lam[:-1]), lam[-1], ctx)
-    if data is None:
-        return sym
-    return sym.substitute(data.source_map(), like=data.f0)
+        return DiffPoly.generator(ctx, lam[0], 0)
+    return l_word(tuple(lam[:-1]), lam[-1], ctx)
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,9 @@ def f_series(data: FData, weight_cap: int | None = None) -> FSeries:
     W = data.weight_cap if weight_cap is None else weight_cap
     if data.K < W:
         raise ValueError("data index cap must reach the weight cap")
+    jets = Jets(data.source_map(), data.f0)
     table = {
-        lam: f_lambda(lam, data.ctx, data)
+        lam: f_lambda(lam, data.ctx).substitute(jets)
         for lam in partitions_upto(W, 1)
     }
     return FSeries(data.ctx, W, data.x_cap, data.f0, table, symbolic=False)
@@ -150,8 +148,9 @@ def cauchy_from_cauchylike(data: FData, k: int) -> XSeries:
     if k < 1 or k > data.K:
         raise ValueError("k out of range of the data")
     total = XSeries.zero(data.ctx, data.x_cap)
+    jets = Jets(data.source_map(), data.f0)
     for lam, s in _conversion_weights(data.ctx, k):
-        total = total + f_lambda(lam, data.ctx, data).scale(s)
+        total = total + f_lambda(lam, data.ctx).substitute(jets).scale(s)
     return total
 
 
@@ -170,12 +169,11 @@ def cauchylike_from_cauchy(ctx: HContext, weight_cap: int, x_cap: int,
     fs: list[XSeries] = []
     for k in range(1, len(plain) + 1):
         correction = XSeries.zero(ctx, x_cap)
-        partial = {s + 1: fs[s] for s in range(len(fs))}
+        jets = Jets({s + 1: fs[s] for s in range(len(fs))}, f0)
         for lam, s in _conversion_weights(ctx, k):
             if lam.ell < 2:
                 continue
-            word = l_word(tuple(lam[:-1]), lam[-1], ctx)
-            val = word.substitute(partial, like=f0)
+            val = l_word(tuple(lam[:-1]), lam[-1], ctx).substitute(jets)
             correction = correction + val.scale(s)
         fs.append(plain[k - 1] - correction)
     return FData(ctx, weight_cap, x_cap, f0, tuple(fs))

@@ -6,7 +6,8 @@ A generator is a pair (s, l) standing for the l-th derivative of f_s.
 ``DiffPoly`` is a scalar-weighted sum of generator multisets: a
 ``sparse.MultisetPoly``, which holds its ring arithmetic (sum, product,
 scaling, equality, rendering), so it keeps only generator validation and
-its domain methods (``coefficient``, ``x_deriv``, ``substitute``).  The
+its domain methods (``coefficient``, ``x_deriv``, and ``substitute``,
+which evaluates on the integer codes of the sources' x-jets).  The
 operators L_i are fixed by three properties: they commute with d/dx, act
 on a bare source f_j through the universal constants P_{ij}, and satisfy
 the generalized hbar-Leibniz rule on products (with L_0 the identity).
@@ -24,7 +25,7 @@ from .kpconst import p_const
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly
-from .xseries import XSeries
+from .xseries import Jets, XSeries
 
 # generator: (source index s >= 1, derivative order l >= 0)
 
@@ -71,25 +72,23 @@ class DiffPoly(MultisetPoly):
     def substitute(self, data, like: XSeries | None = None) -> XSeries:
         """Evaluate on concrete sources: (s, l) -> l-th derivative of data[s].
 
-        ``like`` supplies the result's shape when the polynomial does not
-        mention any source (e.g. it is zero or constant)."""
-        if like is None:
-            if not data:
-                raise ValueError("need at least one series to fix the x cap")
-            like = next(iter(data.values()))
-        total = XSeries.zero(like.ctx, like.cap)
-        deriv_cache: dict = {}
-        for gens, c in self.terms.items():
-            prod = XSeries.constant(like.ctx, like.cap, 1)
-            for (s, l) in gens:
-                if s not in data:
-                    raise KeyError(f"no series supplied for source f_{s}")
-                key = (s, l)
-                if key not in deriv_cache:
-                    deriv_cache[key] = data[s].diff_n(l)
-                prod = prod * deriv_cache[key]
-            total = total + prod.scale(c)
-        return total
+        ``data`` is a dict of sources or its ``xseries.Jets``; ``like``
+        supplies the result's shape when there is no source.  Each
+        monomial is a product of jet codes, and the sum is decoded once."""
+        jets = data if isinstance(data, Jets) else Jets(data, like)
+        kernel, terms = jets.kernel, self.terms
+        den, scalars = kernel.encode_scalars(terms.values())
+        top = max(map(len, terms), default=0)
+        one, total = (kernel.constant(c)
+                      for c in kernel.encode_scalars((1, 0))[1])
+        for gens, c in zip(terms, scalars):
+            prod = one
+            for gen in gens:
+                prod = kernel.product(prod, jets[gen])
+            # over jets.den ** len(gens), brought over jets.den ** top
+            total = kernel.add(total, kernel.rescale(
+                kernel.scale(prod, c), jets.den ** (top - len(gens))))
+        return kernel.series(jets.den ** top * den, total)
 
 
 @cache

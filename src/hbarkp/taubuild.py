@@ -12,17 +12,19 @@ tau = sum_lam c_lam(x) s_lam(t / hbar).  Conversely the data are recovered
 from tau as c_0 = tau(x; 0) and c_k = (hbar/k) * (deformed d_k) tau at
 t = 0; both directions are exposed here and round-trip.
 
-``tau_series`` builds a whole table as one computation.  The entry in row
-i and column j depends only on the row label a = lam_i - i and on j, so
-each entry is built once per table, not once per diagram; the minors of
-the lower rows are shared between diagrams under (labels of those rows,
-columns) through ``linalg.det``'s ``row_keys``/``memo``; and each power
-c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
+``tau_series`` builds a whole table as one computation on integer codes:
+c_0..c_K are encoded once (``xseries.Jets``), every entry sits over one
+denominator, so a k-minor sits over its k-th power, and each c_lam is
+decoded once.  The entry in row i and column j depends only on the row
+label a = lam_i - i and on j, so it is built once per table; the minors
+of the lower rows are shared between diagrams under (labels of those
+rows, columns) through ``linalg.det``'s ``row_keys``/``memo``; and each
+power c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
 c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
 and ``extract_cauchy_like_tau`` reads (deformed d_k) tau at t = 0 off the
-coefficients of tau (``hcalc.dh_at_zero``) instead of applying the
-operator to all of it.  Values, valid orders, coefficient types and window
-errors are those of building each diagram alone and summing term by term.
+coefficients of tau (``hcalc.dh_at_zero``).  Values, valid orders,
+coefficient types and window errors are those of the same steps on
+XSeries values.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .rational import Rational
 from .symfun import schur
 from .tpoly import TPoly, linear_combination
 from .hcalc import dh_at_zero
-from .xseries import XSeries
+from .xseries import Jets, XSeries
 
 
 @dataclass(frozen=True)
@@ -74,54 +76,71 @@ class TauData:
         return self.c[k]
 
 
+class _Code:
+    """An x-series code of one ``_Table``, with the ring operations of
+    ``det``; a k-minor of the entries sits over the table's den^k."""
+
+    __slots__ = ("kernel", "code")
+
+    def __init__(self, kernel, code):
+        self.kernel, self.code = kernel, code
+
+    def __add__(self, other):
+        return _Code(self.kernel, self.kernel.add(self.code, other.code))
+
+    def __neg__(self):
+        return _Code(self.kernel, self.kernel.rescale(self.code, -1))
+
+    def __mul__(self, other):
+        return _Code(self.kernel, self.kernel.product(self.code, other.code))
+
+
 class _Table:
-    """What the diagrams of one table share (see the module docstring):
-    the derivatives d_x^k c_m, the matrix entries by (row label, column),
-    the minors of the lower rows and the powers of c_0^{-1}."""
+    """What the diagrams of one table share, as codes over one denominator
+    ``den`` (see the module docstring)."""
 
     def __init__(self, data: TauData):
         self.data = data
-        self.derivs: dict = {}
-        self.entries: dict = {}
-        self.minors: dict = {}
-        self.inv0: XSeries | None = None
-        self.inv0_pows: list = []
-
-    def dx(self, m: int, k: int) -> XSeries:
-        """d_x^k c_m."""
-        key = (m, k)
-        if key not in self.derivs:
-            self.derivs[key] = (self.data.series(m) if k == 0
-                                else self.dx(m, k - 1).diff())
-        return self.derivs[key]
+        ctx = data.ctx
+        self.derivs = Jets(dict(enumerate(data.c)))  # (m, k) -> d_x^k c_m
+        kernel = self.kernel = self.derivs.kernel
+        # (-hbar)^k as XSeries.scale takes it (hbar^0 is an HPoly in formal
+        # mode); a formal hbar^k beyond the window raises where it is used
+        ks = range(data.K if ctx.is_numeric else min(data.K, ctx.hi + 1))
+        den_h, self.signed_hbar = kernel.encode_scalars(
+            ctx.hbar_pow(k) * Rational((-1) ** k) for k in ks)
+        self.den = self.derivs.den * den_h
+        self.entries, self.minors, self.inv0_pows = {}, {}, []
 
     def entry(self, a: int, j: int):
         """sum_{k<j} (-hbar)^k C(j-1, k) d_x^k c_{a+j-k}, or the int 0 when
         every c_m in it has m < 0 (a structural zero for det)."""
         key = (a, j)
         if key not in self.entries:
-            ctx = self.data.ctx
+            kernel = self.kernel
             entry = None
             for k in range(j):
                 m = a + j - k
                 if m < 0:
                     continue
-                term = self.dx(m, k).scale(
-                    Rational(comb(j - 1, k)) * ctx.hbar_pow(k) * Rational((-1) ** k)
-                )
-                entry = term if entry is None else entry + term
-            self.entries[key] = 0 if entry is None else entry
+                d = self.derivs[m, k]
+                if k >= len(self.signed_hbar):
+                    self.data.ctx.hbar_pow(k)  # raises: outside the window
+                term = kernel.rescale(kernel.scale(d, self.signed_hbar[k]),
+                                      comb(j - 1, k))
+                entry = term if entry is None else kernel.add(entry, term)
+            self.entries[key] = 0 if entry is None else _Code(kernel, entry)
         return self.entries[key]
 
-    def inv0_pow(self, p: int) -> XSeries:
-        """c_0^{-p}, built as ``c_0.inverse().pow_int(p)`` builds it."""
-        if self.inv0 is None:
-            self.inv0 = self.data.series(0).inverse()
-            self.inv0_pows = [self.inv0.pow_int(0)]
-        pows = self.inv0_pows
-        while len(pows) <= p:
-            pows.append(pows[-1] * self.inv0)
-        return pows[p]
+    def inv0_pow(self, p: int):
+        """(den, code) of c_0^{-p}, p >= 1."""
+        kernel, pows = self.kernel, self.inv0_pows
+        if not pows:
+            self.inv0_den, pows[:] = kernel.codes(
+                (self.data.series(0).inverse(),))
+        while len(pows) < p:
+            pows.append(kernel.product(pows[-1], pows[0]))
+        return self.inv0_den ** p, pows[p - 1]
 
 
 def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
@@ -137,10 +156,12 @@ def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
     table = _Table(data) if _table is None else _table
     labels = [lam[i] - i - 1 for i in range(n)]
     rows = [[table.entry(a, j) for j in range(1, n + 1)] for a in labels]
-    d = det(rows, labels, table.minors)
+    d = det(rows, labels, table.minors).code
+    kernel, den = table.kernel, table.den ** n
     if n == 1:
-        return d
-    return d * table.inv0_pow(n - 1)
+        return kernel.series(den, d)
+    den_inv, inv = table.inv0_pow(n - 1)
+    return kernel.series(den * den_inv, kernel.product(d, inv))
 
 
 @dataclass(frozen=True)

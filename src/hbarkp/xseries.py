@@ -155,16 +155,6 @@ class XSeries:
             self.ctx, self.cap, tuple(c * s for c in self.coeffs), valid=self.valid
         )
 
-    def pow_int(self, n: int) -> "XSeries":
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        out = XSeries.one(self.ctx, self.cap)
-        # keep the base's valid order even for n = 0 consumers
-        out = XSeries(self.ctx, self.cap, out.coeffs[: self.valid + 1], valid=self.valid)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- calculus -----------------------------------------------------------
 
     def diff(self) -> "XSeries":
@@ -178,12 +168,6 @@ class XSeries:
             tuple((j + 1) * self.coeffs[j + 1] for j in range(v + 1)),
             valid=v,
         )
-
-    def diff_n(self, n: int) -> "XSeries":
-        out = self
-        for _ in range(n):
-            out = out.diff()
-        return out
 
     def inverse(self) -> "XSeries":
         """Multiplicative inverse; constant term must be a unit."""
@@ -667,3 +651,25 @@ _EMPTY: dict = {}
 def int_kernel(ctx: HContext, cap: int):
     """The integer kernel for series with this context and x cap."""
     return _NumericInts(ctx, cap) if ctx.is_numeric else _SymbolicInts(ctx, cap)
+
+
+class Jets(dict):
+    """Series s -> data[s] as codes of ``int_kernel``, over one denominator
+    ``den``, under the key (s, 0); the code of the l-th x-derivative is
+    formed at the first look-up of (s, l) and kept."""
+
+    def __init__(self, data: dict, like: XSeries | None = None):
+        like = next(iter(data.values()), None) if like is None else like
+        if like is None or any(s.ctx != like.ctx or s.cap != like.cap
+                               for s in data.values()):
+            raise ValueError("need series of one hbar context and x cap")
+        self.kernel = int_kernel(like.ctx, like.cap)
+        self.den, codes = self.kernel.codes(data.values())
+        super().__init__(((s, 0), c) for s, c in zip(data, codes))
+
+    def __missing__(self, key):
+        s, l = key
+        if l == 0:
+            raise KeyError(f"no series supplied for source f_{s}")
+        code = self[key] = self.kernel.diff(self[s, l - 1])
+        return code

@@ -10,8 +10,10 @@ from random import Random
 import pytest
 
 import hbarkp
-from hbarkp import dataio, symfun, verify
-from hbarkp.cli import DETM_MAX_POINTS, _least_z_order, main
+from hbarkp import dataio, fbuild, symfun, verify
+from hbarkp.cli import (
+    DETM_MAX_POINTS, FSERIES_MAX_WEIGHT, _least_z_order, main,
+)
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
 from hbarkp.partitions import partitions_upto
@@ -130,6 +132,53 @@ def test_schur_refuses_weights_above_its_limit(tmp_path, monkeypatch, capsys):
         assert "0 <= --weight <= 16" in err
         assert err.count("\n") == 1
     assert len(built) == len(list(partitions_upto(16)))
+
+
+def test_symbolic_fseries_weight_limit(monkeypatch, capsys):
+    """Symbolic fseries accepts 0..14 and exits 2 outside that, before it
+    builds anything."""
+    built = []
+
+    def stub(ctx, weight_cap):
+        built.append(weight_cap)
+        return FSeries(ctx, weight_cap, 0, None, {}, symbolic=True)
+
+    monkeypatch.setattr(fbuild, "f_series_symbolic", stub)
+    assert FSERIES_MAX_WEIGHT == 14
+    assert main(["fseries", "--mode", "symbolic", "--weight", "14"]) == 0
+    capsys.readouterr()
+    for weight in ("15", str(10 ** 6), "-1"):
+        assert main(["fseries", "--mode", "symbolic", "--weight", weight]) == 2
+        err = capsys.readouterr().err
+        assert "0 <= --weight <= 14" in err
+        assert err.count("\n") == 1
+    assert built == [14]
+
+
+def test_x_order_limit(tmp_path, capsys):
+    """A document's caps.x_order is at most dataio.X_ORDER_MAX = 128; above
+    that every command that reads it exits 2 before building a series."""
+    assert dataio.X_ORDER_MAX == 128
+    path, out = tmp_path / "in.json", tmp_path / "out.json"
+    tables = [
+        (["tau"], {"c": {str(k): ["1", "1/2"] for k in range(3)}}),
+        (["fseries"], {"f": {str(k): ["0", "1/2"] for k in range(3)}}),
+        (["bridge"], {"f": {str(k): ["0", "1/2"] for k in range(3)}}),
+        (["verify", "fay"], {"c_lambda": {lam.serialize(): ["1"]
+                                          for lam in partitions_upto(2)}}),
+    ]
+    for x_order in (128, 129, 10 ** 9):
+        for argv, table in tables:
+            dataio.dump({"hbar": {"mode": "rational", "value": "1/2"},
+                         "caps": {"weight": 2, "x_order": x_order},
+                         **table}, path)
+            got = main(argv + ["--input", str(path), "--output", str(out)])
+            err = capsys.readouterr().err
+            if x_order > 128:
+                assert got == 2, argv
+                assert err == f"error: caps.x_order {x_order} is above 128\n"
+            else:
+                assert got in (0, 1), (argv, err)
 
 
 def test_pconst_output(tmp_path):

@@ -9,10 +9,10 @@ in process.  Whatever the input, the run must return 0, 1 or 2, no
 exception may escape ``cli.main``, and 1 must come only from ``verify``
 whose residual failed.
 
-``schur`` runs with small weights and with weights above its limit.
-Left out of the caps: huge x orders, which reach the series length
-before any check could refuse them, and the other commands that read no
-document (``transition``, ``pconst``, symbolic ``fseries``).
+``schur`` and symbolic ``fseries`` run with small weights and with
+weights outside their limits, and the x orders drawn for the caps
+include those above ``dataio.X_ORDER_MAX``.  Left out: the other
+commands that read no document (``transition``, ``pconst``).
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def mutated(draw, doc):
     for _ in range(draw(st.integers(1, 3))):
         if not isinstance(doc, dict):
             break
-        op = draw(st.sampled_from(["hbar", "cap", "drop", "table", "entry",
-                                   "series", "empty", "kind", "top", "bump",
-                                   "bump"]))
+        op = draw(st.sampled_from(["hbar", "cap", "x_order", "drop", "table",
+                                   "entry", "series", "empty", "kind", "top",
+                                   "bump", "bump"]))
         tables = [k for k in ("c", "f", "cauchy", "c_lambda", "f_lambda")
                   if isinstance(doc.get(k), dict)]
         if op == "hbar":
@@ -113,13 +113,14 @@ def mutated(draw, doc):
                 name = draw(st.sampled_from(["weight", "x_order", "z_order"]))
                 if draw(st.booleans()):
                     caps.pop(name, None)
-                elif name == "x_order":
-                    caps[name] = draw(st.integers(-2, 4) | junk.filter(
-                        lambda v: v != 10 ** 6))
                 else:
                     caps[name] = draw(caps_values)
             else:
                 doc["caps"] = draw(junk)
+        elif op == "x_order" and isinstance(doc.get("caps"), dict):
+            # around dataio.X_ORDER_MAX
+            doc["caps"]["x_order"] = draw(st.sampled_from(
+                [128, 129, 10 ** 6, 10 ** 9]))
         elif op == "drop" and doc:
             doc.pop(draw(st.sampled_from(sorted(doc))))
         elif op == "table" and tables:
@@ -151,11 +152,15 @@ def mutated(draw, doc):
 
 @st.composite
 def runs(draw):
-    """(argv without --input, document); ``schur`` reads no document."""
+    """(argv without --input, document); ``schur`` and symbolic
+    ``fseries`` read no document."""
     if draw(st.integers(0, 9)) == 0:
         weight = draw(st.sampled_from([-1, 0, 2, 17, 10 ** 6]))
         basis = draw(st.sampled_from(["schur", "h", "m", "p", "t_hbar"]))
         return ["schur", "--weight", str(weight), "--basis", basis], None
+    if draw(st.integers(0, 19)) == 0:
+        weight = draw(st.sampled_from([-1, 0, 3, 15, 10 ** 6]))
+        return ["fseries", "--mode", "symbolic", "--weight", str(weight)], None
     mode = draw(st.sampled_from(sorted(BASES)))
     kind = draw(st.sampled_from(sorted(COMMANDS)))
     argv = list(draw(st.sampled_from(COMMANDS[kind])))
@@ -183,7 +188,7 @@ def workdir(tmp_path_factory):
 @given(runs())
 def test_every_document_ends_with_a_documented_exit_code(workdir, run):
     argv, doc = run
-    if argv[0] != "schur":
+    if argv[0] != "schur" and "symbolic" not in argv:
         path = workdir / "input.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--input", str(path)]

@@ -107,7 +107,7 @@ def test_xseries_valid_order_bookkeeping(num_ctx):
     assert list(d.coeffs) == [Rational(2), Rational(6), Rational(12), Rational(20)]
     with pytest.raises(OrderExhaustedError):
         d.coeff(4)
-    dddd = s.diff_n(4)
+    dddd = s.diff().diff().diff().diff()
     assert dddd.valid == 0
     with pytest.raises(OrderExhaustedError):
         dddd.diff()

@@ -14,7 +14,9 @@ from hbarkp.fbuild import (
     f_series,
     f_series_symbolic,
 )
-from hbarkp.hscalar import HContext, HbarValueError, scalar_even_only
+from hbarkp.hscalar import (
+    HContext, HbarValueError, HbarWindowError, HPoly, scalar_even_only,
+)
 from hbarkp.hcalc import dh_apply
 from hbarkp.kpconst import p_const
 from hbarkp.lops import DiffPoly
@@ -22,9 +24,53 @@ from hbarkp.partitions import Partition, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_f_data, random_xseries
 from hbarkp.taubuild import tau_series
-from hbarkp.xseries import XSeries
+from hbarkp.xseries import OrderExhaustedError, XSeries
 
 SYM = HContext.symbolic(-9, 9)
+
+
+def mixed_f_data(rng, ctx, W, X):
+    """Random data whose coefficients, in formal mode, mix rationals with
+    hbar-monomials r hbar^e, |e| <= 3 within the window, and zero HPolys."""
+    data = random_f_data(rng, ctx, W, X)
+    if ctx.is_numeric:
+        return data
+    f = tuple(
+        XSeries(ctx, X, [c if rng.random() < 0.5
+                         else c * ctx.hbar_pow(
+                             rng.randint(max(ctx.lo, -3), min(ctx.hi, 3)))
+                         for c in s.coeffs])
+        for s in data.f)
+    return FData(ctx, W, X, data.f0, f)
+
+
+def xseries_substitute(poly, data, like):
+    """``poly.substitute(data, like)`` on XSeries values, one product at a
+    time, term by term in the order of the polynomial's terms."""
+    total = XSeries.zero(like.ctx, like.cap)
+    for gens, c in poly.terms.items():
+        prod = XSeries.constant(like.ctx, like.cap, 1)
+        for s, l in gens:
+            d = data[s]
+            for _ in range(l):
+                d = d.diff()
+            prod = prod * d
+        total = total + prod.scale(c)
+    return total
+
+
+def xseries_f_table(data):
+    """``f_series(data).table`` built on XSeries values."""
+    return {lam: xseries_substitute(f_lambda(lam, data.ctx),
+                                    data.source_map(), data.f0)
+            for lam in partitions_upto(data.weight_cap, 1)}
+
+
+def _typed(series):
+    """Valid order, cap and each coefficient with its type."""
+    return (series.valid, series.cap,
+            [("HPoly", c.ctx, c.terms) if isinstance(c, HPoly) else ("Q", c)
+             for c in series.coeffs])
 
 
 def test_f_lambda_symbolic_examples():
@@ -38,9 +84,13 @@ def test_f_lambda_symbolic_examples():
 
 def test_f_lambda_concrete(num_ctx, rng):
     data = random_f_data(rng, num_ctx, 4, 5)
+
+    def concrete(lam):
+        return f_lambda(lam, num_ctx).substitute(data.source_map(), data.f0)
+
     for k in range(1, 5):
-        assert f_lambda(Partition((k,)), num_ctx, data) == data.series(k)
-    assert f_lambda(Partition((1, 1)), num_ctx, data) == data.series(1).diff()
+        assert concrete(Partition((k,))) == data.series(k)
+    assert concrete(Partition((1, 1))) == data.series(1).diff()
 
 
 def test_f_series_low_weight_structure(num_ctx, rng):
@@ -220,3 +270,41 @@ def test_symbolic_series_rendering():
     fs = f_series_symbolic(SYM, 3)
     assert fs.symbolic
     assert fs.coefficient((1, 1)).render() == "1*d(f1)"
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)),
+    HContext.numeric(Rational(-2, 3)),
+    HContext.symbolic(-30, 30),
+], ids=["hbar=1/2", "hbar=-2/3", "symbolic"])
+def test_f_series_matches_the_xseries_words(ctx):
+    """Each f_lambda on jet codes equals its operator word evaluated on
+    XSeries jets: values, valid orders and coefficient types."""
+    for seed in range(3):
+        data = mixed_f_data(Random(seed), ctx, 5, 5)
+        got, want = f_series(data).table, xseries_f_table(data)
+        assert {lam: _typed(s) for lam, s in got.items()} == \
+            {lam: _typed(s) for lam, s in want.items()}, seed
+
+
+def outcome(build):
+    """The typed table a build returns, or the class and message of the
+    ``HbarWindowError`` or ``OrderExhaustedError`` it raises."""
+    try:
+        return "ok", {lam: _typed(s) for lam, s in build().items()}
+    except (HbarWindowError, OrderExhaustedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("window", [(-3, 3), (-4, 2)])
+def test_window_errors_match_the_xseries_words(window):
+    """In narrow formal windows f_series raises exactly when the XSeries
+    evaluation raises, with the same message."""
+    ctx = HContext.symbolic(*window)
+    kinds = set()
+    for seed in range(12):
+        data = mixed_f_data(Random(seed), ctx, 4 + seed % 3, 4)
+        got = outcome(lambda: f_series(data).table)
+        assert got == outcome(lambda: xseries_f_table(data)), seed
+        kinds.add(got[0])
+    assert kinds >= {"ok", "HbarWindowError"}

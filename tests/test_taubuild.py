@@ -6,7 +6,8 @@ from random import Random
 
 import pytest
 
-from hbarkp.hscalar import HContext, HPoly
+from hbarkp.hscalar import HbarWindowError, HContext, HPoly
+from hbarkp.linalg import det
 from hbarkp.partitions import Partition, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_tau_data, random_xseries
@@ -18,7 +19,7 @@ from hbarkp.taubuild import (
     tau_series,
 )
 from hbarkp.verify import check_det_m
-from hbarkp.xseries import XSeries
+from hbarkp.xseries import OrderExhaustedError, XSeries
 
 
 def oracle_c_lambda(lam, data):
@@ -197,8 +198,9 @@ def _typed(series):
 @pytest.mark.parametrize("ctx, W", [
     (HContext.numeric(Rational(1, 2)), 6),
     (HContext.numeric(Rational(3, 2)), 5),
+    (HContext.numeric(Rational(-2, 3)), 5),
     (HContext.symbolic(-8, 8), 5),
-], ids=["hbar=1/2", "hbar=3/2", "symbolic"])
+], ids=["hbar=1/2", "hbar=3/2", "hbar=-2/3", "symbolic"])
 def test_table_wide_sharing_matches_one_diagram_at_a_time(ctx, W):
     """tau_series shares entries, minors and powers of 1/c_0 across the
     table; each c_lambda alone builds its own."""
@@ -206,6 +208,126 @@ def test_table_wide_sharing_matches_one_diagram_at_a_time(ctx, W):
     table = tau_series(data).table
     for lam in partitions_upto(W):
         assert _typed(table[lam]) == _typed(c_lambda(lam, data))
+
+
+def mixed_tau_data(rng, ctx, W, X):
+    """Random data whose coefficients, in formal mode, mix rationals with
+    hbar-monomials r hbar^e, |e| <= 2, and zero HPolys; c_0 starts with a
+    unit."""
+    data = random_tau_data(rng, ctx, W, X)
+    if ctx.is_numeric:
+        return data
+    series = tuple(
+        XSeries(ctx, X, [c if rng.random() < 0.5
+                         else c * ctx.hbar_pow(rng.randint(-2, 2))
+                         for c in s.coeffs])
+        for s in data.c)
+    return TauData(ctx, W, X, series)
+
+
+def xseries_tau_table(data):
+    """``tau_series(data).table`` built as it was on XSeries values, one
+    product at a time: the same entries, the same memoized ``det`` and the
+    same powers of 1/c_0, in the same order."""
+    ctx = data.ctx
+    entries, minors, pows = {}, {}, []
+
+    def entry(a, j):
+        if (a, j) not in entries:
+            acc = None
+            for k in range(j):
+                if a + j - k < 0:
+                    continue
+                d = data.series(a + j - k)
+                for _ in range(k):
+                    d = d.diff()
+                term = d.scale(Rational(comb(j - 1, k)) * ctx.hbar_pow(k)
+                               * Rational((-1) ** k))
+                acc = term if acc is None else acc + term
+            entries[a, j] = 0 if acc is None else acc
+        return entries[a, j]
+
+    table = {}
+    for lam in partitions_upto(data.weight_cap):
+        n = lam.ell
+        if n == 0:
+            table[lam] = data.series(0)
+            continue
+        labels = [lam[i] - i - 1 for i in range(n)]
+        d = det([[entry(a, j) for j in range(1, n + 1)] for a in labels],
+                labels, minors)
+        if n > 1:
+            if not pows:
+                inv0 = data.series(0).inverse()
+                pows.append(XSeries(ctx, data.x_cap, [Rational(1)],
+                                    inv0.valid))
+            while len(pows) < n:
+                pows.append(pows[-1] * inv0)
+            d = d * pows[n - 1]
+        table[lam] = d
+    return table
+
+
+def _typed_through(a, b):
+    """Both series' coefficients with their types, through their common
+    valid order."""
+    v = min(a.valid, b.valid)
+    return _typed(XSeries(a.ctx, a.cap, a.coeffs, v))[2], \
+        _typed(XSeries(b.ctx, b.cap, b.coeffs, v))[2]
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)),
+    HContext.numeric(Rational(-2, 3)),
+    HContext.symbolic(-40, 40),
+], ids=["hbar=1/2", "hbar=-2/3", "symbolic"])
+@pytest.mark.parametrize("seed", range(3))
+def test_c_lambda_matches_oracle_in_values_and_types(ctx, seed):
+    """The determinant on integer codes against the signed permutation sum
+    on XSeries values: the same coefficients with the same types."""
+    data = mixed_tau_data(Random(seed), ctx, 4, 4)
+    for lam in partitions_upto(4, 1):
+        got, want = _typed_through(c_lambda(lam, data),
+                                   oracle_c_lambda(lam, data))
+        assert got == want, lam
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)),
+    HContext.numeric(Rational(-2, 3)),
+    HContext.symbolic(-40, 40),
+], ids=["hbar=1/2", "hbar=-2/3", "symbolic"])
+def test_tau_series_matches_the_xseries_build(ctx):
+    """Whole tables on codes equal the XSeries build entry by entry: values,
+    valid orders and coefficient types."""
+    for seed in range(4):
+        data = mixed_tau_data(Random(seed), ctx, 5, 5)
+        got, want = tau_series(data).table, xseries_tau_table(data)
+        assert {lam: _typed(s) for lam, s in got.items()} == \
+            {lam: _typed(s) for lam, s in want.items()}, seed
+
+
+def outcome(build):
+    """The typed table a build returns, or the class and message of the
+    ``HbarWindowError`` or ``OrderExhaustedError`` it raises."""
+    try:
+        return "ok", {lam: _typed(s) for lam, s in build().items()}
+    except (HbarWindowError, OrderExhaustedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("window", [(-3, 3), (-4, 2)])
+def test_window_errors_match_the_xseries_build(window):
+    """In narrow formal windows the build on codes raises exactly when the
+    XSeries build raises, with the same message."""
+    ctx = HContext.symbolic(*window)
+    kinds = set()
+    for seed in range(12):
+        data = mixed_tau_data(Random(seed), ctx, 2 + seed % 3, 3)
+        got = outcome(lambda: tau_series(data).table)
+        assert got == outcome(lambda: xseries_tau_table(data)), seed
+        kinds.add(got[0])
+    assert kinds >= {"ok", "HbarWindowError"}
 
 
 def test_data_validation(num_ctx):
