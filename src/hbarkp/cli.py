@@ -39,10 +39,17 @@ SCHUR_MAX_WEIGHT = 16
 # Largest weight symbolic ``fseries`` accepts: at 14 it takes about 6 s,
 # and each weight costs about x2.5 (14 s at 15, 41 s at 16).
 FSERIES_MAX_WEIGHT = 14
-# Most points ``verify detm`` accepts: at W = 3 and the least z order, 6
-# points take about 9 s and 7 points about 210 s, and 6 is the largest m
-# at which ``_least_z_order`` was measured.
+# Most points ``verify detm`` accepts: 6 is the largest m at which
+# ``_least_z_order`` was measured.  At W = 4 and the least z order, 6 points
+# take about 1.4 s, as one product of the diagonal entries and 720 signed
+# slot relabellings; the Laplace determinant took about 30 s there.
 DETM_MAX_POINTS = 6
+# Largest ``pconst --bound``: about 0.7 s at 10, 2.3 s at 11 and 6.5 s at
+# 12, and about x3 per step (24 s at 13).
+PCONST_MAX_BOUND = 12
+# Most ``verify appendix --matrices``: about 1 ms per matrix, so about 5 s
+# at the limit.
+APPENDIX_MAX_MATRICES = 5000
 
 
 class CommandError(Exception):
@@ -122,6 +129,8 @@ def cmd_transition(args) -> int:
 
 
 def cmd_pconst(args) -> int:
+    if not 0 <= args.bound <= PCONST_MAX_BOUND:
+        raise CommandError(f"pconst needs 0 <= --bound <= {PCONST_MAX_BOUND}")
     table = kpconst.p_table(args.bound)
     out = {}
     for (i, j, s), c in sorted(table.items()):
@@ -262,6 +271,9 @@ def cmd_verify(args) -> int:
     if args.check == "appendix":
         if args.matrices < 1:
             raise CommandError("--matrices must be at least 1")
+        if args.matrices > APPENDIX_MAX_MATRICES:
+            raise CommandError(f"verify appendix needs --matrices <= "
+                               f"{APPENDIX_MAX_MATRICES}; got {args.matrices}")
         rng = Random(args.seed)
         results = []
         ok = True
@@ -342,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("pconst", help="universal constant tables")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, default=4,
+                   help=f"largest i and j, 0 to {PCONST_MAX_BOUND}")
     common(p)
     p.set_defaults(func=cmd_pconst)
 
@@ -380,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-order", type=int, help="verify at a smaller x order")
     p.add_argument("--z-order", type=int, default=4)
     p.add_argument("--seed", type=int, default=0, help="appendix matrices seed")
-    p.add_argument("--matrices", type=int, default=25)
+    p.add_argument("--matrices", type=int, default=25,
+                   help=f"appendix matrices, 1 to {APPENDIX_MAX_MATRICES}")
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

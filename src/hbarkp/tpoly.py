@@ -489,6 +489,9 @@ class TPoly:
 # decoded result has the same values, valid orders, coefficient types and
 # kept monomials, and the first ``HbarWindowError`` is the same one.  So
 # ``TPoly.__mul__`` of two x-series polynomials is a resident product.
+# ``signed_relabellings`` sums copies of one polynomial with their slots
+# renamed, as the residuals of the checks that are symmetric in the slots
+# need.
 # The coefficients are x-series of one cap; a polynomial with scalar
 # coefficients is held as x-series of cap 0 and decodes to scalars again.
 
@@ -775,6 +778,43 @@ class _Resident:
         scale = self.kernel.scale
         return self._like({k: scale(c, code) for k, c in self.terms.items()},
                           self.den * den)
+
+    def signed_relabellings(self, perms) -> "_Resident":
+        """The sum of sgn(perm) perm·self over ``perms``, where perm·self
+        renames slot s to perm[s], as the TPoly sum of those polynomials in
+        turn gives it.  Every cap is the same in each slot, so a renamed
+        monomial is within the caps.  The terms go into one accumulator;
+        a sum that cancels to a code TPoly drops is deleted, and a later
+        term starts that monomial afresh, as ``__add__`` does."""
+        kernel = self.kernel
+        add, rescale, is_zero, cap = (kernel.add, kernel.rescale,
+                                      kernel.is_zero, kernel.cap)
+        nslots = self.nslots
+        negated = None
+        out: dict = {}
+        for perm in perms:
+            odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+            if odd and negated is None:
+                negated = [rescale(c, -1) for c in self.terms.values()]
+            renamed: dict = {}
+            for (texp, zexp), c in zip(self.terms,
+                                       negated if odd else self.terms.values()):
+                z = renamed.get(zexp)
+                if z is None:
+                    slots = [0] * nslots
+                    for s, d in enumerate(zexp):
+                        slots[perm[s]] = d
+                    z = renamed[zexp] = _trim(slots)
+                key = (texp, z)
+                if key in out:
+                    s = add(out[key], c)
+                    if s[0] == cap and is_zero(s):
+                        del out[key]
+                    else:
+                        out[key] = s
+                else:
+                    out[key] = c
+        return self._like(out, self.den)
 
     # -- calculus and substitutions ------------------------------------------
 

@@ -35,6 +35,28 @@ prefactors into the lower-degree factor before the tau x tau (or F)
 product, so the cap prunes early.  A private ``_*_residual`` function per
 check takes the cap (``None`` for none); the public check passes ``trust``.
 
+Slot symmetry.  The three-term and m-point residuals are sums of slot
+relabellings of one polynomial, which ``_Resident.signed_relabellings``
+adds up in one accumulator.  The three-term residual is the sum of the
+three cyclic relabellings of one of its terms.  Each row of the m-point
+matrix is one function of its own slot, entry_{jk} = f_k(zeta_j), so the
+determinant is sum_pi sgn(pi) pi(f_1(zeta_1) ... f_m(zeta_m)), where pi
+renames the slots; the Vandermonde is sum_pi sgn(pi) pi(zeta^delta) with
+delta = (m-1, ..., 1, 0), and tau^{[z1..zm]} tau^{m-1} = S is symmetric.
+So the residual is the antisymmetrised zeta^delta S - P, with P the product
+of the diagonal entries: m - 1 products for P, m for zeta^delta S, and m!
+relabellings, where the Laplace determinant takes m 2^(m-1) products.  The
+zeta powers are multiplied in first, into each entry and into the
+symmetric factor, so the cap prunes the products early.  The weight cap,
+the per-slot z cap and the total-degree cap are the same in every slot, so
+renaming the slots of a capped polynomial gives the capped renamed
+polynomial: a relabelled product is the product of the relabelled factors,
+and the argument above holds for the sum of them.  In formal hbar,
+zeta^delta S and P hold terms that the antisymmetrisation cancels, and a
+product with one of them can leave the window where the identity as
+written stays inside it; the m-point check then takes the Laplace
+determinant, so it raises only where that raises.
+
 Integer codes.  ``_embed`` encodes the input once (``tpoly.resident``):
 every coefficient becomes integer numerators over one denominator for the
 polynomial.  From there the Miwa shifts, d_1, the hbar and rational
@@ -51,9 +73,10 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import comb
 
-from .hscalar import render_scalar, scalar_is_zero
+from .hscalar import HbarWindowError, render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
@@ -130,6 +153,10 @@ def _zetas(T: TPoly) -> list:
                            degree_cap=T.degree_cap) for s in range(T.nslots)]
 
 
+# the cyclic relabellings of three slots: even, so each of sign +1
+_CYCLIC_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
     _check_unit_constant(tau)
     T = _embed(tau, 2, z_cap, cap)
@@ -156,60 +183,94 @@ def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
 
 def _hirota3_residual(tau: TPoly, z_cap: int, cap: int | None) -> TPoly:
     T = _embed(tau, 3, z_cap, cap)
-    sh = [miwa_shift(T, s) for s in range(3)]
-    zs = _zetas(T)
-    total = None
-    for (a, b), c in (((0, 1), 2), ((1, 2), 0), ((2, 0), 1)):
-        pair = miwa_shift(sh[a], b)
-        term = ((zs[b] - zs[a]) * zs[c] * pair) * sh[c]
-        total = term if total is None else total + term
-    return total.decode()
+    z0, z1, z2 = _zetas(T)
+    term = (((z1 - z0) * z2) * miwa_shift(miwa_shift(T, 0), 1)) * \
+        miwa_shift(T, 2)
+    return term.signed_relabellings(_CYCLIC_3).decode()
 
 
 def check_hirota3(tau: TPoly, z_cap: int = 4) -> Residual:
     """Three-term bilinear functional relation, cleared of negative powers:
 
     sum over cyclic (a,b,c) of (zeta_b - zeta_a) zeta_c tau^{[za,zb]} tau^{[zc]} = 0.
+
+    The term of (a, b, c) = (0, 1, 2) is computed once; the other two are
+    its cyclic relabellings.
     """
     trust = tau.weight_cap + 2
     return _poly_residual("hirota-3-term", _hirota3_residual(tau, z_cap, trust))
 
 
+def _det_m_row(T, zs: list, m: int, slot: int, columns) -> list:
+    """The entries zeta^{m-k} (1 - hbar zeta d_1)^{k-1} tau^{[z]} of the
+    row of ``slot``, for k in ``columns``, each multiplied out term by term
+    with its zeta powers."""
+    ctx = T.ctx
+    d_pows = [miwa_shift(T, slot)]
+    for _ in range(max(columns) - 1):
+        d_pows.append(d_pows[-1].diff_t(1))
+    row = []
+    for k in columns:
+        entry = None
+        for i in range(k):
+            term = d_pows[i].scale(
+                Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i)
+            )
+            term = term * zs[slot].pow_int(m - k + i)
+            entry = term if entry is None else entry + term
+        row.append(entry)
+    return row
+
+
+def _times_s(prefactor, T, all_shift, m: int):
+    """prefactor S, S = tau^{[z1..zm]} tau^{m-1}, the prefactor multiplied
+    in first."""
+    left = prefactor * all_shift
+    for _ in range(m - 1):
+        left = left * T
+    return left
+
+
+def _det_m_relabelled(T, all_shift, zs: list, m: int):
+    """The residual as the antisymmetrised zeta^delta S - P, with P the
+    product of the diagonal entries."""
+    lift = zs[0].pow_int(m - 1)
+    for s in range(1, m - 1):
+        lift = lift * zs[s].pow_int(m - 1 - s)
+    left = _times_s(lift, T, all_shift, m)
+    diagonal = None
+    for s in range(m):
+        (entry,) = _det_m_row(T, zs, m, s, (s + 1,))
+        diagonal = entry if diagonal is None else diagonal * entry
+    return (left - diagonal).signed_relabellings(permutations(range(m)))
+
+
+def _det_m_laplace(T, all_shift, zs: list, m: int):
+    """The residual as the identity is written: the Vandermonde times S,
+    minus the Laplace determinant of the m x m entries."""
+    vandermonde = None
+    for i in range(m):
+        for j in range(i + 1, m):
+            dz = zs[i] - zs[j]
+            vandermonde = dz if vandermonde is None else vandermonde * dz
+    left = _times_s(vandermonde, T, all_shift, m)
+    rows = [_det_m_row(T, zs, m, j, range(1, m + 1)) for j in range(m)]
+    return left - det(rows)
+
+
 def _det_m_residual(tau: TPoly, m: int, z_cap: int, cap: int | None) -> TPoly:
-    ctx = tau.ctx
     T = _embed(tau, m, z_cap, cap)
-    sh = [miwa_shift(T, s) for s in range(m)]
     all_shift = T
     for s in range(m):
         all_shift = miwa_shift(all_shift, s)
     zs = _zetas(T)
-
-    left = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            dz = zs[i] - zs[j]
-            left = dz if left is None else left * dz
-    left = left * all_shift
-    for _ in range(m - 1):
-        left = left * T
-
-    rows = []
-    for j in range(m):
-        row = []
-        d_pows = [sh[j]]
-        for _ in range(m - 1):
-            d_pows.append(d_pows[-1].diff_t(1))
-        for k in range(1, m + 1):
-            entry = None
-            for i in range(k):
-                term = d_pows[i].scale(
-                    Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i)
-                )
-                term = term * zs[j].pow_int(m - k + i)
-                entry = term if entry is None else entry + term
-            row.append(entry)
-        rows.append(row)
-    return (left - det(rows)).decode()
+    try:
+        return _det_m_relabelled(T, all_shift, zs, m).decode()
+    except HbarWindowError:
+        # zeta^delta S and P hold terms that the antisymmetrisation
+        # cancels, and a product with one of them can leave a formal
+        # window that the identity as written stays inside.
+        return _det_m_laplace(T, all_shift, zs, m).decode()
 
 
 def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
@@ -217,6 +278,10 @@ def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
 
     prod_{i<j} (zeta_i - zeta_j) tau^{[z1..zm]} tau^{m-1}
       = det_{jk}[ zeta_j^{m-k} (1 - hbar zeta_j d_1)^{k-1} tau^{[zj]} ].
+
+    The residual is the sum over the permutations pi of the slots of
+    sgn(pi) pi(zeta^delta tau^{[z1..zm]} tau^{m-1} - prod_k entry_{kk}),
+    delta = (m-1, ..., 1, 0); see the module docstring.
     """
     if m < 2:
         raise ValueError("needs at least two points")

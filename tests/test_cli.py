@@ -10,9 +10,10 @@ from random import Random
 import pytest
 
 import hbarkp
-from hbarkp import dataio, fbuild, symfun, verify
+from hbarkp import dataio, fbuild, kpconst, symfun, verify
 from hbarkp.cli import (
-    DETM_MAX_POINTS, FSERIES_MAX_WEIGHT, _least_z_order, main,
+    APPENDIX_MAX_MATRICES, DETM_MAX_POINTS, FSERIES_MAX_WEIGHT,
+    PCONST_MAX_BOUND, _least_z_order, main,
 )
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
@@ -187,6 +188,54 @@ def test_pconst_output(tmp_path):
     doc = read(out)
     assert doc["P"]["2,2"]["3"] == "4/3"
     assert doc["P"]["2,2"]["1,1"] == "-2"
+
+
+def test_pconst_refuses_bounds_outside_its_limits(monkeypatch, capsys):
+    """Bounds 0 and 12 reach the table (a stub here: the real one takes
+    seconds at 12); 13, 10^6 and a negative bound, which used to write an
+    empty table, exit 2 before building anything."""
+    real = kpconst.p_table
+    built = []
+
+    def stub(bound):
+        built.append(bound)
+        return real(min(bound, 2))
+
+    monkeypatch.setattr(kpconst, "p_table", stub)
+    assert PCONST_MAX_BOUND == 12
+    for bound in ("0", "12"):
+        assert main(["pconst", "--bound", bound]) == 0
+    capsys.readouterr()
+    for bound in ("13", str(10 ** 6), "-1"):
+        assert main(["pconst", "--bound", bound]) == 2
+        err = capsys.readouterr().err
+        assert "0 <= --bound <= 12" in err
+        assert err.count("\n") == 1
+    assert built == [0, 12]
+
+
+def test_verify_appendix_refuses_matrices_above_its_limit(monkeypatch,
+                                                          capsys):
+    """--matrices 5000 reaches the identities (stubs here: the real ones
+    take about 5 s) and 5001 exits 2 before drawing a matrix."""
+    calls = []
+
+    def stub(*args):
+        calls.append(1)
+        return verify.Residual("stub", {}, True, None)
+
+    monkeypatch.setattr(verify, "jacobi_minor_identity", stub)
+    monkeypatch.setattr(verify, "zdet_identity", stub)
+    assert APPENDIX_MAX_MATRICES == 5000
+    assert main(["verify", "appendix", "--matrices", "5000"]) == 0
+    assert len(calls) == 2 * 5000
+    capsys.readouterr()
+    for matrices in ("5001", str(10 ** 6)):
+        assert main(["verify", "appendix", "--matrices", matrices]) == 2
+        err = capsys.readouterr().err
+        assert "--matrices <= 5000" in err
+        assert err.count("\n") == 1
+    assert len(calls) == 2 * 5000
 
 
 def test_tau_then_verify_chain(tmp_path, tau_file):

@@ -9,10 +9,10 @@ in process.  Whatever the input, the run must return 0, 1 or 2, no
 exception may escape ``cli.main``, and 1 must come only from ``verify``
 whose residual failed.
 
-``schur`` and symbolic ``fseries`` run with small weights and with
-weights outside their limits, and the x orders drawn for the caps
-include those above ``dataio.X_ORDER_MAX``.  Left out: the other
-commands that read no document (``transition``, ``pconst``).
+``schur``, symbolic ``fseries``, ``pconst`` and ``verify appendix`` run
+with small sizes and with sizes outside their limits, and the x orders
+drawn for the caps include those above ``dataio.X_ORDER_MAX``.  Left out:
+``transition``, the other command that reads no document.
 """
 
 from __future__ import annotations
@@ -152,8 +152,8 @@ def mutated(draw, doc):
 
 @st.composite
 def runs(draw):
-    """(argv without --input, document); ``schur`` and symbolic
-    ``fseries`` read no document."""
+    """(argv without --input, document); ``schur``, symbolic ``fseries``,
+    ``pconst`` and ``verify appendix`` read no document."""
     if draw(st.integers(0, 9)) == 0:
         weight = draw(st.sampled_from([-1, 0, 2, 17, 10 ** 6]))
         basis = draw(st.sampled_from(["schur", "h", "m", "p", "t_hbar"]))
@@ -161,6 +161,12 @@ def runs(draw):
     if draw(st.integers(0, 19)) == 0:
         weight = draw(st.sampled_from([-1, 0, 3, 15, 10 ** 6]))
         return ["fseries", "--mode", "symbolic", "--weight", str(weight)], None
+    if draw(st.integers(0, 19)) == 0:
+        bound = draw(st.sampled_from([-1, 0, 2, 13, 10 ** 6]))
+        return ["pconst", "--bound", str(bound)], None
+    if draw(st.integers(0, 19)) == 0:
+        matrices = draw(st.sampled_from([-1, 0, 3, 5001, 10 ** 6]))
+        return ["verify", "appendix", "--matrices", str(matrices)], None
     mode = draw(st.sampled_from(sorted(BASES)))
     kind = draw(st.sampled_from(sorted(COMMANDS)))
     argv = list(draw(st.sampled_from(COMMANDS[kind])))
@@ -188,7 +194,7 @@ def workdir(tmp_path_factory):
 @given(runs())
 def test_every_document_ends_with_a_documented_exit_code(workdir, run):
     argv, doc = run
-    if argv[0] != "schur" and "symbolic" not in argv:
+    if not {"schur", "symbolic", "pconst", "appendix"} & set(argv):
         path = workdir / "input.json"
         path.write_text(json.dumps(doc))
         argv = argv + ["--input", str(path)]

@@ -8,9 +8,15 @@ order, the same values, valid orders and coefficient types, and the same
 written on TPoly values, with the Miwa shift as the state expansion it was
 before ``hcalc`` shared one expansion between TPoly and resident
 polynomials.
+
+The three-term and m-point residuals are sums of slot relabellings of one
+product.  Their oracles compute the identities as they are written, the
+three cyclic terms each on its own and the m x m determinant by Laplace
+expansion, and must agree with them on every nonzero monomial.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 from hypothesis import given, settings
@@ -18,12 +24,13 @@ from hypothesis import strategies as st
 
 from hbarkp.errors import HbarkpError
 from hbarkp.hcalc import miwa_shift
-from hbarkp.hscalar import HContext, HPoly, scalar_is_zero
+from hbarkp.hscalar import HContext, HPoly, HbarWindowError, scalar_is_zero
 from hbarkp.linalg import det
 from hbarkp.rational import Rational
-from hbarkp.tpoly import TPoly, resident, texp_of
+from hbarkp.tpoly import TPoly, _coeff_is_zero, resident, texp_of
 from hbarkp.verify import (
     _det_m_residual, _fay_residual, _hirota3_residual, _kp2_residual,
+    _poly_residual,
 )
 from hbarkp.xseries import XSeries
 
@@ -31,6 +38,8 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
 RESIDUAL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                           database=None)
 NUMERIC = HContext.numeric(Rational(2, 3))
 NEGATIVE = HContext.numeric(Rational(-3, 2))
 ZERO = HContext.numeric(0)
@@ -108,7 +117,88 @@ def ref_fay(tau, z_cap, cap):
     return left - ((dz * t12) * T - (dz * t1) * t2)
 
 
+def relabelled(poly: TPoly, perm) -> TPoly:
+    """perm·poly: slot s renamed to perm[s]."""
+    terms = {}
+    for (texp, zexp), c in poly.terms.items():
+        slots = [0] * poly.nslots
+        for s, d in enumerate(zexp):
+            slots[perm[s]] = d
+        terms[(texp, tuple(slots))] = c
+    return TPoly(poly.ctx, poly.weight_cap, poly.z_cap, poly.nslots, terms,
+                 degree_cap=poly.degree_cap)
+
+
+def sign(perm) -> int:
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def signed_relabellings(poly: TPoly, perms) -> TPoly:
+    total = None
+    for perm in perms:
+        term = relabelled(poly, perm)
+        if sign(perm) < 0:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+CYCLIC_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
 def ref_hirota3(tau, z_cap, cap):
+    """One cyclic term, summed over the cyclic relabellings of the slots."""
+    T = tau.with_slots(3, z_cap, cap)
+    z0, z1, z2 = _zetas(T)
+    term = (((z1 - z0) * z2) * ref_miwa_shift(ref_miwa_shift(T, 0), 1)) * \
+        ref_miwa_shift(T, 2)
+    return signed_relabellings(term, CYCLIC_3)
+
+
+def ref_det_m(tau, m, z_cap, cap):
+    """zeta^delta tau^{[z1..zm]} tau^{m-1} minus the product of the
+    diagonal entries, antisymmetrised over the slots; where that leaves
+    the window, the Laplace determinant (``oracle_det_m``)."""
+    try:
+        return relabelled_det_m(tau, m, z_cap, cap)
+    except HbarWindowError:
+        return oracle_det_m(tau, m, z_cap, cap)
+
+
+def relabelled_det_m(tau, m, z_cap, cap):
+    ctx = tau.ctx
+    T = tau.with_slots(m, z_cap, cap)
+    all_shift = T
+    for s in range(m):
+        all_shift = ref_miwa_shift(all_shift, s)
+    zs = _zetas(T)
+    lift = zs[0].pow_int(m - 1)
+    for s in range(1, m - 1):
+        lift = lift * zs[s].pow_int(m - 1 - s)
+    left = lift * all_shift
+    for _ in range(m - 1):
+        left = left * T
+    diagonal = None
+    for s in range(m):
+        k = s + 1
+        d_pow = ref_miwa_shift(T, s)
+        entry = None
+        for i in range(k):
+            if i:
+                d_pow = d_pow.diff_t(1)
+            term = d_pow.scale(
+                Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i))
+            term = term * zs[s].pow_int(m - k + i)
+            entry = term if entry is None else entry + term
+        diagonal = entry if diagonal is None else diagonal * entry
+    return signed_relabellings(left - diagonal, permutations(range(m)))
+
+
+# -- independent oracles: the identities as they are written ------------------------
+
+def oracle_hirota3(tau, z_cap, cap):
+    """The sum of the three cyclic terms, each computed on its own."""
     T = tau.with_slots(3, z_cap, cap)
     sh = [ref_miwa_shift(T, s) for s in range(3)]
     zs = _zetas(T)
@@ -119,7 +209,9 @@ def ref_hirota3(tau, z_cap, cap):
     return total
 
 
-def ref_det_m(tau, m, z_cap, cap):
+def oracle_det_m(tau, m, z_cap, cap):
+    """The Vandermonde times tau^{[z1..zm]} tau^{m-1}, minus the Laplace
+    determinant of the m x m entries."""
     ctx = tau.ctx
     T = tau.with_slots(m, z_cap, cap)
     sh = [ref_miwa_shift(T, s) for s in range(m)]
@@ -438,12 +530,12 @@ def test_a_narrow_window_raises_the_same_error_in_a_miwa_shift():
 # -- whole residuals -----------------------------------------------------------------
 
 @st.composite
-def inputs(draw):
+def inputs(draw, max_weight=4):
     """(tau or F without zeta-monomials, z cap, total-degree cap)."""
     ctx = draw(residual_contexts)
     cap = draw(st.one_of(st.none(), st.integers(0, 1), st.integers(0, 2)))
     # the bilinear identities first see a non-solution at weight 4
-    W = draw(st.integers(3, 4))
+    W = draw(st.integers(3, max_weight))
     Z = draw(st.integers(2, 4))
     D = draw(st.one_of(st.none(), st.integers(W, W + 3)))
     coeff = scalars(ctx).filter(bool) if cap is None else nonzero_series(ctx, cap)
@@ -488,3 +580,53 @@ def test_kp2_residual_matches(case, x_form):
         return  # scalar coefficients have no x-derivative
     assert_same_outcome(lambda: _kp2_residual(F, Z, x_form, D),
                         lambda: ref_kp2(F, Z, x_form, D))
+
+
+# -- the relabelled residuals against the identities as written ------------------------
+
+def assert_agrees_with_oracle(identity, got_fn, oracle_fn):
+    """Where the oracle returns, the residual must return as well, keep
+    every monomial of the oracle and agree with it on the verdict, the
+    first failing monomial and every nonzero monomial.  It may keep zero
+    series below full valid order that the oracle's sums cancelled away.
+    Where the oracle raises, nothing is asserted."""
+    got, want = outcome(got_fn), outcome(oracle_fn)
+    if want[0] == "raise":
+        return
+    assert got[0] == "ok", (got, want)
+    got, want = got[1], want[1]
+    assert set(want.terms) <= set(got.terms)
+    nonzero = {k: c for k, c in got.terms.items() if not _coeff_is_zero(c)}
+    assert nonzero.keys() == {k for k, c in want.terms.items()
+                              if not _coeff_is_zero(c)}
+    for key, c in nonzero.items():
+        assert_same_coeff(c, want.terms[key])
+    got, want = _poly_residual(identity, got), _poly_residual(identity, want)
+    assert (got.passed, got.worst) == (want.passed, want.worst)
+
+
+@ORACLE_SETTINGS
+@given(inputs())
+def test_hirota3_residual_agrees_with_the_three_terms(case):
+    tau, Z, D = case
+    assert_agrees_with_oracle("hirota-3-term",
+                              lambda: _hirota3_residual(tau, Z, D),
+                              lambda: oracle_hirota3(tau, Z, D))
+
+
+@ORACLE_SETTINGS
+@given(inputs(), st.integers(2, 4))
+def test_det_m_residual_agrees_with_the_laplace_determinant(case, m):
+    tau, Z, D = case
+    assert_agrees_with_oracle("determinant",
+                              lambda: _det_m_residual(tau, m, Z, D),
+                              lambda: oracle_det_m(tau, m, Z, D))
+
+
+@ORACLE_SETTINGS
+@given(inputs(max_weight=3))
+def test_five_point_residual_agrees_with_the_laplace_determinant(case):
+    tau, Z, D = case
+    assert_agrees_with_oracle("determinant",
+                              lambda: _det_m_residual(tau, 5, Z, D),
+                              lambda: oracle_det_m(tau, 5, Z, D))

@@ -269,6 +269,30 @@ def test_capped_residual_keeps_the_corruption(num_ctx):
             assert (got.valid, got.coeffs) == (c.valid, c.coeffs), (name, key)
 
 
+@pytest.mark.parametrize("swap", [(0, 1), (1, 2), (0, 2)])
+def test_swapping_two_slots_negates_the_det3_residual(num_ctx, sym_ctx, swap):
+    """The m-point residual is antisymmetric in the slots: on a corrupted
+    tau, where it is nonzero, renaming two slots negates every coefficient,
+    valid orders kept."""
+    for ctx in (num_ctx, sym_ctx):
+        ts = tau_series(random_tau_data(Random(5), ctx, 4, 4))
+        tau = perturbed(ts, (1, 1), Rational(1)).assemble()
+        res = _det_m_residual(tau, 3, 4, 4 + 3)
+        assert not res.is_zero()
+        a, b = swap
+        swapped = {}
+        for (texp, zexp), c in res.terms.items():
+            slots = list(zexp) + [0] * (3 - len(zexp))
+            slots[a], slots[b] = slots[b], slots[a]
+            swapped[(texp, tuple(slots))] = c
+        swapped = TPoly(ctx, res.weight_cap, res.z_cap, 3, swapped,
+                        degree_cap=res.degree_cap)
+        assert set(swapped.terms) == set(res.terms)
+        for key, c in res.terms.items():
+            got = swapped.terms[key]
+            assert (got.valid, got.coeffs) == (c.valid, (-c).coeffs), key
+
+
 def test_checks_refuse_inputs_with_zeta_monomials(num_ctx):
     """The cap is exact only when d_1 meets complete Miwa shifts, which
     needs an input without zeta-monomials."""
