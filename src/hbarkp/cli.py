@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"m for detm, at most {DETM_MAX_POINTS}")
     p.add_argument("--weight", type=int, help="verify at a smaller weight cap")
     p.add_argument("--x-order", type=int, help="verify at a smaller x order")
-    p.add_argument("--z-order", type=int, default=4)
+    p.add_argument("--z-order", type=int, default=4,
+                   help="z cap of the check (default 4); the table's "
+                        "caps.z_order is not read")
     p.add_argument("--seed", type=int, default=0, help="appendix matrices seed")
     p.add_argument("--matrices", type=int, default=25,
                    help=f"appendix matrices, 1 to {APPENDIX_MAX_MATRICES}")

@@ -21,7 +21,7 @@ from .linalg import det
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly
-from .tpoly import TPoly, _trim
+from .tpoly import TPoly, _trim, resident
 from .xseries import XSeries
 
 
@@ -210,8 +210,8 @@ def miwa_shift(poly, slot: int, sign: int = 1):
 
     The shift moves k units of t-weight into z-degree, so it preserves the
     total degree and the result keeps the input's total-degree cap.
-    ``poly`` is a TPoly, or a resident polynomial of the residual checks
-    (``tpoly.resident``), which stays on integer codes."""
+    ``poly`` is a resident polynomial (``tpoly.resident``), which stays on
+    integer codes, or a TPoly, shifted on those codes and decoded."""
     if not (0 <= slot < poly.nslots):
         raise ValueError("slot out of range")
     if sign not in (1, -1):
@@ -222,17 +222,9 @@ def miwa_shift(poly, slot: int, sign: int = 1):
     def expand(key):
         return _miwa_rows(key, slot, sign, Z, nslots)
 
-    if not isinstance(poly, TPoly):
-        return poly.substitute(expand, lambda top: _check_rows(ctx, top))
-    out: dict = {}
-    for key, coeff in poly.terms.items():
-        rows, top = expand(key)
-        _check_rows(ctx, top)
-        for new_key, num, den, j in rows:
-            c = coeff if j == 0 else coeff * (Rational(num, den) * ctx.hbar_pow(j))
-            out[new_key] = out[new_key] + c if new_key in out else c
-    return TPoly(ctx, poly.weight_cap, Z, nslots, out,
-                 degree_cap=poly.degree_cap)
+    codes = resident(poly) if isinstance(poly, TPoly) else poly
+    out = codes.substitute(expand, lambda top: _check_rows(ctx, top))
+    return out if codes is poly else out.decode()
 
 
 def delta_apply(poly: TPoly, slot: int) -> TPoly:

@@ -30,7 +30,8 @@ codes until ``decode`` reduces each coefficient to canonical rationals
 once.  When every coefficient of both operands is an x-series of one
 context and cap, ``TPoly.__mul__`` is that resident product; scalar and
 mixed coefficients are multiplied pair by pair over the same pairs.  The
-residual checks keep their whole computation resident, and
+exponential, the logarithm and the Miwa shift have only the resident
+form, and the residual checks keep their whole computation resident;
 ``linear_combination`` accumulates the same codes.
 """
 
@@ -419,52 +420,16 @@ class TPoly:
 
     # -- exp / log ----------------------------------------------------------
 
-    def _degree_bound(self) -> int:
-        """Largest total degree a stored monomial can have.
-
-        The exp and log series stop once the powers of their argument are
-        empty, which takes at most this many steps plus one.  An argument
-        whose constant monomial is a zero x-series kept for its valid order
-        never empties them: from there on each power is zero and carries
-        only valid orders that an earlier power already brought in."""
-        bound = self.weight_cap + self.nslots * self.z_cap
-        return bound if self.degree_cap is None else min(bound, self.degree_cap)
-
     def exp(self) -> "TPoly":
-        """Graded exponential; requires no constant monomial."""
-        if ((), ()) in self.terms and not _coeff_is_zero(self.terms[((), ())]):
-            raise ValueError("exp needs zero constant monomial")
-        acc = self._constant_like(Rational(1))
-        term = acc
-        for n in range(1, self._degree_bound() + 2):
-            term = (term * self).scale(Rational(1, n))
-            if not term.terms:
-                break
-            acc = acc + term
-        return acc
+        """Graded exponential; requires no constant monomial.  Runs on
+        integer codes (``resident``), where scalars among x-series, and the
+        constant 1 of an x-series result, are constant series."""
+        return resident(self).exp().decode()
 
     def log_unit(self) -> "TPoly":
-        """Graded logarithm; the constant coefficient must be invertible."""
-        c0 = self.constant_coeff()
-        if isinstance(c0, XSeries):
-            c0_inv = c0.inverse()
-            log_c0 = c0.log()
-        else:
-            c0_inv = scalar_inv(c0)
-            log_c0 = None
-        rest = self.scale(c0_inv) - 1
-        acc = self._like({}, _clean=True)
-        term = self._constant_like(Rational(1))
-        for n in range(1, self._degree_bound() + 2):
-            term = term * rest
-            if not term.terms:
-                break
-            acc = acc + term.scale(Rational((-1) ** (n + 1), n))
-        if isinstance(c0, XSeries):
-            acc = acc + self._constant_like(log_c0)
-        elif not scalar_is_zero(c0 - 1):
-            raise ValueError("scalar constant coefficient must be 1 for log")
-        return acc
+        """Graded logarithm; the constant coefficient must be invertible.
+        Runs on integer codes (``resident``)."""
+        return resident(self).log_unit().decode()
 
     # -- rendering ----------------------------------------------------------
 
@@ -484,14 +449,15 @@ class TPoly:
 # (valid, mask, nums) of ``xseries.int_kernel``, the one code of an
 # x-series, over one denominator for the whole polynomial, so a chain of
 # sums, scalings, products and Miwa shifts reduces nothing until
-# ``decode``.  Each operation mirrors the TPoly operation it stands for
-# step by step, in the same order of monomials, pairs and x-powers: the
-# decoded result has the same values, valid orders, coefficient types and
-# kept monomials, and the first ``HbarWindowError`` is the same one.  So
-# ``TPoly.__mul__`` of two x-series polynomials is a resident product.
-# ``signed_relabellings`` sums copies of one polynomial with their slots
-# renamed, as the residuals of the checks that are symmetric in the slots
-# need.
+# ``decode``.  Sums, scalings, t-derivatives and products mirror their
+# TPoly twins step by step, in the same order of monomials, pairs and
+# x-powers: the decoded result has the same values, valid orders,
+# coefficient types and kept monomials, and the first ``HbarWindowError``
+# is the same one.  ``exp``, ``log_unit`` and ``substitute`` (the Miwa
+# shift) have no twin: ``TPoly.exp``, ``TPoly.log_unit`` and
+# ``hcalc.miwa_shift`` run them here.  ``signed_relabellings`` sums copies
+# of one polynomial with their slots renamed, as the residuals of the
+# checks that are symmetric in the slots need.
 # The coefficients are x-series of one cap; a polynomial with scalar
 # coefficients is held as x-series of cap 0 and decodes to scalars again.
 
@@ -691,16 +657,22 @@ class _Resident:
         elif not isinstance(other, _Resident):
             return NotImplemented
         self, other = self._joined(other)
-        kernel = self.kernel
-        add, rescale, is_zero = kernel.add, kernel.rescale, kernel.is_zero
-        cap = kernel.cap
+        rescale = self.kernel.rescale
         den = self.den if self.den == other.den else lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         out = (dict(self.terms) if fa == 1 else
                {k: rescale(c, fa) for k, c in self.terms.items()})
-        for key, c in other.terms.items():
-            if fb != 1:
-                c = rescale(c, fb)
+        self._accumulate(out, other.terms.items() if fb == 1 else
+                         ((k, rescale(c, fb)) for k, c in other.terms.items()))
+        return self._like(out, den)
+
+    def _accumulate(self, out: dict, items) -> None:
+        """Add each (key, code) of ``items`` into ``out`` in turn, as the
+        TPoly sum does: a sum that cancels to a code TPoly drops is deleted,
+        and a later code starts that monomial afresh."""
+        kernel = self.kernel
+        add, is_zero, cap = kernel.add, kernel.is_zero, kernel.cap
+        for key, c in items:
             if key in out:
                 s = add(out[key], c)
                 if s[0] == cap and is_zero(s):
@@ -709,7 +681,6 @@ class _Resident:
                     out[key] = s
             else:
                 out[key] = c
-        return self._like(out, den)
 
     __radd__ = __add__
 
@@ -783,37 +754,28 @@ class _Resident:
         """The sum of sgn(perm) perm·self over ``perms``, where perm·self
         renames slot s to perm[s], as the TPoly sum of those polynomials in
         turn gives it.  Every cap is the same in each slot, so a renamed
-        monomial is within the caps.  The terms go into one accumulator;
-        a sum that cancels to a code TPoly drops is deleted, and a later
-        term starts that monomial afresh, as ``__add__`` does."""
-        kernel = self.kernel
-        add, rescale, is_zero, cap = (kernel.add, kernel.rescale,
-                                      kernel.is_zero, kernel.cap)
+        monomial is within the caps.  The terms go into one accumulator
+        (``_accumulate``)."""
         nslots = self.nslots
         negated = None
         out: dict = {}
         for perm in perms:
             odd = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
             if odd and negated is None:
+                rescale = self.kernel.rescale
                 negated = [rescale(c, -1) for c in self.terms.values()]
             renamed: dict = {}
-            for (texp, zexp), c in zip(self.terms,
-                                       negated if odd else self.terms.values()):
+            keys = []
+            for texp, zexp in self.terms:
                 z = renamed.get(zexp)
                 if z is None:
                     slots = [0] * nslots
                     for s, d in enumerate(zexp):
                         slots[perm[s]] = d
                     z = renamed[zexp] = _trim(slots)
-                key = (texp, z)
-                if key in out:
-                    s = add(out[key], c)
-                    if s[0] == cap and is_zero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
+                keys.append((texp, z))
+            self._accumulate(out, zip(keys, negated if odd else
+                                      self.terms.values()))
         return self._like(out, self.den)
 
     # -- calculus and substitutions ------------------------------------------
@@ -850,26 +812,64 @@ class _Resident:
                 out[key] = add(out[key], p) if key in out else p
         return self._clean(out, self.den * den)
 
-    # -- exp ----------------------------------------------------------------
+    # -- exp / log ----------------------------------------------------------
+
+    def _degree_bound(self) -> int:
+        """Largest total degree a stored monomial can have: the exp and log
+        series stop at the first empty power, at most this many steps plus
+        one on.  A zero x-series kept for its valid order on the constant
+        monomial never empties them: from there on each power is zero and
+        carries only valid orders that an earlier power brought in."""
+        bound = self.weight_cap + self.nslots * self.z_cap
+        return bound if self.degree_cap is None else min(bound, self.degree_cap)
+
+    def _power_series(self, acc: "_Resident", weight) -> "_Resident":
+        """acc plus weight(n) self^n for n = 1, 2, ... until a power is empty.
+        The first power is 1 * self, which keeps every coefficient and orders
+        the monomials as the product loop visits them."""
+        pack = _packing(self.weight_cap, self.z_cap, self.nslots)
+        key = pack.key
+        power = self._like(
+            {key(p): c for _, _, p, c in
+             pack.items(self.terms, self.degree_cap is not None)}, self.den)
+        for n in range(1, self._degree_bound() + 2):
+            if n > 1:
+                power = power * self
+            if not power.terms:
+                break
+            acc = acc + power.scale(weight(n))
+        return acc
 
     def exp(self) -> "_Resident":
-        """``TPoly.exp``.  Its constant 1 is held as a constant series, which
-        sums as the scalar 1 does."""
+        """The graded exponential.  Its constant 1 is held as a constant
+        series, which sums as the scalar 1 does."""
         c0 = self.terms.get(((), ()))
         if c0 is not None and not self.kernel.is_zero(c0):
             raise ValueError("exp needs zero constant monomial")
-        acc = self._constant_like(Rational(1))
-        # 1 * self: a product with the scalar 1 keeps every coefficient and
-        # orders the monomials as the product loop visits them
-        pack = _packing(self.weight_cap, self.z_cap, self.nslots)
-        key = pack.key
-        term = self._like(
-            {key(p): c for _, _, p, c in
-             pack.items(self.terms, self.degree_cap is not None)}, self.den)
-        for n in range(1, TPoly._degree_bound(self) + 2):
-            if n > 1:
-                term = (term * self).scale(Rational(1, n))
-            if not term.terms:
-                break
-            acc = acc + term
+        return self._power_series(self._constant_like(Rational(1)),
+                                  lambda n: Rational(1, factorial(n)))
+
+    def log_unit(self) -> "_Resident":
+        """The graded logarithm log c0 + log(1 + rest), rest = self / c0 - 1,
+        for an invertible constant coefficient c0.  A scalar c0 must be 1;
+        that is checked last, after the series of rest."""
+        kernel = self.kernel
+        code = self.terms.get(((), ()))
+        c0 = self.ctx.zero() if code is None else kernel.series(self.den, code)
+        if self.scalar and code is not None:
+            c0 = c0.coeffs[0]
+        if isinstance(c0, XSeries):
+            den, (inv,) = kernel.codes((c0.inverse(),))
+            log_c0 = c0.log()
+            rest = self._clean({k: kernel.product(c, inv)
+                                for k, c in self.terms.items()}, self.den * den)
+        else:
+            rest = self.scale(scalar_inv(c0))
+        acc = (rest - 1)._power_series(self._like({}, 1),
+                                       lambda n: Rational((-1) ** (n + 1), n))
+        if isinstance(c0, XSeries):
+            den, (code,) = kernel.codes((log_c0,))
+            acc = acc + self._clean({((), ()): code}, den)
+        elif not scalar_is_zero(c0 - 1):
+            raise ValueError("scalar constant coefficient must be 1 for log")
         return acc

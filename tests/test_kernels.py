@@ -6,6 +6,9 @@ coefficient is an HPoly iff a pair behind it had an HPoly factor), in
 valid order and in the set of kept monomials, and must raise
 ``HbarWindowError`` on exactly the inputs the reference raises on: a
 pair that leaves the window raises even when the sum would cancel it.
+The reference meets the pairs in the order the products do, so a TPoly
+product also keeps its monomials in the reference's order and names the
+exponent of the reference's first error.
 
 The same holds for the kernel linear combination behind the tau and F
 assemblies (``tpoly.linear_combination``), against the sum of
@@ -37,7 +40,8 @@ NARROW = HContext.symbolic(-2, 2)
 
 def ref_scalar_mul(x, y):
     """x * y, summing term products one by one; an HPoly * HPoly product
-    is window-checked as a whole, a product with a rational never is."""
+    is window-checked as a whole, at its lowest exponent and then at its
+    highest, and a product with a rational never is."""
     hx, hy = isinstance(x, HPoly), isinstance(y, HPoly)
     if not hx and not hy:
         return Rational(x) * Rational(y)
@@ -51,6 +55,11 @@ def ref_scalar_mul(x, y):
         for e2, c2 in ty.items():
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     if hx and hy:
+        exps = [e for e, c in out.items() if c]
+        for e in (min(exps), max(exps)) if exps else ():
+            if not ctx.lo <= e <= ctx.hi:
+                raise HbarWindowError(
+                    f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")
         return HPoly(ctx, out)
     return HPoly(ctx, {e: c for e, c in out.items() if c != 0}, _clean=True)
 
@@ -61,12 +70,13 @@ def ref_xseries_mul(a: XSeries, b: XSeries) -> XSeries:
     if a.cap != b.cap:
         raise ValueError("mixed x caps")
     v = min(a.valid, b.valid)
-    out = []
-    for j in range(v + 1):
-        s = ref_scalar_mul(a.coeffs[0], b.coeffs[j])
-        for i in range(1, j + 1):
-            s = s + ref_scalar_mul(a.coeffs[i], b.coeffs[j - i])
-        out.append(s)
+    out = [None] * (v + 1)
+    # the pairs of a's coefficients in turn, so the first pair that leaves
+    # the window is the kernel's
+    for i in range(v + 1):
+        for k in range(v + 1 - i):
+            p = ref_scalar_mul(a.coeffs[i], b.coeffs[k])
+            out[i + k] = p if out[i + k] is None else out[i + k] + p
     return XSeries(a.ctx, a.cap, out, valid=v)
 
 
@@ -87,10 +97,18 @@ def _add_exps(a, b):
     return tuple(s)
 
 
-def ref_tpoly_mul(p: TPoly, q: TPoly) -> dict:
+def ref_tpoly_mul(p: TPoly, q: TPoly) -> TPoly:
+    """The pairs of p's monomials in turn, each operand stably sorted by
+    total degree under a total-degree cap, else by weight, so that the
+    monomials come in the product's order and the first pair that leaves
+    the window is the product's."""
+    def degree(item):
+        (t, z), _ = item
+        return weight_of(t) + (sum(z) if p.degree_cap is not None else 0)
+
     out = {}
-    for (t1, z1), c1 in p.terms.items():
-        for (t2, z2), c2 in q.terms.items():
+    for (t1, z1), c1 in sorted(p.terms.items(), key=degree):
+        for (t2, z2), c2 in sorted(q.terms.items(), key=degree):
             t, z = _add_exps(t1, t2), _add_exps(z1, z2)
             w = weight_of(t)
             if w > p.weight_cap or any(d > p.z_cap for d in z):
@@ -99,7 +117,9 @@ def ref_tpoly_mul(p: TPoly, q: TPoly) -> dict:
                 continue
             prod = ref_coeff_mul(c1, c2)
             out[(t, z)] = out[(t, z)] + prod if (t, z) in out else prod
-    return {k: c for k, c in out.items() if not _droppable(c)}
+    return TPoly(p.ctx, p.weight_cap, p.z_cap, p.nslots,
+                 {k: c for k, c in out.items() if not _droppable(c)},
+                 degree_cap=p.degree_cap)
 
 
 # -- comparison ----------------------------------------------------------------
@@ -126,6 +146,13 @@ def assert_same_coeff(got, want):
         assert_same_series(got, want)
     else:
         assert_same_scalar(got, want)
+
+
+def assert_same_poly(got: TPoly, want: TPoly):
+    """The same monomials in the same order, with the same coefficients."""
+    assert list(got.terms) == list(want.terms)
+    for key, c in want.terms.items():
+        assert_same_coeff(got.terms[key], c)
 
 
 def outcome(fn, *args):
@@ -234,21 +261,47 @@ def test_xseries_product_matches_reference(pair):
 @given(tpoly_pairs())
 def test_tpoly_product_matches_reference(pair):
     p, q = pair
-    got, want = outcome(TPoly.__mul__, p, q), outcome(ref_tpoly_mul, p, q)
+    got = outcome_text(TPoly.__mul__, p, q)
+    want = outcome_text(ref_tpoly_mul, p, q)
     assert got[0] == want[0]
     if want[0] == "raise":
-        assert got[1] is want[1]
+        assert got[1] == want[1]
         return
-    got, want = got[1].terms, want[1]
-    assert set(got) == set(want)
-    for key, c in want.items():
-        assert_same_coeff(got[key], c)
+    assert_same_poly(got[1], want[1])
 
 
 # -- windows, contexts and caps --------------------------------------------------
 
 def h(ctx, e, c=1):
     return HPoly(ctx, {e: Rational(c)})
+
+
+# -- mixed scalar and x-series operands ---------------------------------------------
+
+def test_a_monomial_fed_only_by_scalar_pairs_stays_scalar():
+    """hbar = 2/3, a = 1 + 2x: in (2 + a t_1)(3 + a t_1) only the scalar
+    pair 2 * 3 feeds the constant monomial, which is the scalar 6, not the
+    constant series [6, 0, 0]."""
+    a = XSeries(NUMERIC, 2, [Rational(1), Rational(2)])
+    t1 = ((1,), ())
+    p = TPoly(NUMERIC, 2, terms={((), ()): Rational(2), t1: a})
+    q = TPoly(NUMERIC, 2, terms={((), ()): Rational(3), t1: a})
+    got = p * q
+    assert_same_poly(got, ref_tpoly_mul(p, q))
+    assert_same_coeff(got.terms[((), ())], Rational(6))
+
+
+def test_a_scalar_times_a_series_keeps_the_types_of_a_scaling():
+    """In formal hbar, 2 * (1 + hbar x + 3x^2) is ``XSeries.scale``: only
+    the x coefficient is an HPoly.  The product of the constant series 2
+    with the series would make every coefficient from x on an HPoly."""
+    b = XSeries(WIDE, 2, [Rational(1), h(WIDE, 1), Rational(3)])
+    p = TPoly(WIDE, 1, terms={((), ()): Rational(2), ((1,), ()): b})
+    q = TPoly(WIDE, 1, terms={((), ()): b})
+    got = p * q
+    assert_same_poly(got, ref_tpoly_mul(p, q))
+    assert [isinstance(c, HPoly) for c in got.terms[((), ())].coeffs] == \
+        [False, True, False]
 
 
 def test_window_error_when_pairs_leave_but_the_sum_cancels():

@@ -7,7 +7,10 @@ order, the same values, valid orders and coefficient types, and the same
 ``HbarWindowError`` message.  The reference residuals below are the checks
 written on TPoly values, with the Miwa shift as the state expansion it was
 before ``hcalc`` shared one expansion between TPoly and resident
-polynomials.
+polynomials.  Products are compared with the schoolbook product of
+``test_kernels``, and so are the exponential and the logarithm, which
+``ref_exp`` and ``ref_log_unit`` write as the loops TPoly had before it
+ran them on integer codes.
 
 The three-term and m-point residuals are sums of slot relabellings of one
 product.  Their oracles compute the identities as they are written, the
@@ -24,7 +27,9 @@ from hypothesis import strategies as st
 
 from hbarkp.errors import HbarkpError
 from hbarkp.hcalc import miwa_shift
-from hbarkp.hscalar import HContext, HPoly, HbarWindowError, scalar_is_zero
+from hbarkp.hscalar import (
+    HContext, HPoly, HbarWindowError, scalar_inv, scalar_is_zero,
+)
 from hbarkp.linalg import det
 from hbarkp.rational import Rational
 from hbarkp.tpoly import TPoly, _coeff_is_zero, resident, texp_of
@@ -33,6 +38,7 @@ from hbarkp.verify import (
     _poly_residual,
 )
 from hbarkp.xseries import XSeries
+from test_kernels import ref_tpoly_mul
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -91,6 +97,51 @@ def ref_miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
             out[key] = out[key] + c if key in out else c
     return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out,
                  degree_cap=poly.degree_cap)
+
+
+def _degree_bound(p: TPoly) -> int:
+    bound = p.weight_cap + p.nslots * p.z_cap
+    return bound if p.degree_cap is None else min(bound, p.degree_cap)
+
+
+def _constant(p: TPoly, value) -> TPoly:
+    return TPoly(p.ctx, p.weight_cap, p.z_cap, p.nslots, {((), ()): value},
+                 degree_cap=p.degree_cap)
+
+
+def ref_exp(p: TPoly) -> TPoly:
+    if ((), ()) in p.terms and not _coeff_is_zero(p.terms[((), ())]):
+        raise ValueError("exp needs zero constant monomial")
+    acc = term = _constant(p, Rational(1))
+    for n in range(1, _degree_bound(p) + 2):
+        term = ref_tpoly_mul(term, p).scale(Rational(1, n))
+        if not term.terms:
+            break
+        acc = acc + term
+    return acc
+
+
+def ref_log_unit(p: TPoly) -> TPoly:
+    c0 = p.constant_coeff()
+    if isinstance(c0, XSeries):
+        c0_inv = c0.inverse()
+        log_c0 = c0.log()
+    else:
+        c0_inv = scalar_inv(c0)
+        log_c0 = None
+    rest = p.scale(c0_inv) - 1
+    acc = TPoly.zero(p.ctx, p.weight_cap, p.z_cap, p.nslots, p.degree_cap)
+    term = _constant(p, Rational(1))
+    for n in range(1, _degree_bound(p) + 2):
+        term = ref_tpoly_mul(term, rest)
+        if not term.terms:
+            break
+        acc = acc + term.scale(Rational((-1) ** (n + 1), n))
+    if isinstance(c0, XSeries):
+        acc = acc + _constant(p, log_c0)
+    elif not scalar_is_zero(c0 - 1):
+        raise ValueError("scalar constant coefficient must be 1 for log")
+    return acc
 
 
 def _zetas(T):
@@ -255,7 +306,7 @@ def ref_kp2(F, z_cap, x_form, cap):
     d_f = G2.map_coeffs(lambda s: s.diff()) if x_form else G2.diff_t(1)
     jump = (ref_miwa_shift(d_f, 0) - ref_miwa_shift(d_f, 1)).scale(
         ctx.hbar_pow(-1))
-    return (z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump
+    return (z2 - z1) * (ref_exp(big_g) - 1) + (z1 * z2) * jump
 
 
 # -- comparison ------------------------------------------------------------------
@@ -291,10 +342,11 @@ def assert_same_poly(got: TPoly, want: TPoly):
 
 
 def outcome(fn, *args):
-    """('ok', value) or ('raise', exception type and message)."""
+    """('ok', value) or ('raise', exception type and message); a zero
+    scalar has no inverse."""
     try:
         return "ok", fn(*args)
-    except (HbarkpError, ValueError) as exc:
+    except (HbarkpError, ValueError, ZeroDivisionError) as exc:
         return "raise", (type(exc), str(exc))
 
 
@@ -432,7 +484,7 @@ def test_sums_and_differences_match(pair):
 def test_products_match(pair):
     p, q = pair
     assert_same_outcome(lambda: (resident(p) * resident(q)).decode(),
-                        lambda: p * q)
+                        lambda: ref_tpoly_mul(p, q))
 
 
 def test_the_first_pair_out_of_the_window_names_the_error():
@@ -502,15 +554,88 @@ def test_miwa_shifts_match(data):
 @SETTINGS
 @given(st.data())
 def test_exponentials_match(data):
-    """The resident exponential holds its constant 1 as a constant series,
-    so the two are compared after subtracting 1, as the F-form check does."""
+    """The exponential of x-series holds its constant 1 as a constant
+    series, so the results are compared after subtracting 1, as the F-form
+    check does."""
     shape = data.draw(shapes())
     p = data.draw(polys(shape))
     p = TPoly(p.ctx, p.weight_cap, p.z_cap, p.nslots,
               {k: c for k, c in p.terms.items() if k != ((), ())},
               degree_cap=p.degree_cap)
-    assert_same_outcome(lambda: (resident(p).exp() - 1).decode(),
-                        lambda: p.exp() - 1)
+    for got in (lambda: (resident(p).exp() - 1).decode(),
+                lambda: p.exp() - 1):
+        assert_same_outcome(got, lambda: ref_exp(p) - 1)
+
+
+@SETTINGS
+@given(st.data())
+def test_logarithms_match(data):
+    """Mostly with the constant coefficient 1, or 1 + O(x) for x-series, as
+    the logarithm needs; else with the constant coefficient drawn, which a
+    scalar other than 1 or a series without a unit constant term refuses."""
+    shape = data.draw(shapes())
+    ctx, cap = shape[:2]
+    p = data.draw(polys(shape, low=True))
+    if data.draw(st.integers(0, 3)) < 3:
+        one = data.draw(st.sampled_from([Rational(1), ctx.one()]))
+        if cap is not None:
+            tail = data.draw(series(ctx, cap))
+            one = XSeries(ctx, cap, (one,) + tail.coeffs[1:], valid=tail.valid)
+        p = TPoly(ctx, p.weight_cap, p.z_cap, p.nslots,
+                  {**p.terms, ((), ()): one}, degree_cap=p.degree_cap)
+    assert_same_outcome(lambda: p.log_unit(), lambda: ref_log_unit(p))
+    assert_same_outcome(lambda: resident(p).log_unit().decode(),
+                        lambda: ref_log_unit(p))
+
+
+def test_a_narrow_window_raises_the_same_error_in_a_logarithm():
+    """In [-2, 2], log(c0 + hbar^2 t_1) meets hbar^4 in the square of
+    hbar^2 t_1 / c0.  With c0 = 2 that error comes first: a scalar constant
+    coefficient other than 1 is refused last, as at weight cap 1, where
+    the square is above the cap."""
+    h2 = HPoly(NARROW, {2: Rational(1)})
+    one = XSeries.one(NARROW, 1)
+    fns = (ref_log_unit, TPoly.log_unit,
+           lambda p: resident(p).log_unit().decode())
+    for c0, c1 in ((Rational(1), h2), (Rational(2), h2), (one, one.scale(h2))):
+        p = TPoly(NARROW, 2, terms={((), ()): c0, ((1,), ()): c1})
+        for fn in fns:
+            assert outcome(fn, p)[1] == (HbarWindowError,
+                                         "hbar^4 outside window [-2, 2]")
+    p = TPoly(NARROW, 1, terms={((), ()): Rational(2), ((1,), ()): h2})
+    for fn in fns:
+        assert outcome(fn, p)[1] == (
+            ValueError, "scalar constant coefficient must be 1 for log")
+
+
+def test_the_exponential_of_x_series_has_a_constant_series_one():
+    """Where the TPoly loop gave the exponential of x-series the scalar 1
+    as its constant coefficient, it is the constant series 1 now; the
+    value is the same, and so is every other coefficient."""
+    a = XSeries(NUMERIC, 2, [Rational(1), Rational(2)])
+    p = TPoly(NUMERIC, 2, terms={((1,), ()): a})
+    got, want = p.exp(), ref_exp(p)
+    assert list(got.terms) == list(want.terms)
+    assert_same_coeff(got.terms[((), ())], XSeries.one(NUMERIC, 2))
+    assert_same_coeff(want.terms[((), ())], Rational(1))
+    assert_same_poly(got - 1, want - 1)
+
+
+def test_scalars_among_x_series_are_constant_series():
+    """A scalar among x-series coefficients is taken as a constant series
+    (``resident``), so on the monomials that only scalars feed, exp, log
+    and the Miwa shift give x-series where the TPoly loops gave scalars, of
+    the same value."""
+    a = XSeries(NUMERIC, 2, [Rational(1), Rational(2)])
+    p = TPoly(NUMERIC, 2, 2, 1, {((1,), ()): Rational(3), ((0, 1), ()): a})
+    for got, want in ((p.exp(), ref_exp(p)),
+                      ((p + 1).log_unit(), ref_log_unit(p + 1)),
+                      (miwa_shift(p, 0), ref_miwa_shift(p, 0))):
+        assert list(got.terms) == list(want.terms)
+        assert all(isinstance(c, XSeries) for c in got.terms.values())
+        assert not all(isinstance(c, XSeries) for c in want.terms.values())
+        for key, c in want.terms.items():
+            assert got.terms[key] == c
 
 
 def test_a_narrow_window_raises_the_same_error_in_a_miwa_shift():
