@@ -635,12 +635,14 @@ class _Resident:
         den, s = self._scalar_code(value)
         return self._like({((), ()): self.kernel.constant(s)}, den)
 
+    def coefficient(self, key):
+        """The coefficient of one monomial, reduced, as ``decode`` gives it."""
+        c = self.kernel.series(self.den, self.terms[key])
+        return c.coeffs[0] if self.scalar else c
+
     def decode(self) -> TPoly:
         """The TPoly this stands for, each coefficient reduced once."""
-        series = self.kernel.series
-        terms = {k: series(self.den, c) for k, c in self.terms.items()}
-        if self.scalar:
-            terms = {k: c.coeffs[0] for k, c in terms.items()}
+        terms = {k: self.coefficient(k) for k in self.terms}
         return TPoly(self.ctx, self.weight_cap, self.z_cap, self.nslots, terms,
                      _clean=True, degree_cap=self.degree_cap)
 
@@ -750,13 +752,31 @@ class _Resident:
         return self._like({k: scale(c, code) for k, c in self.terms.items()},
                           self.den * den)
 
-    def signed_relabellings(self, perms) -> "_Resident":
-        """The sum of sgn(perm) perm·self over ``perms``, where perm·self
-        renames slot s to perm[s], as the TPoly sum of those polynomials in
-        turn gives it.  Every cap is the same in each slot, so a renamed
-        monomial is within the caps.  The terms go into one accumulator
-        (``_accumulate``)."""
+    def _renamed_keys(self, perm) -> list:
+        """The keys in order, slot s of each renamed to perm[s]."""
         nslots = self.nslots
+        renamed: dict = {}
+        keys = []
+        for texp, zexp in self.terms:
+            z = renamed.get(zexp)
+            if z is None:
+                slots = [0] * nslots
+                for s, d in enumerate(zexp):
+                    slots[perm[s]] = d
+                z = renamed[zexp] = _trim(slots)
+            keys.append((texp, z))
+        return keys
+
+    def relabelled(self, perm) -> "_Resident":
+        """perm·self: slot s renamed to perm[s].  Every cap is the same in
+        each slot, so a renamed monomial is within the caps."""
+        return self._like(dict(zip(self._renamed_keys(perm),
+                                   self.terms.values())), self.den)
+
+    def signed_relabellings(self, perms) -> "_Resident":
+        """The sum of sgn(perm) perm·self over ``perms`` (``relabelled``),
+        as the TPoly sum of those polynomials in turn gives it.  The terms
+        go into one accumulator (``_accumulate``)."""
         negated = None
         out: dict = {}
         for perm in perms:
@@ -764,18 +784,8 @@ class _Resident:
             if odd and negated is None:
                 rescale = self.kernel.rescale
                 negated = [rescale(c, -1) for c in self.terms.values()]
-            renamed: dict = {}
-            keys = []
-            for texp, zexp in self.terms:
-                z = renamed.get(zexp)
-                if z is None:
-                    slots = [0] * nslots
-                    for s, d in enumerate(zexp):
-                        slots[perm[s]] = d
-                    z = renamed[zexp] = _trim(slots)
-                keys.append((texp, z))
-            self._accumulate(out, zip(keys, negated if odd else
-                                      self.terms.values()))
+            self._accumulate(out, zip(self._renamed_keys(perm), negated if odd
+                                      else self.terms.values()))
         return self._like(out, self.den)
 
     # -- calculus and substitutions ------------------------------------------

@@ -206,6 +206,23 @@ def test_residual_counts_the_scanned_monomials(num_ctx):
     assert jacobi_minor_identity(random_rational_matrix(Random(1), 3)).nonzero == 0
 
 
+def test_residual_lists_the_failing_monomials(num_ctx):
+    """``failing`` holds every nonzero monomial of the residual in sorted
+    order, read from the codes with the verdict, and ``worst`` names the
+    first; ``poly`` decodes the residual that gave them."""
+    ts = tau_series(random_tau_data(Random(5), num_ctx, 4, 4))
+    good, bad = ts.assemble(), perturbed(ts, (1, 1), Rational(1)).assemble()
+    for check in (lambda t: check_fay(t, 4), lambda t: check_hirota3(t, 4),
+                  lambda t: check_det_m(t, 3, 4)):
+        assert check(good).failing == ()
+        res = check(bad)
+        assert res.failing == tuple(sorted(
+            k for k, c in res.poly.terms.items() if not c.is_zero()))
+        assert res.nonzero == len(res.failing) > 0
+        texp, zexp = res.failing[0]
+        assert res.worst.startswith(f"t-exps {texp}, zeta-exps {zexp}: ")
+
+
 def test_residual_reports_caps(num_ctx):
     tau = TPoly.one(num_ctx, 4)
     r = check_fay(tau, 3)
@@ -241,8 +258,8 @@ def test_trusted_region_is_sound_and_tight(num_ctx, seed):
     tau = tau_series(random_tau_data(Random(seed), num_ctx, W, W)).assemble()
     F = f_series(random_f_data(Random(seed), num_ctx, W, W)).assemble()
     for name, build, trust in _residual_fns(tau, F, Z):
-        full = build(None)
-        capped = build(trust)
+        full = build(None).decode()
+        capped = build(trust).decode()
         want = full.restrict_weight(trust)
         assert set(capped.terms) == set(want.terms), name
         for key, c in want.terms.items():
@@ -260,8 +277,8 @@ def test_capped_residual_keeps_the_corruption(num_ctx):
     ts = tau_series(random_tau_data(Random(5), num_ctx, 4, 4))
     tau = perturbed(ts, (1, 1), Rational(1)).assemble()
     for name, build, trust in _residual_fns(tau, None, 4)[:4]:
-        capped = build(trust)
-        want = build(None).restrict_weight(trust)
+        capped = build(trust).decode()
+        want = build(None).decode().restrict_weight(trust)
         assert not capped.is_zero(), name
         assert set(capped.terms) == set(want.terms), name
         for key, c in want.terms.items():
@@ -277,7 +294,7 @@ def test_swapping_two_slots_negates_the_det3_residual(num_ctx, sym_ctx, swap):
     for ctx in (num_ctx, sym_ctx):
         ts = tau_series(random_tau_data(Random(5), ctx, 4, 4))
         tau = perturbed(ts, (1, 1), Rational(1)).assemble()
-        res = _det_m_residual(tau, 3, 4, 4 + 3)
+        res = _det_m_residual(tau, 3, 4, 4 + 3).decode()
         assert not res.is_zero()
         a, b = swap
         swapped = {}
