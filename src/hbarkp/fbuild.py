@@ -104,7 +104,7 @@ class FSeries:
         Read off the assembled polynomial: applying d_{lam_1} d_{lam_2}...
         at t = 0 multiplies the t_lam coefficient by sigma(lam)."""
         poly = self.assemble()
-        return {lam: as_xseries(poly.derivative_at_zero(tuple(lam)), self.ctx,
+        return {lam: as_xseries(poly.coeff(tuple(lam)) * lam.sigma, self.ctx,
                                 self.x_cap)
                 for lam in partitions_upto(self.weight_cap, 1)}
 

@@ -16,13 +16,12 @@ from __future__ import annotations
 from functools import cache
 from math import comb, factorial, gcd, prod
 
-from .hscalar import HContext, HPoly, check_window
+from .hscalar import HContext, check_window
 from .linalg import det
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly
 from .tpoly import TPoly, _trim, resident
-from .xseries import XSeries
 
 
 class DiffOperator(MultisetPoly):
@@ -115,45 +114,6 @@ def dh_determinant(n: int, ctx: HContext) -> DiffOperator:
 
 def dh_apply(k: int, poly: TPoly) -> TPoly:
     return dh_operator(k, poly.ctx).apply(poly)
-
-
-def dh_at_zero(k: int, poly: TPoly):
-    """``dh_apply(k, poly).constant_coeff()`` without applying the operator
-    to all of ``poly``: each term d_{k_1}...d_{k_r} is read at t = 0 by
-    ``TPoly.derivative_at_zero``, and the terms are summed as
-    ``DiffOperator.apply`` sums them.  With a formal hbar, the products that
-    ``apply`` forms on the other monomials are window-checked first, so the
-    same ``HbarWindowError`` is raised."""
-    ctx = poly.ctx
-    op = dh_operator(k, ctx)
-    if not ctx.is_numeric:
-        _check_apply_window(op, poly)
-    acc = TPoly.zero(ctx, poly.weight_cap, poly.z_cap, poly.nslots)
-    for ks, c in op.terms.items():
-        at_zero = TPoly.constant(ctx, poly.weight_cap, poly.derivative_at_zero(ks),
-                                 poly.z_cap, poly.nslots)
-        acc = acc + at_zero.scale(c)
-    return acc.constant_coeff()
-
-
-def _check_apply_window(op: DiffOperator, poly: TPoly) -> None:
-    """Raise the ``HbarWindowError`` of ``op.apply(poly)``: it scales the
-    coefficient of every monomial divisible by a term's derivatives (times
-    a nonzero integer, which keeps its hbar exponents) by the term's
-    coefficient, term by term, monomial by monomial, x-power by x-power."""
-    ctx = poly.ctx
-    for ks, c in op.terms.items():
-        if not isinstance(c, HPoly) or not c.terms:
-            continue
-        c_lo, c_hi = min(c.terms), max(c.terms)
-        need = {k - 1: ks.count(k) for k in set(ks)}
-        for (texp, _), coeff in poly.terms.items():
-            if any(i >= len(texp) or texp[i] < m for i, m in need.items()):
-                continue
-            values = coeff.coeffs if isinstance(coeff, XSeries) else (coeff,)
-            for v in values:
-                if isinstance(v, HPoly) and v.terms:
-                    check_window(ctx, min(v.terms) + c_lo, max(v.terms) + c_hi)
 
 
 @cache

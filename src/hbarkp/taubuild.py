@@ -8,9 +8,10 @@ the determinant
                                       d_x^k c_{lam_i - i + j - k} ]
 
 (with c_m = 0 for m < 0), and the full series is
-tau = sum_lam c_lam(x) s_lam(t / hbar).  Conversely the data are recovered
-from tau as c_0 = tau(x; 0) and c_k = (hbar/k) * (deformed d_k) tau at
-t = 0; both directions are exposed here and round-trip.
+tau = sum_lam c_lam(x) s_lam(t / hbar).  Conversely the data are the
+coefficients of tau(x; hbar[z^{-1}]) = sum_k c_k z^{-k}: c_0 = tau(x; 0)
+and c_k = (hbar/k) * (deformed d_k) tau at t = 0; both directions are
+exposed here and round-trip.
 
 ``tau_series`` builds a whole table as one computation on integer codes:
 c_0..c_K are encoded once (``xseries.Jets``), every entry sits over one
@@ -21,25 +22,23 @@ of the lower rows are shared between diagrams under (labels of those
 rows, columns) through ``linalg.det``'s ``row_keys``/``memo``; and each
 power c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
 c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
-and ``extract_cauchy_like_tau`` reads (deformed d_k) tau at t = 0 off the
-coefficients of tau (``hcalc.dh_at_zero``).  Values, valid orders,
-coefficient types and window errors are those of the same steps on
-XSeries values.
+and ``extract_cauchy_like_tau`` reads each c_k off tau's coefficients as
+one weighted sum on the same kernel.  Values, valid orders, coefficient
+types and window errors are those of the same steps on XSeries values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .hscalar import HContext, scalar_is_zero
 from .linalg import det
 from .partitions import Partition, partitions_upto
 from .rational import Rational
 from .symfun import schur
-from .tpoly import TPoly, linear_combination
-from .hcalc import dh_at_zero
-from .xseries import Jets, XSeries
+from .tpoly import TPoly, linear_combination, weight_of
+from .xseries import Jets, XSeries, int_kernel
 
 
 @dataclass(frozen=True)
@@ -207,18 +206,44 @@ def as_xseries(value, ctx: HContext, x_cap: int) -> XSeries:
 def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> TauData:
     """Recover the initial data from an assembled tau polynomial.
 
-    c_0 = tau at t = 0, and c_k = (hbar/k) * (deformed d_k) tau at t = 0.
+    The data are the coefficients of tau(x; hbar[z^{-1}]) = sum_k c_k z^{-k}:
+    c_0 = tau at t = 0 and, for k >= 1,
+
+        c_k = (hbar/k) (deformed d_k) tau at t = 0
+            = sum_{|e| = k} [t^e]tau * prod_j (hbar/j)^{e_j},
+
+    over the monomials t^e without zeta factors.  Each c_k is one sum on
+    the integer kernel: every [t^e]tau scaled by hbar^{l-1} / prod_j j^{e_j}
+    (l = sum_j e_j), and the sum scaled by hbar, so a formal hbar leaves
+    the window only where the operator's terms at t = 0 do.  Applied to
+    all of tau, the operator also scales the monomials off t = 0: in the
+    window [-2, 2] with tau = 1 + hbar^2 t_1^3 and K = 2, its d_1^2 scales
+    6 hbar^2 t_1 by hbar and raises, where this reading returns
+    c_1 = c_2 = 0.
     """
     ctx = tau.ctx
     if x_cap is None:
         x_cap = next(
             (c.cap for c in tau.terms.values() if isinstance(c, XSeries)), 0
         )
+    read = [(weight_of(texp), texp, as_xseries(c, ctx, x_cap))
+            for (texp, zexp), c in tau.terms.items()
+            if not zexp and 0 < weight_of(texp) <= K]
+    if any(s.ctx != ctx or s.cap != x_cap for *_, s in read):
+        raise ValueError("tau coefficients disagree with its ctx or the x cap")
+    kernel = int_kernel(ctx, x_cap)
+    den, (zero, *codes) = kernel.codes(
+        [XSeries.zero(ctx, x_cap)] + [s for *_, s in read])
+    den_f, factors = kernel.encode_powers(
+        (1, prod(j ** a for j, a in enumerate(texp, 1)), sum(texp) - 1)
+        for _, texp, _ in read)
+    den_h, (hbar,) = kernel.encode_powers([(1, 1, 1)])
+    sums = [zero] * (K + 1)
+    for (k, *_), code, f in zip(read, codes, factors):
+        sums[k] = kernel.add(sums[k], kernel.scale(code, f))
     out = [as_xseries(tau.constant_coeff(), ctx, x_cap)]
-    for k in range(1, K + 1):
-        v = dh_at_zero(k, tau)
-        s = as_xseries(v, ctx, x_cap)
-        out.append(s.scale(ctx.hbar_pow(1) * Rational(1, k)))
+    out += (kernel.series(den * den_f * den_h, kernel.scale(s, hbar))
+            for s in sums[1:])
     return TauData(ctx, min(K, tau.weight_cap), x_cap, tuple(out))
 
 

@@ -294,15 +294,6 @@ class TPoly:
     def constant_coeff(self):
         return self.terms.get(((), ()), self.ctx.zero())
 
-    def derivative_at_zero(self, parts):
-        """``self.diff_parts(parts).constant_coeff()``, read off without
-        differentiating: the coefficient of t_{parts} times the factorials
-        of the multiplicities of the parts."""
-        sigma = 1
-        for p in set(parts):
-            sigma *= factorial(parts.count(p))
-        return self.coeff(parts) * sigma
-
     def monomials(self):
         return sorted(self.terms)
 

@@ -12,9 +12,11 @@ exponent of the reference's first error.
 
 The same holds for the kernel linear combination behind the tau and F
 assemblies (``tpoly.linear_combination``), against the sum of
-``basis.scale(coeff)`` term by term, and for the reads at t = 0
-(``TPoly.derivative_at_zero``, ``hcalc.dh_at_zero``) against
-differentiating the whole polynomial.
+``basis.scale(coeff)`` term by term.  The extraction of the data
+(``taubuild.extract_cauchy_like_tau``, one weighted sum over the
+monomials of tau) agrees with the deformed derivatives applied to the
+whole polynomial and read at t = 0 wherever those return, and raises
+``HbarWindowError`` only where they raise.
 """
 
 from fractions import Fraction
@@ -23,10 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbarkp.hcalc import dh_apply, dh_at_zero
+from hbarkp.hcalc import dh_apply
 from hbarkp.hscalar import HContext, HPoly, HbarWindowError
+from hbarkp.partitions import partitions_upto
 from hbarkp.rational import Rational
-from hbarkp.tpoly import TPoly, _droppable, linear_combination, weight_of
+from hbarkp.taubuild import as_xseries, extract_cauchy_like_tau
+from hbarkp.tpoly import TPoly, _droppable, linear_combination, texp_of, weight_of
 from hbarkp.xseries import XSeries
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
@@ -484,41 +488,70 @@ def polys_and_orders(draw):
     W = draw(st.integers(1, 4))
     coeff = st.one_of(series(ctx, cap), scalars(ctx)) if draw(st.booleans()) \
         else series(ctx, cap)
-    keys = st.tuples(st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    # at least two monomials inside the weight cap, so that most are read
+    keys = st.tuples(st.sampled_from([texp_of(lam) for lam in partitions_upto(W)]),
                      st.just(()))
-    terms = draw(st.dictionaries(keys, coeff, max_size=8))
+    terms = draw(st.dictionaries(keys, coeff, min_size=2, max_size=8))
     return TPoly(ctx, W, terms=terms), draw(st.integers(1, W))
+
+
+def operator_route(tau, K):
+    """The data as the operators give them: c_0 = tau at t = 0 and
+    c_k = (hbar/k) (deformed d_k) tau at t = 0, the operator applied to
+    all of tau."""
+    ctx = tau.ctx
+    x_cap = next((c.cap for c in tau.terms.values() if isinstance(c, XSeries)), 0)
+    out = [as_xseries(tau.constant_coeff(), ctx, x_cap)]
+    for k in range(1, K + 1):
+        v = as_xseries(dh_apply(k, tau).constant_coeff(), ctx, x_cap)
+        out.append(v.scale(ctx.hbar_pow(1) * Rational(1, k)))
+    return out
 
 
 @SETTINGS
 @given(polys_and_orders())
-def test_dh_at_zero_matches_the_applied_operator(case):
-    poly, k = case
-    got = outcome_text(dh_at_zero, k, poly)
-    want = outcome_text(lambda: dh_apply(k, poly).constant_coeff())
-    assert got[0] == want[0]
-    if want[0] == "raise":
-        assert got[1] == want[1]
-    else:
-        assert_same_coeff(got[1], want[1])
+def test_extraction_matches_the_operator_route(case):
+    """Where the operator route returns, the reading returns the same
+    values, valid orders and coefficient types; it raises only where the
+    route raises.  The constant coefficient is set to 1, so that c_0 is
+    invertible."""
+    poly, K = case
+    tau = TPoly(poly.ctx, poly.weight_cap,
+                terms={**poly.terms, ((), ()): Rational(1)})
+    got = outcome(lambda: extract_cauchy_like_tau(tau, K).c)
+    want = outcome(operator_route, tau, K)
+    if got[0] == "raise":
+        assert got[1] is HbarWindowError
+        assert want[0] == "raise"
+    if want[0] == "ok":
+        assert got[0] == "ok"
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            assert_same_series(g, w)
 
 
-@SETTINGS
-@given(polys_and_orders(), st.data())
-def test_derivative_at_zero_matches_differentiating(case, data):
-    poly, _ = case
-    parts = tuple(data.draw(st.lists(st.integers(1, 3), max_size=4)))
-    assert_same_coeff(poly.derivative_at_zero(parts),
-                      poly.diff_parts(parts).constant_coeff())
+def test_extraction_reads_tau_at_t_zero_only():
+    """tau = 1 + hbar^2 t_1^3 in [-2, 2], K = 2: the operator route's
+    d_1^2 scales 6 hbar^2 t_1 by hbar, which leaves the window though
+    nothing reaches t = 0; the reading returns c_1 = c_2 = 0, as series
+    whose coefficients are all HPoly."""
+    tau = TPoly(NARROW, 3, terms={((), ()): Rational(1), ((3,), ()): h(NARROW, 2)})
+    with pytest.raises(HbarWindowError, match=r"hbar\^3 "):
+        operator_route(tau, 2)
+    data = extract_cauchy_like_tau(tau, 2)
+    zero = XSeries(NARROW, 0, [NARROW.zero()])
+    for k in (1, 2):
+        assert_same_series(data.series(k), zero)
 
 
-def test_dh_at_zero_raises_where_apply_leaves_the_window_off_t_zero():
-    """d_2 + hbar d_1^2 on hbar^2 t_1^3: the d_1^2 term scales 6 hbar^2 t_1
-    by hbar, which leaves [-2, 2], though nothing reaches t = 0.  On
-    hbar^2 t_1, which d_1^2 annihilates, nothing is scaled."""
-    cubic = TPoly(NARROW, 3, terms={((3,), ()): h(NARROW, 2)})
-    linear = TPoly(NARROW, 3, terms={((1,), ()): h(NARROW, 2)})
-    for fn in (dh_at_zero, lambda k, p: dh_apply(k, p).constant_coeff()):
-        with pytest.raises(HbarWindowError, match=r"hbar\^3 "):
-            fn(2, cubic)
-        assert_same_coeff(fn(2, linear), NARROW.zero())
+def test_extraction_scales_by_hbar_after_summing():
+    """tau = 1 + hbar t_1^2 - 2 hbar^2 t_2 in [-2, 2]:
+    c_2 = hbar (hbar/1)^2 + (-2 hbar^2)(hbar/2) = hbar^3 - hbar^3 = 0.
+    Each term reaches hbar^3, but the operator route forms (deformed d_2)
+    tau at t = 0 = 2 hbar^2 - 2 hbar^2 = 0 before scaling it by hbar/2, and
+    the reading also sums before scaling by hbar, so neither raises."""
+    tau = TPoly(NARROW, 2, terms={((), ()): Rational(1), ((2,), ()): h(NARROW, 1),
+                                  ((0, 1), ()): h(NARROW, 2, -2)})
+    zero = XSeries(NARROW, 0, [NARROW.zero()])
+    assert_same_series(operator_route(tau, 2)[2], zero)
+    assert_same_series(extract_cauchy_like_tau(tau, 2).series(2), zero)

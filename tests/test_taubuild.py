@@ -127,6 +127,14 @@ def test_extraction_round_trip(tau_data):
         assert back.series(k) == tau_data.series(k)
 
 
+@pytest.mark.parametrize("seed", [3, 11])
+def test_extraction_round_trip_in_formal_hbar(seed):
+    data = random_tau_data(Random(seed), HContext.symbolic(-30, 30), 4, 4)
+    back = extract_cauchy_like_tau(tau_series(data).assemble(), 4, 4)
+    for k in range(5):
+        assert back.series(k) == data.series(k)
+
+
 def test_extraction_of_constant_tau(num_ctx):
     from hbarkp.tpoly import TPoly
 
