@@ -36,8 +36,9 @@ TRANSITION_MAX_WEIGHT = 14
 # Largest weight ``schur`` accepts: at 16 each basis takes at most about
 # 7 s, and the Schur basis grows about x1.6 per weight (10 s at 18).
 SCHUR_MAX_WEIGHT = 16
-# Largest weight symbolic ``fseries`` accepts: at 14 it takes about 6 s,
-# and each weight costs about x2.5 (14 s at 15, 41 s at 16).
+# Largest weight symbolic ``fseries`` accepts.  It was set when 16 took
+# 41 s; with the words on integer coefficients, each built from its suffix,
+# 14 takes about 0.6 s (0.8 s at 15, 1.8 s at 16).
 FSERIES_MAX_WEIGHT = 14
 # Most points ``verify detm`` accepts: 6 is the largest m at which
 # ``_least_z_order`` was measured.  At W = 4 and the least z order, 6 points

@@ -5,8 +5,9 @@ The data are f_0(x) = F(x; 0) together with f_k(x) = (deformed d_k) F at
 t = 0.  The coefficient of a diagram with more than one row is the
 operator word L_{lam_1} ... L_{lam_{ell-1}}(f_{lam_ell}); one-row diagrams
 contribute f_k itself.  ``f_series`` evaluates every word on one encoding
-of the jets d^l f_s (``xseries.Jets``) and decodes once per diagram.  The
-series is assembled in the hbar-deformed monomial basis:
+of the jets d^l f_s (``xseries.Jets``), which forms each product of jets
+that the words share once, and decodes once per diagram.  The series is
+assembled in the hbar-deformed monomial basis:
 
     F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam.
 
@@ -224,17 +225,7 @@ def bridge_to_tau(data: FData) -> TauData:
     if not scalar_is_zero(data.f0.constant_term()):
         raise ValueError("f_0 must vanish at x = 0 for the bridge")
     c0 = data.f0.scale(ctx.hbar_pow(-2)).exp()
-    out = [c0]
-    y_cache: dict = {}
-
-    def y(l: int) -> XSeries:
-        if l not in y_cache:
-            y_cache[l] = data.series(l).scale(
-                ctx.hbar_pow(-1) * Rational(1, l)
-            )
-        return y_cache[l]
-
-    for k in range(1, data.K + 1):
-        hk = h_apply(k, y)
-        out.append(c0 * hk)
+    hs = h_apply(data.K, lambda l: data.series(l).scale(
+        ctx.hbar_pow(-1) * Rational(1, l)))
+    out = [c0 * h for h in hs]
     return TauData(ctx, data.weight_cap, data.x_cap, tuple(out))

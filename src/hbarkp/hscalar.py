@@ -105,6 +105,19 @@ class HContext:
     def hbar(self):
         return self.hbar_pow(1)
 
+    def hbar_term(self, num: int, den: int, k: int):
+        """(num / den) * hbar^k as one scalar, formed from the integers;
+        the same value, type and errors as ``Rational(num, den) *
+        self.hbar_pow(k)`` for num != 0."""
+        if not self.is_numeric:
+            return HPoly(self, {k: Rational(num, den)})
+        p, q = self.value.numerator, self.value.denominator
+        if k < 0:
+            if p == 0:
+                raise HbarValueError("negative power of hbar at hbar = 0")
+            p, q, k = q, p, -k
+        return Rational(num * p ** k, den * q ** k)
+
 
 def window_error(ctx: HContext, e: int) -> HbarWindowError:
     return HbarWindowError(f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")

@@ -15,7 +15,7 @@ group, monomial functions and t^hbar from the inverse transition matrix.
 from __future__ import annotations
 
 from functools import cache
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .hscalar import HContext
 # Nothing here calls ``det``; the name stays bound because the benchmark's
@@ -65,19 +65,35 @@ def _character(lam: tuple, mu: tuple) -> int:
     return total
 
 
+def _characters(lam: Partition, weight_cap: int):
+    """(mu, chi^lam(mu)) over the partitions mu of |lam| with chi != 0, in
+    ``partitions_of`` order; ``CapError`` past the weight cap."""
+    if lam.weight > weight_cap:
+        raise CapError(f"s_{lam} exceeds weight cap {weight_cap}")
+    for mu in partitions_of(lam.weight):
+        chi = _character(lam, mu)
+        if chi:
+            yield mu, chi
+
+
 @cache
 def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Schur polynomial s_lam = sum_mu chi^lam(mu) p_mu / z_mu over the
     partitions mu of |lam|.  With p_mu = rho(mu) t_mu and z_mu =
     sigma(mu) rho(mu), the coefficient of t_mu is chi^lam(mu) / sigma(mu)."""
-    lam = Partition(lam)
-    if lam.weight > weight_cap:
-        raise CapError(f"s_{lam} exceeds weight cap {weight_cap}")
-    terms = {}
-    for mu in partitions_of(lam.weight):
-        chi = _character(lam, mu)
-        if chi:
-            terms[(texp_of(mu), ())] = Rational(chi, mu.sigma)
+    terms = {(texp_of(mu), ()): Rational(chi, mu.sigma)
+             for mu, chi in _characters(Partition(lam), weight_cap)}
+    return TPoly(ctx, weight_cap, terms=terms)
+
+
+@cache
+def schur_over_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
+    """s_lam(t/hbar), the basis of the tau series: the coefficient of t_mu
+    is chi^lam(mu) / sigma(mu) * hbar^{-ell(mu)}, one scalar formed from
+    integers (``HContext.hbar_term``), in the order of ``schur``'s terms."""
+    terms = {(texp_of(mu), ()): ctx.hbar_term(chi, mu.sigma, -mu.ell)
+             if mu.ell else Rational(chi, mu.sigma)
+             for mu, chi in _characters(Partition(lam), weight_cap)}
     return TPoly(ctx, weight_cap, terms=terms)
 
 
@@ -142,45 +158,69 @@ def _transition_row(lam: Partition) -> dict:
 
 
 @cache
+def _integer_rows(n: int) -> tuple:
+    """The rows of L and of L^{-1} at weight n, on integers: row i of L as
+    {j: L_ij} and row i of L^{-1} as (den, {j: numerator}) over the
+    nonzero entries, indices in ``partitions_of`` order.
+
+    L is lower triangular in that order, with diagonal sigma(lam), so row
+    i of L^{-1} is (e_i - sum_{k < i} L_ik (row k of L^{-1})) / L_ii.  The
+    sum is formed over the lcm of the rows' denominators, and the common
+    factor of the numerators and the denominator is divided out."""
+    labels = partitions_of(n)
+    index = {lam: i for i, lam in enumerate(labels)}
+    rows, inv = [], []
+    for i, lam in enumerate(labels):
+        row = {index[mu]: c for mu, c in _transition_row(lam).items()}
+        below = [(k, c) for k, c in row.items() if k < i]
+        den = lcm(*(inv[k][0] for k, _ in below))
+        acc = {i: den}
+        for k, c in below:
+            f = c * (den // inv[k][0])
+            for j, v in inv[k][1].items():
+                acc[j] = acc.get(j, 0) - f * v
+        den *= row[i]
+        g = gcd(den, *acc.values())
+        rows.append(row)
+        inv.append((den // g, {j: v // g for j, v in sorted(acc.items()) if v}))
+    return tuple(rows), tuple(inv)
+
+
+@cache
 def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
     """The (L, L^{-1}) pair at weight n.
 
     L is lower triangular in ``partitions_of`` order: the (lam, mu) entry
     vanishes unless mu dominates lam, and the diagonal entry is
-    sigma(lam) > 0.  So L^{-1} is lower triangular too, and forward
-    substitution gives it exactly over Q, one row at a time.
+    sigma(lam) > 0.  So L^{-1} is lower triangular too; forward
+    substitution gives it fraction-free (``_integer_rows``), and each entry
+    is one rational formed from its row's numerator and denominator.
     """
     if n < 1:
         raise ValueError("transition matrices start at weight 1")
     labels = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(labels)}
+    rows, inv = _integer_rows(n)
     zero = Rational(0)
-    entries = []
-    for lam in labels:
-        row = [zero] * len(labels)
-        for mu, count in _transition_row(lam).items():
-            row[index[mu]] = Rational(count)
-        entries.append(row)
-    # Row i of L^{-1} is (e_i - sum_{k < i} L_{ik} (row k of L^{-1})) / L_{ii}.
-    inv = []
-    for i, row in enumerate(entries):
-        acc = [zero] * len(labels)
-        acc[i] = Rational(1)
-        for k in range(i):
-            c = row[k]
-            if c:
-                for j, v in enumerate(inv[k][:k + 1]):
-                    if v:
-                        acc[j] -= c * v
-        inv.append([v / row[i] for v in acc])
-    return TransitionMatrix(n, labels, entries), TransitionMatrix(n, labels, inv)
+    entries, inv_entries = [], []
+    for row, (den, nums) in zip(rows, inv):
+        line = [zero] * len(labels)
+        for j, c in row.items():
+            line[j] = Rational(c)
+        entries.append(line)
+        line = [zero] * len(labels)
+        for j, v in nums.items():
+            line[j] = Rational(v, den)
+        inv_entries.append(line)
+    return (TransitionMatrix(n, labels, entries),
+            TransitionMatrix(n, labels, inv_entries))
 
 
 def _inverse_row(lam: Partition):
-    """(mu, (L^{-1})_{lam mu}) over the nonzero entries of row lam."""
-    _, linv = transition_L(lam.weight)
-    row = linv.entries[linv.index[lam]]
-    return [(mu, c) for mu, c in zip(linv.labels, row) if c]
+    """(den, [(mu, numerator), ...]): row lam of L^{-1} over its nonzero
+    entries, (L^{-1})_{lam mu} = numerator / den."""
+    labels = partitions_of(lam.weight)
+    den, nums = _integer_rows(lam.weight)[1][labels.index(lam)]
+    return den, [(labels[j], v) for j, v in nums.items()]
 
 
 @cache
@@ -195,7 +235,8 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
         raise CapError(f"m_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap)
-    terms = {(texp_of(mu), ()): c * mu.rho for mu, c in _inverse_row(lam)}
+    den, row = _inverse_row(lam)
+    terms = {(texp_of(mu), ()): Rational(v * mu.rho, den) for mu, v in row}
     return TPoly(ctx, weight_cap, terms=terms)
 
 
@@ -206,19 +247,18 @@ def t_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     t^hbar_lam = (sigma/rho) * hbar^{ell(lam)} * m_lam(t/hbar), expanded in
     closed form as sum_{mu >= lam} (sigma(lam)/rho(lam)) (L^{-1})_{lam mu}
     rho(mu) hbar^{ell(lam)-ell(mu)} t_mu.  All hbar exponents are >= 0, so
-    the hbar -> 0 limit is the plain monomial t_lam.
+    the hbar -> 0 limit is the plain monomial t_lam.  Each coefficient is
+    one scalar formed from integers (``HContext.hbar_term``).
     """
     lam = Partition(lam)
     if lam.weight > weight_cap:
         raise CapError(f"t^h_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap)
-    pref = Rational(lam.sigma, lam.rho)
-    terms = {
-        (texp_of(mu), ()):
-            (pref * c * mu.rho) * ctx.hbar_pow(lam.ell - mu.ell)
-        for mu, c in _inverse_row(lam)
-    }
+    den, row = _inverse_row(lam)
+    terms = {(texp_of(mu), ()): ctx.hbar_term(
+        lam.sigma * v * mu.rho, lam.rho * den, lam.ell - mu.ell)
+        for mu, v in row}
     return TPoly(ctx, weight_cap, terms=terms)
 
 
@@ -242,17 +282,19 @@ def scalar_product(u: TPoly, v: TPoly):
     return total
 
 
-def h_apply(k: int, fetch):
-    """h_k evaluated on a sequence: sum over |lam| = k of
-    prod fetch(lam_i) / sigma(lam).  ``fetch(i)`` supplies the i-th value
-    (any ring element); k = 0 is the empty product 1."""
-    if k == 0:
-        return Rational(1)
-    total = None
-    for lam in partitions_of(k):
-        prod = fetch(lam[0])
-        for p in lam[1:]:
-            prod = prod * fetch(p)
-        term = prod * Rational(1, lam.sigma)
-        total = term if total is None else total + term
-    return total
+def h_apply(k: int, fetch) -> list:
+    """[h_0, ..., h_k] evaluated on a sequence: h_n is the sum over |lam| = n
+    of prod fetch(lam_i) / sigma(lam), h_0 = 1.  ``fetch(i)`` supplies the
+    i-th value (any ring element), once for each i.
+
+    exp(sum_j y_j z^j) = sum_n h_n z^n, so n h_n = sum_{j=1}^{n} j y_j
+    h_{n-j} (Newton's identity) gives each h_n from the ones before."""
+    ys = [fetch(j) for j in range(1, k + 1)]
+    hs = [Rational(1)]
+    for n in range(1, k + 1):
+        total = None
+        for j in range(1, n + 1):
+            term = ys[j - 1] * hs[n - j] * j
+            total = term if total is None else total + term
+        hs.append(total * Rational(1, n))
+    return hs

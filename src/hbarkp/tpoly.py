@@ -380,14 +380,6 @@ class TPoly:
             out = out.diff_t(p)
         return out
 
-    def times_over_hbar(self) -> "TPoly":
-        """Substitute t_k -> t_k / hbar (coefficient picks up hbar^-deg)."""
-        out = {}
-        for (texp, zexp), c in self.terms.items():
-            n = sum(texp)
-            out[(texp, zexp)] = c * self.ctx.hbar_pow(-n) if n else c
-        return self._like(out, _clean=True)
-
     def map_coeffs(self, fn) -> "TPoly":
         return self._like(map_terms(self.terms, fn, _droppable), _clean=True)
 

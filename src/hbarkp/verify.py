@@ -323,10 +323,9 @@ def _det_m_laplace(T, all_shift, shift, row, zs: list, m: int):
 def _det_m_residual(tau: TPoly, m: int, z_cap: int,
                     cap: int | None) -> _Resident:
     T = _embed(tau, m, z_cap, cap)
-    all_shift = T
-    for s in range(m):
+    all_shift = shift = miwa_shift(T, 0)
+    for s in range(1, m):
         all_shift = miwa_shift(all_shift, s)
-    shift = miwa_shift(T, 0)
     zs = _zetas(T)
     row = None
     try:

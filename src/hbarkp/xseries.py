@@ -656,7 +656,8 @@ def int_kernel(ctx: HContext, cap: int):
 class Jets(dict):
     """Series s -> data[s] as codes of ``int_kernel``, over one denominator
     ``den``, under the key (s, 0); the code of the l-th x-derivative is
-    formed at the first look-up of (s, l) and kept."""
+    formed at the first look-up of (s, l) and kept.  ``monomial`` keeps the
+    products of jets the same way."""
 
     def __init__(self, data: dict, like: XSeries | None = None):
         like = next(iter(data.values()), None) if like is None else like
@@ -666,10 +667,24 @@ class Jets(dict):
         self.kernel = int_kernel(like.ctx, like.cap)
         self.den, codes = self.kernel.codes(data.values())
         super().__init__(((s, 0), c) for s, c in zip(data, codes))
+        one = self.kernel.encode_scalars((1,))[1][0]
+        self.products = {(): self.kernel.constant(one)}
 
     def __missing__(self, key):
         s, l = key
         if l == 0:
             raise KeyError(f"no series supplied for source f_{s}")
         code = self[key] = self.kernel.diff(self[s, l - 1])
+        return code
+
+    def monomial(self, gens: tuple):
+        """The code of 1 * jet(gens[0]) * jet(gens[1]) * ..., over
+        den ** len(gens), multiplied in that order.  Each product of a
+        prefix is formed once, at the first monomial that needs it, and
+        kept."""
+        products = self.products
+        code = products.get(gens)
+        if code is None:
+            code = products[gens] = self.kernel.product(
+                self.monomial(gens[:-1]), self[gens[-1]])
         return code

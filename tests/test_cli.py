@@ -65,7 +65,7 @@ def test_transition_output(tmp_path):
 def test_transition_refuses_weights_above_its_limit(tmp_path, monkeypatch,
                                                     capsys):
     """Weight 14 reaches the matrices (a stub here: the real ones take
-    about a second) and weight 15 exits 2 before building anything."""
+    about 0.4 s) and weight 15 exits 2 before building anything."""
     real = symfun.transition_L
     built = []
 

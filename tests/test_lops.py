@@ -1,9 +1,14 @@
 """Operator algebra on differential polynomials in the sources f_s."""
 
+from math import prod
+from random import Random
+
 import pytest
 
-from hbarkp.hscalar import HContext
+from hbarkp.hscalar import HContext, HbarWindowError
+from hbarkp.kpconst import p_const
 from hbarkp.lops import DiffPoly, l_apply, l_word
+from hbarkp.partitions import compositions, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_rational
 from hbarkp.xseries import XSeries
@@ -87,6 +92,100 @@ def test_word_single_application():
     for i in range(1, 4):
         for j in range(1, 4):
             assert l_word((i,), j, CTX) == l_apply(i, gen(j))
+
+
+def _l_by_terms(i, poly):
+    """L_i by the Leibniz rule in scalar arithmetic, one composition of i
+    at a time: hbar^{nu-1} formed first, then the product of the
+    L_{k_a}(g_a), then coeff * hbar^{nu-1} * i / prod(max(k_a, 1))."""
+    ctx = poly.ctx
+
+    def on_generator(k, s, l):
+        out = DiffPoly(ctx, [
+            (tuple((v - 1, 1) for v in parts),
+             ctx.scalar(p_const(k, s, tuple(v - 1 for v in parts))))
+            for m in range(1, (k + s) // 2 + 1)
+            for parts in compositions(k + s, m, 2)])
+        for _ in range(l):
+            out = out.x_deriv()
+        return out
+
+    acc = DiffPoly.zero(ctx)
+    for gens, coeff in poly.terms.items():
+        for ks in compositions(i, len(gens), 0):
+            nu = sum(1 for k in ks if k)
+            pref = ctx.hbar_pow(nu - 1) * Rational(i, prod(max(k, 1) for k in ks))
+            term = DiffPoly.constant(ctx, Rational(1))
+            for (s, l), k in zip(gens, ks):
+                term = term * (on_generator(k, s, l) if k else gen(s, l))
+            acc = acc + term.scale(coeff * pref)
+    return acc
+
+
+@pytest.mark.parametrize("window", [None, (-2, 2), (-3, 1), (-1, 3), (0, 1)])
+def test_l_apply_matches_the_term_by_term_rule(window):
+    """L_i on integer coefficients gives the scalar rule's coefficients,
+    types and first window error, on polynomials with rational and
+    (formal hbar) Laurent coefficients."""
+    rng = Random(sum(window or ()) + 7)
+    ctx = HContext.symbolic(*window) if window else HContext.numeric(
+        Rational(2, 3))
+    kinds = set()
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            gens = tuple(sorted((rng.randint(1, 3), rng.randint(0, 2))
+                                for _ in range(rng.randint(0, 4))))
+            c = random_rational(rng, nonzero=True)
+            if window and rng.random() < 0.7:
+                c = c * ctx.hbar_pow(rng.randint(*window))
+            terms[gens] = c
+        poly, i = DiffPoly(ctx, terms), rng.randint(1, 4)
+        got = _outcome(lambda: l_apply(i, poly))
+        want = _outcome(lambda: _l_by_terms(i, poly))
+        kinds.add(want[0])
+        if got[0] == want[0] == "ok":
+            got, want = sorted(got[1]), sorted(want[1])
+        assert got == want, (terms, i)
+    assert kinds == ({"ok"} if window is None else {"ok", "HbarWindowError"})
+
+
+def _chain(indices, target, ctx):
+    """The word applied one operator at a time, last index first."""
+    out = DiffPoly.generator(ctx, target, 0)
+    for i in reversed(indices):
+        out = l_apply(i, out)
+    return out
+
+
+def _outcome(build):
+    """The terms in order, or the message of the HbarWindowError raised."""
+    try:
+        return "ok", list(build().terms.items())
+    except HbarWindowError as exc:
+        return "HbarWindowError", str(exc)
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)),
+    HContext.symbolic(-30, 30),
+    HContext.symbolic(-3, 3),
+    HContext.symbolic(-4, 2),
+    HContext.symbolic(0, 0),
+], ids=["hbar=1/2", "window=30", "window=3", "window=-4,2", "window=0"])
+def test_words_equal_the_operator_chain(ctx):
+    """Each word, built from the word of its suffix, equals the operators
+    applied one at a time: the same terms in the same order, or the same
+    window error.  Up to weight 7 the words reach hbar^1, so only the
+    window [0, 0] makes some of them raise."""
+    kinds = set()
+    for lam in partitions_upto(7, 2):
+        indices, target = tuple(lam[:-1]), lam[-1]
+        got = _outcome(lambda: l_word(indices, target, ctx))
+        assert got == _outcome(lambda: _chain(indices, target, ctx)), lam
+        kinds.add(got[0])
+    narrow = not ctx.is_numeric and ctx.hi == 0
+    assert kinds == ({"ok", "HbarWindowError"} if narrow else {"ok"})
 
 
 def test_word_monomial_constraints():

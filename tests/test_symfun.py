@@ -1,18 +1,20 @@
 """Symmetric-function bases, transition matrices, scalar product."""
 
 from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hbarkp.hscalar import HContext
+from hbarkp.hscalar import HContext, HPoly
 from hbarkp.linalg import det
 from hbarkp.partitions import Partition, dominates, partitions_of, partitions_upto
 from hbarkp.rational import Rational
-from hbarkp.sampling import random_tpoly
+from hbarkp.sampling import random_rational, random_tpoly
 from hbarkp.symfun import (
     elementary_h,
+    h_apply,
     h_product,
     monomial_m,
     power_sum,
@@ -23,6 +25,7 @@ from hbarkp.symfun import (
     transition_L,
 )
 from hbarkp.tpoly import CapError, TPoly, texp_of
+from hbarkp.xseries import XSeries
 
 W = 6
 CTX = HContext.symbolic(-8, 8)
@@ -333,6 +336,33 @@ def test_transition_inverse_up_to_weight_10():
                 assert s == (1 if i == j else 0)
 
 
+def _fraction_inverse(L):
+    """L^{-1} of a lower triangular matrix by forward substitution in
+    rational arithmetic, one row at a time."""
+    size = len(L)
+    inv = []
+    for i in range(size):
+        acc = [Rational(0)] * size
+        acc[i] = Rational(1)
+        for k in range(i):
+            if L[i][k]:
+                for j in range(k + 1):
+                    acc[j] -= L[i][k] * inv[k][j]
+        inv.append([v / L[i][i] for v in acc])
+    return inv
+
+
+def test_transition_inverse_matches_the_rational_forward_substitution():
+    """The fraction-free inverse equals forward substitution in rationals
+    entry by entry, in value and type."""
+    for n in range(1, 13):
+        L, Linv = transition_L(n)
+        want = _fraction_inverse(L.entries)
+        got = [list(row) for row in Linv.entries]
+        assert got == want, n
+        assert all(type(v) is Rational for row in got for v in row), n
+
+
 def test_power_sum_expands_over_monomials():
     """p_lam = sum_mu L_{lam mu} m_mu, the matrix's defining property."""
     for n in range(1, 7):
@@ -367,12 +397,20 @@ def test_t_hbar_reduces_to_monomial_at_zero():
         assert t_hbar(lam, ctx0, W) == t_monomial(lam, ctx0, W)
 
 
+def _times_over_hbar(poly):
+    """t_k -> t_k / hbar: each coefficient times hbar^-(number of t's)."""
+    ctx = poly.ctx
+    return TPoly(ctx, poly.weight_cap, terms={
+        (texp, zexp): c * ctx.hbar_pow(-sum(texp))
+        for (texp, zexp), c in poly.terms.items()})
+
+
 def test_t_hbar_matches_scaled_monomial():
     """t^h_lam = (sigma/rho) hbar^{ell} m_lam(t/hbar) at numeric hbar."""
     ctx = HContext.numeric(Rational(1, 3))
     for lam in partitions_upto(5, 1):
         direct = t_hbar(lam, ctx, W)
-        scaled = monomial_m(lam, ctx, W).times_over_hbar().scale(
+        scaled = _times_over_hbar(monomial_m(lam, ctx, W)).scale(
             Rational(lam.sigma, lam.rho) * ctx.hbar_pow(lam.ell))
         assert direct == scaled
 
@@ -406,6 +444,54 @@ def test_t_hbar_and_monomial_equal_the_term_by_term_sum(ctx):
             assert got.terms.keys() == want.terms.keys()
             for key, c in want.terms.items():
                 assert type(got.terms[key]) is type(c)
+
+
+# -- h_k on a sequence ------------------------------------------------------------
+
+def _h_by_partitions(k, fetch):
+    """h_0..h_k as the sums over |lam| = n of prod fetch(lam_i) / sigma(lam),
+    one product per part, term by term."""
+    hs = [Rational(1)]
+    for n in range(1, k + 1):
+        total = None
+        for lam in partitions_of(n):
+            prod = fetch(lam[0])
+            for p in lam[1:]:
+                prod = prod * fetch(p)
+            term = prod * Rational(1, lam.sigma)
+            total = term if total is None else total + term
+        hs.append(total)
+    return hs
+
+
+def _typed_series(s):
+    """Valid order and each coefficient with its type."""
+    return (s.valid, [("HPoly", c.terms) if isinstance(c, HPoly) else ("Q", c)
+                      for c in s.coeffs])
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric(Rational(1, 2)),
+                                 HContext.symbolic(-30, 30)],
+                         ids=["numeric", "formal"])
+def test_h_apply_matches_the_partition_sum(ctx):
+    """Newton's identity gives the partition sums: values, valid orders and
+    coefficient types, on series of mixed valid orders (and, in formal
+    hbar, of mixed rational and HPoly coefficients)."""
+    X = 5
+    for seed in range(4):
+        rng = Random(seed)
+        ys = {}
+        for j in range(1, 7):
+            coeffs = [random_rational(rng) for _ in range(X + 1)]
+            if not ctx.is_numeric:
+                coeffs = [c * ctx.hbar_pow(rng.randint(-2, 2))
+                          if rng.random() < 0.5 else c for c in coeffs]
+            ys[j] = XSeries(ctx, X, coeffs, valid=rng.randint(2, X))
+        got = h_apply(6, ys.__getitem__)
+        want = _h_by_partitions(6, ys.__getitem__)
+        assert got[0] == want[0] == 1
+        assert [_typed_series(s) for s in got[1:]] == \
+            [_typed_series(s) for s in want[1:]], seed
 
 
 # -- scalar product -------------------------------------------------------------
