@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 from random import Random
 
@@ -171,7 +170,7 @@ def cmd_fseries(args) -> int:
     data = dataio.f_data_from_document(doc)
     fs = fbuild.f_series(data)
     if args.basis == "t_plain":
-        fs = replace(fs, table=fs.plain_taylor())
+        fs = fs.replace(table=fs.plain_taylor())
     _emit(args, dataio.f_series_to_document(fs, args.z_order, args.basis))
     return 0
 
@@ -230,7 +229,7 @@ def _clamp(series, weight, x_order):
     }
     if hasattr(series, "f0"):
         changes["f0"] = _clamp_series(series.f0, x_order)
-    return replace(series, **changes)
+    return series.replace(**changes)
 
 
 def _residual_doc(res: verify.Residual) -> dict:

@@ -20,34 +20,31 @@ y_l = f_l / (hbar l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .hscalar import HContext, HbarValueError, scalar_is_zero
 from .lops import DiffPoly, l_word
 from .partitions import Partition, partitions_of, partitions_upto
 from .rational import Rational
+from .record import Record
 from .symfun import h_apply, t_hbar, transition_L
 from .taubuild import TauData, as_xseries
 from .tpoly import TPoly, linear_combination
 from .xseries import Jets, XSeries
 
 
-@dataclass(frozen=True)
-class FData:
+class FData(Record):
     """Initial data: f_0 = F(x;0) and the deformed first derivatives f_k."""
 
-    ctx: HContext
-    weight_cap: int
-    x_cap: int
-    f0: XSeries
-    f: tuple  # f[k-1] is f_k, k = 1..K
+    _fields = ("ctx", "weight_cap", "x_cap", "f0", "f")
 
-    def __post_init__(self):
-        for s in (self.f0,) + self.f:
+    def __init__(self, ctx: HContext, weight_cap: int, x_cap: int, f0: XSeries,
+                 f: tuple):  # f[k-1] is f_k, k = 1..K
+        self._set(ctx, weight_cap, x_cap, f0, f)
+        for s in (f0,) + f:
             if not isinstance(s, XSeries):
                 raise TypeError("data entries must be XSeries")
-            if s.ctx != self.ctx or s.cap != self.x_cap:
+            if s.ctx != ctx or s.cap != x_cap:
                 raise ValueError("data series disagree with declared ctx/caps")
 
     @property
@@ -74,16 +71,15 @@ def f_lambda(lam, ctx: HContext) -> DiffPoly:
     return l_word(tuple(lam[:-1]), lam[-1], ctx)
 
 
-@dataclass(frozen=True)
-class FSeries:
+class FSeries(Record):
     """All diagram coefficients up to the weight cap, plus f_0."""
 
-    ctx: HContext
-    weight_cap: int
-    x_cap: int
-    f0: XSeries
-    table: dict  # Partition -> XSeries (concrete) or DiffPoly (symbolic)
-    symbolic: bool
+    _fields = ("ctx", "weight_cap", "x_cap", "f0", "table", "symbolic")
+
+    def __init__(self, ctx: HContext, weight_cap: int, x_cap: int, f0: XSeries,
+                 table: dict, symbolic: bool):
+        # table: Partition -> XSeries (concrete) or DiffPoly (symbolic)
+        self._set(ctx, weight_cap, x_cap, f0, table, symbolic)
 
     def coefficient(self, lam):
         return self.table[Partition(lam)]

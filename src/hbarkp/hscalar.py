@@ -29,7 +29,6 @@ All values are immutable; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg, not_
 
 from .errors import HbarkpError
@@ -37,6 +36,7 @@ from .rational import (
     Rational, ZeroDenominatorError, common_denominator, format_rational,
     parse_rational,
 )
+from .record import Record
 from .sparse import add_terms, map_terms
 
 
@@ -53,14 +53,30 @@ def default_window(weight_cap: int) -> tuple[int, int]:
     return (-(weight_cap + 2), weight_cap + 2)
 
 
-@dataclass(frozen=True)
-class HContext:
-    """Describes how hbar is treated: fixed rational, or formal in a window."""
+class HContext(Record):
+    """Describes how hbar is treated: fixed rational, or formal in a window.
 
-    mode: str
-    lo: int | None = None
-    hi: int | None = None
-    value: object | None = None
+    Contexts are ``functools.cache`` keys, so equality and the hash are
+    written out (the hash formed once) rather than read off the fields."""
+
+    _fields = ("mode", "lo", "hi", "value")
+
+    def __init__(self, mode: str, lo: int | None = None, hi: int | None = None,
+                 value: object | None = None):
+        self._set(mode, lo, hi, value)
+        self.__dict__["_hash"] = hash((mode, lo, hi, value))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not HContext:
+            return NotImplemented
+        return (self._hash == other._hash and self.mode == other.mode
+                and self.lo == other.lo and self.hi == other.hi
+                and self.value == other.value)
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def symbolic(lo: int, hi: int) -> "HContext":

@@ -87,6 +87,10 @@ def det(rows, row_keys=None, memo=None):
         return total
 
     d = expand(tuple(range(n)))
+    # ``expand`` refers to itself through its closure: unbinding it breaks
+    # that cycle, so the rows and the local minors are freed now rather
+    # than left for the cycle collector.
+    del expand
     return Rational(0) if d is None else d
 
 

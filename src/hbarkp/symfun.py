@@ -90,11 +90,14 @@ def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
 def schur_over_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """s_lam(t/hbar), the basis of the tau series: the coefficient of t_mu
     is chi^lam(mu) / sigma(mu) * hbar^{-ell(mu)}, one scalar formed from
-    integers (``HContext.hbar_term``), in the order of ``schur``'s terms."""
+    integers (``HContext.hbar_term``), in the order of ``schur``'s terms.
+    The terms need no cleaning: each key is trimmed and of weight |lam|
+    within the cap, and no coefficient is zero (chi != 0, and hbar^-k
+    either is nonzero or raises)."""
     terms = {(texp_of(mu), ()): ctx.hbar_term(chi, mu.sigma, -mu.ell)
              if mu.ell else Rational(chi, mu.sigma)
              for mu, chi in _characters(Partition(lam), weight_cap)}
-    return TPoly(ctx, weight_cap, terms=terms)
+    return TPoly(ctx, weight_cap, terms=terms, _clean=True)
 
 
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:

@@ -30,13 +30,13 @@ types and window errors are those of the same steps on XSeries values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 
 from .hscalar import HContext, scalar_is_zero
 from .linalg import det
 from .partitions import Partition, partitions_upto
 from .rational import Rational
+from .record import Record
 # Nothing here calls ``schur``; the name stays bound because the benchmark's
 # tracer test (perfbench/test_perfbench.py) checks that tracing rebinds this
 # copy too.  It can go with that assertion.
@@ -45,24 +45,21 @@ from .tpoly import TPoly, linear_combination, weight_of
 from .xseries import Jets, XSeries, int_kernel
 
 
-@dataclass(frozen=True)
-class TauData:
+class TauData(Record):
     """Initial data for a tau series: c_k(x) for k = 0..K."""
 
-    ctx: HContext
-    weight_cap: int
-    x_cap: int
-    c: tuple
+    _fields = ("ctx", "weight_cap", "x_cap", "c")
 
-    def __post_init__(self):
-        if not self.c:
+    def __init__(self, ctx: HContext, weight_cap: int, x_cap: int, c: tuple):
+        self._set(ctx, weight_cap, x_cap, c)
+        if not c:
             raise ValueError("need at least c_0")
-        for s in self.c:
+        for s in c:
             if not isinstance(s, XSeries):
                 raise TypeError("data entries must be XSeries")
-            if s.ctx != self.ctx or s.cap != self.x_cap:
+            if s.ctx != ctx or s.cap != x_cap:
                 raise ValueError("data series disagree with declared ctx/caps")
-        c0 = self.c[0].constant_term()
+        c0 = c[0].constant_term()
         if scalar_is_zero(c0):
             raise ValueError("c_0 must have an invertible constant term")
 
@@ -167,14 +164,13 @@ def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
     return kernel.series(den * den_inv, kernel.product(d, inv))
 
 
-@dataclass(frozen=True)
-class TauSeries:
+class TauSeries(Record):
     """All coefficient series up to the weight cap, keyed by diagram."""
 
-    ctx: HContext
-    weight_cap: int
-    x_cap: int
-    table: dict
+    _fields = ("ctx", "weight_cap", "x_cap", "table")
+
+    def __init__(self, ctx: HContext, weight_cap: int, x_cap: int, table: dict):
+        self._set(ctx, weight_cap, x_cap, table)
 
     def coefficient(self, lam) -> XSeries:
         return self.table[Partition(lam)]

@@ -374,12 +374,6 @@ class TPoly:
         """Partial derivative with respect to t_k."""
         return self._like(_diff_terms(self.terms, k, mul), _clean=True)
 
-    def diff_parts(self, parts) -> "TPoly":
-        out = self
-        for p in parts:
-            out = out.diff_t(p)
-        return out
-
     def map_coeffs(self, fn) -> "TPoly":
         return self._like(map_terms(self.terms, fn, _droppable), _clean=True)
 

@@ -94,7 +94,6 @@ residual into a ``TPoly`` when it is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from math import comb
@@ -103,27 +102,30 @@ from .hscalar import HbarWindowError, render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
+from .record import Record
 from .tpoly import TPoly, _Resident, _coeff_is_zero, resident
 from .xseries import XSeries
 
 
-@dataclass(frozen=True)
-class Residual:
-    """Outcome of one identity check: binary pass, no tolerances."""
+class Residual(Record):
+    """Outcome of one identity check: binary pass, no tolerances.
 
-    identity: str
-    caps: dict
-    passed: bool
-    worst: str | None
-    # the residual: a TPoly or scalar, or resident codes (``tpoly.resident``)
-    # that ``poly`` decodes when it is first read
-    source: object | None = field(default=None, repr=False, compare=False)
-    # monomials of the trusted region scanned, and how many are nonzero
-    checked: int = 0
-    nonzero: int = 0
-    # the nonzero monomials of a polynomial residual in sorted order;
-    # ``worst`` names the first
-    failing: tuple = ()
+    ``source`` is the residual: a TPoly or scalar, or resident codes
+    (``tpoly.resident``) that ``poly`` decodes when it is first read; it
+    takes no part in equality or ``repr``.  ``checked`` counts the
+    monomials of the trusted region scanned and ``nonzero`` those that do
+    not vanish; ``failing`` lists the nonzero monomials of a polynomial
+    residual in sorted order, and ``worst`` names the first."""
+
+    _fields = ("identity", "caps", "passed", "worst", "source", "checked",
+               "nonzero", "failing")
+    _quiet = ("source",)
+
+    def __init__(self, identity: str, caps: dict, passed: bool,
+                 worst: str | None, source: object | None = None,
+                 checked: int = 0, nonzero: int = 0, failing: tuple = ()):
+        self._set(identity, caps, passed, worst, source, checked, nonzero,
+                  failing)
 
     def __bool__(self):
         return self.passed

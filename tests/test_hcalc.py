@@ -1,5 +1,10 @@
 """Deformed derivatives, their determinant representation, Miwa shifts."""
 
+from itertools import product
+from random import Random
+
+import pytest
+
 from hbarkp.hcalc import (
     DiffOperator,
     delta_apply,
@@ -9,9 +14,13 @@ from hbarkp.hcalc import (
     miwa_shift,
 )
 from hbarkp.hscalar import HContext
+from hbarkp.partitions import Partition
 from hbarkp.rational import Rational
-from hbarkp.sampling import random_tpoly
+from hbarkp.sampling import random_tau_data, random_tpoly
+from hbarkp.symfun import schur_over_hbar
+from hbarkp.taubuild import TauSeries, tau_series
 from hbarkp.tpoly import TPoly
+from hbarkp.xseries import XSeries
 
 CTX = HContext.symbolic(-10, 10)
 H = CTX.hbar()
@@ -195,3 +204,61 @@ def test_diff_operator_sums_colliding_monomials():
     op = DiffOperator(CTX, {(1, 2): 1, (2, 1): 1})
     assert op.terms == {(1, 2): 2}
     assert DiffOperator(CTX, {(1, 2): 1, (2, 1): -1}).is_zero()
+
+
+def _strips(lam):
+    """The mu with lam/mu a horizontal strip: lam_{i+1} <= mu_i <= lam_i."""
+    below = list(lam[1:]) + [0]
+    for mu in product(*(range(b, a + 1) for a, b in zip(lam, below))):
+        yield Partition(m for m in mu if m)
+
+
+def _branching_shift(table, ctx, W, Z, nslots):
+    """tau^{[z_1, ..., z_n]} by the branching rule, slot after slot:
+    s_lam(t/hbar + [zeta]) = sum_{lam/mu a horizontal strip}
+    s_mu(t/hbar) zeta^{|lam/mu|}, each slot truncated at the z cap."""
+    # (mu, zeta exponents) -> the sum of the c_lam that reach it
+    sums = {(lam, ()): c for lam, c in table.items()}
+    for _ in range(nslots):
+        nxt = {}
+        for (lam, zexp), c in sums.items():
+            for mu in _strips(lam):
+                j = lam.weight - mu.weight
+                if j <= Z:
+                    key = (mu, zexp + (j,))
+                    nxt[key] = nxt[key] + c if key in nxt else c
+        sums = nxt
+    out = TPoly.zero(ctx, W, Z, nslots)
+    for (mu, zexp), c in sums.items():
+        term = schur_over_hbar(mu, ctx, W).with_slots(nslots, Z)
+        for slot, j in enumerate(zexp):
+            if j:
+                term = term * TPoly.var_zeta(ctx, W, slot, Z, nslots, power=j)
+        out = out + term.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric("2/3"),
+                                 HContext.symbolic(-30, 30)],
+                         ids=["numeric", "formal"])
+@pytest.mark.parametrize("nslots", [1, 2])
+def test_miwa_shift_of_tau_is_the_branching_rule(ctx, nslots):
+    """hcalc.miwa_shift of an assembled tau, slot after slot, against the
+    Schur branching rule on its c_lam table: the same monomials, values
+    and valid orders.  The table is cut to one valid order v < X, which
+    every coefficient must keep; with mixed orders each side reports the
+    least order of the c_lam it sums, and the two sides sum different
+    sets of them."""
+    rng = Random(11 + nslots)
+    for W in (3, 5):
+        v = rng.randint(1, W - 1)
+        table = {lam: XSeries(ctx, W, c.coeffs, valid=v) for lam, c in
+                 tau_series(random_tau_data(rng, ctx, W, W)).table.items()}
+        got = TauSeries(ctx, W, W, table).assemble().with_slots(nslots, W)
+        for slot in range(nslots):
+            got = miwa_shift(got, slot)
+        want = _branching_shift(table, ctx, W, W, nslots)
+        assert got.terms.keys() == want.terms.keys()
+        for key, c in want.terms.items():
+            assert got.terms[key] == c, key
+            assert got.terms[key].valid == c.valid == v, key
