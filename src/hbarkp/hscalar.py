@@ -21,8 +21,9 @@ rationals.  The rules of that arithmetic live here once and the
 ``XSeries`` and ``TPoly`` products share them: ``check_window`` (the
 window holds for a product iff it holds at its extreme exponents, which
 never cancel), ``scalar_codes`` (the integer code of formal-hbar scalars
-over one denominator), ``mul_add`` (the convolution of two codes) and
-``numerators`` / ``reduce_terms`` (into and out of the integer code).
+over one denominator) and ``numerators`` / ``reduce_terms`` (into and out
+of the integer code).  ``mul_add`` convolves two such codes for the
+product of two ``HPoly`` values.
 
 All values are immutable; operations are pure.
 """

@@ -12,17 +12,18 @@ Coefficients are scalars in the sense of ``hscalar`` (rationals, or Laurent
 polynomials in hbar).  Instances are immutable.
 
 Products run on the integer kernel at the end of this module, which writes
-a series in one code: each coefficient becomes an integer numerator
-(numeric hbar) or a dict from hbar exponent to integer numerator (formal
-hbar) over the lcm of the denominators, and a bitmask marks the HPoly
-coefficients.  The numerators are convolved as plain ints and each output
-coefficient is reduced once, so the results are the same canonical
-rationals that term-by-term rational arithmetic gives.  A product of two
-series encodes both, multiplies and decodes.  Products of ``TPoly`` values
-with x-series coefficients, their linear combinations and the residual
-checks work on the same codes (``tpoly.resident``); there a product of
-numeric codes packs each series into one integer (Kronecker substitution),
-so one integer product convolves two series.
+a series in one code over the lcm of the denominators: one integer
+numerator per coefficient (numeric hbar), or one dict for the whole series
+from (x power, hbar exponent), packed into one int key, to integer
+numerator (formal hbar); a bitmask marks the HPoly coefficients.  The
+numerators are convolved as plain ints and each output coefficient is
+reduced once, so the results are the same canonical rationals that
+term-by-term rational arithmetic gives.  A product of two series encodes
+both, multiplies and decodes.  Products of ``TPoly`` values with x-series
+coefficients, their linear combinations and the residual checks work on
+the same codes (``tpoly.resident``); there a product of numeric codes
+packs each series into one integer (Kronecker substitution), so one
+integer product convolves two series.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from math import gcd, lcm
 
 from .errors import HbarkpError
 from .hscalar import (
-    HContext, HPoly, check_window, mul_add, reduce_terms, render_scalar,
-    scalar_codes, scalar_inv, scalar_is_zero,
+    HContext, HPoly, check_window, reduce_terms, render_scalar, scalar_codes,
+    scalar_inv, scalar_is_zero,
 )
 from .rational import ZERO, Rational, common_denominator
 
@@ -233,9 +234,14 @@ class XSeries:
 # integer kernel
 #
 # The kernel writes series over one common denominator as codes
-# (valid, mask, nums): ``nums`` holds the valid + 1 numerators (ints, or
-# dicts hbar exponent -> nonzero int) and bit j of ``mask`` says whether
-# coefficient j is an HPoly.  ``codes`` encodes series and ``series``
+# (valid, mask, nums) and bit j of ``mask`` says whether coefficient j is
+# an HPoly.  In numeric mode ``nums`` is the list of the valid + 1 integer
+# numerators.  In formal mode it is one dict for the whole series: the key
+# j * S + (e - lo) of x^j hbar^e maps to its nonzero numerator, where
+# [lo, hi] is the window and S = hi - lo + 1, and no key lies past the
+# valid order.  So a sum or a rescaling is one dict operation, a scaling
+# by c hbar^e adds e to every key, and a product adds the keys of each
+# pair of entries (and ``lo``).  ``codes`` encodes series and ``series``
 # decodes one; ``constant`` is the code of a constant series.
 # ``encode_scalars`` writes scalars over one common denominator and
 # ``encode_powers`` writes scalars num/den hbar^j (the Miwa factors) as it
@@ -259,10 +265,13 @@ class XSeries:
 # operation follows the rational one it stands for in values, valid order,
 # coefficient types and ``HbarWindowError``.
 #
-# In formal mode the code of a scalar, the window rule and the dict
-# multiply-accumulate are ``hscalar``'s (``scalar_codes``, ``check_window``,
-# ``mul_add``).  ``accumulate`` keeps its innermost loop inline: it runs
-# once per pair of x-coefficients of every product.
+# In formal mode the code of a scalar and the window rule are ``hscalar``'s
+# (``scalar_codes``, ``check_window``).  A product's operands hold their
+# entries in key order, so that ``accumulate`` runs one flat double loop
+# over the pairs of entries, which stops each inner pass at the first
+# entry past the pair's valid order.  The window is checked pair by pair
+# of HPoly coefficients only where the exponent spans of the whole
+# operands leave it.
 
 
 class _NumericInts:
@@ -416,16 +425,24 @@ class _NumericInts:
 
 
 class _SymbolicInts:
-    """Formal hbar: a coefficient is a dict hbar exponent -> numerator.
+    """Formal hbar: a code is (valid, mask, d), d one dict from the key
+    j * S + (e - lo) of x^j hbar^e to its numerator (block comment above).
 
-    In a product a nonzero HPoly entry carries its exponent span, so that
-    every pair of HPoly coefficients the rational product would multiply,
-    through the pair's own common valid order, raises ``HbarWindowError``
-    as that product would: its extreme exponents never cancel."""
+    Every stored exponent lies in the window, so the keys of a product of
+    two entries add up to the key of their product plus ``lo``, as long as
+    the product's exponent is in the window too: it is when one factor is
+    a rational (exponent 0, which every window holds), and a pair of HPoly
+    coefficients is window-checked before any of it is accumulated.  In a
+    product the HPoly coefficients keep their exponent spans for that
+    check, so that every pair the rational product would multiply, through
+    the pair's own common valid order, raises ``HbarWindowError`` as that
+    product would: its extreme exponents never cancel."""
 
     def __init__(self, ctx: HContext, cap: int):
         self.ctx = ctx
         self.cap = cap
+        self.lo = ctx.lo
+        self.S = ctx.hi - ctx.lo + 1
 
     encode_scalars = staticmethod(scalar_codes)
 
@@ -452,20 +469,24 @@ class _SymbolicInts:
 
     def add_scaled(self, out, key, a, s):
         """Add the code ``a`` times the scalar code ``s`` into out[key], an
-        accumulator [valid, mask, nums] whose dicts may hold zeros."""
-        v, mask, nums = a
+        accumulator [valid, mask, d] whose dict may hold zeros and keys
+        past its valid order."""
+        v, mask, d = a
         acc = out.get(key)
         if acc is None:
-            out[key] = acc = [v, 0, [{} for _ in range(v + 1)]]
+            out[key] = acc = [v, 0, {}]
         elif v < acc[0]:
             acc[0] = v
         v, buf = acc[0], acc[2]
         snums, _, s_is_hpoly = s
         acc[1] |= (1 << (v + 1)) - 1 if s_is_hpoly else mask
-        for i in range(v + 1):
-            if nums[i]:
-                mul_add(buf[i], nums[i], snums)
-        if v == self.cap and not any(n for b in buf for n in b.values()):
+        top = (v + 1) * self.S
+        for e, y in snums.items():
+            for k, x in d.items():
+                if k < top:
+                    k += e
+                    buf[k] = buf.get(k, 0) + x * y
+        if v == self.cap and not any(buf.values()):
             # The term-by-term sum drops a monomial whose coefficient
             # cancels to a zero of full valid order, and the next term
             # starts it afresh, with that term's coefficient types.
@@ -473,7 +494,7 @@ class _SymbolicInts:
 
     def codes(self, series):
         series = tuple(series)
-        ctx = self.ctx
+        ctx, S, lo = self.ctx, self.S, self.lo
         values = [c for s in series for c in s.coeffs]
         for c in values:
             if isinstance(c, HPoly) and c.ctx is not ctx and c.ctx != ctx:
@@ -482,30 +503,41 @@ class _SymbolicInts:
         scodes = iter(scodes)
         out = []
         for s in series:
-            mask, nums = 0, []
+            mask, d = 0, {}
             for j in range(s.valid + 1):
-                d, _, is_hpoly = next(scodes)
+                nums, _, is_hpoly = next(scodes)
                 if is_hpoly:
                     mask |= 1 << j
-                nums.append(d or _EMPTY)
-            out.append((s.valid, mask, nums))
+                base = j * S - lo
+                for e, n in nums.items():
+                    d[base + e] = n
+            out.append((s.valid, mask, d))
         return den, out
 
     def series(self, den, a):
-        v, mask, nums = a
-        ctx = self.ctx
+        """The series of a code or of an accumulator: zeros and keys past
+        the valid order are left out."""
+        v, mask, d = a
+        ctx, S, lo = self.ctx, self.S, self.lo
+        rows = [{} for _ in range(v + 1)]
+        top = (v + 1) * S
+        for k, n in d.items():
+            if n and k < top:
+                j, r = divmod(k, S)
+                rows[j][r + lo] = n
         coeffs = []
-        for j in range(v + 1):
+        for j, nums in enumerate(rows):
             if mask >> j & 1:
-                coeffs.append(HPoly(ctx, reduce_terms(nums[j], den), _clean=True))
+                coeffs.append(HPoly(ctx, reduce_terms(nums, den), _clean=True))
             else:
-                n = nums[j].get(0, 0)
+                n = nums.get(0, 0)
                 coeffs.append(Rational(n, den) if n else ZERO)
         return XSeries(ctx, self.cap, coeffs, valid=v)
 
     def constant(self, s):
         nums, _, is_hpoly = s
-        return (self.cap, int(is_hpoly), [nums] + [_EMPTY] * self.cap)
+        lo = self.lo
+        return (self.cap, int(is_hpoly), {e - lo: n for e, n in nums.items()})
 
     def product(self, a, b):
         """The product of two codes, as one accumulated pair."""
@@ -513,139 +545,174 @@ class _SymbolicInts:
         self.accumulate(out, None, self.operand(a), self.operand(b))
         return self.finish(out[None])
 
-    @staticmethod
-    def operand(a):
-        """A code as a product operand (valid, first, entries): ``first``
-        is the index of the first HPoly coefficient (valid + 1 if there is
-        none) and ``entries`` lists (index, nums, span or None) of the
-        nonzero coefficients in index order."""
-        v, mask, nums = a
-        first = (mask & -mask).bit_length() - 1 if mask else v + 1
-        return (v, first, [(i, d, (min(d), max(d)) if mask >> i & 1 else None)
-                           for i, d in enumerate(nums) if d])
+    def operand(self, a):
+        """A code as a product operand (valid, first, items, span, a):
+        ``first`` is the index of the first HPoly coefficient (valid + 1 if
+        there is none), ``items`` the entries in key order and ``span`` the
+        least and the greatest exponent of an HPoly entry (None if there is
+        none)."""
+        v, mask, d = a
+        if not mask:
+            return (v, v + 1, sorted(d.items()), None, a)
+        first = (mask & -mask).bit_length() - 1
+        S = self.S
+        if mask == (1 << (v + 1)) - 1:
+            rs = list(map(S.__rmod__, d))
+        else:
+            rs = [k % S for k in d if mask >> (k // S) & 1]
+        span = (min(rs) + self.lo, max(rs) + self.lo) if rs else None
+        return (v, first, sorted(d.items()), span, a)
 
     def operands(self, codes1, codes2):
         operand = self.operand
         return [operand(c) for c in codes1], [operand(c) for c in codes2]
 
+    def _spans(self, a):
+        """(index, least, greatest exponent) of each nonzero HPoly
+        coefficient of a code, in index order."""
+        v, mask, d = a
+        S, lo = self.S, self.lo
+        spans: dict = {}
+        for k in d:
+            j, r = divmod(k, S)
+            if mask >> j & 1:
+                span = spans.get(j)
+                spans[j] = (r, r) if span is None else (
+                    min(span[0], r), max(span[1], r))
+        return [(j, spans[j][0] + lo, spans[j][1] + lo) for j in sorted(spans)]
+
+    def _check_pairs(self, a, b, reach):
+        """Raise the ``HbarWindowError`` of the first pair of HPoly
+        coefficients, in index order, that leaves the window through the
+        pair's common valid order ``reach``."""
+        ctx = self.ctx
+        lo, hi = ctx.lo, ctx.hi
+        spans_b = self._spans(b)
+        for i, a_lo, a_hi in self._spans(a):
+            if i > reach:
+                break
+            for k, b_lo, b_hi in spans_b:
+                if i + k > reach:
+                    break
+                if a_lo + b_lo < lo or a_hi + b_hi > hi:
+                    check_window(ctx, a_lo + b_lo, a_hi + b_hi)
+
     def accumulate(self, out, key, a, b):
         """Add the product of two operands into out[key], an accumulator
-        [valid, first, nums]."""
-        reach = min(a[0], b[0])
-        first = min(a[1], b[1])
+        [valid, first, d] whose dict may hold zeros and keys past its
+        valid order."""
+        va, fa, ea, sa, ca = a
+        vb, fb, eb, sb, cb = b
+        reach = va if va < vb else vb
+        first = fa if fa < fb else fb
         acc = out.get(key)
         if acc is None:
-            out[key] = acc = [reach, first, [{} for _ in range(reach + 1)]]
+            out[key] = acc = [reach, first, {}]
         else:
             if reach < acc[0]:
                 acc[0] = reach
             if first < acc[1]:
                 acc[1] = first
-        buf, v = acc[2], acc[0]
-        lo, hi = self.ctx.lo, self.ctx.hi
-        eb = b[2]
-        for i, ta, sa in a[2]:
-            if i > reach:
+        S, lo = self.S, self.lo
+        if sa is not None and sb is not None and (
+                sa[0] + sb[0] < lo or sa[1] + sb[1] > self.ctx.hi):
+            self._check_pairs(ca, cb, reach)
+        d = acc[2]
+        top = (acc[0] + 1) * S
+        for ka, x in ea:
+            # the entries of b whose x-power keeps the pair's within top
+            lim = top - ka + ka % S
+            if lim <= 0:
                 break
-            for k, tb, sb in eb:
-                j = i + k
-                if j > reach:
+            ka += lo
+            for kb, y in eb:
+                if kb >= lim:
                     break
-                if sa is not None and sb is not None and (
-                        sa[0] + sb[0] < lo or sa[1] + sb[1] > hi):
-                    check_window(self.ctx, sa[0] + sb[0], sa[1] + sb[1])
-                if j > v:
-                    continue
-                nums = buf[j]
-                for e1, x in ta.items():
-                    for e2, y in tb.items():
-                        e = e1 + e2
-                        nums[e] = nums.get(e, 0) + x * y
+                k = ka + kb
+                d[k] = d.get(k, 0) + x * y
 
-    @staticmethod
-    def finish(acc):
-        v, first, buf = acc
+    def finish(self, acc):
+        v, first, d = acc
         mask = ((1 << (v + 1)) - 1) >> first << first
-        return (v, mask, [{e: n for e, n in d.items() if n} if d else _EMPTY
-                          for d in buf[: v + 1]])
+        top = (v + 1) * self.S
+        return (v, mask, {k: n for k, n in d.items() if n and k < top})
 
-    @staticmethod
-    def add(a, b):
-        v = min(a[0], b[0])
-        nums = []
-        for da, db in zip(a[2][: v + 1], b[2]):
-            if not db:
-                nums.append(da)
-            elif not da:
-                nums.append(db)
-            else:
-                d = dict(da)
-                for e, y in db.items():
-                    n = d.get(e, 0) + y
-                    if n:
-                        d[e] = n
-                    else:
-                        del d[e]
-                nums.append(d)
-        return (v, (a[1] | b[1]) & ((1 << (v + 1)) - 1), nums)
+    def add(self, a, b):
+        v = a[0] if a[0] < b[0] else b[0]
+        da, db = a[2], b[2]
+        mask = (a[1] | b[1]) & ((1 << (v + 1)) - 1)
+        top = (v + 1) * self.S
+        if a[0] > v:
+            da = {k: x for k, x in da.items() if k < top}
+        elif db:
+            da = dict(da)
+        for k, y in db.items():
+            if k < top:
+                n = da.get(k, 0) + y
+                if n:
+                    da[k] = n
+                else:
+                    del da[k]
+        return (v, mask, da)
 
     @staticmethod
     def rescale(a, f):
-        return (a[0], a[1], [{e: x * f for e, x in d.items()} if d else _EMPTY
-                             for d in a[2]])
+        return (a[0], a[1], {k: x * f for k, x in a[2].items()})
 
     @staticmethod
     def content(codes, den):
-        return gcd(den, *(x for c in codes for d in c[2] for x in d.values()))
+        g = den
+        for c in codes:
+            if g == 1:
+                break
+            g = gcd(g, *c[2].values())
+        return g
 
     @staticmethod
     def divide(a, g):
-        return (a[0], a[1], [{e: x // g for e, x in d.items()} if d else _EMPTY
-                             for d in a[2]])
+        return (a[0], a[1], {k: x // g for k, x in a[2].items()})
 
     def scale(self, a, s):
         """``XSeries.scale`` by the scalar with code ``s``: each nonzero
-        coefficient meets the scalar's window check in index order."""
-        v, mask, nums = a
+        coefficient meets the scalar's window check in index order.  A
+        scalar c hbar^e shifts every key by e."""
+        v, mask, d = a
         snums, span, is_hpoly = s
         if is_hpoly:
             mask = (1 << (v + 1)) - 1
-        if span is not None:
-            ctx = self.ctx
+        if span is not None and d:
+            # every exponent lies in the window, so only a negative s_lo
+            # can leave it at the low end and only a positive s_hi at the
+            # high end
+            ctx, S, lo = self.ctx, self.S, self.lo
             s_lo, s_hi = span
-            for d in nums:
-                if d and (min(d) + s_lo < ctx.lo or max(d) + s_hi > ctx.hi):
-                    check_window(ctx, min(d) + s_lo, max(d) + s_hi)
+            if (s_lo < 0 and min(map(S.__rmod__, d)) + lo + s_lo < ctx.lo
+                    or s_hi > 0 and max(map(S.__rmod__, d)) + lo + s_hi > ctx.hi):
+                for _, c_lo, c_hi in self._spans((v, -1, d)):
+                    check_window(ctx, c_lo + s_lo, c_hi + s_hi)
         if len(snums) == 1:
-            ((e0, y),) = snums.items()
-            if e0:
-                return (v, mask, [{e + e0: x * y for e, x in d.items()}
-                                  if d else _EMPTY for d in nums])
-            return (v, mask, [{e: x * y for e, x in d.items()} if d else _EMPTY
-                              for d in nums])
-        out = []
-        for d in nums:
-            acc: dict = {}
-            mul_add(acc, d, snums)
-            out.append({e: n for e, n in acc.items() if n})
-        return (v, mask, out)
+            ((e, y),) = snums.items()
+            if e:
+                return (v, mask, {k + e: x * y for k, x in d.items()})
+            return (v, mask, {k: x * y for k, x in d.items()})
+        acc: dict = {}
+        for e, y in snums.items():
+            for k, x in d.items():
+                k += e
+                acc[k] = acc.get(k, 0) + x * y
+        return (v, mask, {k: n for k, n in acc.items() if n})
 
-    @staticmethod
-    def diff(a):
-        v, mask, nums = a
+    def diff(self, a):
+        v, mask, d = a
         if v == 0:
             raise OrderExhaustedError("cannot differentiate: valid order 0")
-        return (v - 1, mask >> 1, [{e: j * x for e, x in nums[j].items()}
-                                   if nums[j] else _EMPTY for j in range(1, v + 1)])
+        S = self.S
+        return (v - 1, mask >> 1, {k - S: k // S * x for k, x in d.items()
+                                   if k >= S})
 
     @staticmethod
     def is_zero(a):
-        return not any(a[2])
-
-
-# The shared empty numerator dict of a zero coefficient; codes never
-# mutate the dicts they hold.
-_EMPTY: dict = {}
+        return not a[2]
 
 
 def int_kernel(ctx: HContext, cap: int):

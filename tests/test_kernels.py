@@ -203,17 +203,22 @@ def series(draw, ctx, cap):
 
 
 contexts = st.sampled_from([NUMERIC, WIDE, NARROW])
+# The formal code keys x^j hbar^e by j * S + (e - lo), S = hi - lo + 1:
+# these windows hold exponent 0 alone, or at an end, or one off each end.
+EDGES = [HContext.symbolic(0, 0), HContext.symbolic(0, 3),
+         HContext.symbolic(-3, 0), HContext.symbolic(-1, 1)]
+edge_contexts = st.sampled_from(EDGES)
 
 
 @st.composite
-def series_pairs(draw):
+def series_pairs(draw, contexts=contexts):
     ctx = draw(contexts)
     cap = draw(st.integers(0, 4))
     return draw(series(ctx, cap)), draw(series(ctx, cap))
 
 
 @st.composite
-def tpoly_pairs(draw):
+def tpoly_pairs(draw, contexts=contexts):
     ctx = draw(contexts)
     cap = draw(st.integers(0, 3))
     W = draw(st.integers(0, 4))
@@ -249,9 +254,7 @@ def test_hpoly_product_matches_reference(ctx, data):
         assert got[1] is want[1]
 
 
-@SETTINGS
-@given(series_pairs())
-def test_xseries_product_matches_reference(pair):
+def assert_xseries_product(pair):
     a, b = pair
     got, want = outcome(XSeries.__mul__, a, b), outcome(ref_xseries_mul, a, b)
     assert got[0] == want[0]
@@ -261,9 +264,7 @@ def test_xseries_product_matches_reference(pair):
         assert got[1] is want[1]
 
 
-@SETTINGS
-@given(tpoly_pairs())
-def test_tpoly_product_matches_reference(pair):
+def assert_tpoly_product(pair):
     p, q = pair
     got = outcome_text(TPoly.__mul__, p, q)
     want = outcome_text(ref_tpoly_mul, p, q)
@@ -272,6 +273,30 @@ def test_tpoly_product_matches_reference(pair):
         assert got[1] == want[1]
         return
     assert_same_poly(got[1], want[1])
+
+
+@SETTINGS
+@given(series_pairs())
+def test_xseries_product_matches_reference(pair):
+    assert_xseries_product(pair)
+
+
+@SETTINGS
+@given(tpoly_pairs())
+def test_tpoly_product_matches_reference(pair):
+    assert_tpoly_product(pair)
+
+
+@SETTINGS
+@given(series_pairs(edge_contexts))
+def test_xseries_product_in_edge_windows(pair):
+    assert_xseries_product(pair)
+
+
+@SETTINGS
+@given(tpoly_pairs(edge_contexts))
+def test_tpoly_product_in_edge_windows(pair):
+    assert_tpoly_product(pair)
 
 
 # -- windows, contexts and caps --------------------------------------------------
@@ -344,6 +369,47 @@ def test_window_is_checked_past_a_lower_valid_order_of_the_same_key():
             fn(p, q)
 
 
+def _products(a, b):
+    """(product, reference, left, right, comparison) for a * b as series,
+    and as the coefficients of the constant monomials of two polynomials,
+    which multiply on resident codes."""
+    p = TPoly(a.ctx, 1, terms={((), ()): a})
+    q = TPoly(b.ctx, 1, terms={((), ()): b})
+    return ((XSeries.__mul__, ref_xseries_mul, a, b, assert_same_series),
+            (TPoly.__mul__, ref_tpoly_mul, p, q, assert_same_poly))
+
+
+def test_operands_that_leave_the_window_only_past_the_reach_of_a_pair():
+    """In [-1, 1] the HPoly spans of a = 1 + hbar x and b = 1 + hbar x add
+    up to [0, 2], but only hbar x * hbar x reaches hbar^2, at x^2, past the
+    common valid order 1; and hbar^-1 x times hbar^-1 reaches hbar^-2 at
+    x^1, past the valid order 0 of the constant hbar^-1.  No pair is
+    multiplied there, so nothing raises."""
+    ctx = EDGES[3]
+    one = h(ctx, 0)
+    cases = [(XSeries(ctx, 2, [one, h(ctx, 1)], valid=1),
+              XSeries(ctx, 2, [one, h(ctx, 1)], valid=1)),
+             (XSeries(ctx, 1, [h(ctx, 1), h(ctx, -1)]),
+              XSeries(ctx, 1, [h(ctx, -1)], valid=0))]
+    for a, b in cases:
+        for fn, ref, x, y, assert_same in _products(a, b):
+            assert_same(fn(x, y), ref(x, y))
+
+
+def test_the_first_pair_in_index_order_names_the_window_error():
+    """In [-1, 1], a = hbar + hbar^-1 x and b = hbar^-1 + hbar x: the pair
+    (x^0, x^1) reaches hbar^2 before the pair (x^1, x^0) reaches hbar^-2,
+    and with the operands swapped it is the other way round."""
+    ctx = EDGES[3]
+    a = XSeries(ctx, 1, [h(ctx, 1), h(ctx, -1)])
+    b = XSeries(ctx, 1, [h(ctx, -1), h(ctx, 1)])
+    for x, y, power in ((a, b, 2), (b, a, -2)):
+        for fn, ref, u, w, _ in _products(x, y):
+            for f in (fn, ref):
+                assert outcome_text(f, u, w)[1] == (
+                    HbarWindowError, f"hbar^{power} outside window [-1, 1]")
+
+
 def test_mixed_contexts_and_caps_raise():
     other = HContext.symbolic(-3, 3)
     with pytest.raises(ValueError, match="mixed hbar contexts"):
@@ -395,7 +461,7 @@ def ref_linear_combination(pairs, ctx, W, Z, nslots):
 
 
 @st.composite
-def combinations(draw):
+def combinations(draw, contexts=contexts):
     """Bases with scalar coefficients on a few monomials, each paired with
     a series from a small pool that holds a zero of full valid order, with
     weights +-1 and +-hbar among the scalars, so that sums cancel and a
@@ -410,7 +476,8 @@ def combinations(draw):
     pool += [draw(series(ctx, cap)), XSeries.zero(ctx, cap)]
     units = [Rational(1), Rational(-1)]
     if not ctx.is_numeric:
-        units += [ctx.hbar_pow(1), -ctx.hbar_pow(1)]
+        e = 1 if ctx.hi >= 1 else ctx.lo  # hbar, else the low end
+        units += [ctx.hbar_pow(e), -ctx.hbar_pow(e)]
     weights = st.one_of(st.sampled_from(units), scalars(ctx))
     keys = st.tuples(st.sampled_from([(), (1,), (0, 1)]),
                      st.sampled_from([()] + [(Z,)] * nslots))
@@ -421,9 +488,7 @@ def combinations(draw):
     return pairs, ctx, W, Z, nslots
 
 
-@SETTINGS
-@given(combinations())
-def test_linear_combination_matches_the_term_by_term_sum(case):
+def assert_linear_combination(case):
     pairs, *shape = case
     got = outcome_text(linear_combination, pairs, *shape)
     want = outcome_text(ref_linear_combination, pairs, *shape)
@@ -437,6 +502,18 @@ def test_linear_combination_matches_the_term_by_term_sum(case):
     assert set(got.terms) == set(want.terms)
     for key, c in want.terms.items():
         assert_same_coeff(got.terms[key], c)
+
+
+@SETTINGS
+@given(combinations())
+def test_linear_combination_matches_the_term_by_term_sum(case):
+    assert_linear_combination(case)
+
+
+@SETTINGS
+@given(combinations(edge_contexts))
+def test_linear_combination_in_edge_windows(case):
+    assert_linear_combination(case)
 
 
 def _rational_edge_cases():

@@ -57,6 +57,10 @@ ZERO = HContext.numeric(0)
 WIDE = HContext.symbolic(-8, 8)
 NARROW = HContext.symbolic(-2, 2)
 contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, WIDE, NARROW])
+# windows that hold exponent 0 alone, or at an end, or one off each end
+edge_contexts = st.sampled_from([
+    HContext.symbolic(0, 0), HContext.symbolic(0, 3), HContext.symbolic(-3, 0),
+    HContext.symbolic(-1, 1)])
 # whole residuals at W = 4 need the window a symbolic check is granted
 GRANTED = HContext.symbolic(-30, 30)
 residual_contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, GRANTED, WIDE,
@@ -458,7 +462,8 @@ def window_scalars(ctx):
     nonzero = st.one_of(st.integers(-3, 3).filter(bool), units.map(Rational))
     if ctx.is_numeric:
         return nonzero
-    ends = st.sampled_from([ctx.lo, ctx.lo + 1, ctx.hi - 1, ctx.hi])
+    ends = st.sampled_from([ctx.lo, min(ctx.lo + 1, ctx.hi),
+                            max(ctx.hi - 1, ctx.lo), ctx.hi])
     return st.one_of(
         nonzero,
         st.dictionaries(st.integers(ctx.lo, ctx.hi), units, min_size=1,
@@ -481,12 +486,12 @@ def nonzero_series(draw, ctx, cap, scalar=None):
     coeffs = draw(st.lists(scalar, min_size=1, max_size=valid + 1))
     if scalar_is_zero(coeffs[0]):
         coeffs[0] = ctx.one() if ctx.is_numeric else ctx.hbar_pow(
-            draw(st.integers(-1, 1)))
+            draw(st.integers(max(-1, ctx.lo), min(1, ctx.hi))))
     return XSeries(ctx, cap, coeffs, valid=valid)
 
 
 @st.composite
-def shapes(draw, slots=(0, 2)):
+def shapes(draw, slots=(0, 2), contexts=contexts):
     """(ctx, x cap or None for scalar coefficients, W, Z, nslots, degree cap)."""
     ctx = draw(contexts)
     # x-series coefficients twice as often as scalar ones
@@ -691,6 +696,42 @@ def test_logarithms_match(data):
     assert_same_outcome(lambda: p.log_unit(), lambda: ref_log_unit(p))
     assert_same_outcome(lambda: resident(p).log_unit().decode(),
                         lambda: ref_log_unit(p))
+
+
+@SETTINGS
+@given(st.data())
+def test_each_operation_in_edge_windows(data):
+    """The formal code keys x^j hbar^e by j * S + (e - lo), S = hi - lo + 1.
+    In windows with exponent 0 at an end of that range, or as its only
+    exponent, the encoding, sums, products, scalings by c hbar^j, both
+    derivatives and the Miwa shift match the TPoly path."""
+    shape = data.draw(shapes(slots=(1, 2), contexts=edge_contexts))
+    ctx = shape[0]
+    p, q = data.draw(polys(shape, low=True)), data.draw(polys(shape, low=True))
+    assert_same_poly(resident(p).decode(), p)
+    assert_same_outcome(lambda: (resident(p) + resident(q)).decode(),
+                        lambda: p + q)
+    assert_same_outcome(lambda: (resident(p) - resident(q)).decode(),
+                        lambda: p - q)
+    assert_same_outcome(lambda: (resident(p) * resident(q)).decode(),
+                        lambda: ref_tpoly_mul(p, q))
+    s = data.draw(units(ctx))
+    assert_same_outcome(lambda: resident(p).scale(s).decode(),
+                        lambda: p.scale(s))
+    k = data.draw(st.integers(1, 3))
+    assert_same_outcome(lambda: resident(p).diff_t(k).decode(),
+                        lambda: p.diff_t(k))
+    if shape[1] is not None:
+        assert_same_outcome(lambda: resident(p).diff_x().decode(),
+                            lambda: p.map_coeffs(lambda c: c.diff()))
+    slot = data.draw(st.integers(0, shape[4] - 1))
+    want = outcome(lambda: ref_miwa_shift(p, slot))
+    got = outcome(lambda: miwa_shift(resident(p), slot).decode())
+    assert got[0] == want[0]
+    if want[0] == "raise":
+        assert got[1] == want[1]
+    else:
+        assert_same_poly(got[1], want[1])
 
 
 def test_a_narrow_window_raises_the_same_error_in_a_logarithm():
