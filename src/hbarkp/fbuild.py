@@ -9,28 +9,33 @@ of the jets d^l f_s (``xseries.Jets``), which forms each product of jets
 that the words share once, and decodes once per diagram.  The series is
 assembled in the hbar-deformed monomial basis:
 
-    F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam.
+    F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam,
+
+on the integer kernel, from the rows of t^hbar_lam / sigma(lam) held once
+per process (``symfun.t_hbar_rows``): sigma(lam) cancels against the
+sigma(lam) / rho(lam) of t^hbar_lam, so f_lam enters unscaled.
 
 Plain first derivatives d_k F|_0 relate to the f_k through the inverse
 transition matrix column kappa_lam = (L^{-1})_{lam (k)}; the inverse
 conversion proceeds by induction in k.  For numeric hbar != 0, tau data
 follow from c_0 = exp(f_0 / hbar^2) and c_k/c_0 = h_k(y) with
-y_l = f_l / (hbar l).
+y_l = f_l / (hbar l), the h_k formed on integer codes.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd, lcm
 
 from .hscalar import HContext, HbarValueError, scalar_is_zero
 from .lops import DiffPoly, l_word
-from .partitions import Partition, partitions_of, partitions_upto
+from .partitions import EMPTY, Partition, partitions_of, partitions_upto
 from .rational import Rational
 from .record import Record
-from .symfun import h_apply, t_hbar, transition_L
+from .symfun import h_apply, t_hbar, t_hbar_rows, transition_L
 from .taubuild import TauData, as_xseries
 from .tpoly import TPoly, linear_combination
-from .xseries import Jets, XSeries
+from .xseries import Jets, XSeries, int_kernel
 
 
 class FData(Record):
@@ -85,15 +90,15 @@ class FSeries(Record):
         return self.table[Partition(lam)]
 
     def assemble(self) -> TPoly:
-        """f_0 + sum f_lam / sigma * t^hbar_lam as a time polynomial."""
+        """f_0 + sum f_lam / sigma * t^hbar_lam as a time polynomial: the
+        rows of t^hbar_lam / sigma(lam) (``symfun.t_hbar_rows``) scaled by
+        f_lam, where f_0 is the coefficient of t^hbar_() = 1."""
         if self.symbolic:
             raise ValueError("assemble requires concrete coefficients")
-        ctx, W = self.ctx, self.weight_cap
-        pairs = chain(
-            [(TPoly.one(ctx, W), self.f0)],
-            ((t_hbar(lam, ctx, W), c.scale(Rational(1, lam.sigma)))
-             for lam, c in self.table.items()))
-        return linear_combination(pairs, ctx, W)
+        W = self.weight_cap
+        pairs = ((t_hbar_rows(lam, W), c)
+                 for lam, c in chain([(EMPTY, self.f0)], self.table.items()))
+        return linear_combination(pairs, self.ctx, W)
 
     def plain_taylor(self) -> dict:
         """Coefficients d_lam F|_{t=0} of the plain monomial basis.
@@ -207,12 +212,50 @@ def f_series_from_plain_table(ctx: HContext, weight_cap: int, x_cap: int,
     return FSeries(ctx, weight_cap, x_cap, f0, table, symbolic=False)
 
 
+class _Coded:
+    """A numeric x-series as a code of ``xseries.int_kernel`` over its own
+    denominator, with the ring operations ``symfun.h_apply`` uses: sums,
+    products, and multiples by ints and rationals, which go into the
+    denominator where they divide it."""
+
+    __slots__ = ("kernel", "den", "code")
+
+    def __init__(self, kernel, den: int, code):
+        self.kernel, self.den, self.code = kernel, den, code
+
+    def __add__(self, other):
+        kernel, da, db = self.kernel, self.den, other.den
+        a, b = self.code, other.code
+        if da != db:
+            den = lcm(da, db)
+            a, b = kernel.rescale(a, den // da), kernel.rescale(b, den // db)
+            da = den
+        return _Coded(kernel, da, kernel.add(a, b))
+
+    def __mul__(self, other):
+        kernel = self.kernel
+        if isinstance(other, _Coded):
+            return _Coded(kernel, self.den * other.den,
+                          kernel.product(self.code, other.code))
+        num, den, code = other.numerator, self.den * other.denominator, self.code
+        g = gcd(num, den)
+        if num != g:
+            code = kernel.rescale(code, num // g)
+        return _Coded(kernel, den // g, code)
+
+
 def bridge_to_tau(data: FData) -> TauData:
     """Initial data for the tau-function matching an F-function.
 
     Needs numeric hbar != 0 and f_0 with zero constant term (a constant
     shift of F only rescales tau, which the bilinear identities tolerate,
-    and exp of a nonzero rational would leave Q)."""
+    and exp of a nonzero rational would leave Q).
+
+    The h_k run on integer codes: f_1..f_K are encoded once, over one
+    denominator, y_l = f_l / (hbar l) is that code times q over p l for
+    hbar = p/q, and ``symfun.h_apply`` forms each h_k as one code over its
+    own denominator (``_Coded``).  c_0 is encoded once and each
+    c_k = c_0 h_k is decoded once."""
     ctx = data.ctx
     if not ctx.is_numeric:
         raise HbarValueError("the bridge needs a numeric hbar")
@@ -221,7 +264,14 @@ def bridge_to_tau(data: FData) -> TauData:
     if not scalar_is_zero(data.f0.constant_term()):
         raise ValueError("f_0 must vanish at x = 0 for the bridge")
     c0 = data.f0.scale(ctx.hbar_pow(-2)).exp()
-    hs = h_apply(data.K, lambda l: data.series(l).scale(
-        ctx.hbar_pow(-1) * Rational(1, l)))
-    out = [c0 * h for h in hs]
+    kernel = int_kernel(ctx, data.x_cap)
+    den_f, fs = kernel.codes(data.f)
+    p, q = ctx.value.numerator, ctx.value.denominator
+    if p < 0:
+        p, q = -p, -q
+    hs = h_apply(data.K, lambda l: _Coded(kernel, den_f * p * l,
+                                          kernel.rescale(fs[l - 1], q)))
+    den_0, (code_0,) = kernel.codes((c0,))
+    out = [c0] + [kernel.series(den_0 * h.den, kernel.product(code_0, h.code))
+                  for h in hs[1:]]
     return TauData(ctx, data.weight_cap, data.x_cap, tuple(out))

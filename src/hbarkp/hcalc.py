@@ -117,13 +117,16 @@ def dh_apply(k: int, poly: TPoly) -> TPoly:
 
 
 @cache
-def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int, nslots: int):
+def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int):
     """The monomial ``key`` under t_k -> t_k + sign * (hbar/k) zeta_slot^k,
     truncated at the slot's z cap, as (rows, top): a row (key, num, den, j)
-    is the monomial with factor num/den hbar^j, and ``top`` is the largest j.
+    is the monomial with factor num/den hbar^j (j None: the monomial
+    itself, with no factor), and ``top`` is the largest power of hbar.
 
     The rows come in the order of the expansion: t-positions in turn, each
-    power of a t_k taken as its terms j = 0..a."""
+    power of a t_k taken as its terms j = 0..a.  Their keys are trimmed, so
+    the rows do not depend on the number of slots, and shifts of one
+    monomial in polynomials with different numbers of slots share them."""
     texp, zexp = key
     base_z = zexp[slot] if slot < len(zexp) else 0
     # expansion state: (remaining exponents, z-degree added, num, den, j)
@@ -148,11 +151,11 @@ def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int, nslots: int):
         states = new_states
     rows = []
     for exps, zd, num, den, j in states:
-        nz = list(zexp) + [0] * (nslots - len(zexp))
+        nz = list(zexp) + [0] * (slot + 1 - len(zexp))
         nz[slot] += zd
         g = gcd(num, den)
-        rows.append(((_trim(exps), _trim(nz)), num // g, den // g, j))
-    return tuple(rows), max(j for *_, j in rows)
+        rows.append(((_trim(exps), _trim(nz)), num // g, den // g, j or None))
+    return tuple(rows), max(j for *_, j in states)
 
 
 def _check_rows(ctx: HContext, top: int) -> None:
@@ -177,10 +180,10 @@ def miwa_shift(poly, slot: int, sign: int = 1):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     ctx = poly.ctx
-    Z, nslots = poly.z_cap, poly.nslots
+    Z = poly.z_cap
 
     def expand(key):
-        return _miwa_rows(key, slot, sign, Z, nslots)
+        return _miwa_rows(key, slot, sign, Z)
 
     codes = resident(poly) if isinstance(poly, TPoly) else poly
     out = codes.substitute(expand, lambda top: _check_rows(ctx, top))

@@ -99,8 +99,11 @@ class HContext(Record):
         return self.mode == "numeric"
 
     def scalar(self, num, den=1):
-        """Lift a rational into this context's scalar type."""
-        r = Rational(num, den)
+        """Lift a rational into this context's scalar type.  A rational of
+        the backend's type is taken as it is: rebuilding it would give an
+        equal one, at the cost of the slow general path of the
+        constructor."""
+        r = num if den == 1 and type(num) is Rational else Rational(num, den)
         if self.is_numeric:
             return r
         return HPoly(self, {0: r})

@@ -10,12 +10,21 @@ x-variable picture only appears in tests as a cross-check.
 Every basis element but h_lambda is one dict of terms in closed form:
 Schur functions (h_k among them) from the characters of the symmetric
 group, monomial functions and t^hbar from the inverse transition matrix.
+
+The bases of the two series, s_lam(t/hbar) for tau and t^hbar_lam /
+sigma(lam) for F, are held once per process as context-free integer rows
+(key, num, den, j), each the term num/den hbar^j t_mu (``schur_rows``,
+``t_hbar_rows``).  They are built from the shapes of each weight (key,
+sigma, ell and rho of every mu, formed once), the characters and the
+integer rows of L^{-1}.  The assemblies encode them straight into the
+integer kernel (``tpoly.linear_combination``); ``schur_over_hbar`` and
+``t_hbar`` decode them as polynomials for the other callers.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .hscalar import HContext
 # Nothing here calls ``det``; the name stays bound because the benchmark's
@@ -65,39 +74,66 @@ def _character(lam: tuple, mu: tuple) -> int:
     return total
 
 
-def _characters(lam: Partition, weight_cap: int):
-    """(mu, chi^lam(mu)) over the partitions mu of |lam| with chi != 0, in
-    ``partitions_of`` order; ``CapError`` past the weight cap."""
-    if lam.weight > weight_cap:
-        raise CapError(f"s_{lam} exceeds weight cap {weight_cap}")
-    for mu in partitions_of(lam.weight):
+@cache
+def _shapes(n: int) -> tuple:
+    """(key, sigma, ell, rho) of each partition mu of n, in
+    ``partitions_of`` order: the monomial key of t_mu and its statistics,
+    formed once per weight."""
+    return tuple(((texp_of(mu), ()), mu.sigma, mu.ell, mu.rho)
+                 for mu in partitions_of(n))
+
+
+@cache
+def _schur_rows(lam: tuple) -> tuple:
+    rows = []
+    n = sum(lam)
+    for mu, (key, sigma, ell, _) in zip(partitions_of(n), _shapes(n)):
         chi = _character(lam, mu)
         if chi:
-            yield mu, chi
+            g = gcd(chi, sigma)
+            rows.append((key, chi // g, sigma // g, -ell if ell else None))
+    return tuple(rows)
+
+
+def schur_rows(lam: Partition, weight_cap: int) -> tuple:
+    """s_lam(t/hbar) as context-free integer rows (key, num, den, j), held
+    once per process: the coefficient chi^lam(mu) / sigma(mu) *
+    hbar^{-ell(mu)} of t_mu, num/den in lowest terms, over the partitions
+    mu of |lam| with chi != 0, in ``partitions_of`` order.  The row of
+    mu = () (lam = ()) is the rational 1, with j None
+    (``xseries.encode_powers``).  ``CapError`` past the weight cap."""
+    if sum(lam) > weight_cap:
+        raise CapError(f"s_{Partition(lam)} exceeds weight cap {weight_cap}")
+    return _schur_rows(lam)
+
+
+def _decode(rows, ctx: HContext, weight_cap: int, factor: int = 1) -> TPoly:
+    """The polynomial of integer rows, each coefficient factor * num/den
+    hbar^j formed as one scalar (``HContext.hbar_term``; j None: the
+    rational), with the same values, types and errors as the rational
+    arithmetic."""
+    terms = {key: Rational(factor * num, den) if j is None else
+             ctx.hbar_term(factor * num, den, j)
+             for key, num, den, j in rows}
+    return TPoly(ctx, weight_cap, terms=terms)
 
 
 @cache
 def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Schur polynomial s_lam = sum_mu chi^lam(mu) p_mu / z_mu over the
     partitions mu of |lam|.  With p_mu = rho(mu) t_mu and z_mu =
-    sigma(mu) rho(mu), the coefficient of t_mu is chi^lam(mu) / sigma(mu)."""
-    terms = {(texp_of(mu), ()): Rational(chi, mu.sigma)
-             for mu, chi in _characters(Partition(lam), weight_cap)}
+    sigma(mu) rho(mu), the coefficient of t_mu is chi^lam(mu) / sigma(mu):
+    the rows of ``schur_rows`` without their powers of hbar."""
+    terms = {key: Rational(num, den)
+             for key, num, den, _ in schur_rows(Partition(lam), weight_cap)}
     return TPoly(ctx, weight_cap, terms=terms)
 
 
 @cache
 def schur_over_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
-    """s_lam(t/hbar), the basis of the tau series: the coefficient of t_mu
-    is chi^lam(mu) / sigma(mu) * hbar^{-ell(mu)}, one scalar formed from
-    integers (``HContext.hbar_term``), in the order of ``schur``'s terms.
-    The terms need no cleaning: each key is trimmed and of weight |lam|
-    within the cap, and no coefficient is zero (chi != 0, and hbar^-k
-    either is nonzero or raises)."""
-    terms = {(texp_of(mu), ()): ctx.hbar_term(chi, mu.sigma, -mu.ell)
-             if mu.ell else Rational(chi, mu.sigma)
-             for mu, chi in _characters(Partition(lam), weight_cap)}
-    return TPoly(ctx, weight_cap, terms=terms, _clean=True)
+    """s_lam(t/hbar), the basis of the tau series, decoded from
+    ``schur_rows``."""
+    return _decode(schur_rows(Partition(lam), weight_cap), ctx, weight_cap)
 
 
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
@@ -244,25 +280,49 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
 
 
 @cache
+def _t_hbar_rows(lam: tuple) -> tuple:
+    if not lam:
+        return ((((), ()), 1, 1, None),)
+    n = sum(lam)
+    den, nums = _integer_rows(n)[1][partitions_of(n).index(lam)]
+    shapes = _shapes(n)
+    ell, rho = len(lam), prod(lam)
+    rows = []
+    for i, v in nums.items():
+        key, _, ell_mu, rho_mu = shapes[i]
+        num, d = v * rho_mu, rho * den
+        g = gcd(num, d)
+        rows.append((key, num // g, d // g, ell - ell_mu))
+    return tuple(rows)
+
+
+def t_hbar_rows(lam: Partition, weight_cap: int) -> tuple:
+    """t^hbar_lam / sigma(lam), the basis of the F series, as context-free
+    integer rows (key, num, den, j), held once per process: the
+    coefficient (L^{-1})_{lam mu} rho(mu) / rho(lam) *
+    hbar^{ell(lam) - ell(mu)} of t_mu, num/den in lowest terms, over the
+    mu with (L^{-1})_{lam mu} != 0, in ``partitions_of`` order, from the
+    integer rows of L^{-1}.  Every j is an int, so in formal hbar every
+    coefficient is an HPoly, hbar^0 included, except for lam = (): its
+    one row is the rational 1, with j None.  ``CapError`` past the
+    weight cap."""
+    if sum(lam) > weight_cap:
+        raise CapError(f"t^h_{Partition(lam)} exceeds weight cap {weight_cap}")
+    return _t_hbar_rows(lam)
+
+
+@cache
 def t_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """hbar-deformed monomial basis element.
 
     t^hbar_lam = (sigma/rho) * hbar^{ell(lam)} * m_lam(t/hbar), expanded in
     closed form as sum_{mu >= lam} (sigma(lam)/rho(lam)) (L^{-1})_{lam mu}
     rho(mu) hbar^{ell(lam)-ell(mu)} t_mu.  All hbar exponents are >= 0, so
-    the hbar -> 0 limit is the plain monomial t_lam.  Each coefficient is
-    one scalar formed from integers (``HContext.hbar_term``).
+    the hbar -> 0 limit is the plain monomial t_lam.  Decoded from
+    ``t_hbar_rows`` times sigma(lam).
     """
     lam = Partition(lam)
-    if lam.weight > weight_cap:
-        raise CapError(f"t^h_{lam} exceeds weight cap {weight_cap}")
-    if lam.ell == 0:
-        return TPoly.one(ctx, weight_cap)
-    den, row = _inverse_row(lam)
-    terms = {(texp_of(mu), ()): ctx.hbar_term(
-        lam.sigma * v * mu.rho, lam.rho * den, lam.ell - mu.ell)
-        for mu, v in row}
-    return TPoly(ctx, weight_cap, terms=terms)
+    return _decode(t_hbar_rows(lam, weight_cap), ctx, weight_cap, lam.sigma)
 
 
 def scalar_product(u: TPoly, v: TPoly):
@@ -288,7 +348,9 @@ def scalar_product(u: TPoly, v: TPoly):
 def h_apply(k: int, fetch) -> list:
     """[h_0, ..., h_k] evaluated on a sequence: h_n is the sum over |lam| = n
     of prod fetch(lam_i) / sigma(lam), h_0 = 1.  ``fetch(i)`` supplies the
-    i-th value (any ring element), once for each i.
+    i-th value, once for each i: any ring element that can also be
+    multiplied by ints and rationals (XSeries, or the integer codes of
+    ``fbuild.bridge_to_tau``).
 
     exp(sum_j y_j z^j) = sum_n h_n z^n, so n h_n = sum_{j=1}^{n} j y_j
     h_{n-j} (Newton's identity) gives each h_n from the ones before."""

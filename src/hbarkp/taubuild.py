@@ -22,9 +22,10 @@ of the lower rows are shared between diagrams under (labels of those
 rows, columns) through ``linalg.det``'s ``row_keys``/``memo``; and each
 power c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
 c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
-each s_lam(t/hbar) formed once per process (``symfun.schur_over_hbar``),
-and ``extract_cauchy_like_tau`` reads each c_k off tau's coefficients as
-one weighted sum on the same kernel.  Values, valid orders, coefficient
+each s_lam(t/hbar) held once per process as integer rows
+(``symfun.schur_rows``) and encoded from them, and
+``extract_cauchy_like_tau`` reads each c_k off tau's coefficients as one
+weighted sum on the same kernel.  Values, valid orders, coefficient
 types and window errors are those of the same steps on XSeries values.
 """
 
@@ -40,7 +41,7 @@ from .record import Record
 # Nothing here calls ``schur``; the name stays bound because the benchmark's
 # tracer test (perfbench/test_perfbench.py) checks that tracing rebinds this
 # copy too.  It can go with that assertion.
-from .symfun import schur, schur_over_hbar
+from .symfun import schur, schur_rows
 from .tpoly import TPoly, linear_combination, weight_of
 from .xseries import Jets, XSeries, int_kernel
 
@@ -178,8 +179,7 @@ class TauSeries(Record):
     def assemble(self) -> TPoly:
         """The polynomial sum of c_lam(x) * s_lam(t/hbar) up to the cap."""
         W = self.weight_cap
-        pairs = ((schur_over_hbar(lam, self.ctx, W), c)
-                 for lam, c in self.table.items())
+        pairs = ((schur_rows(lam, W), c) for lam, c in self.table.items())
         return linear_combination(pairs, self.ctx, W)
 
 
@@ -235,7 +235,7 @@ def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> Tau
     den, (zero, *codes) = kernel.codes(
         [XSeries.zero(ctx, x_cap)] + [s for *_, s in read])
     den_f, factors = kernel.encode_powers(
-        (1, prod(j ** a for j, a in enumerate(texp, 1)), sum(texp) - 1)
+        (1, prod(j ** a for j, a in enumerate(texp, 1)), sum(texp) - 1 or None)
         for _, texp, _ in read)
     den_h, (hbar,) = kernel.encode_powers([(1, 1, 1)])
     sums = [zero] * (K + 1)

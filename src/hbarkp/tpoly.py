@@ -140,45 +140,52 @@ def _diff_terms(terms: dict, k: int, times) -> dict:
 
 def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
                        nslots: int = 0) -> "TPoly":
-    """The sum of ``basis.scale(coeff)`` over ``pairs``, as ``TPoly.zero(ctx,
-    weight_cap, z_cap, nslots)`` plus each term in turn would give it.
+    """The sum over ``pairs`` (rows, coeff) of the basis polynomial of
+    ``rows`` scaled by ``coeff``, as ``TPoly.zero(ctx, weight_cap, z_cap,
+    nslots)`` plus each term in turn would give it.
 
-    Each ``basis`` has scalar coefficients and that shape; each ``coeff``
-    is an XSeries of ``ctx``, all with one x cap.  The series and the basis
-    scalars are each written once over one common denominator
-    (``xseries.int_kernel``), every monomial's code accumulates the codes
-    times the scalars (``add_scaled``), and each is reduced once.  The
-    result is the term-by-term sum: values, valid orders, coefficient
-    types, kept monomials, and the ``HbarWindowError`` of the first
-    product, in the order of the pairs, of their monomials and of the
-    x-powers, that leaves the window (``pairs`` may be lazy: a basis is
-    made only after the products of the pairs before it are checked).
+    A basis is given by integer rows (key, num, den, j), num != 0, one per
+    monomial ``key`` of the shape, each the scalar num/den hbar^j (j None:
+    the rational num/den; in formal hbar an HPoly iff j is not None), as
+    ``symfun.schur_rows`` and ``symfun.t_hbar_rows`` hold them.  Each
+    ``coeff`` is an XSeries of ``ctx``, all with one x cap.  The series
+    are written once over one common denominator, and the rows once
+    through ``encode_powers`` over another (``xseries.int_kernel``); every
+    monomial's code accumulates the codes times the scalars
+    (``add_scaled``), and each is reduced once.  The result is the
+    term-by-term sum of the scalars' polynomials: values, valid orders,
+    coefficient types, kept monomials, and the first error in the order
+    of the pairs, of their rows and of the x-powers, where the rows of a
+    pair are formed (``check_rows``) after the products of the pairs
+    before it are checked (``check_scaled``).
     """
     kernel = None
     bases, series = [], []
-    for basis, coeff in pairs:
+    for rows, coeff in pairs:
         if kernel is None:
             kernel = int_kernel(ctx, coeff.cap)
+        kernel.check_rows(rows)
         if coeff.cap != kernel.cap or coeff.ctx != ctx:
             raise ValueError("mixed hbar contexts or x caps")
-        kernel.check_scaled(coeff, basis.terms.values())
-        bases.append(basis)
+        kernel.check_scaled(coeff, rows)
+        bases.append(rows)
         series.append(coeff)
     if kernel is None:
         return TPoly.zero(ctx, weight_cap, z_cap, nslots)
     den_c, codes = kernel.codes(series)
-    den_b, scalars = kernel.encode_scalars(
-        c for basis in bases for c in basis.terms.values())
+    den_b, scalars = kernel.encode_powers(
+        row[1:] for rows in bases for row in rows)
     scalars = iter(scalars)
+    add_scaled, is_zero, cap = kernel.add_scaled, kernel.is_zero, kernel.cap
     out: dict = {}
-    for basis, coeff, code in zip(bases, series, codes):
+    for rows, coeff, code in zip(bases, series, codes):
         # A zero series of full valid order gives terms that TPoly.scale
-        # drops (a TPoly stores no zero scalar).
-        dropped = coeff.valid == coeff.cap and kernel.is_zero(code)
-        for key in basis.terms:
-            s = next(scalars)
-            if not dropped:
-                kernel.add_scaled(out, key, code, s)
+        # drops (a TPoly stores no zero scalar), and so does a scalar that
+        # is zero (a positive power of hbar = 0).
+        dropped = coeff.valid == cap and is_zero(code)
+        for row, s in zip(rows, scalars):
+            if not dropped and s != 0:
+                add_scaled(out, row[0], code, s)
     den = den_c * den_b
     terms = {}
     for key, acc in out.items():
@@ -782,7 +789,7 @@ class _Resident:
     def substitute(self, expand, check) -> "_Resident":
         """Each monomial replaced by a sum of monomials: ``expand(key)`` is
         (rows, top), a row (key, num, den, j) standing for num/den hbar^j
-        (no factor at all when j is 0), and ``check(top)`` raises before
+        (no factor at all when j is None), and ``check(top)`` raises before
         the monomial's rows are formed.  Rows on one key are summed in
         order; zero series of full valid order are dropped at the end."""
         kernel = self.kernel

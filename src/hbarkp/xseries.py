@@ -33,7 +33,7 @@ from math import gcd, lcm
 from .errors import HbarkpError
 from .hscalar import (
     HContext, HPoly, check_window, reduce_terms, render_scalar, scalar_codes,
-    scalar_inv, scalar_is_zero,
+    scalar_inv, scalar_is_zero, window_error,
 )
 from .rational import ZERO, Rational, common_denominator
 
@@ -244,8 +244,15 @@ class XSeries:
 # pair of entries (and ``lo``).  ``codes`` encodes series and ``series``
 # decodes one; ``constant`` is the code of a constant series.
 # ``encode_scalars`` writes scalars over one common denominator and
-# ``encode_powers`` writes scalars num/den hbar^j (the Miwa factors) as it
-# would.
+# ``encode_powers`` writes scalars num/den hbar^j, given as integer
+# triples (num, den, j), as it would, without forming them: the Miwa
+# factors, the weights of the extraction and the rows of the bases
+# s_lam(t/hbar) and t^hbar_lam (``symfun``).  There j may be negative
+# (exactly: a numeric hbar = p/q gives q^-j / p^-j, and hbar = 0 raises
+# ``HbarValueError``), and j = None stands for the rational num/den
+# itself: in formal mode the scalar is an HPoly iff j is not None, so
+# (n, d, 0) is the HPoly n/d hbar^0.  ``check_rows`` raises what forming
+# such scalars would raise.
 #
 # ``product`` is ``XSeries.__mul__`` on two codes.  A product of two
 # polynomials (``tpoly`` resident polynomials) writes their codes as
@@ -255,10 +262,11 @@ class XSeries:
 # mode one integer product of Kronecker-packed series.  There a valid order
 # is the minimum over the products added, and a coefficient is an HPoly iff
 # one of the products had an HPoly factor at or below it, as with
-# HPoly * Rational.  ``add_scaled`` adds a code times a scalar into an
-# accumulator of ``tpoly.linear_combination``, which ``series`` decodes;
-# there a coefficient is an HPoly iff the coefficient or the scalar of one
-# of the terms behind it was, as with ``XSeries.scale``.  ``add``,
+# HPoly * Rational.  ``add_scaled`` adds a code times the code of one
+# term c hbar^e into an accumulator of ``tpoly.linear_combination``, which
+# ``series`` decodes; there a coefficient is an HPoly iff the coefficient
+# or the scalar of one of the terms behind it was, as with
+# ``XSeries.scale``.  ``add``,
 # ``rescale`` (times an int), ``scale`` (times the code of a scalar, as
 # ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep the
 # denominator, and ``content`` / ``divide`` take out a common factor.  Each
@@ -290,14 +298,42 @@ class _NumericInts:
 
     def encode_powers(self, factors):
         """``encode_scalars`` of the scalars num/den hbar^j given as
-        (num, den, j), without forming them."""
-        vn, vd = self.ctx.value.numerator, self.ctx.value.denominator
-        factors = [(n * vn ** j, d * vd ** j) for n, d, j in factors]
-        den = lcm(*(d for _, d in factors))
-        return den, [n * (den // d) for n, d in factors]
+        (num, den, j), without forming them (block comment above).  Each
+        power of hbar is formed once, and a negative one at hbar = 0
+        raises the ``HbarValueError`` of ``HContext.hbar_pow``."""
+        p, q = self.ctx.value.numerator, self.ctx.value.denominator
+        powers: dict = {}
+        scaled = []
+        for n, d, j in factors:
+            if j:
+                f = powers.get(j)
+                if f is None:
+                    if j > 0:
+                        f = (p ** j, q ** j)
+                    elif p:
+                        f = (q ** -j, p ** -j)
+                    else:
+                        self.ctx.hbar_pow(j)  # raises: hbar^j at hbar = 0
+                    powers[j] = f
+                n, d = n * f[0], d * f[1]
+                g = gcd(n, d)
+                if g > 1:
+                    n, d = n // g, d // g
+            scaled.append((n, d))
+        den = lcm(*(d for _, d in scaled))
+        return den, [n * (den // d) for n, d in scaled]
+
+    def check_rows(self, rows):
+        """Raise the ``HbarValueError`` that forming the terms of ``rows``
+        (key, num, den, j) as scalars would raise: a negative power of
+        hbar at hbar = 0 (``HContext.hbar_pow``)."""
+        if not self.ctx.value:
+            for *_, j in rows:
+                if j is not None and j < 0:
+                    self.ctx.hbar_pow(j)  # raises
 
     @staticmethod
-    def check_scaled(series, scalars):
+    def check_scaled(series, rows):
         """A numeric hbar has no window to leave."""
 
     @staticmethod
@@ -449,28 +485,42 @@ class _SymbolicInts:
     @staticmethod
     def encode_powers(factors):
         """``encode_scalars`` of the scalars num/den hbar^j given as
-        (num, den, j), without forming them: an HPoly unless j is 0."""
+        (num, den, j), without forming them: an HPoly unless j is None."""
         factors = list(factors)
         den = lcm(*(d for _, d, _ in factors))
-        return den, [({j: n * (den // d)}, (j, j), True) if j else
+        return den, [({j: n * (den // d)}, (j, j), True) if j is not None else
                      ({0: n * (den // d)}, None, False) for n, d, j in factors]
 
-    def check_scaled(self, series, scalars):
-        """Raise the ``HbarWindowError`` that ``series.scale(s)`` for each
-        of ``scalars`` in turn would raise (``hscalar.check_window``)."""
+    def check_rows(self, rows):
+        """Raise the ``HbarWindowError`` that forming the terms of ``rows``
+        (key, num, den, j) as scalars in turn would raise: the first
+        hbar^j outside the window."""
+        lo, hi = self.ctx.lo, self.ctx.hi
+        for *_, j in rows:
+            if j is not None and (j < lo or j > hi):
+                raise window_error(self.ctx, j)
+
+    def check_scaled(self, series, rows):
+        """Raise the ``HbarWindowError`` that ``series.scale(s)`` for the
+        scalar s of each row in turn would raise (``hscalar.check_window``):
+        only the HPoly ones, c hbar^j, can leave the window."""
         spans = [(min(c.terms), max(c.terms)) for c in series.coeffs
                  if isinstance(c, HPoly) and c.terms]
-        for s in scalars:
-            if not spans or not isinstance(s, HPoly) or not s.terms:
-                continue
-            s_lo, s_hi = min(s.terms), max(s.terms)
-            for c_lo, c_hi in spans:
-                check_window(self.ctx, c_lo + s_lo, c_hi + s_hi)
+        if not spans:
+            return
+        ctx = self.ctx
+        # the exponents j that keep every span in the window
+        j_lo = ctx.lo - min(lo for lo, _ in spans)
+        j_hi = ctx.hi - max(hi for _, hi in spans)
+        for *_, j in rows:
+            if j is not None and (j < j_lo or j > j_hi):
+                for lo, hi in spans:
+                    check_window(ctx, lo + j, hi + j)
 
     def add_scaled(self, out, key, a, s):
-        """Add the code ``a`` times the scalar code ``s`` into out[key], an
-        accumulator [valid, mask, d] whose dict may hold zeros and keys
-        past its valid order."""
+        """Add the code ``a`` times the code ``s`` of one term c hbar^e
+        (``encode_powers``) into out[key], an accumulator [valid, mask, d]
+        whose dict may hold zeros and keys past its valid order."""
         v, mask, d = a
         acc = out.get(key)
         if acc is None:
@@ -479,13 +529,15 @@ class _SymbolicInts:
             acc[0] = v
         v, buf = acc[0], acc[2]
         snums, _, s_is_hpoly = s
+        ((e, y),) = snums.items()
         acc[1] |= (1 << (v + 1)) - 1 if s_is_hpoly else mask
-        top = (v + 1) * self.S
-        for e, y in snums.items():
-            for k, x in d.items():
-                if k < top:
-                    k += e
-                    buf[k] = buf.get(k, 0) + x * y
+        items = d.items()
+        if v < a[0]:
+            top = (v + 1) * self.S
+            items = [(k, x) for k, x in items if k < top]
+        for k, x in items:
+            k += e
+            buf[k] = buf.get(k, 0) + x * y
         if v == self.cap and not any(buf.values()):
             # The term-by-term sum drops a monomial whose coefficient
             # cancels to a zero of full valid order, and the next term

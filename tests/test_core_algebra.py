@@ -1,5 +1,6 @@
 """Scalars, x-series and time polynomials: exactness, caps, valid orders."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -71,6 +72,27 @@ def test_scalar_json_roundtrip(sym_ctx, num_ctx):
     assert scalar_from_json(sym_ctx, scalar_to_json(s)) == s
     v = num_ctx.scalar(-7, 3)
     assert scalar_from_json(num_ctx, scalar_to_json(v)) == v
+
+
+def test_scalar_takes_a_backend_rational_as_it_is(sym_ctx, num_ctx):
+    """``HContext.scalar`` returns a rational of the backend's type as it
+    is in numeric hbar; ints, (num, den) pairs and the other rational type
+    (``Fraction`` under gmpy2) go through the constructor.  Either way the
+    value and type are those of ``Rational(num, den)``, and formal hbar
+    lifts it into an HPoly at hbar^0."""
+    r = Rational(-6, 4)
+    assert num_ctx.scalar(r) is r
+    for args in [(r,), (r, 1), (3,), (-6, 4), (0,), (Fraction(5, 7),),
+                 (Rational(3, 5), 2)]:
+        want = Rational(*args)
+        got = num_ctx.scalar(*args)
+        assert got == want and type(got) is Rational, args
+        got = sym_ctx.scalar(*args)
+        assert type(got) is HPoly and got.terms == ({0: want} if want else {})
+        assert all(type(c) is Rational for c in got.terms.values())
+    for text in ("3/4", "-2", "0"):
+        got = scalar_from_json(num_ctx, text)
+        assert got == Rational(text) and type(got) is Rational
 
 
 # -- x-series ----------------------------------------------------------------

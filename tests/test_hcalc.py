@@ -7,6 +7,7 @@ import pytest
 
 from hbarkp.hcalc import (
     DiffOperator,
+    _miwa_rows,
     delta_apply,
     dh_apply,
     dh_determinant,
@@ -19,7 +20,8 @@ from hbarkp.rational import Rational
 from hbarkp.sampling import random_tau_data, random_tpoly
 from hbarkp.symfun import schur_over_hbar
 from hbarkp.taubuild import TauSeries, tau_series
-from hbarkp.tpoly import TPoly
+from hbarkp.tpoly import TPoly, resident
+from hbarkp.verify import _swap
 from hbarkp.xseries import XSeries
 
 CTX = HContext.symbolic(-10, 10)
@@ -262,3 +264,50 @@ def test_miwa_shift_of_tau_is_the_branching_rule(ctx, nslots):
         for key, c in want.terms.items():
             assert got.terms[key] == c, key
             assert got.terms[key].valid == c.valid == v, key
+
+
+def _typed(c):
+    """Valid order and each coefficient with its type."""
+    return (c.valid, [(type(x).__name__, getattr(x, "terms", x)) for x in c.coeffs])
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric("2/3"),
+                                 HContext.symbolic(-30, 30)],
+                         ids=["numeric", "formal"])
+def test_a_shift_in_slot_s_is_the_relabelled_shift_in_slot_0(ctx):
+    """The checks shift a zeta-free tau in slot 0 only and rename the slots
+    (``_Resident.relabelled``) for every other slot.  Against the shift in
+    slot s itself, in 2 and 3 slots, with and without the total-degree cap
+    the checks use: the same monomials, values, valid orders and types."""
+    W = Z = 4
+    tau = tau_series(random_tau_data(Random(5), ctx, W, W)).assemble()
+    for nslots in (2, 3):
+        for cap in (None, W):
+            T = resident(tau.with_slots(nslots, Z, cap))
+            first = miwa_shift(T, 0)
+            for s in range(1, nslots):
+                got = miwa_shift(T, s).decode()
+                want = first.relabelled(_swap(nslots, s)).decode()
+                assert got.terms.keys() == want.terms.keys()
+                for key, c in want.terms.items():
+                    assert _typed(got.terms[key]) == _typed(c), key
+
+
+def test_miwa_rows_do_not_depend_on_the_number_of_slots():
+    """One monomial shifted in a polynomial of slot + 1, slot + 2 and 3
+    slots gives the rows of ``_miwa_rows``, in their order, key for key
+    and value for value: the rows are shared by every number of slots."""
+    ctx = HContext.numeric("2/3")
+    W, Z = 5, 3
+    keys = [((), ()), ((2,), ()), ((1, 1), (2,)), ((0, 0, 1), (0, 1)),
+            ((1, 2), (1, 0, 2))]
+    for key in keys:
+        for slot in range(3):
+            rows, _ = _miwa_rows(key, slot, -1, Z)
+            want = {k: Rational(n, d) * ctx.hbar_pow(j or 0)
+                    for k, n, d, j in rows}
+            for nslots in range(max(slot + 1, len(key[1])), 4):
+                got = miwa_shift(TPoly(ctx, W, Z, nslots, {key: Rational(1)}),
+                                 slot, -1)
+                assert list(got.terms) == list(want), (key, slot, nslots)
+                assert got.terms == want

@@ -11,8 +11,9 @@ product also keeps its monomials in the reference's order and names the
 exponent of the reference's first error.
 
 The same holds for the kernel linear combination behind the tau and F
-assemblies (``tpoly.linear_combination``), against the sum of
-``basis.scale(coeff)`` term by term.  The extraction of the data
+assemblies (``tpoly.linear_combination``), whose bases are integer rows,
+against the sum of ``basis.scale(coeff)`` term by term, each basis formed
+from its rows as a TPoly.  The extraction of the data
 (``taubuild.extract_cauchy_like_tau``, one weighted sum over the
 monomials of tau) agrees with the deformed derivatives applied to the
 whole polynomial and read at t = 0 wherever those return, and raises
@@ -26,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarkp.hcalc import dh_apply
-from hbarkp.hscalar import HContext, HPoly, HbarWindowError
+from hbarkp.hscalar import HContext, HPoly, HbarValueError, HbarWindowError
 from hbarkp.partitions import partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.taubuild import as_xseries, extract_cauchy_like_tau
@@ -453,19 +454,35 @@ def test_results_are_canonical_rationals():
 
 # -- linear combinations: the tau and F assemblies --------------------------------
 
+def row_scalar(ctx, num, den, j):
+    """The scalar of a basis row (key, num, den, j) as rational arithmetic
+    forms it: num/den hbar^j, an HPoly in formal hbar; j None: num/den."""
+    r = Rational(num, den)
+    if j is None:
+        return r
+    if ctx.is_numeric:
+        return r * ctx.hbar_pow(j)
+    return HPoly(ctx, {j: r})
+
+
 def ref_linear_combination(pairs, ctx, W, Z, nslots):
+    """Each pair's basis formed as a TPoly of its row scalars, then scaled
+    and added, one pair after the other."""
     acc = TPoly.zero(ctx, W, Z, nslots)
-    for basis, coeff in pairs:
+    for rows, coeff in pairs:
+        basis = TPoly(ctx, W, Z, nslots, {key: row_scalar(ctx, *row)
+                                          for key, *row in rows})
         acc = acc + basis.scale(coeff)
     return acc
 
 
 @st.composite
 def combinations(draw, contexts=contexts):
-    """Bases with scalar coefficients on a few monomials, each paired with
-    a series from a small pool that holds a zero of full valid order, with
-    weights +-1 and +-hbar among the scalars, so that sums cancel and a
-    monomial can drop out and come back."""
+    """Bases given by rows on a few monomials, each paired with a series
+    from a small pool that holds a zero of full valid order, with weights
+    +-1 and +-hbar among the row scalars, so that sums cancel and a
+    monomial can drop out and come back; a row's power of hbar may lie
+    one past either end of the window."""
     ctx = draw(contexts)
     cap = draw(st.integers(0, 3))
     W = draw(st.integers(2, 3))
@@ -474,17 +491,21 @@ def combinations(draw, contexts=contexts):
     nonzero = series(ctx, cap).filter(lambda s: not s.is_zero())
     pool = draw(st.lists(nonzero, min_size=1, max_size=2))
     pool += [draw(series(ctx, cap)), XSeries.zero(ctx, cap)]
-    units = [Rational(1), Rational(-1)]
-    if not ctx.is_numeric:
-        e = 1 if ctx.hi >= 1 else ctx.lo  # hbar, else the low end
-        units += [ctx.hbar_pow(e), -ctx.hbar_pow(e)]
-    weights = st.one_of(st.sampled_from(units), scalars(ctx))
+    lo, hi = (-2, 2) if ctx.is_numeric else (ctx.lo - 1, ctx.hi + 1)
+    e = 1 if hi >= 2 else lo + 1  # hbar, else the low end of the window
+    units = st.tuples(st.sampled_from([1, -1]), st.just(1),
+                      st.sampled_from([None, e]))
+    weights = st.one_of(units, st.tuples(
+        st.integers(-6, 6).filter(bool), st.integers(1, 12),
+        st.one_of(st.none(), st.integers(lo, hi))))
+    # rows hold trimmed keys within the caps, as the bases do
     keys = st.tuples(st.sampled_from([(), (1,), (0, 1)]),
-                     st.sampled_from([()] + [(Z,)] * nslots))
+                     st.sampled_from([()] + [(Z,)] * (nslots if Z else 0)))
     pairs = []
     for _ in range(draw(st.integers(0, 6))):
         terms = draw(st.dictionaries(keys, weights, min_size=1, max_size=3))
-        pairs.append((TPoly(ctx, W, Z, nslots, terms), draw(st.sampled_from(pool))))
+        rows = tuple((key, *w) for key, w in terms.items())
+        pairs.append((rows, draw(st.sampled_from(pool))))
     return pairs, ctx, W, Z, nslots
 
 
@@ -516,21 +537,38 @@ def test_linear_combination_in_edge_windows(case):
     assert_linear_combination(case)
 
 
+@SETTINGS
+@given(combinations(st.just(HContext.numeric(0))))
+def test_linear_combination_at_hbar_zero(case):
+    """At hbar = 0 a row with a negative power of hbar raises the
+    ``HbarValueError`` of forming it, and one with a positive power is a
+    zero scalar, which adds nothing, not even a valid order."""
+    pairs, *shape = case
+    try:
+        want = ref_linear_combination(pairs, *shape)
+    except HbarValueError as exc:
+        with pytest.raises(HbarValueError, match=str(exc)):
+            linear_combination(pairs, *shape)
+        return
+    got = linear_combination(pairs, *shape)
+    assert set(got.terms) == set(want.terms)
+    for key, c in want.terms.items():
+        assert_same_coeff(got.terms[key], c)
+
+
 def _rational_edge_cases():
-    """Term lists whose sum at t_1 has rational coefficients only, though
+    """Row lists whose sum at t_1 has rational coefficients only, though
     some terms carry hbar: the first cancels to a zero of full valid order,
     which the sum drops before the last term brings t_1 back; in the
     second, a zero series of full valid order times hbar is dropped."""
     ctx = WIDE
     a = XSeries(ctx, 1, [Rational(1), Rational(1)])
-
-    def at_t1(c):
-        return TPoly(ctx, 1, terms={((1,), ()): c})
+    t1 = ((1,), ())
     return {
-        "cancel-and-restart": [(at_t1(h(ctx, 1)), a), (at_t1(h(ctx, 1, -1)), a),
-                               (at_t1(Rational(1)), a)],
-        "zero-series-term": [(at_t1(Rational(1)), a),
-                             (at_t1(h(ctx, 1)), XSeries.zero(ctx, 1))],
+        "cancel-and-restart": [(((t1, 1, 1, 1),), a), (((t1, -1, 1, 1),), a),
+                               (((t1, 1, 1, None),), a)],
+        "zero-series-term": [(((t1, 1, 1, None),), a),
+                             (((t1, 1, 1, 1),), XSeries.zero(ctx, 1))],
     }
 
 
@@ -544,16 +582,20 @@ def test_linear_combination_keeps_rational_types(name):
 
 
 def test_linear_combination_raises_the_first_window_error():
-    """Both ends of hbar^-2 + hbar^2 times hbar^-1 + hbar leave [-2, 2];
-    the low end is checked first, and a later pair never gets its turn."""
+    """hbar^-2 + hbar^2 times the rows hbar^-1 and hbar leaves [-2, 2] at
+    both rows: the first row names the error, and a later pair, whose row
+    hbar^-5 lies outside the window, never gets its turn.  After a pair
+    that stays inside, forming that row raises."""
     ctx = NARROW
     a = XSeries(ctx, 0, [HPoly(ctx, {-2: Rational(1), 2: Rational(1)})])
-    first = TPoly(ctx, 1, terms={((), ()): HPoly(ctx, {-1: Rational(1),
-                                                       1: Rational(1)})})
-    later = TPoly(ctx, 1, terms={((1,), ()): h(ctx, -2)})
-    for fn in (linear_combination, ref_linear_combination):
-        with pytest.raises(HbarWindowError, match=r"hbar\^-3 "):
-            fn([(first, a), (later, a)], ctx, 1, 0, 0)
+    low, high = (((), ()), 1, 1, -1), (((1,), ()), 1, 1, 1)
+    later = ((((1,), ()), 1, 1, -5),)
+    cases = [((low, high), r"hbar\^-3 "), ((high, low), r"hbar\^3 "),
+             (((((), ()), 1, 1, 0),), r"hbar\^-5 ")]
+    for first, error in cases:
+        for fn in (linear_combination, ref_linear_combination):
+            with pytest.raises(HbarWindowError, match=error):
+                fn([(first, a), (later, a)], ctx, 1, 0, 0)
 
 
 # -- reads at t = 0 -------------------------------------------------------------
