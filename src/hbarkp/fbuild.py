@@ -19,13 +19,12 @@ Plain first derivatives d_k F|_0 relate to the f_k through the inverse
 transition matrix column kappa_lam = (L^{-1})_{lam (k)}; the inverse
 conversion proceeds by induction in k.  For numeric hbar != 0, tau data
 follow from c_0 = exp(f_0 / hbar^2) and c_k/c_0 = h_k(y) with
-y_l = f_l / (hbar l), the h_k formed on integer codes.
+y_l = f_l / (hbar l), the h_k formed on integer codes (``xseries.Coded``).
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd, lcm
 
 from .hscalar import HContext, HbarValueError, scalar_is_zero
 from .lops import DiffPoly, l_word
@@ -35,7 +34,7 @@ from .record import Record
 from .symfun import h_apply, t_hbar, t_hbar_rows, transition_L
 from .taubuild import TauData, as_xseries
 from .tpoly import TPoly, linear_combination
-from .xseries import Jets, XSeries, int_kernel
+from .xseries import Coded, Jets, XSeries, int_kernel
 
 
 class FData(Record):
@@ -212,38 +211,6 @@ def f_series_from_plain_table(ctx: HContext, weight_cap: int, x_cap: int,
     return FSeries(ctx, weight_cap, x_cap, f0, table, symbolic=False)
 
 
-class _Coded:
-    """A numeric x-series as a code of ``xseries.int_kernel`` over its own
-    denominator, with the ring operations ``symfun.h_apply`` uses: sums,
-    products, and multiples by ints and rationals, which go into the
-    denominator where they divide it."""
-
-    __slots__ = ("kernel", "den", "code")
-
-    def __init__(self, kernel, den: int, code):
-        self.kernel, self.den, self.code = kernel, den, code
-
-    def __add__(self, other):
-        kernel, da, db = self.kernel, self.den, other.den
-        a, b = self.code, other.code
-        if da != db:
-            den = lcm(da, db)
-            a, b = kernel.rescale(a, den // da), kernel.rescale(b, den // db)
-            da = den
-        return _Coded(kernel, da, kernel.add(a, b))
-
-    def __mul__(self, other):
-        kernel = self.kernel
-        if isinstance(other, _Coded):
-            return _Coded(kernel, self.den * other.den,
-                          kernel.product(self.code, other.code))
-        num, den, code = other.numerator, self.den * other.denominator, self.code
-        g = gcd(num, den)
-        if num != g:
-            code = kernel.rescale(code, num // g)
-        return _Coded(kernel, den // g, code)
-
-
 def bridge_to_tau(data: FData) -> TauData:
     """Initial data for the tau-function matching an F-function.
 
@@ -254,7 +221,7 @@ def bridge_to_tau(data: FData) -> TauData:
     The h_k run on integer codes: f_1..f_K are encoded once, over one
     denominator, y_l = f_l / (hbar l) is that code times q over p l for
     hbar = p/q, and ``symfun.h_apply`` forms each h_k as one code over its
-    own denominator (``_Coded``).  c_0 is encoded once and each
+    own denominator (``xseries.Coded``).  c_0 is encoded once and each
     c_k = c_0 h_k is decoded once."""
     ctx = data.ctx
     if not ctx.is_numeric:
@@ -269,9 +236,9 @@ def bridge_to_tau(data: FData) -> TauData:
     p, q = ctx.value.numerator, ctx.value.denominator
     if p < 0:
         p, q = -p, -q
-    hs = h_apply(data.K, lambda l: _Coded(kernel, den_f * p * l,
-                                          kernel.rescale(fs[l - 1], q)))
+    hs = h_apply(data.K, lambda l: Coded(kernel, den_f * p * l,
+                                         kernel.rescale(fs[l - 1], q)))
     den_0, (code_0,) = kernel.codes((c0,))
-    out = [c0] + [kernel.series(den_0 * h.den, kernel.product(code_0, h.code))
-                  for h in hs[1:]]
+    c0_coded = Coded(kernel, den_0, code_0)
+    out = [c0] + [(c0_coded * h).series() for h in hs[1:]]
     return TauData(ctx, data.weight_cap, data.x_cap, tuple(out))

@@ -1,9 +1,10 @@
 """Exact determinants and minors of small matrices.
 
 ``det`` works over any commutative ring whose elements support ``+``,
-unary ``-`` and ``*`` (rationals, hbar-Laurent scalars, XSeries, TPoly,
-differential operators...).  It never divides, so it is exact in every
-such ring, and it never enumerates permutations: a Laplace expansion
+unary ``-`` and ``*`` (rationals, hbar-Laurent scalars, XSeries and
+their integer codes ``xseries.Coded``, TPoly, differential operators...).
+It never divides, so it is exact in every such ring, and it never
+enumerates permutations: a Laplace expansion
 along the rows shares each minor of the lower rows between all the
 expansions that reach it, which costs at most n * 2^(n-1) ring products
 for an n x n matrix instead of (n-1) * n!.  Determinants of many matrices

@@ -349,7 +349,7 @@ def h_apply(k: int, fetch) -> list:
     """[h_0, ..., h_k] evaluated on a sequence: h_n is the sum over |lam| = n
     of prod fetch(lam_i) / sigma(lam), h_0 = 1.  ``fetch(i)`` supplies the
     i-th value, once for each i: any ring element that can also be
-    multiplied by ints and rationals (XSeries, or the integer codes of
+    multiplied by ints and rationals (XSeries, or ``xseries.Coded`` in
     ``fbuild.bridge_to_tau``).
 
     exp(sum_j y_j z^j) = sum_n h_n z^n, so n h_n = sum_{j=1}^{n} j y_j

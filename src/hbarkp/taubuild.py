@@ -14,13 +14,14 @@ and c_k = (hbar/k) * (deformed d_k) tau at t = 0; both directions are
 exposed here and round-trip.
 
 ``tau_series`` builds a whole table as one computation on integer codes:
-c_0..c_K are encoded once (``xseries.Jets``), every entry sits over one
-denominator, so a k-minor sits over its k-th power, and each c_lam is
-decoded once.  The entry in row i and column j depends only on the row
-label a = lam_i - i and on j, so it is built once per table; the minors
-of the lower rows are shared between diagrams under (labels of those
-rows, columns) through ``linalg.det``'s ``row_keys``/``memo``; and each
-power c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
+c_0..c_K are encoded once (``xseries.Jets``), every entry is an
+``xseries.Coded`` over one denominator, so a k-minor sits over its k-th
+power without further bookkeeping, and each c_lam is decoded once.  The
+entry in row i and column j depends only on the row label a = lam_i - i
+and on j, so it is built once per table; the minors of the lower rows
+are shared between diagrams under (labels of those rows, columns)
+through ``linalg.det``'s ``row_keys``/``memo``; and each power
+c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
 c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
 each s_lam(t/hbar) held once per process as integer rows
 (``symfun.schur_rows``) and encoded from them, and
@@ -43,7 +44,7 @@ from .record import Record
 # copy too.  It can go with that assertion.
 from .symfun import schur, schur_rows
 from .tpoly import TPoly, linear_combination, weight_of
-from .xseries import Jets, XSeries, int_kernel
+from .xseries import Coded, Jets, XSeries, int_kernel
 
 
 class TauData(Record):
@@ -75,25 +76,6 @@ class TauData(Record):
         if k > self.K:
             raise ValueError(f"data only go up to index {self.K}")
         return self.c[k]
-
-
-class _Code:
-    """An x-series code of one ``_Table``, with the ring operations of
-    ``det``; a k-minor of the entries sits over the table's den^k."""
-
-    __slots__ = ("kernel", "code")
-
-    def __init__(self, kernel, code):
-        self.kernel, self.code = kernel, code
-
-    def __add__(self, other):
-        return _Code(self.kernel, self.kernel.add(self.code, other.code))
-
-    def __neg__(self):
-        return _Code(self.kernel, self.kernel.rescale(self.code, -1))
-
-    def __mul__(self, other):
-        return _Code(self.kernel, self.kernel.product(self.code, other.code))
 
 
 class _Table:
@@ -130,18 +112,19 @@ class _Table:
                 term = kernel.rescale(kernel.scale(d, self.signed_hbar[k]),
                                       comb(j - 1, k))
                 entry = term if entry is None else kernel.add(entry, term)
-            self.entries[key] = 0 if entry is None else _Code(kernel, entry)
+            self.entries[key] = (0 if entry is None else
+                                 Coded(kernel, self.den, entry))
         return self.entries[key]
 
-    def inv0_pow(self, p: int):
-        """(den, code) of c_0^{-p}, p >= 1."""
-        kernel, pows = self.kernel, self.inv0_pows
+    def inv0_pow(self, p: int) -> Coded:
+        """c_0^{-p}, p >= 1."""
+        pows = self.inv0_pows
         if not pows:
-            self.inv0_den, pows[:] = kernel.codes(
-                (self.data.series(0).inverse(),))
+            den, (inv,) = self.kernel.codes((self.data.series(0).inverse(),))
+            pows.append(Coded(self.kernel, den, inv))
         while len(pows) < p:
-            pows.append(kernel.product(pows[-1], pows[0]))
-        return self.inv0_den ** p, pows[p - 1]
+            pows.append(pows[-1] * pows[0])
+        return pows[p - 1]
 
 
 def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
@@ -157,12 +140,10 @@ def c_lambda(lam, data: TauData, _table: _Table | None = None) -> XSeries:
     table = _Table(data) if _table is None else _table
     labels = [lam[i] - i - 1 for i in range(n)]
     rows = [[table.entry(a, j) for j in range(1, n + 1)] for a in labels]
-    d = det(rows, labels, table.minors).code
-    kernel, den = table.kernel, table.den ** n
-    if n == 1:
-        return kernel.series(den, d)
-    den_inv, inv = table.inv0_pow(n - 1)
-    return kernel.series(den * den_inv, kernel.product(d, inv))
+    d = det(rows, labels, table.minors)
+    if n > 1:
+        d = d * table.inv0_pow(n - 1)
+    return d.series()
 
 
 class TauSeries(Record):

@@ -23,15 +23,15 @@ as the zero test.  Every product enumerates its pairs one way
 operands sorted by the degree that the outer cap bounds, so the cap ends
 the inner loop and a capped product costs only what it keeps.
 
-``resident`` writes a polynomial whose coefficients are x-series on the
-integer codes of ``xseries.int_kernel``, one denominator for the whole
-polynomial; its private ``_Resident`` form keeps every result on those
-codes until ``decode`` reduces each coefficient to canonical rationals
-once.  When every coefficient of both operands is an x-series of one
-context and cap, ``TPoly.__mul__`` is that resident product; scalar and
-mixed coefficients are multiplied pair by pair over the same pairs.  The
-exponential, the logarithm and the Miwa shift have only the resident
-form, and the residual checks keep their whole computation resident;
+``TPoly`` is the reference ring: its product multiplies the coefficients
+pair by pair, whatever they are.  ``resident`` writes a polynomial whose
+coefficients are x-series on the integer codes of ``xseries.int_kernel``,
+one denominator for the whole polynomial; its private ``_Resident`` form
+keeps every result on those codes until ``decode`` reduces each
+coefficient to canonical rationals once.  The two meet only there: a
+resident polynomial takes no ``TPoly`` operand.  The exponential, the
+logarithm and the Miwa shift have only the resident form, and the
+residual checks keep their whole computation resident;
 ``linear_combination`` accumulates the same codes.
 """
 
@@ -105,22 +105,6 @@ def _monomial_text(key: tuple) -> str:
             if a:
                 vars_.append(f"{name}{i + 1}" if a == 1 else f"{name}{i + 1}^{a}")
     return "*".join(vars_) or "1"
-
-
-def _series_only(*polys) -> bool:
-    """Whether the polynomials have coefficients and each is an XSeries of
-    the polynomials' context, all of one x cap."""
-    cap = None
-    for poly in polys:
-        ctx = poly.ctx
-        for c in poly.terms.values():
-            if type(c) is not XSeries or (c.ctx is not ctx and c.ctx != ctx):
-                return False
-            if cap is None:
-                cap = c.cap
-            elif c.cap != cap:
-                return False
-    return cap is not None
 
 
 def _diff_terms(terms: dict, k: int, times) -> dict:
@@ -329,8 +313,8 @@ class TPoly:
         return self.map_coeffs(neg)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__add__(-Rational(other))
+        if isinstance(other, (int, Rational)):
+            other = Rational(other)
         return self.__add__(-other)
 
     def __mul__(self, other):
@@ -341,8 +325,6 @@ class TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
-        if _series_only(self, other):
-            return (resident(self) * resident(other)).decode()
         out: dict = {}
         pack, pairs = _product_pairs(self, self.terms, other.terms)
         for p, c1, c2 in pairs:
@@ -429,19 +411,21 @@ class TPoly:
 # ---------------------------------------------------------------------------
 # resident polynomials: the residual checks on integer codes
 #
-# A ``_Resident`` is a TPoly whose coefficients stay integer codes
+# A ``_Resident`` is a polynomial whose coefficients stay integer codes
 # (valid, mask, nums) of ``xseries.int_kernel``, the one code of an
 # x-series, over one denominator for the whole polynomial, so a chain of
-# sums, scalings, products and Miwa shifts reduces nothing until
-# ``decode``.  Sums, scalings, t-derivatives and products mirror their
-# TPoly twins step by step, in the same order of monomials, pairs and
-# x-powers: the decoded result has the same values, valid orders,
-# coefficient types and kept monomials, and the first ``HbarWindowError``
-# is the same one.  ``exp``, ``log_unit`` and ``substitute`` (the Miwa
-# shift) have no twin: ``TPoly.exp``, ``TPoly.log_unit`` and
-# ``hcalc.miwa_shift`` run them here.  ``signed_relabellings`` sums copies
-# of one polynomial with their slots renamed, as the residuals of the
-# checks that are symmetric in the slots need.
+# sums, scalings, products, zeta shifts and Miwa shifts reduces nothing
+# until ``decode``.  Each operation is tested against the ``TPoly``
+# reference (``tests/test_resident.py``): it meets the monomials, pairs
+# and x-powers in the reference's order, so the decoded result has the
+# same values, valid orders, coefficient types and kept monomials, and
+# the first ``HbarWindowError`` is the same one.  ``times_zeta`` is the
+# product with a polynomial in the zetas alone, with int coefficients:
+# the checks' prefactors.  ``exp``,
+# ``log_unit`` and ``substitute`` (the Miwa shift) run ``TPoly.exp``,
+# ``TPoly.log_unit`` and ``hcalc.miwa_shift``.  ``signed_relabellings``
+# sums copies of one polynomial with their slots renamed, as the residuals
+# of the checks that are symmetric in the slots need.
 # The coefficients are x-series of one cap; a polynomial with scalar
 # coefficients is held as x-series of cap 0 and decodes to scalars again.
 
@@ -676,8 +660,6 @@ class _Resident:
                           self.den)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__add__(-Rational(other))
         return self.__add__(-other)
 
     # -- products -----------------------------------------------------------
@@ -685,8 +667,6 @@ class _Resident:
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             return self.scale(other)
-        if isinstance(other, TPoly):
-            return self._times_scalars(other, left=False)
         if not isinstance(other, _Resident):
             return NotImplemented
         self, other = self._joined(other)
@@ -702,30 +682,27 @@ class _Resident:
         return self._clean({key(p): finish(acc) for p, acc in out.items()},
                            self.den * other.den)
 
-    def __rmul__(self, other):
-        if isinstance(other, TPoly):
-            return self._times_scalars(other, left=True)
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
-    def _times_scalars(self, poly: TPoly, left: bool) -> "_Resident":
-        """The product with a TPoly of scalar coefficients, ``poly`` on the
-        left if ``left``: each pair scales a series (``XSeries.scale``)."""
-        self._same_shape(poly)
-        if any(isinstance(c, XSeries) for c in poly.terms.values()):
-            raise TypeError("a resident polynomial multiplies only "
-                            "scalar-coefficient polynomials")
-        kernel = self.kernel
-        den, scodes = kernel.encode_scalars(poly.terms.values())
-        theirs = dict(zip(poly.terms, scodes))
-        pack, pairs = _product_pairs(self, theirs if left else self.terms,
-                                     self.terms if left else theirs)
-        scale, add = kernel.scale, kernel.add
+    def times_zeta(self, prefactor: dict) -> "_Resident":
+        """The product with the zeta polynomial sum_e c_e zeta^e given as
+        ``prefactor`` {e: nonzero int c_e}: each term shifts the keys by e
+        and multiplies the codes by c_e, over the pairs of a product
+        (``_product_pairs``, the prefactor on the left), which go into one
+        accumulator.  A term with an exponent past the z cap is left out
+        and never packed."""
+        z_cap = self.z_cap
+        theirs = {((), _trim(e)): c for e, c in prefactor.items()
+                  if all(d <= z_cap for d in e)}
+        pack, pairs = _product_pairs(self, theirs, self.terms)
+        rescale, add = self.kernel.rescale, self.kernel.add
         out: dict = {}
-        for p, c1, c2 in pairs:
-            c = scale(c2, c1) if left else scale(c1, c2)
-            out[p] = add(out[p], c) if p in out else c
+        for p, c, code in pairs:
+            if c != 1:
+                code = rescale(code, c)
+            out[p] = add(out[p], code) if p in out else code
         key = pack.key
-        return self._clean({key(p): c for p, c in out.items()}, self.den * den)
+        return self._clean({key(p): c for p, c in out.items()}, self.den)
 
     def scale(self, s) -> "_Resident":
         """``TPoly.scale`` by a scalar."""

@@ -80,12 +80,18 @@ raises.
 Integer codes.  ``_embed`` encodes the input once (``tpoly.resident``):
 every coefficient becomes integer numerators over one denominator for the
 polynomial.  From there the Miwa shifts, d_1, the hbar and rational
-scalings, the sums, the products with the zeta prefactors, the tau x tau
-(or F) products, the relabellings and the determinant's ring products all
-act on those integers.  Each of those operations mirrors the ``TPoly``
-operation it stands for, so the residual, its valid orders and
-coefficient types, and any ``HbarWindowError`` are the ones the same steps
-on ``TPoly`` values give; the trusted-region argument above is unchanged.
+scalings, the sums, the tau x tau (or F) products, the relabellings and
+the determinant's ring products all act on those integers.  A zeta
+prefactor is a polynomial in the zetas alone with int coefficients,
+{zeta exponents: coefficient}, and ``P.times_zeta(prefactor)`` shifts
+the keys of P by each term's exponents, summing the pairs as the product
+with that polynomial does; an hbar zeta1 zeta2 prefactor is the shift
+followed by ``scale``.  The Vandermonde's terms come in the order that
+multiplying its factors in turn gives them.  The residual, its valid
+orders and coefficient types, and any ``HbarWindowError`` are the ones
+the same steps on ``TPoly`` values give, which ``tests/test_resident.py``
+checks against its reference residuals; the trusted-region argument
+above is unchanged.
 The verdict is read from the codes: which monomials are nonzero, and the
 first of them in sorted order, whose coefficient alone is reduced to
 canonical rationals for ``worst``.  ``Residual.poly`` reduces the whole
@@ -95,7 +101,7 @@ residual into a ``TPoly`` when it is first read.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 from .hscalar import HbarWindowError, render_scalar, scalar_is_zero
@@ -103,7 +109,7 @@ from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
 from .record import Record
-from .tpoly import TPoly, _Resident, _coeff_is_zero, resident
+from .tpoly import CapError, TPoly, _Resident, _coeff_is_zero, resident
 from .xseries import XSeries
 
 
@@ -186,9 +192,10 @@ def _embed(poly: TPoly, nslots: int, z_cap: int, cap: int | None):
     return resident(poly.with_slots(nslots, z_cap, cap))
 
 
-def _zetas(T: TPoly) -> list:
-    return [TPoly.var_zeta(T.ctx, T.weight_cap, s, T.z_cap, T.nslots,
-                           degree_cap=T.degree_cap) for s in range(T.nslots)]
+def _need_zeta(z_cap: int) -> None:
+    """The zeta prefactors hold zeta_s^1, which a z cap below 1 refuses."""
+    if z_cap < 1:
+        raise CapError("zeta power exceeds z cap")
 
 
 def _swap(nslots: int, s: int) -> tuple:
@@ -202,6 +209,11 @@ def _swap(nslots: int, s: int) -> tuple:
 # sign +1 but the swap
 _SWAP_2 = ((0, 1), (1, 0))
 _CYCLIC_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# zeta prefactors in two slots ({zeta exponents: coefficient}, the terms
+# of each in the order of the zeta polynomial it stands for): zeta1,
+# zeta1 zeta2, zeta1 - zeta2 and zeta2 - zeta1
+_Z1, _Z12 = {(1,): 1}, {(1, 1): 1}
+_Z1_Z2, _Z2_Z1 = {(1,): 1, (0, 1): -1}, {(0, 1): 1, (1,): -1}
 
 
 def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
@@ -210,15 +222,15 @@ def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
     t1 = miwa_shift(T, 0)
     t2 = t1.relabelled(_swap(2, 1))
     t12 = miwa_shift(t1, 1)
-    z1, z2 = _zetas(T)
-    d1 = (z1 * z2).scale(T.ctx.hbar_pow(1)) * t1.diff_t(1)
+    _need_zeta(z_cap)
+    d1 = t1.diff_t(1).times_zeta(_Z12).scale(T.ctx.hbar_pow(1))
     try:
-        half = (d1 + z1 * t1) * t2 - (z1 * t12) * T
+        half = (d1 + t1.times_zeta(_Z1)) * t2 - t12.times_zeta(_Z1) * T
     except HbarWindowError:
         # B holds terms that B - swap(B) cancels: the identity as written
         left = d1 * t2 - d1.relabelled(_swap(2, 1)) * t1
-        dz = z1 - z2
-        return left - ((dz * t12) * T - (dz * t1) * t2)
+        dz12, dz1 = t12.times_zeta(_Z1_Z2), t1.times_zeta(_Z1_Z2)
+        return left - (dz12 * T - dz1 * t2)
     return half.signed_relabellings(_SWAP_2)
 
 
@@ -237,9 +249,11 @@ def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
 
 def _hirota3_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
     T = _embed(tau, 3, z_cap, cap)
-    z0, z1, z2 = _zetas(T)
+    _need_zeta(z_cap)
     t0 = miwa_shift(T, 0)
-    term = (((z1 - z0) * z2) * miwa_shift(t0, 1)) * t0.relabelled(_swap(3, 2))
+    # (zeta1 - zeta0) zeta2
+    left = miwa_shift(t0, 1).times_zeta({(0, 1, 1): 1, (1, 0, 1): -1})
+    term = left * t0.relabelled(_swap(3, 2))
     return term.signed_relabellings(_CYCLIC_3)
 
 
@@ -255,7 +269,7 @@ def check_hirota3(tau: TPoly, z_cap: int = 4) -> Residual:
     return _poly_residual("hirota-3-term", _hirota3_residual(tau, z_cap, trust))
 
 
-def _det_m_row(shift, zeta, m: int) -> list:
+def _det_m_row(shift, m: int) -> list:
     """The entries zeta^{m-k} (1 - hbar zeta d_1)^{k-1} tau^{[z]} of the
     row of slot 0, k = 1..m, from ``shift`` = tau^{[z]}, each multiplied
     out term by term with its zeta powers."""
@@ -270,7 +284,7 @@ def _det_m_row(shift, zeta, m: int) -> list:
             term = d_pows[i].scale(
                 Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i)
             )
-            term = term * zeta.pow_int(m - k + i)
+            term = term.times_zeta({(m - k + i,): 1})
             entry = term if entry is None else entry + term
         row.append(entry)
     return row
@@ -283,14 +297,11 @@ def _times_tau(left, T, n: int):
     return left
 
 
-def _det_m_relabelled(T, all_shift, row: list, zs: list, m: int):
+def _det_m_relabelled(T, all_shift, row: list, m: int):
     """The residual as the antisymmetrised zeta^delta S - P, with
     S = tau^{[z1..zm]} tau^{m-1} and P the product of the diagonal
     entries, entry k of slot 0's ``row`` relabelled into slot k."""
-    lift = zs[0].pow_int(m - 1)
-    for s in range(1, m - 1):
-        lift = lift * zs[s].pow_int(m - 1 - s)
-    left = lift * all_shift
+    left = all_shift.times_zeta({tuple(range(m - 1, -1, -1)): 1})
     if left.terms:
         try:
             left = left * _times_tau(T, T, m - 2)
@@ -304,19 +315,29 @@ def _det_m_relabelled(T, all_shift, row: list, zs: list, m: int):
     return (left - diagonal).signed_relabellings(permutations(range(m)))
 
 
-def _det_m_laplace(T, all_shift, shift, row, zs: list, m: int):
+def _vandermonde(m: int) -> dict:
+    """prod_{i<j} (zeta_i - zeta_j) as {zeta exponents: int}, its terms in
+    the order that multiplying the factors in turn, each zeta_i before
+    zeta_j, gives them."""
+    terms = {(0,) * m: 1}
+    for i, j in combinations(range(m), 2):
+        out: dict = {}
+        for zexp, c in terms.items():
+            for s, sc in ((i, c), (j, -c)):
+                z = zexp[:s] + (zexp[s] + 1,) + zexp[s + 1:]
+                out[z] = out.get(z, 0) + sc
+        terms = {z: c for z, c in out.items() if c}
+    return terms
+
+
+def _det_m_laplace(T, all_shift, shift, row, m: int):
     """The residual as the identity is written: the Vandermonde times
     tau^{[z1..zm]} tau ... tau, minus the Laplace determinant of the m x m
     entries, row j slot 0's ``row`` relabelled (built from ``shift`` if
     ``row`` is None)."""
-    left = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            dz = zs[i] - zs[j]
-            left = dz if left is None else left * dz
-    left = _times_tau(left * all_shift, T, m - 1)
+    left = _times_tau(all_shift.times_zeta(_vandermonde(m)), T, m - 1)
     if row is None:
-        row = _det_m_row(shift, zs[0], m)
+        row = _det_m_row(shift, m)
     rows = [row] + [[e.relabelled(_swap(m, j)) for e in row]
                     for j in range(1, m)]
     return left - det(rows)
@@ -328,16 +349,16 @@ def _det_m_residual(tau: TPoly, m: int, z_cap: int,
     all_shift = shift = miwa_shift(T, 0)
     for s in range(1, m):
         all_shift = miwa_shift(all_shift, s)
-    zs = _zetas(T)
+    _need_zeta(z_cap)
     row = None
     try:
-        row = _det_m_row(shift, zs[0], m)
-        return _det_m_relabelled(T, all_shift, row, zs, m)
+        row = _det_m_row(shift, m)
+        return _det_m_relabelled(T, all_shift, row, m)
     except HbarWindowError:
         # zeta^delta S and P hold terms that the antisymmetrisation
         # cancels, and a product with one of them can leave a formal
         # window that the identity as written stays inside.
-        return _det_m_laplace(T, all_shift, shift, row, zs, m)
+        return _det_m_laplace(T, all_shift, shift, row, m)
 
 
 def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
@@ -365,7 +386,7 @@ def _kp2_residual(F: TPoly, z_cap: int, x_form: bool,
     f2 = f1.relabelled(_swap(2, 1))
     f12 = miwa_shift(f1, 1)
     big_g = (f12 - f1 - f2 + G2).scale(ctx.hbar_pow(-2))
-    z1, z2 = _zetas(G2)
+    _need_zeta(z_cap)
     d_f = G2.diff_x() if x_form else G2.diff_t(1)
     d_f1 = miwa_shift(d_f, 0)
     try:
@@ -374,8 +395,9 @@ def _kp2_residual(F: TPoly, z_cap: int, x_form: bool,
         # (d F)^{[z1]} holds terms that B - swap(B) cancels before the
         # scaling: the identity as written
         jump = (d_f1 - d_f1.relabelled(_swap(2, 1))).scale(ctx.hbar_pow(-1))
-        return (z2 - z1) * (big_g.exp() - 1) + (z1 * z2) * jump
-    half = (z1 * z2) * jump1 - z1 * (big_g.exp() - 1)
+        return ((big_g.exp() - 1).times_zeta(_Z2_Z1)
+                + jump.times_zeta(_Z12))
+    half = jump1.times_zeta(_Z12) - (big_g.exp() - 1).times_zeta(_Z1)
     return half.signed_relabellings(_SWAP_2)
 
 

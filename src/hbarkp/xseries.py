@@ -19,11 +19,13 @@ numerator (formal hbar); a bitmask marks the HPoly coefficients.  The
 numerators are convolved as plain ints and each output coefficient is
 reduced once, so the results are the same canonical rationals that
 term-by-term rational arithmetic gives.  A product of two series encodes
-both, multiplies and decodes.  Products of ``TPoly`` values with x-series
-coefficients, their linear combinations and the residual checks work on
-the same codes (``tpoly.resident``); there a product of numeric codes
+both, multiplies and decodes.  Resident polynomials (``tpoly.resident``),
+which the residual checks and the assemblies' linear combinations use,
+keep every coefficient on these codes; there a product of numeric codes
 packs each series into one integer (Kronecker substitution), so one
-integer product convolves two series.
+integer product convolves two series.  ``Coded`` is one code over its own
+denominator as a ring element, for the determinants of ``taubuild`` and
+the h_k of ``fbuild``'s bridge.
 """
 
 from __future__ import annotations
@@ -254,7 +256,9 @@ class XSeries:
 # (n, d, 0) is the HPoly n/d hbar^0.  ``check_rows`` raises what forming
 # such scalars would raise.
 #
-# ``product`` is ``XSeries.__mul__`` on two codes.  A product of two
+# ``product`` is ``XSeries.__mul__`` on two codes, and ``Coded`` wraps a
+# code and its denominator for the rings of ``linalg.det`` and
+# ``symfun.h_apply``.  A product of two
 # polynomials (``tpoly`` resident polynomials) writes their codes as
 # ``operands`` once, adds each pair's product into an accumulator
 # (``accumulate``) and reads each accumulator back as a code (``finish``):
@@ -770,6 +774,44 @@ class _SymbolicInts:
 def int_kernel(ctx: HContext, cap: int):
     """The integer kernel for series with this context and x cap."""
     return _NumericInts(ctx, cap) if ctx.is_numeric else _SymbolicInts(ctx, cap)
+
+
+class Coded:
+    """An x-series as a code of ``kernel`` over its own denominator
+    ``den``, a ring element for ``linalg.det`` and ``symfun.h_apply``:
+    sums (over the lcm of the denominators), negation, products, and
+    multiples by ints and rationals, which go into the denominator as far
+    as they divide it.  ``series`` decodes it."""
+
+    __slots__ = ("kernel", "den", "code")
+
+    def __init__(self, kernel, den: int, code):
+        self.kernel, self.den, self.code = kernel, den, code
+
+    def __add__(self, other):
+        kernel, da, db = self.kernel, self.den, other.den
+        a, b = self.code, other.code
+        if da != db:
+            den = lcm(da, db)
+            a, b = kernel.rescale(a, den // da), kernel.rescale(b, den // db)
+            da = den
+        return Coded(kernel, da, kernel.add(a, b))
+
+    def __neg__(self):
+        return Coded(self.kernel, self.den, self.kernel.rescale(self.code, -1))
+
+    def __mul__(self, other):
+        kernel = self.kernel
+        if isinstance(other, Coded):
+            return Coded(kernel, self.den * other.den,
+                         kernel.product(self.code, other.code))
+        num, den = other.numerator, self.den * other.denominator
+        g = gcd(num, den)
+        code = self.code if num == g else kernel.rescale(self.code, num // g)
+        return Coded(kernel, den // g, code)
+
+    def series(self) -> XSeries:
+        return self.kernel.series(self.den, self.code)
 
 
 class Jets(dict):

@@ -17,11 +17,13 @@ from hbarkp.cli import (
 )
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
-from hbarkp.partitions import partitions_upto
+from hbarkp.partitions import Partition, partitions_upto
+from hbarkp.rational import Rational
 from hbarkp.sampling import random_f_data, random_tau_data, random_xseries
 from hbarkp.taubuild import TauSeries
 from hbarkp.tpoly import TPoly
 from hbarkp.verify import check_det_m, check_fay, check_hirota3, check_kp2
+from hbarkp.xseries import XSeries
 
 
 @pytest.fixture
@@ -574,6 +576,25 @@ def test_verify_refuses_a_z_order_where_the_check_cannot_fail(tmp_path, check,
 
 
 # -- documents the engine refuses ---------------------------------------------
+
+def test_a_tau_table_with_a_zero_constant_series_is_refused(tmp_path, capsys):
+    """c_() with constant term 0 makes tau's constant coefficient an
+    x-series that is not invertible: ``check_fay`` raises, and ``verify
+    fay`` exits 2 with one error line."""
+    ts = non_kp_table("tau", "1/2")
+    table = dict(ts.table)
+    table[Partition(())] = XSeries(ts.ctx, ts.x_cap,
+                                   [Rational(0), Rational(1)])
+    ts = TauSeries(ts.ctx, ts.weight_cap, ts.x_cap, table)
+    with pytest.raises(ValueError, match="tau is not invertible"):
+        check_fay(ts.assemble(), 4)
+    path = tmp_path / "table.json"
+    dataio.dump(dataio.tau_series_to_document(ts), path)
+    assert main(["verify", "fay", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau is not invertible")
+    assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv, top", [
     (["tau"], [1, 2]),

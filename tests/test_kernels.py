@@ -32,7 +32,7 @@ from hbarkp.partitions import partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.taubuild import as_xseries, extract_cauchy_like_tau
 from hbarkp.tpoly import TPoly, _droppable, linear_combination, texp_of, weight_of
-from hbarkp.xseries import XSeries
+from hbarkp.xseries import Coded, XSeries, int_kernel
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True,
                     database=None)
@@ -226,9 +226,8 @@ def tpoly_pairs(draw, contexts=contexts):
     nslots = draw(st.integers(0, 2))
     Z = draw(st.integers(0, 2))
     D = draw(st.one_of(st.none(), st.integers(0, W + nslots * Z)))
-    # all-XSeries operands take the resident product on the kernel's codes
-    # (tpoly.resident); a scalar among them sends the product coefficient
-    # by coefficient
+    # all-XSeries operands, or scalars among them: either way TPoly
+    # multiplies coefficient by coefficient
     mixed = draw(st.booleans())
     coeff = st.one_of(series(ctx, cap), scalars(ctx)) if mixed else series(ctx, cap)
     keys = st.tuples(
@@ -298,6 +297,47 @@ def test_xseries_product_in_edge_windows(pair):
 @given(tpoly_pairs(edge_contexts))
 def test_tpoly_product_in_edge_windows(pair):
     assert_tpoly_product(pair)
+
+
+# -- codes as ring elements ----------------------------------------------------
+
+def coded(s: XSeries) -> Coded:
+    """``s`` over the denominator of its own coefficients."""
+    kernel = int_kernel(s.ctx, s.cap)
+    den, (code,) = kernel.codes((s,))
+    return Coded(kernel, den, code)
+
+
+@SETTINGS
+@given(series_pairs(st.sampled_from([NUMERIC, WIDE, NARROW] + EDGES)),
+       st.one_of(st.integers(-6, 6), fractions.map(Rational)))
+def test_coded_ring_operations_match_xseries(pair, r):
+    """Sums (mostly of unequal denominators), negation, products and int
+    or rational multiples of ``Coded`` decode to the XSeries results."""
+    a, b = pair
+    for got, want in ((lambda: coded(a) + coded(b), lambda: a + b),
+                      (lambda: -coded(a), lambda: -a),
+                      (lambda: coded(a) * coded(b), lambda: a * b),
+                      (lambda: coded(a) * r, lambda: a.scale(r))):
+        g, w = outcome_text(lambda: got().series()), outcome_text(want)
+        assert g[0] == w[0]
+        if w[0] == "raise":
+            assert g[1] == w[1]
+        else:
+            assert_same_series(g[1], w[1])
+
+
+def test_a_multiple_whose_numerator_does_not_divide_the_denominator():
+    """(1/2 + x/3) * 4/5: gcd(4, 6 * 5) = 2, so the code is doubled over
+    15; (1/2 + x/3) * 3 goes into the denominator alone, 6 / 3 = 2."""
+    a = coded(XSeries(NUMERIC, 1, [Rational(1, 2), Rational(1, 3)]))
+    assert a.den == 6
+    four_fifths = a * Rational(4, 5)
+    assert (four_fifths.den, four_fifths.code[2]) == (15, [6, 4])
+    assert four_fifths.series().coeffs == (Rational(2, 5), Rational(4, 15))
+    three = a * 3
+    assert (three.den, three.code[2]) == (2, [3, 2])
+    assert three.series().coeffs == (Rational(3, 2), Rational(1))
 
 
 # -- windows, contexts and caps --------------------------------------------------

@@ -26,6 +26,7 @@ return.
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,11 @@ from hbarkp.hcalc import miwa_shift
 from hbarkp.hscalar import (
     HContext, HPoly, HbarWindowError, scalar_inv, scalar_is_zero,
 )
+from hbarkp import tpoly, xseries
 from hbarkp.linalg import det
 from hbarkp.rational import Rational
+from hbarkp.sampling import random_tau_data
+from hbarkp.taubuild import tau_series
 from hbarkp.tpoly import TPoly, _coeff_is_zero, resident, texp_of
 from hbarkp.verify import (
     _det_m_residual, _fay_residual, _hirota3_residual, _kp2_residual,
@@ -541,13 +545,6 @@ def polys(draw, shape, size=6, low=False):
 
 
 @st.composite
-def scalar_polys(draw, shape):
-    """A polynomial with scalar coefficients, as the zeta prefactors are."""
-    ctx, _, W, Z, nslots, D = shape
-    return draw(polys((ctx, None, W, Z, nslots, D), size=3))
-
-
-@st.composite
 def poly_pairs(draw, low=False):
     shape = draw(shapes())
     return draw(polys(shape, low=low)), draw(polys(shape, low=low))
@@ -590,6 +587,32 @@ def test_sums_and_differences_match(pair):
 
 
 @SETTINGS
+@given(st.data())
+def test_subtracting_a_scalar_adds_its_negative(data):
+    """p - s is p + (-s), for an HPoly s as for an int or a rational."""
+    shape = data.draw(shapes())
+    p = data.draw(polys(shape))
+    s = data.draw(window_scalars(shape[0]))
+    assert_same_outcome(lambda: p - s, lambda: p + (-s))
+    assert_same_outcome(lambda: (resident(p) - s).decode(),
+                        lambda: (resident(p) + (-s)).decode())
+
+
+def test_subtracting_a_power_of_hbar():
+    """In [-4, 4], p - hbar for p = 2 + hbar t_1 and for x-series."""
+    ctx = HContext.symbolic(-4, 4)
+    h = ctx.hbar_pow(1)
+    a = XSeries(ctx, 1, [Rational(1), h])
+    for terms in ({((), ()): Rational(2), ((1,), ()): h}, {((1,), ()): a},
+                  {((), ()): a}):
+        p = TPoly(ctx, 2, terms=terms)
+        assert_same_poly(p - h, p + (-h))
+        assert_same_poly((resident(p) - h).decode(),
+                         (resident(p) + (-h)).decode())
+        assert (p - h) + h == p
+
+
+@SETTINGS
 @given(poly_pairs(low=True))
 def test_products_match(pair):
     p, q = pair
@@ -612,13 +635,39 @@ def test_the_first_pair_out_of_the_window_names_the_error():
                 f"hbar^{power} outside window [-2, 2]"
 
 
+def assert_times_zeta_matches(data, shape):
+    """times_zeta of a zeta polynomial with int coefficients, 1 to 3 terms
+    with exponents within the z cap, just past it or far past it (where a
+    packed key would overflow its field), is the product with that
+    polynomial as a TPoly on the left, which drops a term past the z cap:
+    the same values, types, term order and kept monomials."""
+    ctx, _, W, Z, nslots, D = shape
+    p = data.draw(polys(shape))
+    exps = st.one_of(st.integers(0, Z + 1), st.integers(0, Z),
+                     st.integers(Z + 2, 20))
+    zexps = st.lists(exps, max_size=nslots).map(
+        lambda z: tuple(z[:max((i + 1 for i, d in enumerate(z) if d),
+                               default=0)]))
+    prefactor = data.draw(st.dictionaries(
+        zexps, st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    zeta = TPoly(ctx, W, Z, nslots,
+                 {((), e): Rational(c) for e, c in prefactor.items()},
+                 degree_cap=D)
+    assert_same_outcome(lambda: resident(p).times_zeta(prefactor).decode(),
+                        lambda: ref_tpoly_mul(zeta, p))
+
+
 @SETTINGS
 @given(st.data())
-def test_products_with_scalar_polynomials_match(data):
-    shape = data.draw(shapes())
-    p, s = data.draw(polys(shape)), data.draw(scalar_polys(shape))
-    assert_same_outcome(lambda: (s * resident(p)).decode(), lambda: s * p)
-    assert_same_outcome(lambda: (resident(p) * s).decode(), lambda: p * s)
+def test_zeta_shifts_match(data):
+    assert_times_zeta_matches(data, data.draw(shapes()))
+
+
+@SETTINGS
+@given(st.data())
+def test_zeta_shifts_match_in_edge_windows(data):
+    assert_times_zeta_matches(
+        data, data.draw(shapes(slots=(1, 2), contexts=edge_contexts)))
 
 
 @SETTINGS
@@ -853,6 +902,26 @@ def test_kp2_residual_matches(case, x_form):
                         lambda: ref_kp2(F, Z, x_form, D))
 
 
+def test_the_references_run_without_the_resident_kernel(monkeypatch):
+    """The TPoly reference ring multiplies x-series coefficient pair by
+    coefficient pair: in numeric hbar a product of two x-series TPolys
+    and ``ref_fay`` run with the resident product and the kernels'
+    ``accumulate`` refused."""
+    tau = tau_series(random_tau_data(Random(7), NUMERIC, 3, 2)).assemble()
+
+    def refuse(*args):
+        raise AssertionError("the resident product ran")
+    monkeypatch.setattr(tpoly._Resident, "__mul__", refuse)
+    monkeypatch.setattr(tpoly._Resident, "__rmul__", refuse)
+    for kernel in (xseries._NumericInts, xseries._SymbolicInts):
+        monkeypatch.setattr(kernel, "accumulate", refuse)
+    a = XSeries(NUMERIC, 2, [Rational(1), Rational(2)], valid=1)
+    p = TPoly(NUMERIC, 3, terms={((), ()): a, ((1,), ()): a.scale(3),
+                                 ((0, 1), ()): XSeries.x(NUMERIC, 2)})
+    assert_same_poly(p * p, ref_tpoly_mul(p, p))
+    assert ref_fay(tau, 3, tau.weight_cap + 1).is_zero()
+
+
 # -- the relabelled residuals against the identities as written ------------------------
 
 def assert_agrees_with_oracle(identity, got_fn, oracle_fn):
@@ -960,6 +1029,21 @@ def test_det_m_residual_returns_where_only_tau_squared_leaves_the_window():
     assert outcome(oracle_det_m, tau, 3, 4, 6)[0] == "raise"
     assert_same_poly(_det_m_residual(tau, 3, 4, 6).decode(),
                      relabelled_det_m(tau, 3, 4, 6, power_first=False))
+
+
+def test_the_laplace_fallback_sums_the_vandermonde_in_one_accumulator():
+    """In [-8, 8] the 3-point residual of this tau takes the Laplace
+    fallback.  There a monomial of the Vandermonde times tau^{[z1,z2,z3]}
+    cancels to a zero series of full valid order after some of the
+    Vandermonde's terms, and a later term feeds it again: the product
+    keeps the monomial where it first met it, where a chain of sums, one
+    per term, would drop it and start it afresh at the end."""
+    tau = TPoly(WIDE, 3, terms={
+        ((), ()): XSeries.one(WIDE, 1),
+        ((2,), ()): XSeries(WIDE, 1, [Rational(3)], valid=0),
+        ((3,), ()): XSeries(WIDE, 1, [WIDE.hbar_pow(1), Rational(1)])})
+    assert_same_poly(_det_m_residual(tau, 3, 3, None).decode(),
+                     ref_det_m(tau, 3, 3, None))
 
 
 def test_kp2_residual_falls_back_to_the_identity_as_written():

@@ -15,7 +15,7 @@ from hbarkp.sampling import (
     random_tpoly,
 )
 from hbarkp.taubuild import TauSeries, tau_series
-from hbarkp.tpoly import TPoly, degree_of
+from hbarkp.tpoly import CapError, TPoly, degree_of
 from hbarkp.verify import (
     _det_m_residual,
     _fay_residual,
@@ -320,6 +320,16 @@ def test_checks_refuse_inputs_with_zeta_monomials(num_ctx):
             check()
     # an input that declares slots but carries no zeta-monomial is accepted
     assert check_fay(TPoly.one(num_ctx, 3, 2, 1), 2).passed
+
+
+def test_checks_refuse_a_z_cap_that_holds_no_zeta(num_ctx):
+    """Every residual carries a zeta prefactor, and zeta^1 exceeds a z cap
+    of 0."""
+    tau = exp_linear_tau(num_ctx, 3, [Rational(1, 2), Rational(-1, 3)])
+    for check in (lambda: check_fay(tau, 0), lambda: check_hirota3(tau, 0),
+                  lambda: check_det_m(tau, 3, 0), lambda: check_kp2(tau, 0)):
+        with pytest.raises(CapError, match="zeta power exceeds z cap"):
+            check()
 
 
 # -- matrix identities --------------------------------------------------------
