@@ -12,8 +12,10 @@ Data files look like
     }
 
 x-coefficient lists are lowest degree first; the list length encodes the
-valid order (length v+1 means trustworthy through x^v).  Partition-keyed
-tables use the "p1,p2,..." key format with "" for the empty diagram.
+valid order (length v+1 means trustworthy through x^v), so an empty list
+is refused.  Partition-keyed tables use the "p1,p2,..." key format with
+"" for the empty diagram; a table read back holds every diagram up to its
+weight cap, from "" in "c_lambda" and from weight 1 in "f_lambda".
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 from .errors import HbarkpError
 from .fbuild import FData, FSeries
 from .hscalar import HContext, default_window, scalar_from_json, scalar_to_json
-from .partitions import Partition
+from .partitions import Partition, partitions_upto
 from .taubuild import TauData, TauSeries
 from .xseries import XSeries
 
@@ -86,13 +88,15 @@ def xseries_to_json(s: XSeries) -> list:
 
 def xseries_from_json(ctx: HContext, W: int, X: int, lst) -> XSeries:
     """A series of x cap ``X`` in a document of weight cap ``W``; hbar
-    exponents written in it must lie in ``default_window(W)``."""
+    exponents written in it must lie in ``default_window(W)``.  An empty
+    list is refused: it would claim nothing, not a zero series."""
     if not isinstance(lst, list):
         raise DataFormatError(f"series must be a list: {lst!r}")
+    if not lst:
+        raise DataFormatError("series must hold at least one coefficient")
     window = default_window(W)
     coeffs = [scalar_from_json(ctx, v, window) for v in lst]
-    valid = min(len(coeffs) - 1, X) if coeffs else X
-    return XSeries(ctx, X, coeffs, valid=valid)
+    return XSeries(ctx, X, coeffs, valid=min(len(coeffs) - 1, X))
 
 
 def _indexed_series(ctx, W, X, mapping, what) -> list[XSeries]:
@@ -170,9 +174,11 @@ def tau_series_to_document(ts: TauSeries, z_order=0) -> dict:
     }
 
 
-def _diagram_table(ctx, W, X, mapping, what) -> dict:
-    """A diagram-keyed table of series that reaches its weight cap ``W``;
-    a cap above the table would only make the checks work on zeros."""
+def _diagram_table(ctx, W, X, mapping, what, least) -> dict:
+    """A diagram-keyed table of series that holds every diagram of weight
+    ``least`` to its weight cap ``W``: a cap above the table would only
+    make the checks work on zeros, and a missing diagram is not known to
+    be zero."""
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
     table = {Partition.parse(key): xseries_from_json(ctx, W, X, lst)
@@ -181,6 +187,9 @@ def _diagram_table(ctx, W, X, mapping, what) -> dict:
     if top < W:
         raise DataFormatError(f"{what} stops at weight {top}, "
                               f"below its weight cap {W}")
+    for lam in partitions_upto(W, least):
+        if lam not in table:
+            raise DataFormatError(f"{what} misses diagram {lam.serialize()!r}")
     return table
 
 
@@ -189,7 +198,7 @@ def tau_series_from_document(doc) -> TauSeries:
     if "c_lambda" not in doc:
         raise DataFormatError('tau table needs a "c_lambda" map')
     return TauSeries(ctx, W, X, _diagram_table(ctx, W, X, doc["c_lambda"],
-                                               '"c_lambda"'))
+                                               '"c_lambda"', 0))
 
 
 def f_series_to_document(fs: FSeries, z_order=0, basis="t_hbar") -> dict:
@@ -217,16 +226,13 @@ def f_series_from_document(doc) -> FSeries:
         raise DataFormatError("only concrete F tables can be reloaded")
     if "f_lambda" not in doc:
         raise DataFormatError('F table needs an "f_lambda" map')
-    table = _diagram_table(ctx, W, X, doc["f_lambda"], '"f_lambda"')
+    table = _diagram_table(ctx, W, X, doc["f_lambda"], '"f_lambda"', 1)
     f0 = xseries_from_json(ctx, W, X, doc.get("f0", ["0"]))
     basis = doc.get("basis", "t_hbar")
     if basis == "t_plain":
         from .fbuild import f_series_from_plain_table
 
-        try:
-            return f_series_from_plain_table(ctx, W, X, f0, table)
-        except KeyError as exc:
-            raise DataFormatError(str(exc)) from exc
+        return f_series_from_plain_table(ctx, W, X, f0, table)
     if basis != "t_hbar":
         raise DataFormatError(f"unknown basis tag {basis!r}")
     return FSeries(ctx, W, X, f0, table, symbolic=False)

@@ -11,9 +11,11 @@ assembled in the hbar-deformed monomial basis:
 
     F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam,
 
-on the integer kernel, from the rows of t^hbar_lam / sigma(lam) held once
-per process (``symfun.t_hbar_rows``): sigma(lam) cancels against the
-sigma(lam) / rho(lam) of t^hbar_lam, so f_lam enters unscaled.
+on the integer kernel (``tpoly.linear_combination``), from the rows of
+t^hbar_lam / sigma(lam) held once per process (``symfun.t_hbar_rows``):
+the code of f_lam times each row's scalar is added as the TPoly sum adds
+it.  sigma(lam) cancels against the sigma(lam) / rho(lam) of t^hbar_lam,
+so f_lam enters unscaled.
 
 Plain first derivatives d_k F|_0 relate to the f_k through the inverse
 transition matrix column kappa_lam = (L^{-1})_{lam (k)}; the inverse

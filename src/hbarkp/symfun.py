@@ -17,8 +17,9 @@ sigma(lam) for F, are held once per process as context-free integer rows
 ``t_hbar_rows``).  They are built from the shapes of each weight (key,
 sigma, ell and rho of every mu, formed once), the characters and the
 integer rows of L^{-1}.  The assemblies encode them straight into the
-integer kernel (``tpoly.linear_combination``); ``schur_over_hbar`` and
-``t_hbar`` decode them as polynomials for the other callers.
+integer kernel and scale the codes of their series by them
+(``tpoly.linear_combination``); ``schur_over_hbar`` and ``t_hbar``
+decode them as polynomials for the other callers.
 """
 
 from __future__ import annotations

@@ -22,9 +22,10 @@ and on j, so it is built once per table; the minors of the lower rows
 are shared between diagrams under (labels of those rows, columns)
 through ``linalg.det``'s ``row_keys``/``memo``; and each power
 c_0^{-(ell-1)} is formed once.  ``TauSeries.assemble`` sums
-c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``),
-each s_lam(t/hbar) held once per process as integer rows
-(``symfun.schur_rows``) and encoded from them, and
+c_lam * s_lam(t/hbar) on the integer kernel (``tpoly.linear_combination``):
+each s_lam(t/hbar) is held once per process as integer rows
+(``symfun.schur_rows``), and the code of c_lam times each row's scalar is
+added as the TPoly sum adds it; and
 ``extract_cauchy_like_tau`` reads each c_k off tau's coefficients as one
 weighted sum on the same kernel.  Values, valid orders, coefficient
 types and window errors are those of the same steps on XSeries values.

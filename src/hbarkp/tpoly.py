@@ -32,7 +32,8 @@ coefficient to canonical rationals once.  The two meet only there: a
 resident polynomial takes no ``TPoly`` operand.  The exponential, the
 logarithm and the Miwa shift have only the resident form, and the
 residual checks keep their whole computation resident;
-``linear_combination`` accumulates the same codes.
+``linear_combination`` sums scaled codes with the residents' sum
+(``_accumulate``).
 """
 
 from __future__ import annotations
@@ -132,51 +133,60 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     monomial ``key`` of the shape, each the scalar num/den hbar^j (j None:
     the rational num/den; in formal hbar an HPoly iff j is not None), as
     ``symfun.schur_rows`` and ``symfun.t_hbar_rows`` hold them.  Each
-    ``coeff`` is an XSeries of ``ctx``, all with one x cap.  The series
-    are written once over one common denominator, and the rows once
-    through ``encode_powers`` over another (``xseries.int_kernel``); every
-    monomial's code accumulates the codes times the scalars
-    (``add_scaled``), and each is reduced once.  The result is the
-    term-by-term sum of the scalars' polynomials: values, valid orders,
-    coefficient types, kept monomials, and the first error in the order
-    of the pairs, of their rows and of the x-powers, where the rows of a
-    pair are formed (``check_rows``) after the products of the pairs
-    before it are checked (``check_scaled``).
+    ``coeff`` is an XSeries of ``ctx``, all with one x cap; a pair that
+    breaks this raises before anything is encoded.  The series are written
+    once over one common denominator, and the rows once through
+    ``encode_powers`` over another (``xseries.int_kernel``).  Pair by
+    pair, the rows are formed (``check_rows``), and each code times the
+    row's scalar (``scale``) goes into one accumulator as the TPoly sum
+    adds it (``_accumulate``); each monomial is reduced once.  The result
+    is the term-by-term sum of the scalars' polynomials: values, valid
+    orders, coefficient types, kept monomials in their order, and the
+    first error in the order of the pairs, of their rows and of the
+    x-powers.
     """
-    kernel = None
-    bases, series = [], []
-    for rows, coeff in pairs:
-        if kernel is None:
-            kernel = int_kernel(ctx, coeff.cap)
-        kernel.check_rows(rows)
-        if coeff.cap != kernel.cap or coeff.ctx != ctx:
-            raise ValueError("mixed hbar contexts or x caps")
-        kernel.check_scaled(coeff, rows)
-        bases.append(rows)
-        series.append(coeff)
-    if kernel is None:
+    pairs = list(pairs)
+    if not pairs:
         return TPoly.zero(ctx, weight_cap, z_cap, nslots)
-    den_c, codes = kernel.codes(series)
+    cap = pairs[0][1].cap
+    if any(coeff.cap != cap or coeff.ctx != ctx for _, coeff in pairs):
+        raise ValueError("mixed hbar contexts or x caps")
+    kernel = int_kernel(ctx, cap)
+    den_c, codes = kernel.codes(coeff for _, coeff in pairs)
     den_b, scalars = kernel.encode_powers(
-        row[1:] for rows in bases for row in rows)
+        row[1:] for rows, _ in pairs for row in rows)
     scalars = iter(scalars)
-    add_scaled, is_zero, cap = kernel.add_scaled, kernel.is_zero, kernel.cap
+    scale, is_zero = kernel.scale, kernel.is_zero
     out: dict = {}
-    for rows, coeff, code in zip(bases, series, codes):
+    for (rows, coeff), code in zip(pairs, codes):
+        kernel.check_rows(rows)
         # A zero series of full valid order gives terms that TPoly.scale
         # drops (a TPoly stores no zero scalar), and so does a scalar that
         # is zero (a positive power of hbar = 0).
         dropped = coeff.valid == cap and is_zero(code)
-        for row, s in zip(rows, scalars):
-            if not dropped and s != 0:
-                add_scaled(out, row[0], code, s)
-    den = den_c * den_b
-    terms = {}
-    for key, acc in out.items():
-        c = kernel.series(den, acc)
-        if not _droppable(c):
-            terms[key] = c
-    return TPoly(ctx, weight_cap, z_cap, nslots, terms, _clean=True)
+        _accumulate(kernel, out, ((row[0], scale(code, s))
+                                  for row, s in zip(rows, scalars)
+                                  if not dropped and s != 0))
+    series, den = kernel.series, den_c * den_b
+    return TPoly(ctx, weight_cap, z_cap, nslots,
+                 {key: series(den, c) for key, c in out.items()}, _clean=True)
+
+
+def _accumulate(kernel, out: dict, items) -> None:
+    """Add each (key, code) of ``items`` into ``out`` in turn, as the TPoly
+    sum does: a sum that cancels to a code TPoly drops is deleted, and a
+    later code starts that monomial afresh, at the end."""
+    add, is_zero, cap = kernel.add, kernel.is_zero, kernel.cap
+    for key, c in items:
+        old = out.get(key)
+        if old is None:
+            out[key] = c
+        else:
+            s = add(old, c)
+            if s[0] == cap and is_zero(s):
+                del out[key]
+            else:
+                out[key] = s
 
 
 class TPoly:
@@ -287,9 +297,6 @@ class TPoly:
 
     def monomials(self):
         return sorted(self.terms)
-
-    def max_weight(self) -> int:
-        return max((weight_of(t) for (t, _) in self.terms), default=0)
 
     def is_zero(self) -> bool:
         return all(_coeff_is_zero(c) for c in self.terms.values())
@@ -579,20 +586,12 @@ class _Resident:
             den //= g
         return self._like(terms, den)
 
-    def _same_shape(self, other):
-        TPoly._same_shape(self, other)
-
     def _joined(self, other: "_Resident"):
-        """The pair on one kernel: an empty polynomial, which cannot tell
-        scalars from x-series, takes the other's.  Else they must agree."""
-        self._same_shape(other)
-        if (self.scalar, self.kernel.cap) == (other.scalar, other.kernel.cap):
-            return self, other
-        if not self.terms:
-            return other._like({}, self.den), other
-        if not other.terms:
-            return self, self._like({}, other.den)
-        raise ValueError("mixed x caps, or scalar and x-series coefficients")
+        """Refuse a pair of another shape or on another kernel, also where
+        one of them is empty."""
+        TPoly._same_shape(self, other)
+        if (self.scalar, self.kernel.cap) != (other.scalar, other.kernel.cap):
+            raise ValueError("mixed x caps, or scalar and x-series coefficients")
 
     def _scalar_code(self, s):
         """(den, code) of one scalar."""
@@ -626,31 +625,15 @@ class _Resident:
             other = self._constant_like(other)
         elif not isinstance(other, _Resident):
             return NotImplemented
-        self, other = self._joined(other)
+        self._joined(other)
         rescale = self.kernel.rescale
         den = self.den if self.den == other.den else lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         out = (dict(self.terms) if fa == 1 else
                {k: rescale(c, fa) for k, c in self.terms.items()})
-        self._accumulate(out, other.terms.items() if fb == 1 else
-                         ((k, rescale(c, fb)) for k, c in other.terms.items()))
+        _accumulate(self.kernel, out, other.terms.items() if fb == 1 else
+                    ((k, rescale(c, fb)) for k, c in other.terms.items()))
         return self._like(out, den)
-
-    def _accumulate(self, out: dict, items) -> None:
-        """Add each (key, code) of ``items`` into ``out`` in turn, as the
-        TPoly sum does: a sum that cancels to a code TPoly drops is deleted,
-        and a later code starts that monomial afresh."""
-        kernel = self.kernel
-        add, is_zero, cap = kernel.add, kernel.is_zero, kernel.cap
-        for key, c in items:
-            if key in out:
-                s = add(out[key], c)
-                if s[0] == cap and is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
 
     __radd__ = __add__
 
@@ -669,7 +652,7 @@ class _Resident:
             return self.scale(other)
         if not isinstance(other, _Resident):
             return NotImplemented
-        self, other = self._joined(other)
+        self._joined(other)
         kernel = self.kernel
         ops1, ops2 = kernel.operands(self.terms.values(), other.terms.values())
         pack, pairs = _product_pairs(self, dict(zip(self.terms, ops1)),
@@ -745,8 +728,9 @@ class _Resident:
             if odd and negated is None:
                 rescale = self.kernel.rescale
                 negated = [rescale(c, -1) for c in self.terms.values()]
-            self._accumulate(out, zip(self._renamed_keys(perm), negated if odd
-                                      else self.terms.values()))
+            _accumulate(self.kernel, out, zip(self._renamed_keys(perm),
+                                              negated if odd
+                                              else self.terms.values()))
         return self._like(out, self.den)
 
     # -- calculus and substitutions ------------------------------------------

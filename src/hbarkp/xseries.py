@@ -20,16 +20,18 @@ numerators are convolved as plain ints and each output coefficient is
 reduced once, so the results are the same canonical rationals that
 term-by-term rational arithmetic gives.  A product of two series encodes
 both, multiplies and decodes.  Resident polynomials (``tpoly.resident``),
-which the residual checks and the assemblies' linear combinations use,
-keep every coefficient on these codes; there a product of numeric codes
-packs each series into one integer (Kronecker substitution), so one
-integer product convolves two series.  ``Coded`` is one code over its own
-denominator as a ring element, for the determinants of ``taubuild`` and
-the h_k of ``fbuild``'s bridge.
+which the residual checks use, keep every coefficient on these codes;
+there a product of numeric codes packs each series into one integer
+(Kronecker substitution), so one integer product convolves two series.
+The assemblies' linear combinations (``tpoly.linear_combination``) sum
+the scaled codes of their series with the residents' sum.  ``Coded`` is
+one code over its own denominator as a ring element, for the
+determinants of ``taubuild`` and the h_k of ``fbuild``'s bridge.
 """
 
 from __future__ import annotations
 
+import operator
 from math import gcd, lcm
 
 from .errors import HbarkpError
@@ -266,15 +268,12 @@ class XSeries:
 # mode one integer product of Kronecker-packed series.  There a valid order
 # is the minimum over the products added, and a coefficient is an HPoly iff
 # one of the products had an HPoly factor at or below it, as with
-# HPoly * Rational.  ``add_scaled`` adds a code times the code of one
-# term c hbar^e into an accumulator of ``tpoly.linear_combination``, which
-# ``series`` decodes; there a coefficient is an HPoly iff the coefficient
-# or the scalar of one of the terms behind it was, as with
-# ``XSeries.scale``.  ``add``,
-# ``rescale`` (times an int), ``scale`` (times the code of a scalar, as
-# ``XSeries.scale``) and ``diff`` (as ``XSeries.diff``) keep the
-# denominator, and ``content`` / ``divide`` take out a common factor.  Each
-# operation follows the rational one it stands for in values, valid order,
+# HPoly * Rational.  ``add``, ``rescale`` (times an int), ``scale``
+# (times the code of a scalar, as ``XSeries.scale``) and ``diff`` (as
+# ``XSeries.diff``) keep the denominator, and ``content`` / ``divide``
+# take out a common factor; the sums of ``tpoly`` (the assemblies' linear
+# combinations among them) are ``scale`` and ``add``.  Each operation
+# follows the rational one it stands for in values, valid order,
 # coefficient types and ``HbarWindowError``.
 #
 # In formal mode the code of a scalar and the window rule are ``hscalar``'s
@@ -335,20 +334,6 @@ class _NumericInts:
             for *_, j in rows:
                 if j is not None and j < 0:
                     self.ctx.hbar_pow(j)  # raises
-
-    @staticmethod
-    def check_scaled(series, rows):
-        """A numeric hbar has no window to leave."""
-
-    @staticmethod
-    def add_scaled(out, key, a, s):
-        """Add the code ``a`` times the scalar code ``s`` into out[key]."""
-        acc = out.get(key)
-        if acc is None:
-            out[key] = (a[0], 0, [x * s for x in a[2]])
-        else:
-            out[key] = (min(acc[0], a[0]), 0,
-                        [y + x * s for y, x in zip(acc[2], a[2])])
 
     @staticmethod
     def codes(series):
@@ -434,8 +419,9 @@ class _NumericInts:
 
     @staticmethod
     def add(a, b):
-        v = min(a[0], b[0])
-        return (v, 0, [x + y for x, y in zip(a[2][: v + 1], b[2])])
+        """A code holds valid + 1 numerators, so the shorter list ends the
+        sum at the lower valid order."""
+        return (min(a[0], b[0]), 0, list(map(operator.add, a[2], b[2])))
 
     @staticmethod
     def rescale(a, f):
@@ -504,50 +490,6 @@ class _SymbolicInts:
             if j is not None and (j < lo or j > hi):
                 raise window_error(self.ctx, j)
 
-    def check_scaled(self, series, rows):
-        """Raise the ``HbarWindowError`` that ``series.scale(s)`` for the
-        scalar s of each row in turn would raise (``hscalar.check_window``):
-        only the HPoly ones, c hbar^j, can leave the window."""
-        spans = [(min(c.terms), max(c.terms)) for c in series.coeffs
-                 if isinstance(c, HPoly) and c.terms]
-        if not spans:
-            return
-        ctx = self.ctx
-        # the exponents j that keep every span in the window
-        j_lo = ctx.lo - min(lo for lo, _ in spans)
-        j_hi = ctx.hi - max(hi for _, hi in spans)
-        for *_, j in rows:
-            if j is not None and (j < j_lo or j > j_hi):
-                for lo, hi in spans:
-                    check_window(ctx, lo + j, hi + j)
-
-    def add_scaled(self, out, key, a, s):
-        """Add the code ``a`` times the code ``s`` of one term c hbar^e
-        (``encode_powers``) into out[key], an accumulator [valid, mask, d]
-        whose dict may hold zeros and keys past its valid order."""
-        v, mask, d = a
-        acc = out.get(key)
-        if acc is None:
-            out[key] = acc = [v, 0, {}]
-        elif v < acc[0]:
-            acc[0] = v
-        v, buf = acc[0], acc[2]
-        snums, _, s_is_hpoly = s
-        ((e, y),) = snums.items()
-        acc[1] |= (1 << (v + 1)) - 1 if s_is_hpoly else mask
-        items = d.items()
-        if v < a[0]:
-            top = (v + 1) * self.S
-            items = [(k, x) for k, x in items if k < top]
-        for k, x in items:
-            k += e
-            buf[k] = buf.get(k, 0) + x * y
-        if v == self.cap and not any(buf.values()):
-            # The term-by-term sum drops a monomial whose coefficient
-            # cancels to a zero of full valid order, and the next term
-            # starts it afresh, with that term's coefficient types.
-            acc[1] = 0
-
     def codes(self, series):
         series = tuple(series)
         ctx, S, lo = self.ctx, self.S, self.lo
@@ -571,16 +513,12 @@ class _SymbolicInts:
         return den, out
 
     def series(self, den, a):
-        """The series of a code or of an accumulator: zeros and keys past
-        the valid order are left out."""
         v, mask, d = a
         ctx, S, lo = self.ctx, self.S, self.lo
         rows = [{} for _ in range(v + 1)]
-        top = (v + 1) * S
         for k, n in d.items():
-            if n and k < top:
-                j, r = divmod(k, S)
-                rows[j][r + lo] = n
+            j, r = divmod(k, S)
+            rows[j][r + lo] = n
         coeffs = []
         for j, nums in enumerate(rows):
             if mask >> j & 1:

@@ -705,3 +705,83 @@ def test_exit_2_on_a_table_below_its_weight_cap(tmp_path, capsys, kind):
     assert main(["verify", check, "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert f'"{name}" stops at weight 2, below its weight cap 1000000' in err
+
+
+# -- documents that claim less than they are read as ------------------------------
+
+@pytest.mark.parametrize("argv, name", [(["tau"], "c"), (["fseries"], "f")],
+                         ids=["tau", "fseries"])
+def test_exit_2_on_an_empty_series(tmp_path, capsys, argv, name):
+    """An empty coefficient list claims no coefficient: it is not a zero
+    series known through the x order (here x^3)."""
+    doc = {"hbar": {"mode": "rational", "value": "1/2"},
+           "caps": {"weight": 1, "x_order": 3, "z_order": 0},
+           name: {"0": ["1", "1"], "1": []}}
+    path = tmp_path / "data.json"
+    dataio.dump(doc, path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: series must hold at least one coefficient\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["omitted", "empty"])
+@pytest.mark.parametrize("build, check, name", [
+    ("tau", "fay", "c_lambda"), ("fseries", "kp2", "f_lambda")],
+    ids=["fay", "kp2"])
+def test_exit_2_on_a_table_without_a_diagram(tmp_path, capsys, tau_file,
+                                             f_file, edit, build, check, name):
+    """A table that leaves out a diagram below its weight cap, or gives it
+    no coefficient, does not say that the coefficient is zero; judging it
+    as zero would fail a KP table."""
+    table = tmp_path / "table.json"
+    data = tau_file if build == "tau" else f_file
+    assert main([build, "--input", data, "--output", str(table)]) == 0
+    doc = read(table)
+    if edit == "omitted":
+        del doc[name]["1,1"]
+        message = f"\"{name}\" misses diagram '1,1'"
+    else:
+        doc[name]["1,1"] = []
+        message = "series must hold at least one coefficient"
+    dataio.dump(doc, table)
+    out = tmp_path / "verdict.json"
+    assert main(["verify", check, "--input", str(table),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# -- malformed documents ----------------------------------------------------------
+
+@pytest.mark.parametrize("argv, key, value, message", [
+    (["tau"], "hbar", {"mode": "complex"}, "unknown hbar mode: 'complex'"),
+    (["tau"], "c", {"0": ["1"], "a": ["1"]}, 'non-integer index in "c"'),
+    (["verify", "kp2"], "basis", "t_other", "unknown basis tag 't_other'"),
+], ids=["hbar-mode", "c-index", "basis"])
+def test_exit_2_on_a_malformed_document(tmp_path, capsys, tau_file, f_file,
+                                        argv, key, value, message):
+    if argv == ["tau"]:
+        doc = read(tau_file)
+    else:
+        table = tmp_path / "f_table.json"
+        assert main(["fseries", "--input", f_file, "--output",
+                     str(table)]) == 0
+        doc = read(table)
+    doc[key] = value
+    path = tmp_path / "doc.json"
+    dataio.dump(doc, path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_exit_2_on_verifying_a_symbolic_f_table(tmp_path, capsys):
+    table = tmp_path / "sym.json"
+    assert main(["fseries", "--mode", "symbolic", "--weight", "2",
+                 "--output", str(table)]) == 0
+    assert main(["verify", "kp2", "--input", str(table)]) == 2
+    assert capsys.readouterr().err == (
+        "error: only concrete F tables can be reloaded\n")

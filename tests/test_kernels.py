@@ -13,9 +13,9 @@ exponent of the reference's first error.
 The same holds for the kernel linear combination behind the tau and F
 assemblies (``tpoly.linear_combination``), whose bases are integer rows,
 against the sum of ``basis.scale(coeff)`` term by term, each basis formed
-from its rows as a TPoly.  The extraction of the data
-(``taubuild.extract_cauchy_like_tau``, one weighted sum over the
-monomials of tau) agrees with the deformed derivatives applied to the
+from its rows as a TPoly, with the monomials in the sum's order.  The
+extraction of the data (``taubuild.extract_cauchy_like_tau``, one
+weighted sum over the monomials of tau) agrees with the deformed derivatives applied to the
 whole polynomial and read at t = 0 wherever those return, and raises
 ``HbarWindowError`` only where they raise.
 """
@@ -560,9 +560,7 @@ def assert_linear_combination(case):
     got, want = got[1], want[1]
     assert (got.weight_cap, got.z_cap, got.nslots) == (want.weight_cap, want.z_cap,
                                                        want.nslots)
-    assert set(got.terms) == set(want.terms)
-    for key, c in want.terms.items():
-        assert_same_coeff(got.terms[key], c)
+    assert_same_poly(got, want)
 
 
 @SETTINGS
@@ -619,6 +617,20 @@ def test_linear_combination_keeps_rational_types(name):
     want = ref_linear_combination(pairs, WIDE, 1, 0, 0).terms[((1,), ())]
     assert_same_coeff(got, want)
     assert not any(isinstance(c, HPoly) for c in got.coeffs)
+
+
+def test_a_cancelled_monomial_restarts_at_the_end():
+    """(t1: hbar, t2: hbar) a, then (t1: -hbar) a cancels t1 to a zero of
+    full valid order, which the sum drops; (t1: 1) a brings it back after
+    t2, as the TPoly sum appends a monomial it does not hold."""
+    a = XSeries(WIDE, 1, [Rational(1), Rational(1)])
+    t1, t2 = ((1,), ()), ((0, 1), ())
+    pairs = [(((t1, 1, 1, 1), (t2, 1, 1, 1)), a), (((t1, -1, 1, 1),), a),
+             (((t1, 1, 1, None),), a)]
+    got = linear_combination(pairs, WIDE, 2)
+    want = ref_linear_combination(pairs, WIDE, 2, 0, 0)
+    assert list(want.terms) == [t2, t1]
+    assert_same_poly(got, want)
 
 
 def test_linear_combination_raises_the_first_window_error():

@@ -28,6 +28,7 @@ from itertools import permutations
 from math import comb
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -589,17 +590,23 @@ def test_sums_and_differences_match(pair):
 @SETTINGS
 @given(st.data())
 def test_subtracting_a_scalar_adds_its_negative(data):
-    """p - s is p + (-s), for an HPoly s as for an int or a rational."""
+    """p - s is p + (-s), for an HPoly s as for an int or a rational, and
+    so is a - s for an x-series a; s - a is (-a) + s."""
     shape = data.draw(shapes())
+    ctx = shape[0]
     p = data.draw(polys(shape))
-    s = data.draw(window_scalars(shape[0]))
+    s = data.draw(window_scalars(ctx))
     assert_same_outcome(lambda: p - s, lambda: p + (-s))
     assert_same_outcome(lambda: (resident(p) - s).decode(),
                         lambda: (resident(p) + (-s)).decode())
+    a = data.draw(series(ctx, shape[1] or 0, window_scalars(ctx)))
+    assert_same_coeff(a - s, a + (-s))
+    assert_same_coeff(s - a, (-a) + s)
 
 
 def test_subtracting_a_power_of_hbar():
-    """In [-4, 4], p - hbar for p = 2 + hbar t_1 and for x-series."""
+    """In [-4, 4], p - hbar for p = 2 + hbar t_1 and for x-series, and
+    a - hbar and hbar - a for the x-series a = 1 + hbar x."""
     ctx = HContext.symbolic(-4, 4)
     h = ctx.hbar_pow(1)
     a = XSeries(ctx, 1, [Rational(1), h])
@@ -610,6 +617,19 @@ def test_subtracting_a_power_of_hbar():
         assert_same_poly((resident(p) - h).decode(),
                          (resident(p) + (-h)).decode())
         assert (p - h) + h == p
+    assert_same_coeff(a - h, a + (-h))
+    assert_same_coeff(h - a, (-a) + h)
+    assert h - a == XSeries(ctx, 1, [h - 1, -h])
+
+
+def test_an_empty_scalar_polynomial_does_not_join_x_series():
+    """An empty polynomial is held on the kernel of its own coefficients,
+    scalars, and is refused beside x-series, as any two kernels are."""
+    empty = resident(TPoly.zero(NUMERIC, 2))
+    p = resident(TPoly(NUMERIC, 2, terms={((1,), ()): XSeries.one(NUMERIC, 1)}))
+    for fn in (lambda: empty + p, lambda: p + empty, lambda: empty * p):
+        with pytest.raises(ValueError, match="scalar and x-series"):
+            fn()
 
 
 @SETTINGS
