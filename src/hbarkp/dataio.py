@@ -176,13 +176,22 @@ def tau_series_to_document(ts: TauSeries, z_order=0) -> dict:
 
 def _diagram_table(ctx, W, X, mapping, what, least) -> dict:
     """A diagram-keyed table of series that holds every diagram of weight
-    ``least`` to its weight cap ``W``: a cap above the table would only
-    make the checks work on zeros, and a missing diagram is not known to
-    be zero."""
+    ``least`` to its weight cap ``W`` and no other: a cap above the table
+    would only make the checks work on zeros, a missing diagram is not
+    known to be zero, and a diagram outside those weights has no place in
+    the series (the empty one of an F table would be added to f_0)."""
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
-    table = {Partition.parse(key): xseries_from_json(ctx, W, X, lst)
-             for key, lst in mapping.items()}
+    table = {}
+    for key, lst in mapping.items():
+        lam = Partition.parse(key)
+        if lam.weight < least:
+            raise DataFormatError(f"{what} holds diagram {key!r} of weight "
+                                  f"{lam.weight}, below its least weight {least}")
+        if lam.weight > W:
+            raise DataFormatError(f"{what} holds diagram {key!r} of weight "
+                                  f"{lam.weight}, above its weight cap {W}")
+        table[lam] = xseries_from_json(ctx, W, X, lst)
     top = max((lam.weight for lam in table), default=0)
     if top < W:
         raise DataFormatError(f"{what} stops at weight {top}, "

@@ -15,25 +15,32 @@ They commute with each other, which makes iterated words well defined up
 to ordering; that invariance is a provable property exercised by the
 tests, not an assumption of the implementation.
 
-The operators run on integers, and what does not depend on hbar is built
-once per process: L_k(d^l f_s) per (k, s, l) and L_i of a monomial per
-(i, monomial), each with integer coefficients over one denominator (the
-latter graded by its power of hbar).  A word is L_{i_1} applied to the
-cached word of the indices after the first, so the words of a table's
-diagrams are built from each other.
+The operators run on dicts of plain ints, and what does not depend on
+hbar is built once per process: L_k(d^l f_s) per (k, s, l) (summed over
+the pairs of compositions that the constants P_{ks} of ``kpconst`` count)
+and L_i of a monomial per (i, monomial),
+each with integer coefficients over one denominator (the latter graded by
+its power of hbar).  A word holds no hbar context either
+(``hbar_free_word``): integer numerators by hbar exponent over one
+denominator, L_{i_1} applied to the cached word of the indices after the
+first, so the words of a table's diagrams are built from each other.  The
+value of hbar enters once, where a word is used: ``l_word`` forms its
+coefficients in a context, and ``fbuild.f_series`` encodes it straight
+into the integer kernel (``encode_polys``).  In formal hbar both first
+raise the ``HbarWindowError`` that applying the operators one at a time
+in that window would raise (``check_word_window``).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import lcm
+from math import gcd, lcm, prod
 
 from .hscalar import (
     HContext, HPoly, reduce_terms, scalar_codes, window_error,
 )
-from .kpconst import p_const
 from .partitions import compositions
-from .rational import Rational, common_denominator
+from .rational import Rational
 from .sparse import MultisetPoly
 from .xseries import Jets, XSeries
 
@@ -64,61 +71,81 @@ class DiffPoly(MultisetPoly):
         return self.terms.get(tuple(sorted(gens)), self.ctx.zero())
 
     def x_deriv(self) -> "DiffPoly":
-        """Derivation d/dx: raises one generator's order, Leibniz-style."""
-        pairs = []
-        for gens, c in self.terms.items():
-            for s, l in sorted(set(gens)):
-                i = gens.index((s, l))
-                pairs.append((gens[:i] + ((s, l + 1),) + gens[i + 1:],
-                              gens.count((s, l)) * c))
-        return DiffPoly(self.ctx, pairs)
+        """Derivation d/dx: raises one generator's order, Leibniz-style
+        (``_x_deriv``)."""
+        return DiffPoly(self.ctx, _x_deriv(self.terms))
 
     def substitute(self, data, like: XSeries | None = None) -> XSeries:
         """Evaluate on concrete sources: (s, l) -> l-th derivative of data[s].
 
         ``data`` is a dict of sources or its ``xseries.Jets``; ``like``
-        supplies the result's shape when there is no source.  Each
-        monomial is a product of jet codes (``Jets.monomial``, which keeps
-        every product it forms, so the monomials shared by the words of one
-        table are multiplied once), and the sum is decoded once."""
+        supplies the result's shape when there is no source.  The
+        coefficients are encoded once and summed over the products of jet
+        codes (``Jets.combine``)."""
         jets = data if isinstance(data, Jets) else Jets(data, like)
-        kernel, terms = jets.kernel, self.terms
-        den, scalars = kernel.encode_scalars(terms.values())
-        top = max(map(len, terms), default=0)
-        total = kernel.constant(kernel.encode_scalars((0,))[1][0])
-        for gens, c in zip(terms, scalars):
-            # over jets.den ** len(gens), brought over jets.den ** top
-            total = kernel.add(total, kernel.rescale(
-                kernel.scale(jets.monomial(gens), c),
-                jets.den ** (top - len(gens))))
-        return kernel.series(jets.den ** top * den, total)
+        den, scalars = jets.kernel.encode_scalars(self.terms.values())
+        return jets.combine(den, zip(self.terms, scalars))
+
+
+def _times(a: dict, b: dict) -> dict:
+    """The product of two polynomials {monomial: integer coefficient}."""
+    out: dict = {}
+    for k1, x in a.items():
+        for k2, y in b.items():
+            key = tuple(sorted(k1 + k2))
+            out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def _x_deriv(terms: dict) -> dict:
+    """d/dx of {monomial: coefficient}, integer or scalar: a run of ``run``
+    equal generators (s, l) gives run times the monomial with the last of
+    them raised to (s, l + 1), which keeps the monomial sorted."""
+    out: dict = {}
+    for gens, c in terms.items():
+        run = 1
+        for i, (s, l) in enumerate(gens):
+            if i + 1 < len(gens) and gens[i + 1] == (s, l):
+                run += 1
+                continue
+            key = gens[:i] + ((s, l + 1),) + gens[i + 1:]
+            out[key] = out.get(key, 0) + run * c
+            run = 1
+    return {key: c for key, c in out.items() if c}
 
 
 @cache
 def _l_on_source(k: int, s: int, l: int) -> tuple:
-    """L_k(d^l f_s) = d^l L_k(f_s) as (den, poly): integer numerators over
-    ``den``, in a ``DiffPoly`` with no context (the L_k act without hbar on
-    a bare source).
+    """L_k(d^l f_s) = d^l L_k(f_s) as (den, {monomial: numerator}), the
+    integer numerators over ``den`` (the L_k act without hbar on a bare
+    source).
 
-    L_k(f_s) is the sum over ordered tuples (s_1..s_m), s_a >= 2, of sum
-    k + s of P_{ks}(s_1-1, ..., s_m-1) * d(f_{s_1-1}) ... d(f_{s_m-1});
-    the l-th derivative is the first derivative of the (l-1)-th."""
+    L_k(f_s) is the sum over m >= 1 and the pairs of compositions
+    (k_1..k_m) of k and (s_1..s_m) of s of (-1)^{m+1} k s / (m v_1 ... v_m)
+    d(f_{v_1}) ... d(f_{v_m}), v_a = k_a + s_a - 1: the pairs of one v
+    add up to P_{ks}(v) (``kpconst.p_const``, whose p_tilde counts them).
+    The l-th derivative is the first derivative of the (l-1)-th."""
     if l:
-        den, poly = _l_on_source(k, s, l - 1)
-        return den, poly.x_deriv()
-    total = k + s
-    pairs = [(tuple((v - 1, 1) for v in s_tuple), p_const(k, s, tuple(
-        v - 1 for v in s_tuple)))
-        for m in range(1, total // 2 + 1)
-        for s_tuple in compositions(total, m, 2)]
-    den = common_denominator(c for _, c in pairs)
-    return den, DiffPoly(None, [(gens, c.numerator * (den // c.denominator))
-                                for gens, c in pairs])
+        den, terms = _l_on_source(k, s, l - 1)
+        return den, _x_deriv(terms)
+    pairs: dict = {}
+    for m in range(1, min(k, s) + 1):
+        for ks in compositions(k, m):
+            for ss in compositions(s, m):
+                v = tuple(sorted(a + b - 1 for a, b in zip(ks, ss)))
+                pairs[v] = pairs.get(v, 0) + 1
+    den = lcm(*(len(v) * prod(v) for v in pairs))
+    terms = {tuple((x, 1) for x in v): (-1) ** (len(v) + 1) * k * s * count
+             * (den // (len(v) * prod(v))) for v, count in pairs.items()}
+    g = gcd(den, *terms.values())
+    return den // g, {gens: c // g for gens, c in terms.items()}
 
 
-def _check_window(i: int, poly: DiffPoly) -> None:
+def _check_window(ctx: HContext, i: int, tops) -> None:
     """Raise the ``HbarWindowError`` that the Leibniz rule below, done term
-    by term in formal hbar, raises first.
+    by term in formal hbar, raises first on a polynomial whose monomials,
+    in turn, have n generators and a coefficient whose greatest hbar
+    exponent is ``top`` (0 for a rational): ``tops`` yields (n, top).
 
     The term of a monomial with coefficient c and of the composition ks
     with nu nonzero parts forms hbar^{nu-1} (checked first), then
@@ -126,15 +153,13 @@ def _check_window(i: int, poly: DiffPoly) -> None:
     monomial of n generators fails iff its largest nu, min(i, n), does;
     then the first failing composition, in ``compositions`` order, names
     the exponent."""
-    ctx = poly.ctx
     if ctx.is_numeric:
         return
-    for gens, c in poly.terms.items():
-        top = max(c.terms) if isinstance(c, HPoly) else 0
+    for n, top in tops:
         reach = max(top, 0)
-        if min(i, len(gens)) - 1 + reach <= ctx.hi:
+        if min(i, n) - 1 + reach <= ctx.hi:
             continue
-        for ks in compositions(i, len(gens), 0):
+        for ks in compositions(i, n, 0):
             e = sum(1 for k in ks if k) - 1
             if e > ctx.hi:
                 raise window_error(ctx, e)
@@ -164,11 +189,49 @@ def _l_on_monomial(i: int, gens: tuple) -> tuple:
         plan.append((len(hit) - 1, d, hit, tuple(rest)))
     graded: dict = {}
     for e, d, hit, rest in plan:
-        prod = DiffPoly(None, {rest: i * (lcd // d)}, _clean=True)
+        term = {rest: i * (lcd // d)}
         for src in hit:
-            prod = prod * src
-        graded[e] = prod + graded.get(e, 0)
-    return lcd, {e: p.terms for e, p in graded.items() if p.terms}
+            term = _times(term, src)
+        terms = graded.setdefault(e, {})
+        for key, c in term.items():
+            terms[key] = terms.get(key, 0) + c
+    graded = {e: {key: c for key, c in terms.items() if c}
+              for e, terms in graded.items()}
+    return lcd, {e: terms for e, terms in graded.items() if terms}
+
+
+def _apply(i: int, den: int, terms: dict) -> tuple:
+    """L_i of the polynomial whose coefficient of each monomial ``gens`` is
+    sum_e terms[gens][e] hbar^e / den, as (den', {monomial: {e:
+    numerator}}) over den', monomials sorted, exponents ascending, no zero
+    numerator.
+
+    L_i of each monomial is kept with integer coefficients by hbar
+    exponent (``_l_on_monomial``), so the products add up as integers over
+    one common denominator, one dict per power of hbar."""
+    parts = [_l_on_monomial(i, gens) for gens in terms]
+    lcd = lcm(*(d for d, _ in parts))
+    by_power: dict = {}
+    for code, (d, graded) in zip(terms.values(), parts):
+        f = lcd // d
+        for e1, x in code.items():
+            x *= f
+            for e2, mono in graded.items():
+                acc = by_power.get(e1 + e2)
+                if acc is None:
+                    acc = by_power[e1 + e2] = {}
+                for key, y in mono.items():
+                    acc[key] = acc.get(key, 0) + x * y
+    out: dict = {}
+    for e in sorted(by_power):
+        for key, n in by_power[e].items():
+            if n:
+                nums = out.get(key)
+                if nums is None:
+                    out[key] = {e: n}
+                else:
+                    nums[e] = n
+    return den * lcd, {key: out[key] for key in sorted(out)}
 
 
 def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
@@ -181,62 +244,88 @@ def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
     L_k(d^l f_s) = d^l L_k(f_s) because L_k commutes with d/dx.
     Constants are annihilated (i >= 1).
 
-    The rule runs on integers: L_i of each monomial is kept with integer
-    coefficients by hbar exponent (``_l_on_monomial``), the coefficients of
-    ``poly`` are written over one denominator as numerators by hbar
-    exponent (``hscalar.scalar_codes``), and the products add up over one
-    common denominator.  Each coefficient is then formed once: an ``HPoly``
-    in formal hbar, the rational value at hbar in numeric hbar.  The
-    result's monomials are sorted.
+    The rule runs on integers (``_apply``): the coefficients of ``poly``
+    are written over one denominator as numerators by hbar exponent
+    (``hscalar.scalar_codes``).  Each coefficient of the result is then
+    formed once: an ``HPoly`` in formal hbar, the rational value at hbar
+    in numeric hbar.  The result's monomials are sorted.
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    _check_window(i, poly)
+    _check_window(poly.ctx, i, (
+        (len(gens), max(c.terms) if isinstance(c, HPoly) else 0)
+        for gens, c in poly.terms.items()))
     den, codes = scalar_codes(poly.terms.values())
-    parts = [_l_on_monomial(i, gens) for gens in poly.terms]
-    lcd = lcm(*(d for d, _ in parts))
-    acc: dict = {}
-    for (code, _, _), (d, graded) in zip(codes, parts):
-        f = lcd // d
-        for e1, x in code.items():
-            x *= f
-            for e2, terms in graded.items():
-                e = e1 + e2
-                for key, y in terms.items():
-                    out = acc.get(key)
-                    if out is None:
-                        out = acc[key] = {}
-                    out[e] = out.get(e, 0) + x * y
-    return _coefficients(poly.ctx, den * lcd, acc)
+    den, acc = _apply(i, den, {gens: code for gens, (code, _, _)
+                               in zip(poly.terms, codes)})
+    return _coefficients(poly.ctx, den, acc)
 
 
 def _coefficients(ctx: HContext, den: int, acc: dict) -> DiffPoly:
     """The polynomial whose coefficient of each monomial of ``acc`` is
-    sum_e acc[key][e] hbar^e / den, monomials sorted, zeros dropped."""
+    sum_e acc[key][e] hbar^e / den, in the order of ``acc``; a coefficient
+    that is zero at a numeric hbar is dropped."""
     terms = {}
     if ctx.is_numeric:
         p, q = ctx.value.numerator, ctx.value.denominator
-        for key in sorted(acc):
-            nums = acc[key]
+        for key, nums in acc.items():
             top = max(nums)
             n = sum(x * p ** e * q ** (top - e) for e, x in nums.items())
             if n:
                 terms[key] = Rational(n, den * q ** top)
     else:
-        for key in sorted(acc):
-            nums = reduce_terms(acc[key], den)
-            if nums:
-                terms[key] = HPoly(ctx, nums, _clean=True)
+        for key, nums in acc.items():
+            terms[key] = HPoly(ctx, reduce_terms(nums, den), _clean=True)
     return DiffPoly(ctx, terms, _clean=True)
+
+
+@cache
+def hbar_free_word(indices: tuple, target: int) -> tuple:
+    """The word L_{i_1} ... L_{i_{r-1}}(f_{i_r}), r >= 2, free of any hbar
+    context: (den, {monomial: {e: numerator}}), the coefficient of each
+    monomial sum_e numerator hbar^e / den (every e >= 0), monomials sorted,
+    no zero numerator, den and the numerators without a common factor.
+
+    Built from its suffix: L_{i_1} applied to the word of the indices
+    after the first, which is cached too (for a diagram, that is the word
+    of the diagram without its first row)."""
+    if not indices:
+        raise ValueError("a word needs an operator")
+    if len(indices) == 1:
+        den, terms = 1, {((target, 0),): {0: 1}}
+    else:
+        den, terms = hbar_free_word(indices[1:], target)
+    den, word = _apply(indices[0], den, terms)
+    g = gcd(den, *(x for nums in word.values() for x in nums.values()))
+    if g == 1:
+        return den, word
+    return den // g, {key: {e: x // g for e, x in nums.items()}
+                      for key, nums in word.items()}
+
+
+def check_word_window(indices: tuple, target: int, ctx: HContext) -> None:
+    """Raise the ``HbarWindowError`` that building the word
+    L_{i_1} ... L_{i_{r-1}}(f_{i_r}) in ``ctx`` one operator at a time,
+    the last index first, raises first (``_check_window`` at each step,
+    on the hbar-free word of the suffix)."""
+    if ctx.is_numeric:
+        return
+    for k in range(len(indices) - 1, -1, -1):
+        if k == len(indices) - 1:
+            tops = ((1, 0),)
+        else:
+            tops = ((len(gens), max(nums)) for gens, nums
+                    in hbar_free_word(indices[k + 1:], target)[1].items())
+        _check_window(ctx, indices[k], tops)
 
 
 @cache
 def l_word(indices: tuple, target: int, ctx: HContext) -> DiffPoly:
     """L_{i_1} ... L_{i_{r-1}} applied to f_{i_r}.
 
-    Built from its suffix: L_{i_1} applied to the word of the indices after
-    the first, which is cached too (for a diagram, that is the word of the
-    diagram without its first row).  Invariance under permutations and
+    The hbar-free word (``hbar_free_word``) with each coefficient formed
+    once in ``ctx``, after the window checks of building it one operator
+    at a time (``check_word_window``).  Invariance under permutations and
     under the choice of which index plays the target is a consequence of
     commutativity and is checked by tests rather than baked into the cache
     key.
@@ -245,4 +334,5 @@ def l_word(indices: tuple, target: int, ctx: HContext) -> DiffPoly:
         raise ValueError("indices must be positive")
     if not indices:
         return DiffPoly.generator(ctx, target, 0)
-    return l_apply(indices[0], l_word(indices[1:], target, ctx))
+    check_word_window(indices, target, ctx)
+    return _coefficients(ctx, *hbar_free_word(indices, target))

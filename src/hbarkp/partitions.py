@@ -82,19 +82,13 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
-
-    def rec(rem: int, max_part: int, prefix: tuple):
-        if rem == 0:
-            out.append(Partition(prefix))
-            return
-        for p in range(min(rem, max_part), 0, -1):
-            rec(rem - p, p, prefix + (p,))
-
-    rec(n, n if n else 1, ())
     if n == 0:
         return (EMPTY,)
-    return tuple(out)
+    # first part p, then each partition of n - p with no part above p;
+    # built valid, so the constructor's checks are skipped
+    return tuple(tuple.__new__(Partition, (p,) + rest)
+                 for p in range(n, 0, -1)
+                 for rest in partitions_of(n - p) if not rest or rest[0] <= p)
 
 
 def partitions_upto(w: int, min_weight: int = 0):

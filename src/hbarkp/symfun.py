@@ -10,13 +10,20 @@ x-variable picture only appears in tests as a cross-check.
 Every basis element but h_lambda is one dict of terms in closed form:
 Schur functions (h_k among them) from the characters of the symmetric
 group, monomial functions and t^hbar from the inverse transition matrix.
+These universal tables are built a whole weight n at a time, on plain
+ints, from the tables of lower weights, and held once per process: the
+character table of S_n (``_characters``, by Murnaghan-Nakayama), and the
+rows of L and L^{-1} (``_l_rows``, ``_inverse_rows``, from p_r m_nu,
+``_add_part``), each indexed in ``partitions_of`` order.  A single s_lam
+of weight n costs the whole table of weight n, which every caller needs
+anyway.
 
 The bases of the two series, s_lam(t/hbar) for tau and t^hbar_lam /
 sigma(lam) for F, are held once per process as context-free integer rows
 (key, num, den, j), each the term num/den hbar^j t_mu (``schur_rows``,
 ``t_hbar_rows``).  They are built from the shapes of each weight (key,
-sigma, ell and rho of every mu, formed once), the characters and the
-integer rows of L^{-1}.  The assemblies encode them straight into the
+sigma, ell and rho of every mu, formed once), the character table and
+the integer rows of L^{-1}.  The assemblies encode them straight into the
 integer kernel and scale the codes of their series by them
 (``tpoly.linear_combination``); ``schur_over_hbar`` and ``t_hbar``
 decode them as polynomials for the other callers.
@@ -24,8 +31,10 @@ decode them as polynomials for the other callers.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from math import factorial, gcd, lcm, prod
+from operator import add, sub
 
 from .hscalar import HContext
 # Nothing here calls ``det``; the name stays bound because the benchmark's
@@ -52,27 +61,58 @@ def elementary_h(k: int, ctx: HContext, weight_cap: int) -> TPoly:
 
 
 @cache
-def _character(lam: tuple, mu: tuple) -> int:
-    """The character chi^lam of the symmetric group at the cycle type mu, by
-    Murnaghan-Nakayama: a rim hook of length r = mu_1 removed from lam in
-    every way, with sign (-1)^height.  On the beta-set {lam_i + ell - i}
-    that is a bead moved from b to a free b - r >= 0, passing ``height``
-    beads."""
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    top = len(lam) - 1
-    beta = [p + top - i for i, p in enumerate(lam)]
-    total = 0
-    for b in beta:
-        c = b - r
-        if c < 0 or c in beta:
-            continue
-        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
-        nu = tuple(x - top + i for i, x in enumerate(moved) if x > top - i)
-        height = sum(c < x < b for x in beta)
-        total += (-1) ** height * _character(nu, rest)
-    return total
+def _index(n: int) -> dict:
+    """Each partition of n to its place in ``partitions_of(n)``."""
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
+
+
+@cache
+def _characters(n: int) -> tuple:
+    """The character table of the symmetric group S_n: row i holds
+    chi^lam(mu) for lam the i-th partition of n and mu each partition of
+    n, both in ``partitions_of`` order.
+
+    By Murnaghan-Nakayama, chi^lam(mu) is the sum over the rim hooks of
+    length r = mu_1 of lam of (-1)^height chi^nu(mu minus mu_1), nu being
+    lam without the hook.  The rim hooks of lam are found once, one for
+    each box (i, j): it runs from the end of row i to the foot of column
+    j, rows i..k-1 for k the length of column j, so r is the hook length
+    of the box and the height is k - 1 - i; without it, rows i..k-2 take
+    the lengths of the rows below them less 1, and row k - 1 keeps j
+    boxes.  The mu with mu_1 = r form one block of ``partitions_of(n)``,
+    in the order of mu minus mu_1, and those are the last partitions of
+    n - r (the ones with no part above r).  So the block r of row lam is
+    a signed sum of the tails of rows of the table at weight n - r."""
+    if n == 0:
+        return ((1,),)
+    sizes = Counter(mu[0] for mu in partitions_of(n))
+    blocks = [(r, _characters(n - r), _index(n - r), sizes[r])
+              for r in range(n, 0, -1)]
+    rows = []
+    for lam in partitions_of(n):
+        columns = [0] * lam[0]
+        for i, p in enumerate(lam):
+            columns[:p] = [i + 1] * p
+        hooks: dict = {}
+        for i, p in enumerate(lam):
+            for j in range(p):
+                k = columns[j]
+                nu = (lam[:i] + tuple(q - 1 for q in lam[i + 1:k] if q > 1)
+                      + ((j,) if j else ()) + lam[k:])
+                hooks.setdefault(p - j + k - i - 1, []).append(
+                    ((k - 1 - i) % 2, nu))
+        row: list = []
+        for r, table, index, size in blocks:
+            acc = None
+            for odd, nu in hooks.get(r, ()):
+                tail = table[index[nu]][-size:]
+                if odd:
+                    acc = list(map(sub, acc or [0] * size, tail))
+                else:
+                    acc = tail if acc is None else list(map(add, acc, tail))
+            row += acc or [0] * size
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 @cache
@@ -88,8 +128,8 @@ def _shapes(n: int) -> tuple:
 def _schur_rows(lam: tuple) -> tuple:
     rows = []
     n = sum(lam)
-    for mu, (key, sigma, ell, _) in zip(partitions_of(n), _shapes(n)):
-        chi = _character(lam, mu)
+    chis = _characters(n)[_index(n)[lam]]
+    for chi, (key, sigma, ell, _) in zip(chis, _shapes(n)):
         if chi:
             g = gcd(chi, sigma)
             rows.append((key, chi // g, sigma // g, -ell if ell else None))
@@ -174,56 +214,88 @@ class TransitionMatrix:
         return self.entries[self.index[Partition(lam)]][self.index[Partition(mu)]]
 
 
-def _transition_row(lam: Partition) -> dict:
-    """Row lam of L as {mu: L_{lam mu}} over its nonzero entries.
+@cache
+def _add_part(m: int, r: int) -> tuple:
+    """p_r m_nu = sum_kappa c m_kappa for each partition nu of m, in
+    ``partitions_of`` order, as pairs (index of kappa in
+    ``partitions_of(m + r)``, c).
 
-    L_{lam mu}, the coefficient of x^mu in prod_i (sum_j x_j^{lam_i}), counts
-    the ways to send the rows of lam to positions j that then hold mu_j.
-    Rows are placed one at a time; a state is the partition of the sums so
-    far, counted for one fixed arrangement (by symmetry, all agree).  A row
-    p put on a position holding w (0: an empty one) gives the state nu, in
-    which any of the positions holding w + p could have taken it."""
-    states = {(): 1}
-    for p in lam:
-        nxt: dict = {}
-        for kappa, count in states.items():
-            for w in set(kappa) | {0}:
-                nu = list(kappa)
-                if w:
-                    nu.remove(w)
-                nu = tuple(sorted(nu + [w + p], reverse=True))
-                nxt[nu] = nxt.get(nu, 0) + count * nu.count(w + p)
-        states = nxt
-    return states
+    kappa is nu with a part r set beside its parts or added to one part w
+    of nu, and c counts the parts w + r of kappa that could have taken it.
+    The first pair is nu with the part r beside, for which p_r p_nu =
+    p_kappa."""
+    index = _index(m + r)
+    out = []
+    for nu in partitions_of(m):
+        pairs = []
+        for w in (0, *dict.fromkeys(nu)):
+            kappa = list(nu)
+            if w:
+                kappa.remove(w)
+            kappa = tuple(sorted(kappa + [w + r], reverse=True))
+            pairs.append((index[kappa], kappa.count(w + r)))
+        out.append(pairs)
+    return tuple(out)
 
 
 @cache
-def _integer_rows(n: int) -> tuple:
-    """The rows of L and of L^{-1} at weight n, on integers: row i of L as
-    {j: L_ij} and row i of L^{-1} as (den, {j: numerator}) over the
+def _l_rows(n: int) -> tuple:
+    """The rows of L at weight n on integers: row i as {j: L_ij} over its
     nonzero entries, indices in ``partitions_of`` order.
 
-    L is lower triangular in that order, with diagonal sigma(lam), so row
-    i of L^{-1} is (e_i - sum_{k < i} L_ik (row k of L^{-1})) / L_ii.  The
-    sum is formed over the lcm of the rows' denominators, and the common
-    factor of the numerators and the denominator is divided out."""
-    labels = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(labels)}
-    rows, inv = [], []
-    for i, lam in enumerate(labels):
-        row = {index[mu]: c for mu, c in _transition_row(lam).items()}
-        below = [(k, c) for k, c in row.items() if k < i]
-        den = lcm(*(inv[k][0] for k, _ in below))
-        acc = {i: den}
-        for k, c in below:
-            f = c * (den // inv[k][0])
-            for j, v in inv[k][1].items():
-                acc[j] = acc.get(j, 0) - f * v
-        den *= row[i]
-        g = gcd(den, *acc.values())
+    L_{lam mu} is the coefficient of m_mu in p_lam.  With r = lam_1 and
+    rest = lam minus lam_1, p_lam = p_r p_rest = sum_nu L_{rest nu} p_r
+    m_nu, so row lam is the row of rest at weight n - r with each m_nu
+    expanded by ``_add_part``."""
+    if n == 0:
+        return ({0: 1},)
+    rows = []
+    for lam in partitions_of(n):
+        r, m = lam[0], n - lam[0]
+        expand = _add_part(m, r)
+        row: dict = {}
+        for j, c in _l_rows(m)[_index(m)[lam[1:]]].items():
+            for k, e in expand[j]:
+                row[k] = row.get(k, 0) + c * e
         rows.append(row)
-        inv.append((den // g, {j: v // g for j, v in sorted(acc.items()) if v}))
-    return tuple(rows), tuple(inv)
+    return tuple(rows)
+
+
+@cache
+def _inverse_rows(n: int) -> tuple:
+    """The rows of L^{-1} at weight n on integers: row i as (den, {j:
+    numerator}) over its nonzero entries, j ascending, in lowest terms;
+    m_lam = sum_mu (L^{-1})_{lam mu} p_mu.
+
+    With r = lam_1 and rest = lam minus lam_1, ``_add_part`` gives p_r
+    m_rest = c m_lam + sum_kappa c_kappa m_kappa, where every other kappa
+    has a part above r and so comes before lam; and p_r m_rest is the sum
+    of (L^{-1})_{rest mu} p_{mu with r beside}.  So row lam is the row of
+    rest, moved to weight n, less the c_kappa multiples of the rows of the
+    kappa, over c.  The sum is formed over the lcm of the rows'
+    denominators, and the common factor of the numerators and the
+    denominator is divided out."""
+    if n == 0:
+        return ((1, {0: 1}),)
+    rows: list = []
+    for lam in partitions_of(n):
+        r, m = lam[0], n - lam[0]
+        expand = _add_part(m, r)
+        i = _index(m)[lam[1:]]
+        den_rest, nums = _inverse_rows(m)[i]
+        (_, c), *others = expand[i]
+        den = lcm(den_rest, *(rows[k][0] for k, _ in others))
+        f = den // den_rest
+        acc = {expand[j][0][0]: v * f for j, v in nums.items()}
+        for k, e in others:
+            den_k, nums_k = rows[k]
+            f = e * (den // den_k)
+            for j, v in nums_k.items():
+                acc[j] = acc.get(j, 0) - f * v
+        den *= c
+        g = gcd(den, *acc.values())
+        rows.append((den // g, {j: v // g for j, v in sorted(acc.items()) if v}))
+    return tuple(rows)
 
 
 @cache
@@ -232,14 +304,14 @@ def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
 
     L is lower triangular in ``partitions_of`` order: the (lam, mu) entry
     vanishes unless mu dominates lam, and the diagonal entry is
-    sigma(lam) > 0.  So L^{-1} is lower triangular too; forward
-    substitution gives it fraction-free (``_integer_rows``), and each entry
-    is one rational formed from its row's numerator and denominator.
+    sigma(lam) > 0.  So L^{-1} is lower triangular too.  Both are built
+    weight by weight on integers (``_l_rows``, ``_inverse_rows``), and each
+    entry is one rational formed from its row's numerator and denominator.
     """
     if n < 1:
         raise ValueError("transition matrices start at weight 1")
     labels = partitions_of(n)
-    rows, inv = _integer_rows(n)
+    rows, inv = _l_rows(n), _inverse_rows(n)
     zero = Rational(0)
     entries, inv_entries = [], []
     for row, (den, nums) in zip(rows, inv):
@@ -255,14 +327,6 @@ def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
             TransitionMatrix(n, labels, inv_entries))
 
 
-def _inverse_row(lam: Partition):
-    """(den, [(mu, numerator), ...]): row lam of L^{-1} over its nonzero
-    entries, (L^{-1})_{lam mu} = numerator / den."""
-    labels = partitions_of(lam.weight)
-    den, nums = _integer_rows(lam.weight)[1][labels.index(lam)]
-    return den, [(labels[j], v) for j, v in nums.items()]
-
-
 @cache
 def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Monomial symmetric function m_lambda expressed in the times.
@@ -275,8 +339,10 @@ def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
         raise CapError(f"m_{lam} exceeds weight cap {weight_cap}")
     if lam.ell == 0:
         return TPoly.one(ctx, weight_cap)
-    den, row = _inverse_row(lam)
-    terms = {(texp_of(mu), ()): Rational(v * mu.rho, den) for mu, v in row}
+    labels = partitions_of(lam.weight)
+    den, nums = _inverse_rows(lam.weight)[_index(lam.weight)[lam]]
+    terms = {(texp_of(labels[j]), ()): Rational(v * labels[j].rho, den)
+             for j, v in nums.items()}
     return TPoly(ctx, weight_cap, terms=terms)
 
 
@@ -285,7 +351,7 @@ def _t_hbar_rows(lam: tuple) -> tuple:
     if not lam:
         return ((((), ()), 1, 1, None),)
     n = sum(lam)
-    den, nums = _integer_rows(n)[1][partitions_of(n).index(lam)]
+    den, nums = _inverse_rows(n)[_index(n)[lam]]
     shapes = _shapes(n)
     ell, rho = len(lam), prod(lam)
     rows = []

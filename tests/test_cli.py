@@ -753,6 +753,33 @@ def test_exit_2_on_a_table_without_a_diagram(tmp_path, capsys, tau_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("build, check, name, key, message", [
+    ("fseries", "kp2", "f_lambda", "",
+     "holds diagram '' of weight 0, below its least weight 1"),
+    ("fseries", "kp2", "f_lambda", "5",
+     "holds diagram '5' of weight 5, above its weight cap 4"),
+    ("tau", "fay", "c_lambda", "2,2,1",
+     "holds diagram '2,2,1' of weight 5, above its weight cap 4"),
+], ids=["f-empty", "f-above", "c-above"])
+def test_exit_2_on_a_diagram_outside_the_table(tmp_path, capsys, tau_file,
+                                               f_file, build, check, name,
+                                               key, message):
+    """A diagram outside the weights of the table's series is refused, not
+    summed: the empty diagram of an F table would be added to f_0, and a
+    diagram above the cap has no basis element."""
+    table = tmp_path / "table.json"
+    data = tau_file if build == "tau" else f_file
+    assert main([build, "--input", data, "--output", str(table)]) == 0
+    doc = read(table)
+    doc[name][key] = ["5", "0", "0", "0", "0"]
+    dataio.dump(doc, table)
+    out = tmp_path / "verdict.json"
+    assert main(["verify", check, "--input", str(table),
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f'error: "{name}" {message}\n'
+    assert not out.exists()
+
+
 # -- malformed documents ----------------------------------------------------------
 
 @pytest.mark.parametrize("argv, key, value, message", [

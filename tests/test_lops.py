@@ -1,13 +1,15 @@
 """Operator algebra on differential polynomials in the sources f_s."""
 
-from math import prod
+from math import gcd, prod
 from random import Random
 
 import pytest
 
 from hbarkp.hscalar import HContext, HbarWindowError
 from hbarkp.kpconst import p_const
-from hbarkp.lops import DiffPoly, l_apply, l_word
+from hbarkp.lops import (
+    DiffPoly, check_word_window, hbar_free_word, l_apply, l_word,
+)
 from hbarkp.partitions import compositions, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_rational
@@ -166,26 +168,98 @@ def _outcome(build):
         return "HbarWindowError", str(exc)
 
 
+def _scalar_chain(indices, target, ctx):
+    """The word by the term-by-term scalar rule, one operator at a time,
+    last index first."""
+    out = DiffPoly.generator(ctx, target, 0)
+    for i in reversed(indices):
+        out = _l_by_terms(i, out)
+    return out
+
+
+def _hbar_free_outcome(indices, target, ctx):
+    """The hbar-free word with each coefficient formed in ``ctx`` here,
+    term by term, after its window checks; a word without an operator is
+    the bare source."""
+    if not indices:
+        return DiffPoly.generator(ctx, target, 0)
+    check_word_window(indices, target, ctx)
+    den, word = hbar_free_word(indices, target)
+    terms = {}
+    for gens, nums in word.items():
+        c = sum((ctx.hbar_pow(e) * Rational(x, den) for e, x in nums.items()),
+                ctx.zero())
+        if c != 0:
+            terms[gens] = c
+    return DiffPoly(ctx, terms)
+
+
 @pytest.mark.parametrize("ctx", [
     HContext.numeric(Rational(1, 2)),
+    HContext.numeric(Rational(-2, 3)),
+    HContext.numeric(0),
     HContext.symbolic(-30, 30),
+    HContext.symbolic(-4, 4),
     HContext.symbolic(-3, 3),
     HContext.symbolic(-4, 2),
     HContext.symbolic(0, 0),
-], ids=["hbar=1/2", "window=30", "window=3", "window=-4,2", "window=0"])
+], ids=["hbar=1/2", "hbar=-2/3", "hbar=0", "window=30", "window=4", "window=3",
+        "window=-4,2", "window=0"])
 def test_words_equal_the_operator_chain(ctx):
-    """Each word, built from the word of its suffix, equals the operators
-    applied one at a time: the same terms in the same order, or the same
-    window error.  Up to weight 7 the words reach hbar^1, so only the
-    window [0, 0] makes some of them raise."""
+    """Each word equals the operators applied one at a time: the same terms
+    in the same order, or the same window error.  The hbar-free word,
+    formed in ``ctx``, equals the word of the term-by-term scalar rule.
+    Up to weight 7 the words reach hbar^1, so only the window [0, 0] makes
+    some of them raise."""
     kinds = set()
     for lam in partitions_upto(7, 2):
         indices, target = tuple(lam[:-1]), lam[-1]
         got = _outcome(lambda: l_word(indices, target, ctx))
         assert got == _outcome(lambda: _chain(indices, target, ctx)), lam
+        want = _outcome(lambda: _scalar_chain(indices, target, ctx))
+        free = _outcome(lambda: _hbar_free_outcome(indices, target, ctx))
+        if got[0] == "ok":
+            assert sorted(got[1]) == sorted(want[1]) == sorted(free[1]), lam
+        else:
+            assert got == want == free, lam
         kinds.add(got[0])
     narrow = not ctx.is_numeric and ctx.hi == 0
     assert kinds == ({"ok", "HbarWindowError"} if narrow else {"ok"})
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (0, 1), (-2, 2), (0, 2)])
+def test_deep_words_raise_the_first_window_error_of_the_chain(window):
+    """Words of up to seven rows at weight 10, in windows that some of them
+    leave: the word, the operators applied one at a time and the
+    hbar-free word raise the same first error, or give the same terms."""
+    ctx = HContext.symbolic(*window)
+    kinds = set()
+    for lam in partitions_upto(10, 2):
+        if lam.ell < 3:
+            continue
+        indices, target = tuple(lam[:-1]), lam[-1]
+        got = _outcome(lambda: l_word(indices, target, ctx))
+        assert got == _outcome(lambda: _chain(indices, target, ctx)), lam
+        free = _outcome(lambda: _hbar_free_outcome(indices, target, ctx))
+        if got[0] == "ok":
+            assert sorted(got[1]) == sorted(free[1]), lam
+        else:
+            assert got == free, lam
+        kinds.add(got[0])
+    assert kinds == {"ok", "HbarWindowError"}
+
+
+def test_hbar_free_words_are_reduced_and_sorted():
+    with pytest.raises(ValueError):
+        hbar_free_word((), 1)
+    for lam in partitions_upto(8, 2):
+        if lam.ell < 2:
+            continue
+        den, word = hbar_free_word(tuple(lam[:-1]), lam[-1])
+        assert list(word) == sorted(word) and word, lam
+        nums = [x for code in word.values() for x in code.values()]
+        assert den > 0 and all(nums) and gcd(den, *nums) == 1, lam
+        assert all(e >= 0 for code in word.values() for e in code), lam
 
 
 def test_word_monomial_constraints():

@@ -1,6 +1,8 @@
 """Symmetric-function bases, transition matrices, scalar product."""
 
+from functools import cache
 from itertools import permutations
+from math import gcd
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbarkp.hscalar import HContext, HPoly
+from hbarkp import symfun
 from hbarkp.linalg import det
 from hbarkp.partitions import Partition, dominates, partitions_of, partitions_upto
 from hbarkp.rational import Rational
@@ -212,6 +215,66 @@ def test_schur_matches_jacobi_trudi(ctx):
         assert got == want, lam
         assert {k: type(c) for k, c in got.items()} == {
             k: type(c) for k, c in want.items()}, lam
+
+
+@cache
+def _mn_character(lam: tuple, mu: tuple) -> int:
+    """chi^lam(mu) by the Murnaghan-Nakayama recursion, one (lam, mu) at a
+    time: a rim hook of length r = mu_1 removed from lam in every way, with
+    sign (-1)^height.  On the beta-set {lam_i + ell - i} that is a bead
+    moved from b to a free b - r >= 0, passing ``height`` beads."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    top = len(lam) - 1
+    beta = [p + top - i for i, p in enumerate(lam)]
+    total = 0
+    for b in beta:
+        c = b - r
+        if c < 0 or c in beta:
+            continue
+        moved = sorted([x for x in beta if x != b] + [c], reverse=True)
+        nu = tuple(x - top + i for i, x in enumerate(moved) if x > top - i)
+        height = sum(c < x < b for x in beta)
+        total += (-1) ** height * _mn_character(nu, rest)
+    return total
+
+
+def test_character_tables_match_the_murnaghan_nakayama_recursion():
+    for n in range(11):
+        labels = partitions_of(n)
+        assert symfun._characters(n) == tuple(
+            tuple(_mn_character(lam, mu) for mu in labels) for lam in labels), n
+
+
+def test_character_tables_are_orthogonal():
+    """sum_mu chi^lam(mu) chi^nu(mu) / z_mu = delta_{lam nu} (rows) and
+    sum_lam chi^lam(mu) chi^lam(nu) = z_mu delta_{mu nu} (columns)."""
+    for n in range(11):
+        table, labels = symfun._characters(n), partitions_of(n)
+        size = len(labels)
+        for i in range(size):
+            for k in range(size):
+                rows = sum(Rational(table[i][j] * table[k][j], mu.zee)
+                           for j, mu in enumerate(labels))
+                assert rows == (i == k), (n, i, k)
+                columns = sum(table[j][i] * table[j][k] for j in range(size))
+                assert columns == (labels[i].zee if i == k else 0), (n, i, k)
+
+
+def test_inverse_rows_times_the_rows_of_l_give_the_identity():
+    """On the integer rows: sum_k (L^{-1})_{ik} L_{kj} = delta_{ij}."""
+    for n in range(13):
+        rows, inverse = symfun._l_rows(n), symfun._inverse_rows(n)
+        assert len(rows) == len(inverse) == len(partitions_of(n))
+        for i, (den, nums) in enumerate(inverse):
+            assert den > 0 and all(nums.values())
+            assert gcd(den, *nums.values()) == 1
+            got: dict = {}
+            for k, v in nums.items():
+                for j, c in rows[k].items():
+                    got[j] = got.get(j, 0) + v * c
+            assert {j: x for j, x in got.items() if x} == {i: den}, (n, i)
 
 
 # -- monomial basis ------------------------------------------------------------
