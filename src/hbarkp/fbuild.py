@@ -4,12 +4,9 @@ plain and deformed first-order data, and bridging to the tau-function.
 The data are f_0(x) = F(x; 0) together with f_k(x) = (deformed d_k) F at
 t = 0.  The coefficient of a diagram with more than one row is the
 operator word L_{lam_1} ... L_{lam_{ell-1}}(f_{lam_ell}); one-row diagrams
-contribute f_k itself.  The words are held once per process free of any
-hbar context (``lops.hbar_free_word``), and ``f_series`` encodes each into
-the integer kernel, where the value of hbar enters, and evaluates it on
-one encoding of the jets d^l f_s (``xseries.Jets``), which forms each
-product of jets that the words share once, and decodes once per diagram.
-The series is
+contribute f_k itself.  ``f_series`` evaluates every word on one encoding
+of the jets d^l f_s (``xseries.Jets``), which forms each product of jets
+that the words share once, and decodes once per diagram.  The series is
 assembled in the hbar-deformed monomial basis:
 
     F = f_0 + sum_{|lam| >= 1} f_lam / sigma(lam) * t^hbar_lam,
@@ -32,7 +29,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .hscalar import HContext, HbarValueError, scalar_is_zero
-from .lops import DiffPoly, check_word_window, hbar_free_word, l_word
+from .lops import DiffPoly, l_word
 from .partitions import EMPTY, Partition, partitions_of, partitions_upto
 from .rational import Rational
 from .record import Record
@@ -115,33 +112,16 @@ class FSeries(Record):
                 for lam in partitions_upto(self.weight_cap, 1)}
 
 
-def _f_value(lam: Partition, jets: Jets) -> XSeries:
-    """f_lam on the jets of the data: f_k itself for one row, else the
-    hbar-free word (``lops.hbar_free_word``) encoded into the kernel, where
-    the value of hbar enters, after the window checks that building the
-    word in the data's context would make (``lops.check_word_window``).
-    A coefficient that is zero at a numeric hbar is left out, as the word
-    in that context has no such term."""
-    kernel = jets.kernel
-    if lam.ell == 1:
-        den, (one,) = kernel.encode_scalars((1,))
-        return jets.combine(den, [(((lam[0], 0),), one)])
-    indices, target = tuple(lam[:-1]), lam[-1]
-    check_word_window(indices, target, kernel.ctx)
-    den, word = hbar_free_word(indices, target)
-    den, scalars = kernel.encode_polys(den, word.values())
-    return jets.combine(den, ((gens, c) for gens, c in zip(word, scalars)
-                              if c != 0))
-
-
 def f_series(data: FData, weight_cap: int | None = None) -> FSeries:
-    """Concrete diagram coefficients for every weight <= the cap, each
-    decoded once from the jets' codes (``_f_value``)."""
+    """Concrete diagram coefficients for every weight <= the cap."""
     W = data.weight_cap if weight_cap is None else weight_cap
     if data.K < W:
         raise ValueError("data index cap must reach the weight cap")
     jets = Jets(data.source_map(), data.f0)
-    table = {lam: _f_value(lam, jets) for lam in partitions_upto(W, 1)}
+    table = {
+        lam: f_lambda(lam, data.ctx).substitute(jets)
+        for lam in partitions_upto(W, 1)
+    }
     return FSeries(data.ctx, W, data.x_cap, data.f0, table, symbolic=False)
 
 

@@ -25,10 +25,9 @@ its power of hbar).  A word holds no hbar context either
 denominator, L_{i_1} applied to the cached word of the indices after the
 first, so the words of a table's diagrams are built from each other.  The
 value of hbar enters once, where a word is used: ``l_word`` forms its
-coefficients in a context, and ``fbuild.f_series`` encodes it straight
-into the integer kernel (``encode_polys``).  In formal hbar both first
-raise the ``HbarWindowError`` that applying the operators one at a time
-in that window would raise (``check_word_window``).
+coefficients in a context, after raising, in formal hbar, the
+``HbarWindowError`` that applying the operators one at a time in that
+window would raise (``check_word_window``).
 """
 
 from __future__ import annotations
@@ -79,12 +78,24 @@ class DiffPoly(MultisetPoly):
         """Evaluate on concrete sources: (s, l) -> l-th derivative of data[s].
 
         ``data`` is a dict of sources or its ``xseries.Jets``; ``like``
-        supplies the result's shape when there is no source.  The
-        coefficients are encoded once and summed over the products of jet
-        codes (``Jets.combine``)."""
+        supplies the result's shape when there is no source.  Each
+        monomial is a product of jet codes (``Jets.monomial``, which keeps
+        every product it forms, so the monomials shared by the words of one
+        table are multiplied once), and the sum is decoded once."""
         jets = data if isinstance(data, Jets) else Jets(data, like)
-        den, scalars = jets.kernel.encode_scalars(self.terms.values())
-        return jets.combine(den, zip(self.terms, scalars))
+        kernel, terms = jets.kernel, self.terms
+        den, scalars = kernel.encode_scalars(terms.values())
+        top = max(map(len, terms), default=0)
+        total = None
+        for gens, c in zip(terms, scalars):
+            code = kernel.scale(jets.monomial(gens), c)
+            # over jets.den ** len(gens), brought over jets.den ** top
+            if len(gens) < top:
+                code = kernel.rescale(code, jets.den ** (top - len(gens)))
+            total = code if total is None else kernel.add(total, code)
+        if total is None:
+            total = kernel.constant(kernel.encode_scalars((0,))[1][0])
+        return kernel.series(jets.den ** top * den, total)
 
 
 def _times(a: dict, b: dict) -> dict:
@@ -319,16 +330,15 @@ def check_word_window(indices: tuple, target: int, ctx: HContext) -> None:
         _check_window(ctx, indices[k], tops)
 
 
-@cache
 def l_word(indices: tuple, target: int, ctx: HContext) -> DiffPoly:
     """L_{i_1} ... L_{i_{r-1}} applied to f_{i_r}.
 
-    The hbar-free word (``hbar_free_word``) with each coefficient formed
-    once in ``ctx``, after the window checks of building it one operator
-    at a time (``check_word_window``).  Invariance under permutations and
-    under the choice of which index plays the target is a consequence of
-    commutativity and is checked by tests rather than baked into the cache
-    key.
+    The hbar-free word (``hbar_free_word``, the part held per process)
+    with each coefficient formed in ``ctx``, after the window checks of
+    building it one operator at a time (``check_word_window``).
+    Invariance under permutations and under the choice of which index
+    plays the target is a consequence of commutativity and is checked by
+    tests rather than baked into the cache key.
     """
     if target < 1 or any(i < 1 for i in indices):
         raise ValueError("indices must be positive")

@@ -33,7 +33,7 @@ resident polynomial takes no ``TPoly`` operand.  The exponential, the
 logarithm and the Miwa shift have only the resident form, and the
 residual checks keep their whole computation resident;
 ``linear_combination`` sums scaled codes with the residents' sum
-(the kernel's ``sum_into``).
+(``_accumulate``).
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     ``encode_powers`` over another (``xseries.int_kernel``).  Pair by
     pair, the rows are formed (``check_rows``), and each code times the
     row's scalar (``scale``) goes into one accumulator as the TPoly sum
-    adds it (the kernel's ``sum_into``); each monomial is reduced once.
-    The result is the term-by-term sum of the scalars' polynomials: values, valid
+    adds it (``_accumulate``); each monomial is reduced once.  The result
+    is the term-by-term sum of the scalars' polynomials: values, valid
     orders, coefficient types, kept monomials in their order, and the
     first error in the order of the pairs, of their rows and of the
     x-powers.
@@ -164,12 +164,29 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
         # drops (a TPoly stores no zero scalar), and so does a scalar that
         # is zero (a positive power of hbar = 0).
         dropped = coeff.valid == cap and is_zero(code)
-        kernel.sum_into(out, ((row[0], scale(code, s))
-                              for row, s in zip(rows, scalars)
-                              if not dropped and s != 0))
+        _accumulate(kernel, out, ((row[0], scale(code, s))
+                                  for row, s in zip(rows, scalars)
+                                  if not dropped and s != 0))
     series, den = kernel.series, den_c * den_b
     return TPoly(ctx, weight_cap, z_cap, nslots,
                  {key: series(den, c) for key, c in out.items()}, _clean=True)
+
+
+def _accumulate(kernel, out: dict, items) -> None:
+    """Add each (key, code) of ``items`` into ``out`` in turn, as the TPoly
+    sum does: a sum that cancels to a code TPoly drops is deleted, and a
+    later code starts that monomial afresh, at the end."""
+    add, is_zero, cap = kernel.add, kernel.is_zero, kernel.cap
+    for key, c in items:
+        old = out.get(key)
+        if old is None:
+            out[key] = c
+        else:
+            s = add(old, c)
+            if s[0] == cap and is_zero(s):
+                del out[key]
+            else:
+                out[key] = s
 
 
 class TPoly:
@@ -614,8 +631,8 @@ class _Resident:
         fa, fb = den // self.den, den // other.den
         out = (dict(self.terms) if fa == 1 else
                {k: rescale(c, fa) for k, c in self.terms.items()})
-        self.kernel.sum_into(out, other.terms.items() if fb == 1 else
-                             ((k, rescale(c, fb)) for k, c in other.terms.items()))
+        _accumulate(self.kernel, out, other.terms.items() if fb == 1 else
+                    ((k, rescale(c, fb)) for k, c in other.terms.items()))
         return self._like(out, den)
 
     __radd__ = __add__
@@ -703,7 +720,7 @@ class _Resident:
     def signed_relabellings(self, perms) -> "_Resident":
         """The sum of sgn(perm) perm·self over ``perms`` (``relabelled``),
         as the TPoly sum of those polynomials in turn gives it.  The terms
-        go into one accumulator (the kernel's ``sum_into``)."""
+        go into one accumulator (``_accumulate``)."""
         negated = None
         out: dict = {}
         for perm in perms:
@@ -711,9 +728,9 @@ class _Resident:
             if odd and negated is None:
                 rescale = self.kernel.rescale
                 negated = [rescale(c, -1) for c in self.terms.values()]
-            self.kernel.sum_into(out, zip(self._renamed_keys(perm),
-                                          negated if odd
-                                          else self.terms.values()))
+            _accumulate(self.kernel, out, zip(self._renamed_keys(perm),
+                                              negated if odd
+                                              else self.terms.values()))
         return self._like(out, self.den)
 
     # -- calculus and substitutions ------------------------------------------

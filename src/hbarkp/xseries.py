@@ -256,10 +256,7 @@ class XSeries:
 # ``HbarValueError``), and j = None stands for the rational num/den
 # itself: in formal mode the scalar is an HPoly iff j is not None, so
 # (n, d, 0) is the HPoly n/d hbar^0.  ``check_rows`` raises what forming
-# such scalars would raise.  ``encode_polys`` does the same for scalars
-# sum_e n_e hbar^e / den given as dicts {e: n_e}, e >= 0: the
-# coefficients of the hbar-free operator words (``lops``), each an HPoly
-# in formal mode.
+# such scalars would raise.
 #
 # ``product`` is ``XSeries.__mul__`` on two codes, and ``Coded`` wraps a
 # code and its denominator for the rings of ``linalg.det`` and
@@ -275,9 +272,7 @@ class XSeries:
 # (times the code of a scalar, as ``XSeries.scale``) and ``diff`` (as
 # ``XSeries.diff``) keep the denominator, and ``content`` / ``divide``
 # take out a common factor; the sums of ``tpoly`` (the assemblies' linear
-# combinations among them) are ``scale`` and ``sum_into``, which adds a
-# stream of (monomial, code) into a dict of codes (in formal mode in
-# place, where ``add`` copies).  Each operation
+# combinations among them) are ``scale`` and ``add``.  Each operation
 # follows the rational one it stands for in values, valid order,
 # coefficient types and ``HbarWindowError``.
 #
@@ -330,17 +325,6 @@ class _NumericInts:
             scaled.append((n, d))
         den = lcm(*(d for _, d in scaled))
         return den, [n * (den // d) for n, d in scaled]
-
-    def encode_polys(self, den, polys):
-        """``encode_scalars`` of the scalars sum_e nums[e] hbar^e / den,
-        each given as the dict ``nums`` of integer numerators by exponent
-        e >= 0, without forming them: over den q^T for hbar = p/q and T the
-        greatest exponent."""
-        p, q = self.ctx.value.numerator, self.ctx.value.denominator
-        top = max((e for nums in polys for e in nums), default=0)
-        weights = [p ** e * q ** (top - e) for e in range(top + 1)]
-        return den * q ** top, [sum(x * weights[e] for e, x in nums.items())
-                                for nums in polys]
 
     def check_rows(self, rows):
         """Raise the ``HbarValueError`` that forming the terms of ``rows``
@@ -439,23 +423,6 @@ class _NumericInts:
         sum at the lower valid order."""
         return (min(a[0], b[0]), 0, list(map(operator.add, a[2], b[2])))
 
-    def sum_into(self, out, items):
-        """Add each (key, code) of ``items`` into ``out`` in turn, as the
-        TPoly sum does: a sum that cancels to a zero series of full valid
-        order (a code TPoly drops) is deleted, and a later code starts that
-        monomial afresh, at the end."""
-        add, cap = self.add, self.cap
-        for key, c in items:
-            old = out.get(key)
-            if old is None:
-                out[key] = c
-            else:
-                s = add(old, c)
-                if s[0] == cap and not any(s[2]):
-                    del out[key]
-                else:
-                    out[key] = s
-
     @staticmethod
     def rescale(a, f):
         return (a[0], 0, [x * f for x in a[2]])
@@ -513,13 +480,6 @@ class _SymbolicInts:
         den = lcm(*(d for _, d, _ in factors))
         return den, [({j: n * (den // d)}, (j, j), True) if j is not None else
                      ({0: n * (den // d)}, None, False) for n, d, j in factors]
-
-    @staticmethod
-    def encode_polys(den, polys):
-        """``encode_scalars`` of the scalars sum_e nums[e] hbar^e / den,
-        each given as the dict ``nums`` of nonzero integer numerators by
-        exponent, without forming them: each an HPoly."""
-        return den, [(nums, (min(nums), max(nums)), True) for nums in polys]
 
     def check_rows(self, rows):
         """Raise the ``HbarWindowError`` that forming the terms of ``rows``
@@ -689,40 +649,6 @@ class _SymbolicInts:
                     del da[k]
         return (v, mask, da)
 
-    def sum_into(self, out, items):
-        """``_NumericInts.sum_into``, each sum written in place: the codes
-        of ``out`` and ``items`` may be shared, so the first sum on a
-        monomial writes a copy of its dict and the later ones write into
-        that copy (``add`` copies at every sum)."""
-        S, cap = self.S, self.cap
-        owned: set = set()
-        for key, b in items:
-            a = out.get(key)
-            if a is None:
-                out[key] = b
-                continue
-            v = a[0] if a[0] < b[0] else b[0]
-            da = a[2]
-            top = (v + 1) * S
-            if a[0] > v:
-                da = {k: x for k, x in da.items() if k < top}
-                owned.add(key)
-            elif key not in owned:
-                da = dict(da)
-                owned.add(key)
-            for k, y in b[2].items():
-                if k < top:
-                    n = da.get(k, 0) + y
-                    if n:
-                        da[k] = n
-                    else:
-                        del da[k]
-            if v == cap and not da:
-                del out[key]
-                owned.discard(key)
-            else:
-                out[key] = (v, (a[1] | b[1]) & ((1 << (v + 1)) - 1), da)
-
     @staticmethod
     def rescale(a, f):
         return (a[0], a[1], {k: x * f for k, x in a[2].items()})
@@ -849,26 +775,6 @@ class Jets(dict):
             raise KeyError(f"no series supplied for source f_{s}")
         code = self[key] = self.kernel.diff(self[s, l - 1])
         return code
-
-    def combine(self, den: int, pairs) -> XSeries:
-        """The series sum c / den * jet(gens[0]) * jet(gens[1]) * ... over
-        the (gens, c) of ``pairs``, each c the code of a scalar in the
-        kernel (``encode_scalars``), decoded once.  Each monomial is a
-        product of jet codes (``monomial``), so the monomials that the
-        sums of one table share are multiplied once."""
-        kernel = self.kernel
-        pairs = list(pairs)
-        top = max((len(gens) for gens, _ in pairs), default=0)
-        total = None
-        for gens, c in pairs:
-            code = kernel.scale(self.monomial(gens), c)
-            # over den ** len(gens), brought over den ** top
-            if len(gens) < top:
-                code = kernel.rescale(code, self.den ** (top - len(gens)))
-            total = code if total is None else kernel.add(total, code)
-        if total is None:
-            total = kernel.constant(kernel.encode_scalars((0,))[1][0])
-        return kernel.series(self.den ** top * den, total)
 
     def monomial(self, gens: tuple):
         """The code of 1 * jet(gens[0]) * jet(gens[1]) * ..., over
