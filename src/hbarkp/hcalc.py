@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import cache
 from math import comb, factorial, gcd, prod
 
-from .hscalar import HContext, check_window
+from .hscalar import HContext
 from .linalg import det
 from .partitions import compositions
 from .rational import Rational
@@ -158,15 +158,6 @@ def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int):
     return tuple(rows), max(j for *_, j in states)
 
 
-def _check_rows(ctx: HContext, top: int) -> None:
-    """Raise the ``HbarWindowError`` of a monomial whose Miwa factors reach
-    hbar^top: the factors are products over the t_k of their hbar powers,
-    and forming them one power at a time first leaves the window at
-    hbar^(hi + 1)."""
-    if not ctx.is_numeric and top > ctx.hi:
-        check_window(ctx, ctx.lo, ctx.hi + 1)
-
-
 def miwa_shift(poly, slot: int, sign: int = 1):
     """Substitute t_k -> t_k + sign * (hbar/k) zeta_slot^k, truncated at the
     slot's z-degree cap.  Composing shifts in different slots commutes.
@@ -174,19 +165,22 @@ def miwa_shift(poly, slot: int, sign: int = 1):
     The shift moves k units of t-weight into z-degree, so it preserves the
     total degree and the result keeps the input's total-degree cap.
     ``poly`` is a resident polynomial (``tpoly.resident``), which stays on
-    integer codes, or a TPoly, shifted on those codes and decoded."""
+    integer codes, or a TPoly, shifted on those codes and decoded.  A
+    monomial's factors are products over the t_k of powers of hbar/k, so
+    their powers of hbar are formed one factor at a time: in formal hbar a
+    monomial whose largest power lies past the window raises hbar^(hi + 1)
+    before its rows are formed (``_Resident.substitute``)."""
     if not (0 <= slot < poly.nslots):
         raise ValueError("slot out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    ctx = poly.ctx
     Z = poly.z_cap
 
     def expand(key):
         return _miwa_rows(key, slot, sign, Z)
 
     codes = resident(poly) if isinstance(poly, TPoly) else poly
-    out = codes.substitute(expand, lambda top: _check_rows(ctx, top))
+    out = codes.substitute(expand)
     return out if codes is poly else out.decode()
 
 

@@ -23,7 +23,11 @@ window holds for a product iff it holds at its extreme exponents, which
 never cancel), ``scalar_codes`` (the integer code of formal-hbar scalars
 over one denominator) and ``numerators`` / ``reduce_terms`` (into and out
 of the integer code).  ``mul_add`` convolves two such codes for the
-product of two ``HPoly`` values.
+product of two ``HPoly`` values.  ``check_power`` is the window rule of a
+power of hbar formed one factor of hbar at a time, which first leaves the
+window at hbar^(hi + 1): the hbar^{nu-1} of the Leibniz rule of the L
+operators (``lops``), the powers of hbar/k of the Miwa shift (``hcalc``)
+and the (-hbar)^k of the tau build's matrix entries (``taubuild``).
 
 All values are immutable; operations are pure.
 """
@@ -141,6 +145,15 @@ class HContext(Record):
 
 def window_error(ctx: HContext, e: int) -> HbarWindowError:
     return HbarWindowError(f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")
+
+
+def check_power(ctx: HContext, top: int) -> None:
+    """Raise the ``HbarWindowError`` of a power hbar^top formed one factor
+    of hbar at a time: in formal hbar, if top lies past the window, the
+    first power formed outside it is hbar^(hi + 1).  Numeric hbar has no
+    window, so nothing is raised there."""
+    if not ctx.is_numeric and top > ctx.hi:
+        raise window_error(ctx, ctx.hi + 1)
 
 
 def check_window(ctx: HContext, lo: int, hi: int) -> None:

@@ -27,20 +27,22 @@ first, so the words of a table's diagrams are built from each other.  The
 value of hbar enters once, where a word is used: ``l_word`` forms its
 coefficients in a context, after raising, in formal hbar, the
 ``HbarWindowError`` that applying the operators one at a time in that
-window would raise (``check_word_window``).
+window would raise.  Each step forms its powers of hbar one factor at a
+time, so a failing step names hbar^(hi + 1) (``l_apply``), and a word
+fails iff its reach, the largest power over its steps, lies past the
+window (``check_word_window``).
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd, lcm, prod
+from operator import not_
 
-from .hscalar import (
-    HContext, HPoly, reduce_terms, scalar_codes, window_error,
-)
+from .hscalar import HContext, HPoly, check_power, reduce_terms, scalar_codes
 from .partitions import compositions
 from .rational import Rational
-from .sparse import MultisetPoly
+from .sparse import MultisetPoly, merge_monomials, mul_terms
 from .xseries import Jets, XSeries
 
 # generator: (source index s >= 1, derivative order l >= 0)
@@ -98,16 +100,6 @@ class DiffPoly(MultisetPoly):
         return kernel.series(jets.den ** top * den, total)
 
 
-def _times(a: dict, b: dict) -> dict:
-    """The product of two polynomials {monomial: integer coefficient}."""
-    out: dict = {}
-    for k1, x in a.items():
-        for k2, y in b.items():
-            key = tuple(sorted(k1 + k2))
-            out[key] = out.get(key, 0) + x * y
-    return out
-
-
 def _x_deriv(terms: dict) -> dict:
     """d/dx of {monomial: coefficient}, integer or scalar: a run of ``run``
     equal generators (s, l) gives run times the monomial with the last of
@@ -152,32 +144,6 @@ def _l_on_source(k: int, s: int, l: int) -> tuple:
     return den // g, {gens: c // g for gens, c in terms.items()}
 
 
-def _check_window(ctx: HContext, i: int, tops) -> None:
-    """Raise the ``HbarWindowError`` that the Leibniz rule below, done term
-    by term in formal hbar, raises first on a polynomial whose monomials,
-    in turn, have n generators and a coefficient whose greatest hbar
-    exponent is ``top`` (0 for a rational): ``tops`` yields (n, top).
-
-    The term of a monomial with coefficient c and of the composition ks
-    with nu nonzero parts forms hbar^{nu-1} (checked first), then
-    c * hbar^{nu-1}, whose low end cannot leave the window (nu >= 1).  So a
-    monomial of n generators fails iff its largest nu, min(i, n), does;
-    then the first failing composition, in ``compositions`` order, names
-    the exponent."""
-    if ctx.is_numeric:
-        return
-    for n, top in tops:
-        reach = max(top, 0)
-        if min(i, n) - 1 + reach <= ctx.hi:
-            continue
-        for ks in compositions(i, n, 0):
-            e = sum(1 for k in ks if k) - 1
-            if e > ctx.hi:
-                raise window_error(ctx, e)
-            if e + reach > ctx.hi:
-                raise window_error(ctx, e + top)
-
-
 @cache
 def _l_on_monomial(i: int, gens: tuple) -> tuple:
     """L_i applied to the monomial ``gens`` with coefficient 1, as (den,
@@ -202,7 +168,7 @@ def _l_on_monomial(i: int, gens: tuple) -> tuple:
     for e, d, hit, rest in plan:
         term = {rest: i * (lcd // d)}
         for src in hit:
-            term = _times(term, src)
+            term = mul_terms(term, src, merge_monomials, not_)
         terms = graded.setdefault(e, {})
         for key, c in term.items():
             terms[key] = terms.get(key, 0) + c
@@ -260,12 +226,23 @@ def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
     (``hscalar.scalar_codes``).  Each coefficient of the result is then
     formed once: an ``HPoly`` in formal hbar, the rational value at hbar
     in numeric hbar.  The result's monomials are sorted.
+
+    In formal hbar, the rule done term by term forms hbar^{nu-1} and then
+    c hbar^{nu-1}, for a coefficient c whose greatest exponent is t (0 for
+    a rational), and raises where one of them leaves the window.  Taken in
+    ``compositions`` order, the first composition with at least K nonzero
+    parts has exactly K, so the first term to leave the window reaches
+    hbar^(hi + 1), whichever of the two products fails.  A monomial of n
+    generators thus raises iff min(i, n) - 1 + max(t, 0) > hi, and always
+    names hbar^(hi + 1) (``hscalar.check_power``).
     """
     if i < 1:
         raise ValueError("operator index must be >= 1")
-    _check_window(poly.ctx, i, (
-        (len(gens), max(c.terms) if isinstance(c, HPoly) else 0)
-        for gens, c in poly.terms.items()))
+    if not poly.ctx.is_numeric:
+        check_power(poly.ctx, max(
+            (min(i, len(gens)) - 1
+             + (max((0, *c.terms)) if isinstance(c, HPoly) else 0)
+             for gens, c in poly.terms.items()), default=0))
     den, codes = scalar_codes(poly.terms.values())
     den, acc = _apply(i, den, {gens: code for gens, (code, _, _)
                                in zip(poly.terms, codes)})
@@ -314,27 +291,38 @@ def hbar_free_word(indices: tuple, target: int) -> tuple:
                       for key, nums in word.items()}
 
 
+@cache
+def _word_reach(indices: tuple, target: int) -> int:
+    """The largest power of hbar that building the word
+    L_{i_1} ... L_{i_{r-1}}(f_{i_r}) one operator at a time forms one
+    factor at a time: over its steps, and over the monomials of each
+    step's hbar-free suffix word, the largest min(i, n) - 1 + t (see
+    ``l_apply``).  The innermost step acts on f_{i_r}, with n = 1, t = 0."""
+    if len(indices) < 2:
+        return 0
+    i, rest = indices[0], indices[1:]
+    return max([_word_reach(rest, target), *(
+        min(i, len(gens)) - 1 + max(nums)
+        for gens, nums in hbar_free_word(rest, target)[1].items())])
+
+
 def check_word_window(indices: tuple, target: int, ctx: HContext) -> None:
     """Raise the ``HbarWindowError`` that building the word
     L_{i_1} ... L_{i_{r-1}}(f_{i_r}) in ``ctx`` one operator at a time,
-    the last index first, raises first (``_check_window`` at each step,
-    on the hbar-free word of the suffix)."""
-    if ctx.is_numeric:
-        return
-    for k in range(len(indices) - 1, -1, -1):
-        if k == len(indices) - 1:
-            tops = ((1, 0),)
-        else:
-            tops = ((len(gens), max(nums)) for gens, nums
-                    in hbar_free_word(indices[k + 1:], target)[1].items())
-        _check_window(ctx, indices[k], tops)
+    the last index first, raises first.  Every step that raises names
+    hbar^(hi + 1) (``l_apply``), so the word raises iff its reach
+    (``_word_reach``) lies past the window.  A step cannot meet a suffix
+    word whose exponent t is past the window: the step that formed that
+    exponent reached it and would have raised first."""
+    if not ctx.is_numeric:
+        check_power(ctx, _word_reach(indices, target))
 
 
 def l_word(indices: tuple, target: int, ctx: HContext) -> DiffPoly:
     """L_{i_1} ... L_{i_{r-1}} applied to f_{i_r}.
 
     The hbar-free word (``hbar_free_word``, the part held per process)
-    with each coefficient formed in ``ctx``, after the window checks of
+    with each coefficient formed in ``ctx``, after the window check of
     building it one operator at a time (``check_word_window``).
     Invariance under permutations and under the choice of which index
     plays the target is a consequence of commutativity and is checked by

@@ -74,7 +74,8 @@ def render_terms(pairs) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-def _merge(k1: tuple, k2: tuple) -> tuple:
+def merge_monomials(k1: tuple, k2: tuple) -> tuple:
+    """The product of two monomials, sorted tuples of symbols."""
     return tuple(sorted(k1 + k2))
 
 
@@ -142,7 +143,7 @@ class MultisetPoly:
         """The commutative product; any other factor is a scalar."""
         if type(other) is not type(self):
             return self.scale(other)
-        return self._new(mul_terms(self.terms, other.terms, _merge,
+        return self._new(mul_terms(self.terms, other.terms, merge_monomials,
                                    hscalar.scalar_is_zero))
 
     __rmul__ = __mul__

@@ -25,8 +25,11 @@ sigma(lam) for F, are held once per process as context-free integer rows
 sigma, ell and rho of every mu, formed once), the character table and
 the integer rows of L^{-1}.  The assemblies encode them straight into the
 integer kernel and scale the codes of their series by them
-(``tpoly.linear_combination``); ``schur_over_hbar`` and ``t_hbar``
-decode them as polynomials for the other callers.
+(``tpoly.linear_combination``).  ``t_hbar`` decodes its rows as
+polynomials for the command line and ``fbuild.f_series_from_plain_table``;
+``schur_over_hbar`` decodes the Schur rows and has no caller in the
+package (the tests use it), and the command line's Schur table is
+``schur``, the rows without their powers of hbar.
 """
 
 from __future__ import annotations

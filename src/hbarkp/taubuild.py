@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
-from .hscalar import HContext, scalar_is_zero
+from .hscalar import HContext, check_power, scalar_is_zero
 from .linalg import det
 from .partitions import Partition, partitions_upto
 from .rational import Rational
@@ -89,7 +89,8 @@ class _Table:
         self.derivs = Jets(dict(enumerate(data.c)))  # (m, k) -> d_x^k c_m
         kernel = self.kernel = self.derivs.kernel
         # (-hbar)^k as XSeries.scale takes it (hbar^0 is an HPoly in formal
-        # mode); a formal hbar^k beyond the window raises where it is used
+        # mode); a formal hbar^k beyond the window raises where it is used,
+        # and k rises one at a time there, so it raises at k = hi + 1
         ks = range(data.K if ctx.is_numeric else min(data.K, ctx.hi + 1))
         den_h, self.signed_hbar = kernel.encode_scalars(
             ctx.hbar_pow(k) * Rational((-1) ** k) for k in ks)
@@ -109,7 +110,7 @@ class _Table:
                     continue
                 d = self.derivs[m, k]
                 if k >= len(self.signed_hbar):
-                    self.data.ctx.hbar_pow(k)  # raises: outside the window
+                    check_power(self.data.ctx, k)  # raises
                 term = kernel.rescale(kernel.scale(d, self.signed_hbar[k]),
                                       comb(j - 1, k))
                 entry = term if entry is None else kernel.add(entry, term)

@@ -43,7 +43,7 @@ from math import factorial, lcm
 from operator import itemgetter, mul, neg
 
 from .errors import HbarkpError
-from .hscalar import HContext, HPoly, scalar_is_zero, scalar_inv
+from .hscalar import HContext, HPoly, check_power, scalar_is_zero, scalar_inv
 from .rational import Rational
 from .sparse import add_terms, coeff_text, map_terms, render_terms
 from .xseries import XSeries, int_kernel
@@ -747,13 +747,15 @@ class _Resident:
         diff = self.kernel.diff
         return self._like({k: diff(c) for k, c in self.terms.items()}, self.den)
 
-    def substitute(self, expand, check) -> "_Resident":
+    def substitute(self, expand) -> "_Resident":
         """Each monomial replaced by a sum of monomials: ``expand(key)`` is
         (rows, top), a row (key, num, den, j) standing for num/den hbar^j
-        (no factor at all when j is None), and ``check(top)`` raises before
-        the monomial's rows are formed.  Rows on one key are summed in
-        order; zero series of full valid order are dropped at the end."""
-        kernel = self.kernel
+        (no factor at all when j is None), each hbar^j formed one factor
+        at a time and ``top`` the largest j.  Before the monomial's rows
+        are formed, a ``top`` past a formal window raises
+        (``hscalar.check_power``).  Rows on one key are summed in order;
+        zero series of full valid order are dropped at the end."""
+        ctx, kernel = self.ctx, self.kernel
         rows = [(c, expand(key)) for key, c in self.terms.items()]
         den, factors = kernel.encode_powers(
             row[1:] for _, (outs, _) in rows for row in outs)
@@ -761,7 +763,7 @@ class _Resident:
         scale, add = kernel.scale, kernel.add
         out: dict = {}
         for c, (outs, top) in rows:
-            check(top)
+            check_power(ctx, top)
             for key, *_ in outs:
                 p = scale(c, next(factors))
                 out[key] = add(out[key], p) if key in out else p

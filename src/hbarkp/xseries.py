@@ -255,8 +255,9 @@ class XSeries:
 # (exactly: a numeric hbar = p/q gives q^-j / p^-j, and hbar = 0 raises
 # ``HbarValueError``), and j = None stands for the rational num/den
 # itself: in formal mode the scalar is an HPoly iff j is not None, so
-# (n, d, 0) is the HPoly n/d hbar^0.  ``check_rows`` raises what forming
-# such scalars would raise.
+# (n, d, 0) is the HPoly n/d hbar^0.  ``check_rows`` raises the window
+# error that forming such scalars in formal hbar would raise; at a
+# numeric hbar ``encode_powers`` has raised all there is to raise.
 #
 # ``product`` is ``XSeries.__mul__`` on two codes, and ``Coded`` wraps a
 # code and its denominator for the rings of ``linalg.det`` and
@@ -326,14 +327,12 @@ class _NumericInts:
         den = lcm(*(d for _, d in scaled))
         return den, [n * (den // d) for n, d in scaled]
 
-    def check_rows(self, rows):
-        """Raise the ``HbarValueError`` that forming the terms of ``rows``
-        (key, num, den, j) as scalars would raise: a negative power of
-        hbar at hbar = 0 (``HContext.hbar_pow``)."""
-        if not self.ctx.value:
-            for *_, j in rows:
-                if j is not None and j < 0:
-                    self.ctx.hbar_pow(j)  # raises
+    @staticmethod
+    def check_rows(rows):
+        """Nothing to raise: forming the scalars of ``rows`` at a numeric
+        hbar fails only for a negative power at hbar = 0, and its caller
+        (``tpoly.linear_combination``) has run ``encode_powers``, which
+        raises that error, on all the rows first."""
 
     @staticmethod
     def codes(series):

@@ -158,6 +158,20 @@ def test_symbolic_fseries_weight_limit(monkeypatch, capsys):
     assert built == [14]
 
 
+@pytest.mark.parametrize("weight, lo, hi, message", [
+    ("8", "0", "1", "hbar^2 outside window [0, 1]"),
+    ("10", "-2", "2", "hbar^3 outside window [-2, 2]"),
+    ("14", "0", "2", "hbar^3 outside window [0, 2]"),
+], ids=["weight-8", "weight-10", "weight-14"])
+def test_symbolic_fseries_past_its_window(capsys, weight, lo, hi, message):
+    """A word that reaches past the window exits 2, naming the power of
+    hbar that building it one operator at a time first forms outside it,
+    hbar^(hi + 1)."""
+    assert main(["fseries", "--mode", "symbolic", "--weight", weight,
+                 "--window", lo, hi]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_x_order_limit(tmp_path, capsys):
     """A document's caps.x_order is at most dataio.X_ORDER_MAX = 128; above
     that every command that reads it exits 2 before building a series."""
@@ -785,8 +799,9 @@ def test_exit_2_on_a_diagram_outside_the_table(tmp_path, capsys, tau_file,
 @pytest.mark.parametrize("argv, key, value, message", [
     (["tau"], "hbar", {"mode": "complex"}, "unknown hbar mode: 'complex'"),
     (["tau"], "c", {"0": ["1"], "a": ["1"]}, 'non-integer index in "c"'),
+    (["tau"], "c", {"0": "1"}, "series must be a list: '1'"),
     (["verify", "kp2"], "basis", "t_other", "unknown basis tag 't_other'"),
-], ids=["hbar-mode", "c-index", "basis"])
+], ids=["hbar-mode", "c-index", "c-series", "basis"])
 def test_exit_2_on_a_malformed_document(tmp_path, capsys, tau_file, f_file,
                                         argv, key, value, message):
     if argv == ["tau"]:

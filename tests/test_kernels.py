@@ -469,6 +469,13 @@ def test_mixed_contexts_and_caps_raise():
             fn(p, q)
 
 
+def test_a_linear_combination_of_mixed_x_caps_raises():
+    row = ((((1,), ()), 1, 1, 1),)
+    pairs = [(row, XSeries.zero(WIDE, 1)), (row, XSeries.zero(WIDE, 2))]
+    with pytest.raises(ValueError, match=r"^mixed hbar contexts or x caps$"):
+        linear_combination(pairs, WIDE, 1)
+
+
 def test_a_coefficient_of_another_context_raises():
     """A series of one context that holds an HPoly of another is refused
     by the product kernel, also where no HPoly * HPoly pair would meet."""

@@ -1,11 +1,12 @@
 """Operator algebra on differential polynomials in the sources f_s."""
 
+from itertools import permutations
 from math import gcd, prod
 from random import Random
 
 import pytest
 
-from hbarkp.hscalar import HContext, HbarWindowError
+from hbarkp.hscalar import HContext, HPoly, HbarWindowError, window_error
 from hbarkp.kpconst import p_const
 from hbarkp.lops import (
     DiffPoly, check_word_window, hbar_free_word, l_apply, l_word,
@@ -249,6 +250,106 @@ def test_deep_words_raise_the_first_window_error_of_the_chain(window):
     assert kinds == {"ok", "HbarWindowError"}
 
 
+def _walk_window(ctx, i, tops):
+    """Reference: the ``HbarWindowError`` that the Leibniz rule of L_i,
+    done term by term in formal hbar, raises first on a polynomial whose
+    monomials, in turn, have n generators and a coefficient whose greatest
+    hbar exponent is ``top`` (0 for a rational): ``tops`` yields (n, top).
+    The term of the composition ks, with nu nonzero parts, forms
+    hbar^{nu-1} first, then c * hbar^{nu-1}; the compositions are met in
+    ``compositions`` order."""
+    for n, top in tops:
+        reach = max(top, 0)
+        if min(i, n) - 1 + reach <= ctx.hi:
+            continue
+        for ks in compositions(i, n, 0):
+            e = sum(1 for k in ks if k) - 1
+            if e > ctx.hi:
+                raise window_error(ctx, e)
+            if e + reach > ctx.hi:
+                raise window_error(ctx, e + top)
+
+
+def _walk_word_window(indices, target, ctx):
+    """Reference: the first ``_walk_window`` error of building the word one
+    operator at a time, the last index first, each step on the hbar-free
+    word of its suffix."""
+    for k in range(len(indices) - 1, -1, -1):
+        if k == len(indices) - 1:
+            tops = ((1, 0),)
+        else:
+            tops = ((len(gens), max(nums)) for gens, nums
+                    in hbar_free_word(indices[k + 1:], target)[1].items())
+        _walk_window(ctx, indices[k], tops)
+
+
+def _error(check, *args):
+    """The message of the HbarWindowError that ``check(*args)`` raises, or
+    None."""
+    try:
+        check(*args)
+    except HbarWindowError as exc:
+        return str(exc)
+    return None
+
+
+def test_l_apply_raises_where_the_composition_walk_does():
+    """On seeded random polynomials, in random windows, L_i raises the
+    walk's error, or none where the walk raises none: one power of hbar,
+    hbar^(hi + 1), whatever the monomials and their order.  Coefficients
+    are rationals or Laurent polynomials whose greatest exponent is
+    negative, zero or positive."""
+    rng = Random(2024)
+    raised = 0
+    for _ in range(3000):
+        lo, hi = rng.randint(-4, 0), rng.randint(0, 5)
+        ctx = HContext.symbolic(lo, hi)
+        terms, tops = {}, []
+        for _ in range(rng.randint(1, 3)):
+            gens = tuple(sorted((rng.randint(1, 3), rng.randint(0, 2))
+                                for _ in range(rng.randint(0, 4))))
+            if gens in terms:
+                continue
+            if rng.random() < 0.25:
+                c, top = random_rational(rng, nonzero=True), 0
+            else:
+                top = rng.randint(lo, hi)
+                c = HPoly(ctx, {e: random_rational(rng, nonzero=True)
+                                for e in {top, rng.randint(lo, top)}})
+            terms[gens] = c
+            tops.append((len(gens), top))
+        i = rng.randint(1, 6)
+        want = _error(_walk_window, ctx, i, tops)
+        assert _error(l_apply, i, DiffPoly(ctx, terms)) == want, (terms, i)
+        assert want in (None, f"hbar^{hi + 1} outside window [{lo}, {hi}]")
+        raised += want is not None
+    assert 500 < raised < 2500
+
+
+def test_word_window_matches_the_walk_over_its_steps():
+    """Every word of weight <= 12 with at least two rows, and every order
+    of the indices of those with at most three operators: the word's reach
+    raises exactly the first error of the steps' walks, in windows
+    [lo, hi], lo in {0, -1, -3}, 0 <= hi <= 6."""
+    words = []
+    for lam in partitions_upto(12, 2):
+        if lam.ell < 2:
+            continue
+        indices, target = tuple(lam[:-1]), lam[-1]
+        orders = set(permutations(indices)) if len(indices) <= 3 else {indices}
+        words += [(order, target) for order in sorted(orders)]
+    raised = 0
+    for lo in (0, -1, -3):
+        for hi in range(7):
+            ctx = HContext.symbolic(lo, hi)
+            for indices, target in words:
+                want = _error(_walk_word_window, indices, target, ctx)
+                got = _error(check_word_window, indices, target, ctx)
+                assert got == want, (indices, target, lo, hi)
+                raised += want is not None
+    assert 0 < raised < 21 * len(words)
+
+
 def test_hbar_free_words_are_reduced_and_sorted():
     with pytest.raises(ValueError):
         hbar_free_word((), 1)
@@ -316,6 +417,19 @@ def test_substitute_examples(num_ctx):
                                like=XSeries.zero(num_ctx, 4))
     want = x.scale(Rational(8, 3)) - XSeries.constant(num_ctx, 4, Rational(2))
     assert got == want
+
+
+@pytest.mark.parametrize("ctx", [HContext.numeric(Rational(1, 2)),
+                                 HContext.symbolic(-3, 3)],
+                         ids=["hbar=1/2", "window=3"])
+def test_the_zero_polynomial_substitutes_to_a_zero_series(ctx):
+    """With no monomial, the value is the zero series of the sources' x cap
+    at its full valid order, though the source is valid to a lower one."""
+    like = XSeries(ctx, 4, [Rational(1), Rational(3)], valid=1)
+    got = DiffPoly.zero(ctx).substitute({1: like})
+    assert (got.cap, got.valid) == (4, 4)
+    assert list(got.coeffs) == [Rational(0)] * 5
+    assert not any(isinstance(c, HPoly) for c in got.coeffs)
 
 
 def test_substitute_missing_source(num_ctx):
