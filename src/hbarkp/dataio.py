@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import HbarkpError
+from .errors import DataFormatError
 from .fbuild import FData, FSeries
 from .hscalar import HContext, default_window, scalar_from_json, scalar_to_json
 from .partitions import Partition, partitions_upto
@@ -33,10 +33,6 @@ from .xseries import XSeries
 # Largest caps.x_order: at W = 4 the slowest command on a full document,
 # verify detm, takes about 5 s at 128 and 43 s at 256.
 X_ORDER_MAX = 128
-
-
-class DataFormatError(HbarkpError, ValueError):
-    """A document that does not hold what its command needs."""
 
 
 def hbar_to_json(ctx: HContext) -> dict:

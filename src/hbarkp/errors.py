@@ -7,3 +7,7 @@ class HbarkpError(Exception):
     Each subclass also keeps its own standard base (``ValueError`` or
     ``ArithmeticError``), so ``except`` clauses written for those still
     match."""
+
+
+class DataFormatError(HbarkpError, ValueError):
+    """A document that does not hold what its command needs."""

@@ -18,8 +18,10 @@ it.  sigma(lam) cancels against the sigma(lam) / rho(lam) of t^hbar_lam,
 so f_lam enters unscaled.
 
 Plain first derivatives d_k F|_0 relate to the f_k through the inverse
-transition matrix column kappa_lam = (L^{-1})_{lam (k)}; the inverse
-conversion proceeds by induction in k.  For numeric hbar != 0, tau data
+transition matrix column kappa_lam = (L^{-1})_{lam (k)}, read off the rows
+of t^hbar_lam / sigma(lam) as their t_k entries; the inverse conversion
+proceeds by induction in k, and a plain-basis table converts back through
+the same rows, by back-substitution.  For numeric hbar != 0, tau data
 follow from c_0 = exp(f_0 / hbar^2) and c_k/c_0 = h_k(y) with
 y_l = f_l / (hbar l), the h_k formed on integer codes (``xseries.Coded``).
 """
@@ -33,9 +35,9 @@ from .lops import DiffPoly, l_word
 from .partitions import EMPTY, Partition, partitions_of, partitions_upto
 from .rational import Rational
 from .record import Record
-from .symfun import h_apply, t_hbar, t_hbar_rows, transition_L
+from .symfun import h_apply, t_hbar_rows
 from .taubuild import TauData, as_xseries
-from .tpoly import TPoly, linear_combination
+from .tpoly import TPoly, linear_combination, texp_of
 from .xseries import Coded, Jets, XSeries, int_kernel
 
 
@@ -135,14 +137,15 @@ def f_series_symbolic(ctx: HContext, weight_cap: int) -> FSeries:
 
 def _conversion_weights(ctx: HContext, k: int):
     """(lam, k * kappa_lam / rho(lam) * hbar^{ell-1}) for each partition lam
-    of k, in ``partitions_of`` order, whose kappa_lam = (L^{-1})_{lam (k)},
-    the first column of the inverse transition matrix, is nonzero."""
-    _, linv = transition_L(k)
-    one_row = Partition((k,))
+    of k, in ``partitions_of`` order, with kappa_lam = (L^{-1})_{lam (k)} =
+    (-1)^{ell-1} (ell-1)! / prod_i m_i(lam)!, the first column of the
+    inverse transition matrix, which is never zero.
+
+    That weight is the t_k entry of t^hbar_lam / sigma(lam), as rho((k)) =
+    k and ell((k)) = 1: the first of its rows (``symfun.t_hbar_rows``)."""
     for lam in partitions_of(k):
-        c = linv.entry(lam, one_row)
-        if c:
-            yield lam, Rational(k) * Rational(c, lam.rho) * ctx.hbar_pow(lam.ell - 1)
+        _, num, den, j = t_hbar_rows(lam, k)[0]
+        yield lam, ctx.form({j: num}, den)
 
 
 def cauchy_from_cauchylike(data: FData, k: int) -> XSeries:
@@ -190,25 +193,30 @@ def f_series_from_plain_table(ctx: HContext, weight_cap: int, x_cap: int,
     dominance-triangular matrix with unit diagonal, so the change of basis
     inverts exactly by back-substitution: working upward from the least
     dominant diagram of each weight,
-      f_lam / sigma(lam) = [t_lam](F) - sum_{mu < lam} f_mu / sigma(mu)
-                            * [t_lam-coefficient of t^hbar_mu].
+      f_lam / sigma(lam) = [t_lam](F) - sum_{mu < lam} f_mu
+                            * [t_lam-coefficient of t^hbar_mu / sigma(mu)].
+    Those coefficients are the rows of ``symfun.t_hbar_rows``, each formed
+    as one scalar, the rows of every mu of a weight before any is used.
     """
     table: dict = {}
     for n in range(1, weight_cap + 1):
         order = list(partitions_of(n))[::-1]  # reverse-lex refines dominance
-        basis = {mu: t_hbar(mu, ctx, weight_cap) for mu in order}
+        rows = {mu: {key: ctx.form({j: num}, den)
+                     for key, num, den, j in t_hbar_rows(mu, weight_cap)}
+                for mu in order}
         for lam in order:
             g = plain.get(lam)
             if g is None:
                 raise KeyError(f"plain table misses diagram {lam.serialize()!r}")
             acc = g.scale(Rational(1, lam.sigma))
+            key = (texp_of(lam), ())
             for mu in order:
                 if mu == lam:
                     break
-                c = basis[mu].coeff(tuple(lam))
-                if scalar_is_zero(c):
+                c = rows[mu].get(key)
+                if c is None or scalar_is_zero(c):
                     continue
-                acc = acc - table[mu].scale(Rational(1, mu.sigma) * c)
+                acc = acc - table[mu].scale(c)
             table[lam] = acc.scale(Rational(lam.sigma))
     return FSeries(ctx, weight_cap, x_cap, f0, table, symbolic=False)
 

@@ -22,27 +22,31 @@ rationals.  The rules of that arithmetic live here once and the
 window holds for a product iff it holds at its extreme exponents, which
 never cancel), ``scalar_codes`` (the integer code of formal-hbar scalars
 over one denominator) and ``numerators`` / ``reduce_terms`` (into and out
-of the integer code).  ``mul_add`` convolves two such codes for the
-product of two ``HPoly`` values.  ``check_power`` is the window rule of a
-power of hbar formed one factor of hbar at a time, which first leaves the
-window at hbar^(hi + 1): the hbar^{nu-1} of the Leibniz rule of the L
-operators (``lops``), the powers of hbar/k of the Miwa shift (``hcalc``)
-and the (-hbar)^k of the tau build's matrix entries (``taubuild``).
+of the integer code); the product of two ``HPoly`` values convolves two
+such codes (``sparse.mul_terms``).  ``HContext.form`` turns integer
+numerators by hbar exponent over one denominator into a scalar, the one
+place where a numeric hbar = 0 refuses a negative power of hbar.
+``check_power`` is the window rule of a power of hbar formed one factor
+of hbar at a time, which first leaves the window at hbar^(hi + 1): the
+hbar^{nu-1} of the Leibniz rule of the L operators (``lops``), the powers
+of hbar/k of the Miwa shift (``hcalc``) and the (-hbar)^k of the tau
+build's matrix entries (``taubuild``).
 
 All values are immutable; operations are pure.
 """
 
 from __future__ import annotations
 
-from operator import neg, not_
+import re
+from operator import add, neg, not_
 
-from .errors import HbarkpError
+from .errors import DataFormatError, HbarkpError
 from .rational import (
     Rational, ZeroDenominatorError, common_denominator, format_rational,
     parse_rational,
 )
 from .record import Record
-from .sparse import add_terms, map_terms
+from .sparse import add_terms, map_terms, mul_terms
 
 
 class HbarWindowError(HbarkpError, ArithmeticError):
@@ -70,6 +74,7 @@ class HContext(Record):
                  value: object | None = None):
         self._set(mode, lo, hi, value)
         self.__dict__["_hash"] = hash((mode, lo, hi, value))
+        self.__dict__["is_numeric"] = mode == "numeric"
 
     def __eq__(self, other):
         if self is other:
@@ -98,10 +103,6 @@ class HContext(Record):
             raise HbarValueError(f"hbar value {value!r} divides by zero") from exc
         return HContext("numeric", value=r)
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.mode == "numeric"
-
     def scalar(self, num, den=1):
         """Lift a rational into this context's scalar type.  A rational of
         the backend's type is taken as it is: rebuilding it would give an
@@ -118,29 +119,33 @@ class HContext(Record):
     def one(self):
         return self.scalar(1)
 
+    def form(self, nums: dict, den=1):
+        """The scalar sum_e nums[e] hbar^e / den of integer numerators by
+        hbar exponent.  In formal hbar an ``HPoly``: its nonzero terms meet
+        the window in turn, and the first exponent outside it raises.  At
+        a numeric hbar = p/q the exact rational, its terms added as integer
+        fractions and reduced once: a negative exponent raises
+        ``HbarValueError`` at hbar = 0, whatever its numerator."""
+        if not self.is_numeric:
+            for e, n in nums.items():
+                if n and not self.lo <= e <= self.hi:
+                    raise window_error(self, e)
+            return HPoly(self, reduce_terms(nums, den), _clean=True)
+        p, q = self.value.numerator, self.value.denominator
+        num, d = 0, 1
+        for e, n in nums.items():
+            if e < 0 and not p:
+                raise HbarValueError("negative power of hbar at hbar = 0")
+            a, b = (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
+            num, d = num * b + n * a * d, d * b
+        return Rational(num, d * den)
+
     def hbar_pow(self, k: int):
         """hbar^k as a scalar; k may be negative."""
-        if self.is_numeric:
-            if self.value == 0 and k < 0:
-                raise HbarValueError("negative power of hbar at hbar = 0")
-            return self.value ** k
-        return HPoly(self, {k: Rational(1)})
+        return self.form({k: 1})
 
     def hbar(self):
         return self.hbar_pow(1)
-
-    def hbar_term(self, num: int, den: int, k: int):
-        """(num / den) * hbar^k as one scalar, formed from the integers;
-        the same value, type and errors as ``Rational(num, den) *
-        self.hbar_pow(k)`` for num != 0."""
-        if not self.is_numeric:
-            return HPoly(self, {k: Rational(num, den)})
-        p, q = self.value.numerator, self.value.denominator
-        if k < 0:
-            if p == 0:
-                raise HbarValueError("negative power of hbar at hbar = 0")
-            p, q, k = q, p, -k
-        return Rational(num * p ** k, den * q ** k)
 
 
 def window_error(ctx: HContext, e: int) -> HbarWindowError:
@@ -196,15 +201,6 @@ def scalar_codes(values):
             codes.append(({0: v.numerator * (den // v.denominator)} if v else {},
                           None, False))
     return den, codes
-
-
-def mul_add(out: dict, a: dict, b: dict) -> None:
-    """Add the product of the codes ``a`` and ``b`` (hbar exponent ->
-    integer numerator) into ``out``."""
-    for e1, x in a.items():
-        for e2, y in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + x * y
 
 
 def reduce_terms(nums: dict, den) -> dict:
@@ -289,8 +285,7 @@ class HPoly:
         check_window(ctx, min(t1) + min(t2), max(t1) + max(t2))
         d1 = common_denominator(t1.values())
         d2 = common_denominator(t2.values())
-        out: dict = {}
-        mul_add(out, numerators(t1, d1), numerators(t2, d2))
+        out = mul_terms(numerators(t1, d1), numerators(t2, d2), add, not_)
         return HPoly(ctx, reduce_terms(out, d1 * d2), _clean=True)
 
     __rmul__ = __mul__
@@ -318,13 +313,8 @@ class HPoly:
 
     def eval_at(self, value):
         """Substitute a rational value for hbar."""
-        v = Rational(value)
-        total = Rational(0)
-        for e, c in self.terms.items():
-            if v == 0 and e < 0:
-                raise HbarValueError("negative power of hbar at hbar = 0")
-            total += c * v ** e
-        return total
+        den = common_denominator(self.terms.values())
+        return HContext.numeric(value).form(numerators(self.terms, den), den)
 
     def even_only(self) -> bool:
         """True when only even hbar powers appear."""
@@ -380,20 +370,25 @@ def scalar_to_json(c):
     return format_rational(Rational(c))
 
 
+def _exponent(key: str) -> int:
+    """An hbar exponent written as ``scalar_to_json`` writes it, the
+    decimal digits of the int: no sign but a minus, no leading zero."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise DataFormatError(f"hbar exponent {key!r} is not a decimal integer")
+    return int(key)
+
+
 def scalar_from_json(ctx: HContext, obj, window=None):
     """A scalar from text or {hbar exponent: text}.  A numeric hbar's
-    exponents must lie in ``window`` (lo, hi) if given, checked first."""
+    exponents must lie in ``window`` (lo, hi) if given, checked before the
+    texts are read."""
     if isinstance(obj, str):
-        r = parse_rational(obj)
-        return ctx.scalar(r)
-    if isinstance(obj, dict):
-        if ctx.is_numeric:
-            exps = [int(e) for e in obj]
-            if exps and window is not None:
-                check_window(HContext.symbolic(*window), min(exps), max(exps))
-            total = Rational(0)
-            for e, r in zip(exps, obj.values()):
-                total += parse_rational(r) * ctx.hbar_pow(e)
-            return total
-        return HPoly(ctx, {int(e): parse_rational(r) for e, r in obj.items()})
-    raise ValueError(f"bad scalar encoding: {obj!r}")
+        return ctx.scalar(parse_rational(obj))
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad scalar encoding: {obj!r}")
+    exps = [_exponent(e) for e in obj]
+    if ctx.is_numeric and exps and window is not None:
+        check_window(HContext.symbolic(*window), min(exps), max(exps))
+    terms = {e: parse_rational(r) for e, r in zip(exps, obj.values())}
+    den = common_denominator(terms.values())
+    return ctx.form(numerators(terms, den), den)

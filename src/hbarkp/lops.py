@@ -39,7 +39,7 @@ from functools import cache
 from math import gcd, lcm, prod
 from operator import not_
 
-from .hscalar import HContext, HPoly, check_power, reduce_terms, scalar_codes
+from .hscalar import HContext, HPoly, check_power, scalar_codes
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly, merge_monomials, mul_terms
@@ -251,19 +251,12 @@ def l_apply(i: int, poly: DiffPoly) -> DiffPoly:
 
 def _coefficients(ctx: HContext, den: int, acc: dict) -> DiffPoly:
     """The polynomial whose coefficient of each monomial of ``acc`` is
-    sum_e acc[key][e] hbar^e / den, in the order of ``acc``; a coefficient
-    that is zero at a numeric hbar is dropped."""
-    terms = {}
+    sum_e acc[key][e] hbar^e / den (``HContext.form``), in the order of
+    ``acc``; a coefficient that is zero at a numeric hbar is dropped."""
+    form = ctx.form
+    terms = {key: form(nums, den) for key, nums in acc.items()}
     if ctx.is_numeric:
-        p, q = ctx.value.numerator, ctx.value.denominator
-        for key, nums in acc.items():
-            top = max(nums)
-            n = sum(x * p ** e * q ** (top - e) for e, x in nums.items())
-            if n:
-                terms[key] = Rational(n, den * q ** top)
-    else:
-        for key, nums in acc.items():
-            terms[key] = HPoly(ctx, reduce_terms(nums, den), _clean=True)
+        terms = {key: c for key, c in terms.items() if c}
     return DiffPoly(ctx, terms, _clean=True)
 
 

@@ -25,8 +25,9 @@ sigma(lam) for F, are held once per process as context-free integer rows
 sigma, ell and rho of every mu, formed once), the character table and
 the integer rows of L^{-1}.  The assemblies encode them straight into the
 integer kernel and scale the codes of their series by them
-(``tpoly.linear_combination``).  ``t_hbar`` decodes its rows as
-polynomials for the command line and ``fbuild.f_series_from_plain_table``;
+(``tpoly.linear_combination``), and the F-side changes of basis
+(``fbuild``) read the rows of t^hbar as they are.  ``t_hbar`` decodes
+its rows as polynomials for the command line only;
 ``schur_over_hbar`` decodes the Schur rows and has no caller in the
 package (the tests use it), and the command line's Schur table is
 ``schur``, the rows without their powers of hbar.
@@ -153,11 +154,10 @@ def schur_rows(lam: Partition, weight_cap: int) -> tuple:
 
 def _decode(rows, ctx: HContext, weight_cap: int, factor: int = 1) -> TPoly:
     """The polynomial of integer rows, each coefficient factor * num/den
-    hbar^j formed as one scalar (``HContext.hbar_term``; j None: the
-    rational), with the same values, types and errors as the rational
-    arithmetic."""
+    hbar^j formed as one scalar (``HContext.form``; j None: the
+    rational)."""
     terms = {key: Rational(factor * num, den) if j is None else
-             ctx.hbar_term(factor * num, den, j)
+             ctx.form({j: factor * num}, den)
              for key, num, den, j in rows}
     return TPoly(ctx, weight_cap, terms=terms)
 
@@ -330,7 +330,6 @@ def transition_L(n: int) -> tuple[TransitionMatrix, TransitionMatrix]:
             TransitionMatrix(n, labels, inv_entries))
 
 
-@cache
 def monomial_m(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """Monomial symmetric function m_lambda expressed in the times.
 
@@ -381,7 +380,6 @@ def t_hbar_rows(lam: Partition, weight_cap: int) -> tuple:
     return _t_hbar_rows(lam)
 
 
-@cache
 def t_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     """hbar-deformed monomial basis element.
 

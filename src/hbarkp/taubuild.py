@@ -38,7 +38,6 @@ from math import comb, prod
 from .hscalar import HContext, check_power, scalar_is_zero
 from .linalg import det
 from .partitions import Partition, partitions_upto
-from .rational import Rational
 from .record import Record
 # Nothing here calls ``schur``; the name stays bound because the benchmark's
 # tracer test (perfbench/test_perfbench.py) checks that tracing rebinds this
@@ -92,8 +91,8 @@ class _Table:
         # mode); a formal hbar^k beyond the window raises where it is used,
         # and k rises one at a time there, so it raises at k = hi + 1
         ks = range(data.K if ctx.is_numeric else min(data.K, ctx.hi + 1))
-        den_h, self.signed_hbar = kernel.encode_scalars(
-            ctx.hbar_pow(k) * Rational((-1) ** k) for k in ks)
+        den_h, self.signed_hbar = kernel.encode_powers(
+            ((-1) ** k, 1, k) for k in ks)
         self.den = self.derivs.den * den_h
         self.entries, self.minors, self.inv0_pows = {}, {}, []
 

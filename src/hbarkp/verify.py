@@ -103,12 +103,14 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, permutations
 from math import comb
+from operator import add, not_
 
 from .hscalar import HbarWindowError, render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
 from .record import Record
+from .sparse import mul_terms
 from .tpoly import CapError, TPoly, _Resident, _coeff_is_zero, resident
 from .xseries import XSeries
 
@@ -319,14 +321,11 @@ def _vandermonde(m: int) -> dict:
     """prod_{i<j} (zeta_i - zeta_j) as {zeta exponents: int}, its terms in
     the order that multiplying the factors in turn, each zeta_i before
     zeta_j, gives them."""
+    unit = [(0,) * s + (1,) + (0,) * (m - 1 - s) for s in range(m)]
     terms = {(0,) * m: 1}
     for i, j in combinations(range(m), 2):
-        out: dict = {}
-        for zexp, c in terms.items():
-            for s, sc in ((i, c), (j, -c)):
-                z = zexp[:s] + (zexp[s] + 1,) + zexp[s + 1:]
-                out[z] = out.get(z, 0) + sc
-        terms = {z: c for z, c in out.items() if c}
+        terms = mul_terms(terms, {unit[i]: 1, unit[j]: -1},
+                          lambda a, b: tuple(map(add, a, b)), not_)
     return terms
 
 

@@ -479,6 +479,37 @@ def test_numeric_documents_bound_their_hbar_exponents(tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("hbar", [
+    {"mode": "rational", "value": "1/2"},
+    {"mode": "symbolic", "window": [-30, 30]},
+], ids=["numeric", "formal"])
+@pytest.mark.parametrize("scalar, key", [
+    ({"0": "1", "1": "1/2", "01": "1/3"}, "01"),
+    ({"1_0": "1"}, "1_0"),
+    ({"+1": "1"}, "+1"),
+    ({" 1": "1"}, " 1"),
+    ({"-0": "1"}, "-0"),
+], ids=["leading-zero", "underscore", "plus", "space", "minus-zero"])
+def test_exit_2_on_an_hbar_exponent_not_written_as_an_int(tmp_path, capsys,
+                                                        hbar, scalar, key):
+    """An hbar exponent is read only as ``scalar_to_json`` writes it.  Read
+    with ``int`` alone, each of these documents builds a table: "01" and
+    "1" both name hbar^1, summed at a numeric hbar and the last one kept in
+    formal hbar, "1_0" names hbar^10 (inside the default window [-10, 10]
+    of weight 8) and "+1", " 1" and "-0" the powers they look like."""
+    W = 8
+    doc = {"hbar": hbar, "caps": {"weight": W, "x_order": W, "z_order": 0},
+           "c": {str(k): ["1"] * (W + 1) for k in range(W + 1)}}
+    doc["c"]["1"][W] = scalar
+    path = tmp_path / "exponent.json"
+    dataio.dump(doc, path)
+    out = tmp_path / "table.json"
+    assert main(["tau", "--input", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: hbar exponent {key!r} is not a decimal integer\n")
+    assert not out.exists()
+
+
 def test_exit_2_on_too_narrow_hbar_window(tmp_path):
     path = tmp_path / "narrow.json"
     dataio.dump(_tau_doc({"mode": "symbolic", "window": [-1, 1]}, 3), path)

@@ -3,8 +3,9 @@
 Documents start from valid ones of every kind the commands read (tau and
 F data, plain derivatives, c_lambda and f_lambda tables; numeric and
 formal hbar) and take a few mutations: wrong types and missing keys, huge
-or negative caps, empty series, symbolic windows, tables of the wrong
-kind, top levels that are not objects.  Each is run through ``cli.main``
+or negative caps, empty series, symbolic windows, hbar exponents not
+written as ints, tables of the wrong kind, top levels that are not
+objects.  Each is run through ``cli.main``
 in process.  Whatever the input, the run must return 0, 1 or 2, no
 exception may escape ``cli.main``, and 1 must come only from ``verify``
 whose residual failed.
@@ -102,7 +103,7 @@ def mutated(draw, doc):
             break
         op = draw(st.sampled_from(["hbar", "cap", "x_order", "drop", "table",
                                    "entry", "series", "empty", "kind", "top",
-                                   "bump", "bump"]))
+                                   "bump", "bump", "exponent"]))
         tables = [k for k in ("c", "f", "cauchy", "c_lambda", "f_lambda")
                   if isinstance(doc.get(k), dict)]
         if op == "hbar":
@@ -131,6 +132,13 @@ def mutated(draw, doc):
             key = draw(st.sampled_from(sorted(table) or [""]))
             if isinstance(table.get(key), list) and table[key]:
                 table[key][0] = "7/3"
+        elif op == "exponent" and tables:
+            # an hbar exponent not written as an int writes it
+            table = doc[draw(st.sampled_from(tables))]
+            key = draw(st.sampled_from(sorted(table) or [""]))
+            if isinstance(table.get(key), list) and table[key]:
+                table[key][-1] = {draw(st.sampled_from(
+                    ["01", "+1", "1_0", " 1", "-0", "1.0"])): "1"}
         elif op in ("entry", "series", "empty") and tables:
             table = doc[draw(st.sampled_from(tables))]
             key = draw(keys | st.sampled_from(sorted(table) or [""]))

@@ -67,6 +67,64 @@ def test_hbar_zero_division_guard():
         ctx.hbar_pow(-1)
 
 
+def _form_reference(ctx, nums, den):
+    """sum_e nums[e] hbar^e / den term by term on ``Fraction``: the value at
+    a numeric hbar, or the terms of the HPoly in formal hbar; or the class
+    and message of the error."""
+    try:
+        if ctx.is_numeric:
+            h, total = Fraction(ctx.value), Fraction(0)
+            for e, n in nums.items():
+                if e < 0 and h == 0:
+                    raise HbarValueError("negative power of hbar at hbar = 0")
+                total += Fraction(n, den) * h ** e
+            return "ok", total
+        terms = {}
+        for e, n in nums.items():
+            if n:
+                if not ctx.lo <= e <= ctx.hi:
+                    raise HbarWindowError(
+                        f"hbar^{e} outside window [{ctx.lo}, {ctx.hi}]")
+                terms[e] = Fraction(n, den)
+        return "ok", terms
+    except (HbarValueError, HbarWindowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)), HContext.numeric(Rational(-2, 3)),
+    HContext.numeric(3), HContext.numeric(0),
+    HContext.symbolic(-8, 8), HContext.symbolic(-2, 2),
+    HContext.symbolic(0, 0), HContext.symbolic(0, 3),
+    HContext.symbolic(-3, 0), HContext.symbolic(-1, 1),
+], ids=["1/2", "-2/3", "3", "0", "[-8,8]", "[-2,2]", "[0,0]", "[0,3]",
+        "[-3,0]", "[-1,1]"])
+def test_form_matches_a_fraction_reference(ctx):
+    """``HContext.form`` against the terms summed one at a time: the same
+    value and type, or the same error class and message, on numerators
+    by hbar exponent that include zeros, negative exponents and exponents
+    past every window, and on no numerators at all."""
+    rng = Random(25)
+    cases = [({}, 1), ({0: 0}, 3), ({-1: 0}, 2), ({4: 0, -4: 0}, 1)]
+    for _ in range(300):
+        nums = {rng.randint(-5, 5): rng.randint(-4, 4)
+                for _ in range(rng.randint(1, 4))}
+        cases.append((nums, rng.randint(1, 12)))
+    for nums, den in cases:
+        want = _form_reference(ctx, nums, den)
+        try:
+            got = ctx.form(nums, den)
+        except (HbarValueError, HbarWindowError) as exc:
+            assert (type(exc), str(exc)) == want, (nums, den)
+            continue
+        assert want[0] == "ok", (nums, den)
+        if ctx.is_numeric:
+            assert type(got) is Rational and got == want[1], (nums, den)
+        else:
+            assert type(got) is HPoly and got.terms == want[1], (nums, den)
+            assert all(type(c) is Rational for c in got.terms.values())
+
+
 def test_scalar_json_roundtrip(sym_ctx, num_ctx):
     s = 3 * sym_ctx.hbar_pow(2) - sym_ctx.scalar(1, 2)
     assert scalar_from_json(sym_ctx, scalar_to_json(s)) == s

@@ -187,16 +187,36 @@ def test_cauchy_relation_symbolic():
 
 
 def test_conversion_round_trips(num_ctx, rng):
-    for trial in range(3):
-        data = random_f_data(rng, num_ctx, 5, 7)
-        plain = tuple(cauchy_from_cauchylike(data, k) for k in range(1, 6))
-        back = cauchylike_from_cauchy(num_ctx, 5, 7, data.f0, plain)
-        for k in range(1, 6):
-            assert back.series(k) == data.series(k)
-        # and the other way around
-        again = tuple(cauchy_from_cauchylike(back, k) for k in range(1, 6))
-        for k in range(1, 6):
-            assert again[k - 1] == plain[k - 1]
+    """In numeric hbar and in formal hbar, on data that mix rationals with
+    hbar-monomials."""
+    for ctx in (num_ctx, HContext.symbolic(-14, 14)):
+        for trial in range(3):
+            data = mixed_f_data(rng, ctx, 5, 7)
+            plain = tuple(cauchy_from_cauchylike(data, k) for k in range(1, 6))
+            back = cauchylike_from_cauchy(ctx, 5, 7, data.f0, plain)
+            for k in range(1, 6):
+                assert back.series(k) == data.series(k)
+            # and the other way around
+            again = tuple(cauchy_from_cauchylike(back, k) for k in range(1, 6))
+            for k in range(1, 6):
+                assert again[k - 1] == plain[k - 1]
+
+
+@pytest.mark.parametrize("ctx", [
+    HContext.numeric(Rational(1, 2)),
+    HContext.numeric(Rational(-2, 3)),
+    HContext.numeric(0),
+    HContext.symbolic(-14, 14),
+], ids=["hbar=1/2", "hbar=-2/3", "hbar=0", "symbolic"])
+def test_cauchy_from_cauchylike_is_the_one_row_plain_coefficient(ctx):
+    """d_k F|_0 from the deformed data is the t_k coefficient of the
+    assembled series, for every k up to the weight cap: the conversion
+    weights are the t_k entries of the rows of t^hbar_lam / sigma(lam)."""
+    for seed in range(2):
+        data = mixed_f_data(Random(seed), ctx, 6, 6)
+        plain = f_series(data).plain_taylor()
+        for k in range(1, 7):
+            assert cauchy_from_cauchylike(data, k) == plain[Partition((k,))], k
 
 
 def test_hbar_parity_for_plain_data(rng):
@@ -256,14 +276,16 @@ def test_bridge_preconditions(num_ctx, rng):
 
 
 def test_plain_table_round_trip(num_ctx, rng):
-    """Diagram coefficients -> plain Taylor table -> diagram coefficients."""
+    """Diagram coefficients -> plain Taylor table -> diagram coefficients,
+    in numeric hbar and in formal hbar."""
     from hbarkp.fbuild import f_series_from_plain_table
 
-    data = random_f_data(rng, num_ctx, 4, 5)
-    fs = f_series(data)
-    rebuilt = f_series_from_plain_table(num_ctx, 4, 5, fs.f0, fs.plain_taylor())
-    for lam in fs.table:
-        assert rebuilt.table[lam] == fs.table[lam], lam
+    for ctx in (num_ctx, HContext.symbolic(-14, 14)):
+        data = mixed_f_data(rng, ctx, 4, 5)
+        fs = f_series(data)
+        rebuilt = f_series_from_plain_table(ctx, 4, 5, fs.f0, fs.plain_taylor())
+        for lam in fs.table:
+            assert rebuilt.table[lam] == fs.table[lam], lam
 
 
 def test_symbolic_series_rendering():
