@@ -142,10 +142,15 @@ def _conversion_weights(ctx: HContext, k: int):
     inverse transition matrix, which is never zero.
 
     That weight is the t_k entry of t^hbar_lam / sigma(lam), as rho((k)) =
-    k and ell((k)) = 1: the first of its rows (``symfun.t_hbar_rows``)."""
+    k and ell((k)) = 1: the first of its rows (``symfun.t_hbar_rows``).
+    A weight that is exactly zero (ell >= 2 at hbar = 0) is left out: its
+    word is not evaluated, so its derivatives cannot lower the valid order
+    of the sum."""
     for lam in partitions_of(k):
         _, num, den, j = t_hbar_rows(lam, k)[0]
-        yield lam, ctx.form({j: num}, den)
+        weight = ctx.form({j: num}, den)
+        if not scalar_is_zero(weight):
+            yield lam, weight
 
 
 def cauchy_from_cauchylike(data: FData, k: int) -> XSeries:

@@ -21,7 +21,7 @@ from .linalg import det
 from .partitions import compositions
 from .rational import Rational
 from .sparse import MultisetPoly
-from .tpoly import TPoly, _trim, resident
+from .tpoly import TPoly, resident
 
 
 class DiffOperator(MultisetPoly):
@@ -117,45 +117,64 @@ def dh_apply(k: int, poly: TPoly) -> TPoly:
 
 
 @cache
-def _miwa_rows(key: tuple, slot: int, sign: int, z_cap: int):
-    """The monomial ``key`` under t_k -> t_k + sign * (hbar/k) zeta_slot^k,
-    truncated at the slot's z cap, as (rows, top): a row (key, num, den, j)
-    is the monomial with factor num/den hbar^j (j None: the monomial
-    itself, with no factor), and ``top`` is the largest power of hbar.
+def _miwa_rows(pack, p: int, slot: int, sign: int):
+    """The monomial of the int ``p`` of the packing ``pack``
+    (``tpoly._Packing``) under t_k -> t_k + sign * (hbar/k) zeta_slot^k,
+    truncated at the slot's z cap, as (rows, top): a row (int, num, den, j)
+    is a monomial with factor num/den hbar^j (j None: the monomial itself,
+    with no factor), and ``top`` is the largest power of hbar.
 
-    The rows come in the order of the expansion: t-positions in turn, each
-    power of a t_k taken as its terms j = 0..a.  Their keys are trimmed, so
-    the rows do not depend on the number of slots, and shifts of one
-    monomial in polynomials with different numbers of slots share them."""
-    texp, zexp = key
-    base_z = zexp[slot] if slot < len(zexp) else 0
-    # expansion state: (remaining exponents, z-degree added, num, den, j)
-    states = [(texp, 0, 1, 1, 0)]
-    for pos, a in enumerate(texp):
+    A factor hbar/k zeta^k takes one from the t_k field and k from the
+    weight and adds k to the slot's field; the total degree stays.  So a
+    row is ``p`` plus its change of t fields plus the z-degree it adds
+    times one unit moved from the weight into the slot.  Those moves
+    (``_miwa_moves``) depend only on the t part of ``p`` and the room left
+    in the slot, so every slot and every number of slots shares them."""
+    f, mask = pack.width, pack.mask
+    at = pack.zshift + f * slot
+    unit = (1 << at) - (1 << pack.wshift)
+    moves, top = _miwa_moves(p & ((1 << pack.zshift) - 1),
+                             pack.Z - ((p >> at) & mask), sign, f)
+    return tuple((p + dt + zd * unit, num, den, j)
+                 for dt, zd, num, den, j in moves), top
+
+
+@cache
+def _miwa_moves(tpart: int, room: int, sign: int, f: int):
+    """The expansion of the t fields ``tpart`` (each ``f`` bits) under the
+    shift, at most ``room`` z-degree added, as (moves, top): a move
+    (change of the t fields, z-degree added, num, den, j), in the order of
+    the expansion: t-positions in turn, each power of a t_k taken as its
+    terms j = 0..a."""
+    mask = (1 << f) - 1
+    # expansion state: (change of the t fields, z-degree added, num, den, j)
+    states = [(0, 0, 1, 1, 0)]
+    pos = 0
+    while tpart >> (f * pos):
+        a = (tpart >> (f * pos)) & mask
+        k = pos + 1
+        pos += 1
         if a == 0:
             continue
-        k = pos + 1
+        one = 1 << (f * (k - 1))
         new_states = []
-        for exps, zd, num, den, j0 in states:
+        for dt, zd, num, den, j0 in states:
             for j in range(0, a + 1):
                 zd2 = zd + k * j
-                if base_z + zd2 > z_cap:
+                if zd2 > room:
                     break
                 if j == 0:
-                    new_states.append((exps, zd, num, den, j0))
+                    new_states.append((dt, zd, num, den, j0))
                     continue
-                e2 = list(exps)
-                e2[pos] = a - j
-                new_states.append((tuple(e2), zd2, num * comb(a, j) * sign ** j,
+                new_states.append((dt - j * one, zd2,
+                                   num * comb(a, j) * sign ** j,
                                    den * k ** j, j0 + j))
         states = new_states
-    rows = []
-    for exps, zd, num, den, j in states:
-        nz = list(zexp) + [0] * (slot + 1 - len(zexp))
-        nz[slot] += zd
+    moves = []
+    for dt, zd, num, den, j in states:
         g = gcd(num, den)
-        rows.append(((_trim(exps), _trim(nz)), num // g, den // g, j or None))
-    return tuple(rows), max(j for *_, j in states)
+        moves.append((dt, zd, num // g, den // g, j or None))
+    return tuple(moves), max(j for *_, j in states)
 
 
 def miwa_shift(poly, slot: int, sign: int = 1):
@@ -174,12 +193,12 @@ def miwa_shift(poly, slot: int, sign: int = 1):
         raise ValueError("slot out of range")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    Z = poly.z_cap
-
-    def expand(key):
-        return _miwa_rows(key, slot, sign, Z)
-
     codes = resident(poly) if isinstance(poly, TPoly) else poly
+    pack = codes.pack
+
+    def expand(p):
+        return _miwa_rows(pack, p, slot, sign)
+
     out = codes.substitute(expand)
     return out if codes is poly else out.decode()
 

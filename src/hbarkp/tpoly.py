@@ -19,16 +19,21 @@ All three caps are explicit constructor parameters, never ambient state,
 and instances are immutable.  Sums, negation, scaling, coefficient maps
 and rendering are ``sparse``'s shared term arithmetic, with ``_droppable``
 as the zero test.  Every product enumerates its pairs one way
-(``_product_pairs``): monomial keys packed into ints (``_Packing``), both
-operands sorted by the degree that the outer cap bounds, so the cap ends
-the inner loop and a capped product costs only what it keeps.
+(``_product_pairs``): monomials packed into ints (``_Packing``) that carry
+their weight and total degree, both operands sorted by the degree that
+the outer cap bounds, so the cap ends the inner loop and a capped product
+costs only what it keeps.
 
-``TPoly`` is the reference ring: its product multiplies the coefficients
-pair by pair, whatever they are.  ``resident`` writes a polynomial whose
-coefficients are x-series on the integer codes of ``xseries.int_kernel``,
-one denominator for the whole polynomial; its private ``_Resident`` form
-keeps every result on those codes until ``decode`` reduces each
-coefficient to canonical rationals once.  The two meet only there: a
+``TPoly`` is the reference ring, keyed by (texp, zexp) tuples: its product
+multiplies the coefficients pair by pair, whatever they are.  ``resident``
+writes a polynomial whose coefficients are x-series on the integer codes
+of ``xseries.int_kernel``, one denominator for the whole polynomial, and
+whose monomials are the ints of its shape's packing; its private
+``_Resident`` form keeps every result on those codes and ints until
+``decode`` reduces each coefficient to canonical rationals once and reads
+each key back as a tuple.  Products, zeta shifts, derivatives, sums,
+relabellings and the Miwa shift all read and write ints; tuples come back
+only in ``decode`` and ``coefficient``.  The two meet only there: a
 resident polynomial takes no ``TPoly`` operand.  The exponential, the
 logarithm and the Miwa shift have only the resident form, and the
 residual checks keep their whole computation resident;
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial, lcm
-from operator import itemgetter, mul, neg
+from operator import itemgetter, neg
 
 from .errors import HbarkpError
 from .hscalar import HContext, HPoly, check_power, scalar_is_zero, scalar_inv
@@ -106,21 +111,6 @@ def _monomial_text(key: tuple) -> str:
             if a:
                 vars_.append(f"{name}{i + 1}" if a == 1 else f"{name}{i + 1}^{a}")
     return "*".join(vars_) or "1"
-
-
-def _diff_terms(terms: dict, k: int, times) -> dict:
-    """The terms of the t_k-derivative; ``times(c, a)`` is the coefficient
-    ``c`` times the exponent ``a`` of t_k."""
-    out = {}
-    i = k - 1
-    for (texp, zexp), c in terms.items():
-        if i >= len(texp) or texp[i] == 0:
-            continue
-        a = texp[i]
-        nt = list(texp)
-        nt[i] = a - 1
-        out[(_trim(nt), zexp)] = times(c, a)
-    return out
 
 
 def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
@@ -253,18 +243,6 @@ class TPoly:
         texp = (0,) * (k - 1) + (1,)
         return TPoly(ctx, weight_cap, z_cap, nslots, {(texp, ()): Rational(1)})
 
-    @staticmethod
-    def var_zeta(ctx, weight_cap, slot: int, z_cap, nslots, power: int = 1,
-                 degree_cap=None) -> "TPoly":
-        """zeta_slot^power, the slot variable standing for z_slot^{-1}."""
-        if not (0 <= slot < nslots):
-            raise ValueError("slot out of range")
-        if power > z_cap:
-            raise CapError("zeta power exceeds z cap")
-        zexp = (0,) * slot + (power,)
-        return TPoly(ctx, weight_cap, z_cap, nslots, {((), zexp): Rational(1)},
-                     degree_cap=degree_cap)
-
     # -- structure ----------------------------------------------------------
 
     def _same_shape(self, other: "TPoly"):
@@ -332,9 +310,11 @@ class TPoly:
         if not isinstance(other, TPoly):
             return NotImplemented
         self._same_shape(other)
+        pack = _packing(self.weight_cap, self.z_cap, self.nslots)
+        ints = [{pack.pack(k): c for k, c in poly.terms.items()}
+                for poly in (self, other)]
         out: dict = {}
-        pack, pairs = _product_pairs(self, self.terms, other.terms)
-        for p, c1, c2 in pairs:
+        for p, c1, c2 in _product_pairs(self, *ints):
             c = c1 * c2
             out[p] = out[p] + c if p in out else c
         key = pack.key
@@ -349,12 +329,6 @@ class TPoly:
             return self._like({}, _clean=True)
         return self.map_coeffs(lambda c: c * s)
 
-    def pow_int(self, n: int) -> "TPoly":
-        out = self._constant_like(Rational(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
             other = self._constant_like(other)
@@ -368,7 +342,16 @@ class TPoly:
 
     def diff_t(self, k: int) -> "TPoly":
         """Partial derivative with respect to t_k."""
-        return self._like(_diff_terms(self.terms, k, mul), _clean=True)
+        out = {}
+        i = k - 1
+        for (texp, zexp), c in self.terms.items():
+            if i >= len(texp) or texp[i] == 0:
+                continue
+            a = texp[i]
+            nt = list(texp)
+            nt[i] = a - 1
+            out[(_trim(nt), zexp)] = c * a
+        return self._like(out, _clean=True)
 
     def map_coeffs(self, fn) -> "TPoly":
         return self._like(map_terms(self.terms, fn, _droppable), _clean=True)
@@ -420,9 +403,10 @@ class TPoly:
 #
 # A ``_Resident`` is a polynomial whose coefficients stay integer codes
 # (valid, mask, nums) of ``xseries.int_kernel``, the one code of an
-# x-series, over one denominator for the whole polynomial, so a chain of
-# sums, scalings, products, zeta shifts and Miwa shifts reduces nothing
-# until ``decode``.  Each operation is tested against the ``TPoly``
+# x-series, over one denominator for the whole polynomial, keyed by the
+# ints of its ``_Packing``, so a chain of sums, scalings, products, zeta
+# shifts and Miwa shifts reduces nothing and decodes no key until
+# ``decode``.  Each operation is tested against the ``TPoly``
 # reference (``tests/test_resident.py``): it meets the monomials, pairs
 # and x-powers in the reference's order, so the decoded result has the
 # same values, valid orders, coefficient types and kept monomials, and
@@ -454,85 +438,106 @@ def resident(poly: TPoly) -> "_Resident":
               for c in values]
     kernel = int_kernel(ctx, cap)
     den, codes = kernel.codes(values)
-    return _Resident(poly, kernel, scalar, den, dict(zip(poly.terms, codes)))
+    pack = _packing(poly.weight_cap, poly.z_cap, poly.nslots)
+    return _Resident(poly, pack, kernel, scalar, den,
+                     dict(zip(map(pack.pack, poly.terms), codes)))
 
 
 class _Packing:
-    """Monomial keys of one shape as ints, so that adding two ints adds
-    their exponents: t_1..t_W, then the slots, each a field of ``width``
-    bits.  The top bit of a slot field is a guard: with ``offset`` added, a
-    sum of two in-cap keys sets a guard bit iff a slot exceeds the z cap.
-    A sum within the weight cap never carries out of a t field.  The maps
-    between keys and ints keep every key met, at most the monomials within
-    the caps."""
+    """Monomial keys of one shape as ints, so that adding two ints
+    multiplies their monomials: t_1..t_W, then the slots, then the weight,
+    each a field of ``width`` bits, and the total degree above them all.
+    The top bit of a slot field and of the weight field is a guard: with
+    ``offset`` added, a sum of two in-cap keys sets a guard bit iff a slot
+    exceeds the z cap or the weight the weight cap, and no field of such a
+    sum carries into the next.  So the weight and the total degree of an
+    int are read off it, and a pair within the caps is one addition and
+    one test.  ``pack`` writes a key (texp, zexp) as its int and ``key``
+    reads the key back."""
 
     def __init__(self, W: int, Z: int, nslots: int):
         f = self.width = max(W, Z, 1).bit_length() + 1
-        self.W = W
-        base = f * W
-        self.guard = sum(1 << (base + f * s + f - 1) for s in range(nslots))
-        self.offset = sum(((1 << (f - 1)) - 1 - Z) << (base + f * s)
-                          for s in range(nslots))
-        self.rows: dict = {}   # key -> (int, weight, total degree)
-        self.keys: dict = {}   # int -> key
+        self.W, self.Z, self.nslots = W, Z, nslots
+        self.mask = (1 << f) - 1
+        self.zshift = f * W
+        self.zmask = ((1 << (f * nslots)) - 1) << self.zshift
+        self.wshift = f * (W + nslots)
+        self.dshift = self.wshift + f
+        fields = [(self.zshift + f * s, Z) for s in range(nslots)]
+        fields.append((self.wshift, W))
+        self.guard = sum(1 << (at + f - 1) for at, _ in fields)
+        self.offset = sum(((1 << (f - 1)) - 1 - cap) << at for at, cap in fields)
+        self.renamings: dict = {}
 
-    def row(self, key):
-        """(int, weight, total degree) of a key."""
-        row = self.rows.get(key)
-        if row is None:
-            texp, zexp = key
-            f, p = self.width, 0
-            for i, a in enumerate(texp):
-                p |= a << (f * i)
-            for s, d in enumerate(zexp):
-                p |= d << (f * (self.W + s))
-            w = weight_of(texp)
-            row = self.rows[key] = (p, w, w + sum(zexp))
-            self.keys[p] = key
-        return row
+    def pack(self, key) -> int:
+        """The int of a key within the caps."""
+        texp, zexp = key
+        f, p, w = self.width, 0, 0
+        for i, a in enumerate(texp):
+            p |= a << (f * i)
+            w += (i + 1) * a
+        at = self.zshift
+        for s, d in enumerate(zexp):
+            p |= d << (at + f * s)
+        return p | (w << self.wshift) | ((w + sum(zexp)) << self.dshift)
 
     def key(self, p: int):
-        """The key of an int."""
-        key = self.keys.get(p)
-        if key is None:
-            f, W = self.width, self.W
-            mask = (1 << f) - 1
-            n = (p.bit_length() + f - 1) // f
-            fields = [(p >> (f * i)) & mask for i in range(max(n, W))]
-            texp, zexp = key = (_trim(fields[:W]), _trim(fields[W:]))
-            w = weight_of(texp)
-            self.rows[key] = (p, w, w + sum(zexp))
-            self.keys[p] = key
-        return key
+        """The key (texp, zexp) of an int."""
+        f, mask, at = self.width, self.mask, self.zshift
+        return (_trim([(p >> (f * i)) & mask for i in range(self.W)]),
+                _trim([(p >> (at + f * s)) & mask for s in range(self.nslots)]))
 
     def items(self, terms: dict, by_degree: bool) -> list:
-        """(sort degree, weight, int, coeff) rows, stably sorted by the total
-        degree if ``by_degree``, else by the weight."""
-        row = self.row
-        items = []
-        for key, c in terms.items():
-            p, w, d = row(key)
-            items.append((d if by_degree else w, w, p, c))
+        """(sort degree, int, coeff) rows, stably sorted by the total degree
+        if ``by_degree``, else by the weight."""
+        if by_degree:
+            at = self.dshift
+            items = [(p >> at, p, c) for p, c in terms.items()]
+        else:
+            at, mask = self.wshift, self.mask
+            items = [((p >> at) & mask, p, c) for p, c in terms.items()]
         items.sort(key=itemgetter(0))
         return items
 
-    def pairs(self, items1, items2, W: int, limit: int):
-        """(int key, c1, c2) for the pairs of rows within the caps, in order.
+    def pairs(self, items1, items2, limit: int):
+        """(int, c1, c2) for the pairs of rows within the caps, in order.
         The first partner whose sort degree passes ``limit`` ends the inner
-        loop; a partner over the weight cap alone is skipped."""
+        loop; a pair over the weight or the z cap alone is skipped."""
         offset, guard = self.offset, self.guard
-        for s1, w1, p1, c1 in items1:
+        for s1, p1, c1 in items1:
             budget = limit - s1
-            w_budget = W - w1
-            for s2, w2, p2, c2 in items2:
+            for s2, p2, c2 in items2:
                 if s2 > budget:
                     break
-                if w2 > w_budget:
-                    continue
                 p = p1 + p2
                 if (p + offset) & guard:
                     continue
                 yield p, c1, c2
+
+    def renaming(self, perm) -> "_Renaming":
+        """The slot fields of an int renamed by ``perm`` (slot s to
+        perm[s]), kept per slot part."""
+        out = self.renamings.get(perm)
+        if out is None:
+            out = self.renamings[perm] = _Renaming(self, perm)
+        return out
+
+
+class _Renaming(dict):
+    """Slot part of an int -> that part with slot s moved to perm[s]."""
+
+    def __init__(self, pack: _Packing, perm):
+        super().__init__()
+        f, at = pack.width, pack.zshift
+        self.mask = pack.mask
+        self.moves = [(at + f * s, at + f * t) for s, t in enumerate(perm)]
+
+    def __missing__(self, z: int) -> int:
+        mask, out = self.mask, 0
+        for source, target in self.moves:
+            out |= ((z >> source) & mask) << target
+        self[z] = out
+        return out
 
 
 @cache
@@ -541,36 +546,38 @@ def _packing(W: int, Z: int, nslots: int) -> _Packing:
 
 
 def _product_pairs(shape, terms1: dict, terms2: dict):
-    """(packing, pairs): the ``_Packing`` of the caps of ``shape`` and its
-    ``pairs`` of ``terms1`` by ``terms2``, sorted by the degree that the
+    """The ``_Packing.pairs`` of ``terms1`` by ``terms2``, both keyed by the
+    ints of the packing of ``shape``'s caps, sorted by the degree that the
     outer cap bounds (total degree under a total-degree cap)."""
     W, D = shape.weight_cap, shape.degree_cap
     pack = _packing(W, shape.z_cap, shape.nslots)
     by_degree = D is not None
-    return pack, pack.pairs(pack.items(terms1, by_degree),
-                            pack.items(terms2, by_degree),
-                            W, W if D is None else D)
+    return pack.pairs(pack.items(terms1, by_degree),
+                      pack.items(terms2, by_degree), W if D is None else D)
 
 
 class _Resident:
-    """A TPoly on integer codes; see the block comment above."""
+    """A TPoly on integer codes, keyed by the ints of ``pack``; see the
+    block comment above."""
 
     __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap",
-                 "kernel", "scalar", "den", "terms")
+                 "pack", "kernel", "scalar", "den", "terms")
 
-    def __init__(self, shape, kernel, scalar: bool, den: int, terms: dict):
+    def __init__(self, shape, pack: _Packing, kernel, scalar: bool, den: int,
+                 terms: dict):
         self.ctx = shape.ctx
         self.weight_cap = shape.weight_cap
         self.z_cap = shape.z_cap
         self.nslots = shape.nslots
         self.degree_cap = shape.degree_cap
+        self.pack = pack
         self.kernel = kernel
         self.scalar = scalar
         self.den = den
         self.terms = terms
 
     def _like(self, terms: dict, den: int) -> "_Resident":
-        return _Resident(self, self.kernel, self.scalar, den, terms)
+        return _Resident(self, self.pack, self.kernel, self.scalar, den, terms)
 
     def _clean(self, terms: dict, den: int) -> "_Resident":
         """The polynomial of ``terms`` over ``den`` without the codes TPoly
@@ -578,11 +585,11 @@ class _Resident:
         the common factor of the numerators and ``den`` divided out."""
         kernel = self.kernel
         cap, is_zero = kernel.cap, kernel.is_zero
-        terms = {k: c for k, c in terms.items() if c[0] != cap or not is_zero(c)}
+        terms = {p: c for p, c in terms.items() if c[0] != cap or not is_zero(c)}
         g = kernel.content(terms.values(), den)
         if g > 1:
             divide = kernel.divide
-            terms = {k: divide(c, g) for k, c in terms.items()}
+            terms = {p: divide(c, g) for p, c in terms.items()}
             den //= g
         return self._like(terms, den)
 
@@ -600,16 +607,21 @@ class _Resident:
 
     def _constant_like(self, value) -> "_Resident":
         den, s = self._scalar_code(value)
-        return self._like({((), ()): self.kernel.constant(s)}, den)
+        return self._like({0: self.kernel.constant(s)}, den)
+
+    def _reduced(self, code):
+        """One code reduced, as ``decode`` gives its coefficient."""
+        c = self.kernel.series(self.den, code)
+        return c.coeffs[0] if self.scalar else c
 
     def coefficient(self, key):
-        """The coefficient of one monomial, reduced, as ``decode`` gives it."""
-        c = self.kernel.series(self.den, self.terms[key])
-        return c.coeffs[0] if self.scalar else c
+        """The coefficient of the monomial ``key`` (texp, zexp), reduced."""
+        return self._reduced(self.terms[self.pack.pack(key)])
 
     def decode(self) -> TPoly:
         """The TPoly this stands for, each coefficient reduced once."""
-        terms = {k: self.coefficient(k) for k in self.terms}
+        key, reduced = self.pack.key, self._reduced
+        terms = {key(p): reduced(c) for p, c in self.terms.items()}
         return TPoly(self.ctx, self.weight_cap, self.z_cap, self.nslots, terms,
                      _clean=True, degree_cap=self.degree_cap)
 
@@ -630,16 +642,16 @@ class _Resident:
         den = self.den if self.den == other.den else lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         out = (dict(self.terms) if fa == 1 else
-               {k: rescale(c, fa) for k, c in self.terms.items()})
+               {p: rescale(c, fa) for p, c in self.terms.items()})
         _accumulate(self.kernel, out, other.terms.items() if fb == 1 else
-                    ((k, rescale(c, fb)) for k, c in other.terms.items()))
+                    ((p, rescale(c, fb)) for p, c in other.terms.items()))
         return self._like(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         rescale = self.kernel.rescale
-        return self._like({k: rescale(c, -1) for k, c in self.terms.items()},
+        return self._like({p: rescale(c, -1) for p, c in self.terms.items()},
                           self.den)
 
     def __sub__(self, other):
@@ -655,14 +667,14 @@ class _Resident:
         self._joined(other)
         kernel = self.kernel
         ops1, ops2 = kernel.operands(self.terms.values(), other.terms.values())
-        pack, pairs = _product_pairs(self, dict(zip(self.terms, ops1)),
-                                     dict(zip(other.terms, ops2)))
+        pairs = _product_pairs(self, dict(zip(self.terms, ops1)),
+                               dict(zip(other.terms, ops2)))
         out: dict = {}
         accumulate = kernel.accumulate
         for p, a, b in pairs:
             accumulate(out, p, a, b)
-        finish, key = kernel.finish, pack.key
-        return self._clean({key(p): finish(acc) for p, acc in out.items()},
+        finish = kernel.finish
+        return self._clean({p: finish(acc) for p, acc in out.items()},
                            self.den * other.den)
 
     __rmul__ = __mul__
@@ -674,18 +686,16 @@ class _Resident:
         (``_product_pairs``, the prefactor on the left), which go into one
         accumulator.  A term with an exponent past the z cap is left out
         and never packed."""
-        z_cap = self.z_cap
-        theirs = {((), _trim(e)): c for e, c in prefactor.items()
+        z_cap, pack = self.z_cap, self.pack
+        theirs = {pack.pack(((), e)): c for e, c in prefactor.items()
                   if all(d <= z_cap for d in e)}
-        pack, pairs = _product_pairs(self, theirs, self.terms)
         rescale, add = self.kernel.rescale, self.kernel.add
         out: dict = {}
-        for p, c, code in pairs:
+        for p, c, code in _product_pairs(self, theirs, self.terms):
             if c != 1:
                 code = rescale(code, c)
             out[p] = add(out[p], code) if p in out else code
-        key = pack.key
-        return self._clean({key(p): c for p, c in out.items()}, self.den)
+        return self._clean(out, self.den)
 
     def scale(self, s) -> "_Resident":
         """``TPoly.scale`` by a scalar."""
@@ -693,23 +703,14 @@ class _Resident:
             return self._like({}, self.den)
         den, code = self._scalar_code(s)
         scale = self.kernel.scale
-        return self._like({k: scale(c, code) for k, c in self.terms.items()},
+        return self._like({p: scale(c, code) for p, c in self.terms.items()},
                           self.den * den)
 
     def _renamed_keys(self, perm) -> list:
-        """The keys in order, slot s of each renamed to perm[s]."""
-        nslots = self.nslots
-        renamed: dict = {}
-        keys = []
-        for texp, zexp in self.terms:
-            z = renamed.get(zexp)
-            if z is None:
-                slots = [0] * nslots
-                for s, d in enumerate(zexp):
-                    slots[perm[s]] = d
-                z = renamed[zexp] = _trim(slots)
-            keys.append((texp, z))
-        return keys
+        """The ints in order, slot s of each renamed to perm[s]: its slot
+        part replaced (``_Packing.renaming``)."""
+        zmask, renamed = self.pack.zmask, self.pack.renaming(perm)
+        return [p - z + renamed[z] for p in self.terms for z in (p & zmask,)]
 
     def relabelled(self, perm) -> "_Resident":
         """perm·self: slot s renamed to perm[s].  Every cap is the same in
@@ -736,27 +737,35 @@ class _Resident:
     # -- calculus and substitutions ------------------------------------------
 
     def diff_t(self, k: int) -> "_Resident":
-        """Partial derivative with respect to t_k."""
-        return self._like(_diff_terms(self.terms, k, self.kernel.rescale),
-                          self.den)
+        """Partial derivative with respect to t_k: the t_k field of each
+        int lowered by one, its weight and total degree by k."""
+        pack = self.pack
+        if k > pack.W:
+            return self._like({}, self.den)
+        at, mask = pack.width * (k - 1), pack.mask
+        step = (1 << at) + (k << pack.wshift) + (k << pack.dshift)
+        rescale = self.kernel.rescale
+        return self._like({p - step: rescale(c, a)
+                           for p, c in self.terms.items()
+                           for a in ((p >> at) & mask,) if a}, self.den)
 
     def diff_x(self) -> "_Resident":
         """The x-derivative of every coefficient (``XSeries.diff``)."""
         if self.scalar and self.terms:
             raise TypeError("scalar coefficients have no x-derivative")
         diff = self.kernel.diff
-        return self._like({k: diff(c) for k, c in self.terms.items()}, self.den)
+        return self._like({p: diff(c) for p, c in self.terms.items()}, self.den)
 
     def substitute(self, expand) -> "_Resident":
-        """Each monomial replaced by a sum of monomials: ``expand(key)`` is
-        (rows, top), a row (key, num, den, j) standing for num/den hbar^j
-        (no factor at all when j is None), each hbar^j formed one factor
-        at a time and ``top`` the largest j.  Before the monomial's rows
-        are formed, a ``top`` past a formal window raises
-        (``hscalar.check_power``).  Rows on one key are summed in order;
+        """Each monomial replaced by a sum of monomials: ``expand(p)`` of
+        the int p is (rows, top), a row (int, num, den, j) standing for
+        num/den hbar^j (no factor at all when j is None), each hbar^j formed
+        one factor at a time and ``top`` the largest j.  Before the
+        monomial's rows are formed, a ``top`` past a formal window raises
+        (``hscalar.check_power``).  Rows on one int are summed in order;
         zero series of full valid order are dropped at the end."""
         ctx, kernel = self.ctx, self.kernel
-        rows = [(c, expand(key)) for key, c in self.terms.items()]
+        rows = [(c, expand(p)) for p, c in self.terms.items()]
         den, factors = kernel.encode_powers(
             row[1:] for _, (outs, _) in rows for row in outs)
         factors = iter(factors)
@@ -764,9 +773,9 @@ class _Resident:
         out: dict = {}
         for c, (outs, top) in rows:
             check_power(ctx, top)
-            for key, *_ in outs:
-                p = scale(c, next(factors))
-                out[key] = add(out[key], p) if key in out else p
+            for p, *_ in outs:
+                q = scale(c, next(factors))
+                out[p] = add(out[p], q) if p in out else q
         return self._clean(out, self.den * den)
 
     # -- exp / log ----------------------------------------------------------
@@ -784,11 +793,10 @@ class _Resident:
         """acc plus weight(n) self^n for n = 1, 2, ... until a power is empty.
         The first power is 1 * self, which keeps every coefficient and orders
         the monomials as the product loop visits them."""
-        pack = _packing(self.weight_cap, self.z_cap, self.nslots)
-        key = pack.key
         power = self._like(
-            {key(p): c for _, _, p, c in
-             pack.items(self.terms, self.degree_cap is not None)}, self.den)
+            {p: c for _, p, c in
+             self.pack.items(self.terms, self.degree_cap is not None)},
+            self.den)
         for n in range(1, self._degree_bound() + 2):
             if n > 1:
                 power = power * self
@@ -800,7 +808,7 @@ class _Resident:
     def exp(self) -> "_Resident":
         """The graded exponential.  Its constant 1 is held as a constant
         series, which sums as the scalar 1 does."""
-        c0 = self.terms.get(((), ()))
+        c0 = self.terms.get(0)
         if c0 is not None and not self.kernel.is_zero(c0):
             raise ValueError("exp needs zero constant monomial")
         return self._power_series(self._constant_like(Rational(1)),
@@ -811,22 +819,20 @@ class _Resident:
         for an invertible constant coefficient c0.  A scalar c0 must be 1;
         that is checked last, after the series of rest."""
         kernel = self.kernel
-        code = self.terms.get(((), ()))
-        c0 = self.ctx.zero() if code is None else kernel.series(self.den, code)
-        if self.scalar and code is not None:
-            c0 = c0.coeffs[0]
+        code = self.terms.get(0)
+        c0 = self.ctx.zero() if code is None else self._reduced(code)
         if isinstance(c0, XSeries):
             den, (inv,) = kernel.codes((c0.inverse(),))
             log_c0 = c0.log()
-            rest = self._clean({k: kernel.product(c, inv)
-                                for k, c in self.terms.items()}, self.den * den)
+            rest = self._clean({p: kernel.product(c, inv)
+                                for p, c in self.terms.items()}, self.den * den)
         else:
             rest = self.scale(scalar_inv(c0))
         acc = (rest - 1)._power_series(self._like({}, 1),
                                        lambda n: Rational((-1) ** (n + 1), n))
         if isinstance(c0, XSeries):
             den, (code,) = kernel.codes((log_c0,))
-            acc = acc + self._clean({((), ()): code}, den)
+            acc = acc + self._clean({0: code}, den)
         elif not scalar_is_zero(c0 - 1):
             raise ValueError("scalar constant coefficient must be 1 for log")
         return acc

@@ -92,10 +92,15 @@ orders and coefficient types, and any ``HbarWindowError`` are the ones
 the same steps on ``TPoly`` values give, which ``tests/test_resident.py``
 checks against its reference residuals; the trusted-region argument
 above is unchanged.
-The verdict is read from the codes: which monomials are nonzero, and the
-first of them in sorted order, whose coefficient alone is reduced to
-canonical rationals for ``worst``.  ``Residual.poly`` reduces the whole
-residual into a ``TPoly`` when it is first read.
+Every monomial is a packed int (``tpoly._Packing``) from ``_embed`` to
+the verdict: the shifts, derivatives, prefactors, products and
+relabellings rewrite ints and never a (texp, zexp) tuple.  The verdict is
+read from the codes: which monomials are nonzero, and the first of them
+in sorted order, whose coefficient alone is reduced to canonical
+rationals for ``worst``.  Only the nonzero monomials are read back as
+tuples, for ``Residual.failing``, so a passing check decodes no key.
+``Residual.poly`` reduces the whole residual into a ``TPoly`` when it is
+first read.
 """
 
 from __future__ import annotations
@@ -153,10 +158,11 @@ def _render_coeff(c) -> str:
 def _poly_residual(identity: str, res: _Resident) -> Residual:
     """The verdict on a residual built under the cap ``trust``: it holds
     only monomials of the trusted region, and all of them must vanish.  It
-    is read from the codes; only the first failing coefficient is
-    decoded."""
-    is_zero = res.kernel.is_zero
-    failing = tuple(sorted(k for k, c in res.terms.items() if not is_zero(c)))
+    is read from the codes; only the nonzero monomials are decoded into
+    tuples, and only the first failing coefficient into rationals."""
+    is_zero, decode = res.kernel.is_zero, res.pack.key
+    failing = tuple(sorted(decode(p) for p, c in res.terms.items()
+                           if not is_zero(c)))
     worst = None
     if failing:
         texp, zexp = key = failing[0]

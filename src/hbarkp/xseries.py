@@ -32,6 +32,7 @@ determinants of ``taubuild`` and the h_k of ``fbuild``'s bridge.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import HbarkpError
@@ -376,8 +377,8 @@ class _NumericInts:
         key: at most min(len) pairs meet there, each a sum of at most
         valid + 1 products."""
         def bits(codes):
-            return max((abs(x).bit_length() for c in codes for x in c[2]),
-                       default=0)
+            return max(map(abs, chain.from_iterable(c[2] for c in codes)),
+                       default=0).bit_length()
         v = max((c[0] for c in codes1), default=0)
         n = min(len(codes1), len(codes2))
         B = bits(codes1) + bits(codes2) + (v + 1).bit_length() + n.bit_length() + 1
@@ -431,7 +432,7 @@ class _NumericInts:
     @staticmethod
     def content(codes, den):
         """The gcd of ``den`` and every numerator of ``codes``."""
-        return gcd(den, *(x for c in codes for x in c[2]))
+        return gcd(den, *chain.from_iterable(c[2] for c in codes))
 
     @staticmethod
     def divide(a, g):

@@ -15,7 +15,8 @@ The corpus covers: every basis of ``schur`` at weight 6 with hbar 1/2,
 ``fseries``; and, per data seed and hbar, ``tau``, ``fseries`` in both
 bases, ``convert`` both ways, ``bridge``, the four checks at z orders 3
 and 4, ``detm --points 2``, the cap clamps, the exit-2 refusals and the
-three tau checks on a corrupted table.  Argparse usage errors are left
+three tau checks on a corrupted table; last, ``convert`` both ways on an
+hbar = 0 table.  Argparse usage errors are left
 out: their text depends on the Python version.
 """
 
@@ -176,6 +177,11 @@ def corpus(tmp: Path):
                 yield from _data_commands(tmp, seed, value, weight, tag)
         _, value, tag = FORMAL
         yield from _data_commands(tmp, seed, value, 4, tag)
+    # the conversions at hbar = 0, where every multi-row weight vanishes
+    _, f_data = _write_data(tmp, 0, "0", 6, "s0-h0-w6")
+    cauchy = str(tmp / "s0-h0-w6.cauchy.json")
+    yield ["convert", "to-cauchy", "--input", f_data, "--output", cauchy]
+    yield ["convert", "to-cauchy-like", "--input", cauchy]
 
 
 def _run(argv, tmp: Path):

@@ -219,6 +219,26 @@ def test_cauchy_from_cauchylike_is_the_one_row_plain_coefficient(ctx):
             assert cauchy_from_cauchylike(data, k) == plain[Partition((k,))], k
 
 
+def test_conversions_at_hbar_zero_keep_the_valid_orders():
+    """At hbar = 0 the weight hbar^(ell-1) of every multi-row diagram is
+    zero, and its word is left out: d_k F|_0 is valid as far as the t_k
+    coefficient of the assembled series (x^6 at W = X = 6, for every k),
+    and the round trip gives back each f_k valid to x^6, the same values."""
+    ctx = HContext.numeric(0)
+    for seed in range(2):
+        data = random_f_data(Random(seed), ctx, 6, 6)
+        plain = f_series(data).plain_taylor()
+        got = tuple(cauchy_from_cauchylike(data, k) for k in range(1, 7))
+        for k, series in enumerate(got, 1):
+            want = plain[Partition((k,))]
+            assert series.valid == want.valid == 6, k
+            assert series == want, k
+        back = cauchylike_from_cauchy(ctx, 6, 6, data.f0, got)
+        for k in range(1, 7):
+            assert back.series(k).valid == data.series(k).valid == 6, k
+            assert back.series(k) == data.series(k), k
+
+
 def test_hbar_parity_for_plain_data(rng):
     """hbar-independent plain data make every plain-basis coefficient an
     even polynomial in hbar (through weight 5)."""

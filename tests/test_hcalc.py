@@ -20,9 +20,10 @@ from hbarkp.rational import Rational
 from hbarkp.sampling import random_tau_data, random_tpoly
 from hbarkp.symfun import schur_over_hbar
 from hbarkp.taubuild import TauSeries, tau_series
-from hbarkp.tpoly import TPoly, resident
+from hbarkp.tpoly import TPoly, _packing, resident
 from hbarkp.verify import _swap
 from hbarkp.xseries import XSeries
+from reference import pow_int, var_zeta
 
 CTX = HContext.symbolic(-10, 10)
 H = CTX.hbar()
@@ -119,11 +120,11 @@ def test_miwa_shift_examples():
     W, Z, m = 4, 4, 1
     t1 = TPoly.var_t(CTX, W, 1, Z, m)
     t2 = TPoly.var_t(CTX, W, 2, Z, m)
-    z = TPoly.var_zeta(CTX, W, 0, Z, m)
+    z = var_zeta(CTX, W, 0, Z, m)
     one = TPoly.one(CTX, W, Z, m)
     assert miwa_shift(t1, 0, 1) == t1 + z.scale(H)
     assert miwa_shift(one, 0, 1) == one
-    assert miwa_shift(t2, 0, 1) == t2 + z.pow_int(2).scale(Rational(1, 2) * H)
+    assert miwa_shift(t2, 0, 1) == t2 + pow_int(z, 2).scale(Rational(1, 2) * H)
     assert miwa_shift(t1, 0, -1) == t1 - z.scale(H)
     # shift is inverted by the opposite shift
     p = t1 * t2 + t2
@@ -159,9 +160,9 @@ def test_delta_is_deformed_derivative_series(rng):
         p = random_tpoly(rng, CTX, W, n_terms=4, max_weight=3).with_slots(m, Z)
         got = delta_apply(p, 0)
         want = TPoly.zero(CTX, W, Z, m)
-        zeta = TPoly.var_zeta(CTX, W, 0, Z, m)
+        zeta = var_zeta(CTX, W, 0, Z, m)
         for k in range(1, Z + 1):
-            want = want + zeta.pow_int(k) * dh_apply(k, p).scale(Rational(1, k))
+            want = want + pow_int(zeta, k) * dh_apply(k, p).scale(Rational(1, k))
         assert got == want
 
 
@@ -235,7 +236,7 @@ def _branching_shift(table, ctx, W, Z, nslots):
         term = schur_over_hbar(mu, ctx, W).with_slots(nslots, Z)
         for slot, j in enumerate(zexp):
             if j:
-                term = term * TPoly.var_zeta(ctx, W, slot, Z, nslots, power=j)
+                term = term * var_zeta(ctx, W, slot, Z, nslots, power=j)
         out = out + term.scale(c)
     return out
 
@@ -295,19 +296,25 @@ def test_a_shift_in_slot_s_is_the_relabelled_shift_in_slot_0(ctx):
 
 def test_miwa_rows_do_not_depend_on_the_number_of_slots():
     """One monomial shifted in a polynomial of slot + 1, slot + 2 and 3
-    slots gives the rows of ``_miwa_rows``, in their order, key for key
-    and value for value: the rows are shared by every number of slots."""
+    slots gives the rows of ``_miwa_rows`` on the ints of that packing, in
+    their order, key for key and value for value, and those rows decode
+    to the same keys and factors in every number of slots."""
     ctx = HContext.numeric("2/3")
     W, Z = 5, 3
     keys = [((), ()), ((2,), ()), ((1, 1), (2,)), ((0, 0, 1), (0, 1)),
             ((1, 2), (1, 0, 2))]
     for key in keys:
         for slot in range(3):
-            rows, _ = _miwa_rows(key, slot, -1, Z)
-            want = {k: Rational(n, d) * ctx.hbar_pow(j or 0)
-                    for k, n, d, j in rows}
+            decoded = set()
             for nslots in range(max(slot + 1, len(key[1])), 4):
+                pack = _packing(W, Z, nslots)
+                rows, _ = _miwa_rows(pack, pack.pack(key), slot, -1)
+                rows = tuple((pack.key(p), n, d, j) for p, n, d, j in rows)
+                decoded.add(rows)
+                want = {k: Rational(n, d) * ctx.hbar_pow(j or 0)
+                        for k, n, d, j in rows}
                 got = miwa_shift(TPoly(ctx, W, Z, nslots, {key: Rational(1)}),
                                  slot, -1)
                 assert list(got.terms) == list(want), (key, slot, nslots)
                 assert got.terms == want
+            assert len(decoded) == 1, (key, slot)

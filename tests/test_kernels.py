@@ -327,6 +327,32 @@ def test_coded_ring_operations_match_xseries(pair, r):
             assert_same_series(g[1], w[1])
 
 
+numeric_codes = st.lists(
+    st.integers(0, 4).flatmap(lambda v: st.tuples(
+        st.just(v), st.just(0),
+        st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80)),
+                 min_size=v + 1, max_size=v + 1))),
+    max_size=6)
+
+
+@SETTINGS
+@given(numeric_codes, numeric_codes)
+def test_kronecker_width_is_the_bit_length_formula(codes1, codes2):
+    """The field width of the numeric Kronecker operands is the sum of the
+    largest bit length of a numerator on each side, as a maximum over
+    every numerator's ``abs(x).bit_length()`` gives it, plus the bits of
+    the valid order and of the pair count and a sign bit."""
+    def bits(codes):
+        return max((abs(x).bit_length() for c in codes for x in c[2]),
+                   default=0)
+    kernel = int_kernel(NUMERIC, 4)
+    ops1, ops2 = kernel.operands(codes1, codes2)
+    v = max((c[0] for c in codes1), default=0)
+    n = min(len(codes1), len(codes2))
+    B = bits(codes1) + bits(codes2) + (v + 1).bit_length() + n.bit_length() + 1
+    assert all(op[2] == B for op in ops1 + ops2)
+
+
 def test_a_multiple_whose_numerator_does_not_divide_the_denominator():
     """(1/2 + x/3) * 4/5: gcd(4, 6 * 5) = 2, so the code is doubled over
     15; (1/2 + x/3) * 3 goes into the denominator alone, 6 / 3 = 2."""

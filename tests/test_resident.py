@@ -48,6 +48,7 @@ from hbarkp.verify import (
     _poly_residual, check_kp2,
 )
 from hbarkp.xseries import XSeries
+from reference import pow_int, var_zeta
 from test_kernels import ref_tpoly_mul
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -159,7 +160,7 @@ def ref_log_unit(p: TPoly) -> TPoly:
 
 
 def _zetas(T):
-    return [TPoly.var_zeta(T.ctx, T.weight_cap, s, T.z_cap, T.nslots,
+    return [var_zeta(T.ctx, T.weight_cap, s, T.z_cap, T.nslots,
                            degree_cap=T.degree_cap) for s in range(T.nslots)]
 
 
@@ -280,12 +281,12 @@ def relabelled_det_m(tau, m, z_cap, cap, power_first=True):
         for i in range(k):
             term = d_pows[i].scale(
                 Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i))
-            term = term * zs[0].pow_int(m - k + i)
+            term = term * pow_int(zs[0], m - k + i)
             entry = term if entry is None else entry + term
         row.append(entry)
-    lift = zs[0].pow_int(m - 1)
+    lift = pow_int(zs[0], m - 1)
     for s in range(1, m - 1):
-        lift = lift * zs[s].pow_int(m - 1 - s)
+        lift = lift * pow_int(zs[s], m - 1 - s)
     left = times_s(lift * all_shift, T, m, power_first)
     diagonal = row[0]
     for s in range(1, m):
@@ -336,7 +337,7 @@ def oracle_det_m(tau, m, z_cap, cap):
             for i in range(k):
                 term = d_pows[i].scale(
                     Rational((-1) ** i * comb(k - 1, i)) * ctx.hbar_pow(i))
-                term = term * zs[j].pow_int(m - k + i)
+                term = term * pow_int(zs[j], m - k + i)
                 entry = term if entry is None else entry + term
             row.append(entry)
         rows.append(row)
