@@ -319,14 +319,29 @@ def cmd_verify(args) -> int:
     return 0 if res.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands, in the order the full parser lists them
+_COMMANDS = ("schur", "transition", "pconst", "tau", "fseries", "convert",
+             "bridge", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  The
+    one-command parser lists every command in its usage line (an explicit
+    metavar), so what it prints for ``command`` is what the full parser
+    prints.  The full parser sets no metavar: its errors for a missing or
+    unknown command name the argument ``command``."""
     parser = argparse.ArgumentParser(
         prog="hbarkp",
         description="Exact engine for hbar-KP formal solutions and their "
                     "bilinear verification.",
         epilog=f"A document's caps.x_order is at most {dataio.X_ORDER_MAX}.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = {} if command is None else {"metavar": "{%s}" % ",".join(_COMMANDS)}
+    sub = parser.add_subparsers(dest="command", required=True, **names)
+
+    def add(name, text):
+        """The subparser of ``name``, None if only another one is built."""
+        return sub.add_parser(name, help=text) if command in (None, name) else None
 
     def hbar_flags(p):
         p.add_argument("--hbar", help="rational value for hbar (numeric mode)")
@@ -338,79 +353,90 @@ def build_parser() -> argparse.ArgumentParser:
         if need_input:
             p.add_argument("--input", required=True, help="input data file")
 
-    p = sub.add_parser("schur", help="basis tables")
-    p.add_argument("--weight", type=int, required=True,
-                   help=f"weight cap, 0 to {SCHUR_MAX_WEIGHT}")
-    p.add_argument("--basis", choices=["schur", "h", "m", "p", "t_hbar"],
-                   default="schur")
-    common(p)
-    hbar_flags(p)
-    p.set_defaults(func=cmd_schur)
+    if p := add("schur", "basis tables"):
+        p.add_argument("--weight", type=int, required=True,
+                       help=f"weight cap, 0 to {SCHUR_MAX_WEIGHT}")
+        p.add_argument("--basis", choices=["schur", "h", "m", "p", "t_hbar"],
+                       default="schur")
+        common(p)
+        hbar_flags(p)
+        p.set_defaults(func=cmd_schur)
 
-    p = sub.add_parser("transition", help="transition matrices at one weight")
-    p.add_argument("--weight", type=int, required=True,
-                   help=f"weight, 1 to {TRANSITION_MAX_WEIGHT}")
-    common(p)
-    p.set_defaults(func=cmd_transition)
+    if p := add("transition", "transition matrices at one weight"):
+        p.add_argument("--weight", type=int, required=True,
+                       help=f"weight, 1 to {TRANSITION_MAX_WEIGHT}")
+        common(p)
+        p.set_defaults(func=cmd_transition)
 
-    p = sub.add_parser("pconst", help="universal constant tables")
-    p.add_argument("--bound", type=int, default=4,
-                   help=f"largest i and j, 0 to {PCONST_MAX_BOUND}")
-    common(p)
-    p.set_defaults(func=cmd_pconst)
+    if p := add("pconst", "universal constant tables"):
+        p.add_argument("--bound", type=int, default=4,
+                       help=f"largest i and j, 0 to {PCONST_MAX_BOUND}")
+        common(p)
+        p.set_defaults(func=cmd_pconst)
 
-    p = sub.add_parser("tau", help="coefficient table from tau-side data")
-    p.add_argument("--z-order", type=int, default=0)
-    common(p, need_input=True)
-    p.set_defaults(func=cmd_tau)
+    if p := add("tau", "coefficient table from tau-side data"):
+        p.add_argument("--z-order", type=int, default=0)
+        common(p, need_input=True)
+        p.set_defaults(func=cmd_tau)
 
-    p = sub.add_parser("fseries", help="coefficient table from F-side data")
-    p.add_argument("--mode", choices=["concrete", "symbolic"], default="concrete")
-    p.add_argument("--basis", choices=["t_hbar", "t_plain"], default="t_hbar")
-    p.add_argument("--weight", type=int, default=4,
-                   help=f"symbolic mode's weight cap, 0 to {FSERIES_MAX_WEIGHT}")
-    p.add_argument("--z-order", type=int, default=0)
-    p.add_argument("--input", help="input data file (concrete mode)")
-    common(p)
-    hbar_flags(p)
-    p.set_defaults(func=cmd_fseries)
+    if p := add("fseries", "coefficient table from F-side data"):
+        p.add_argument("--mode", choices=["concrete", "symbolic"],
+                       default="concrete")
+        p.add_argument("--basis", choices=["t_hbar", "t_plain"], default="t_hbar")
+        p.add_argument("--weight", type=int, default=4,
+                       help=f"symbolic mode's weight cap, 0 to "
+                            f"{FSERIES_MAX_WEIGHT}")
+        p.add_argument("--z-order", type=int, default=0)
+        p.add_argument("--input", help="input data file (concrete mode)")
+        common(p)
+        hbar_flags(p)
+        p.set_defaults(func=cmd_fseries)
 
-    p = sub.add_parser("convert", help="plain <-> deformed first derivatives")
-    p.add_argument("direction", choices=["to-cauchy", "to-cauchy-like"])
-    common(p, need_input=True)
-    p.set_defaults(func=cmd_convert)
+    if p := add("convert", "plain <-> deformed first derivatives"):
+        p.add_argument("direction", choices=["to-cauchy", "to-cauchy-like"])
+        common(p, need_input=True)
+        p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("bridge", help="F-side data to tau-side data")
-    common(p, need_input=True)
-    p.set_defaults(func=cmd_bridge)
+    if p := add("bridge", "F-side data to tau-side data"):
+        common(p, need_input=True)
+        p.set_defaults(func=cmd_bridge)
 
-    p = sub.add_parser("verify", help="run one identity check")
-    p.add_argument("check", choices=["fay", "hirota3", "detm", "kp2", "appendix"])
-    p.add_argument("--input", help="emitted c_lambda / f_lambda table")
-    p.add_argument("--points", type=int, default=3,
-                   help=f"m for detm, at most {DETM_MAX_POINTS}")
-    p.add_argument("--weight", type=int, help="verify at a smaller weight cap")
-    p.add_argument("--x-order", type=int, help="verify at a smaller x order")
-    p.add_argument("--z-order", type=int, default=4,
-                   help="z cap of the check (default 4); the table's "
-                        "caps.z_order is not read")
-    p.add_argument("--seed", type=int, default=0, help="appendix matrices seed")
-    p.add_argument("--matrices", type=int, default=25,
-                   help=f"appendix matrices, 1 to {APPENDIX_MAX_MATRICES}")
-    p.add_argument("--output", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", "run one identity check"):
+        p.add_argument("check",
+                       choices=["fay", "hirota3", "detm", "kp2", "appendix"])
+        p.add_argument("--input", help="emitted c_lambda / f_lambda table")
+        p.add_argument("--points", type=int, default=3,
+                       help=f"m for detm, at most {DETM_MAX_POINTS}")
+        p.add_argument("--weight", type=int,
+                       help="verify at a smaller weight cap")
+        p.add_argument("--x-order", type=int, help="verify at a smaller x order")
+        p.add_argument("--z-order", type=int, default=4,
+                       help="z cap of the check (default 4); the table's "
+                            "caps.z_order is not read")
+        p.add_argument("--seed", type=int, default=0,
+                       help="appendix matrices seed")
+        p.add_argument("--matrices", type=int, default=25,
+                       help=f"appendix matrices, 1 to {APPENDIX_MAX_MATRICES}")
+        p.add_argument("--output", help="write JSON here instead of stdout")
+        p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process, on the first call."""
-    return build_parser()
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``command`` (of every command if None), built once
+    per process, on the first call."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command.  When the first argument names a command, only
+    that command's parser is built; otherwise (help, no command or an
+    unknown one) the full parser parses."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None
+                   ).parse_args(argv)
     if args.command == "fseries" and args.mode == "concrete" and not args.input:
         print("error: concrete fseries needs --input", file=sys.stderr)
         return 2

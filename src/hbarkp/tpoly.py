@@ -127,8 +127,8 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     breaks this raises before anything is encoded.  The series are written
     once over one common denominator, and the rows once through
     ``encode_powers`` over another (``xseries.int_kernel``).  Pair by
-    pair, the rows are formed (``check_rows``), and each code times the
-    row's scalar (``scale``) goes into one accumulator as the TPoly sum
+    pair, the rows are formed (``check_rows``), and the code times each
+    row's scalar (``scale_each``) goes into one accumulator as the TPoly sum
     adds it (``_accumulate``); each monomial is reduced once.  The result
     is the term-by-term sum of the scalars' polynomials: values, valid
     orders, coefficient types, kept monomials in their order, and the
@@ -145,18 +145,20 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     den_c, codes = kernel.codes(coeff for _, coeff in pairs)
     den_b, scalars = kernel.encode_powers(
         row[1:] for rows, _ in pairs for row in rows)
-    scalars = iter(scalars)
-    scale, is_zero = kernel.scale, kernel.is_zero
+    scale_each, is_zero = kernel.scale_each, kernel.is_zero
     out: dict = {}
+    at = 0
     for (rows, coeff), code in zip(pairs, codes):
         kernel.check_rows(rows)
+        n = at + len(rows)
         # A zero series of full valid order gives terms that TPoly.scale
         # drops (a TPoly stores no zero scalar), and so does a scalar that
         # is zero (a positive power of hbar = 0).
-        dropped = coeff.valid == cap and is_zero(code)
-        _accumulate(kernel, out, ((row[0], scale(code, s))
-                                  for row, s in zip(rows, scalars)
-                                  if not dropped and s != 0))
+        kept = [(row[0], s) for row, s in zip(rows, scalars[at:n]) if s != 0]
+        if kept and (coeff.valid != cap or not is_zero(code)):
+            keys, factors = zip(*kept)
+            _accumulate(kernel, out, zip(keys, scale_each(code, factors)))
+        at = n
     series, den = kernel.series, den_c * den_b
     return TPoly(ctx, weight_cap, z_cap, nslots,
                  {key: series(den, c) for key, c in out.items()}, _clean=True)
@@ -180,7 +182,10 @@ def _accumulate(kernel, out: dict, items) -> None:
 
 
 class TPoly:
-    __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap", "terms")
+    # ``_ladders`` is unset until ``verify`` keeps the poly's Miwa shifts
+    # there on first use, {z cap: shift ladder}
+    __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap", "terms",
+                 "_ladders")
 
     def __init__(self, ctx: HContext, weight_cap: int, z_cap: int = 0,
                  nslots: int = 0, terms: dict | None = None, _clean=False,
@@ -416,7 +421,9 @@ class TPoly:
 # ``log_unit`` and ``substitute`` (the Miwa shift) run ``TPoly.exp``,
 # ``TPoly.log_unit`` and ``hcalc.miwa_shift``.  ``signed_relabellings``
 # sums copies of one polynomial with their slots renamed, as the residuals
-# of the checks that are symmetric in the slots need.
+# of the checks that are symmetric in the slots need, and ``with_slots``
+# re-embeds a polynomial in more slots, as the checks read their shared
+# Miwa shifts.
 # The coefficients are x-series of one cap; a polynomial with scalar
 # coefficients is held as x-series of cap 0 and decodes to scalars again.
 
@@ -561,7 +568,7 @@ class _Resident:
     block comment above."""
 
     __slots__ = ("ctx", "weight_cap", "z_cap", "nslots", "degree_cap",
-                 "pack", "kernel", "scalar", "den", "terms")
+                 "pack", "kernel", "scalar", "den", "terms", "__weakref__")
 
     def __init__(self, shape, pack: _Packing, kernel, scalar: bool, den: int,
                  terms: dict):
@@ -624,6 +631,25 @@ class _Resident:
         terms = {key(p): reduced(c) for p, c in self.terms.items()}
         return TPoly(self.ctx, self.weight_cap, self.z_cap, self.nslots, terms,
                      _clean=True, degree_cap=self.degree_cap)
+
+    def with_slots(self, nslots: int, degree_cap: int | None) -> "_Resident":
+        """Re-embed in ``nslots`` slots under the total-degree cap
+        ``degree_cap``, dropping the monomials above it; every slot from
+        ``nslots`` on must be zero.  An int keeps its t and slot fields,
+        and its weight and degree fields move to the new packing's.  Where
+        the ints stay as they are, the terms are shared, not copied."""
+        pack = _packing(self.weight_cap, self.z_cap, nslots)
+        at, to, dshift = self.pack.wshift, pack.wshift, self.pack.dshift
+        terms = self.terms
+        # the degree is the top field, so the largest int has the largest
+        if at != to or (degree_cap is not None
+                        and max(terms, default=0) >> dshift > degree_cap):
+            low = (1 << at) - 1
+            terms = {(p & low) | (p >> at << to): c for p, c in terms.items()
+                     if degree_cap is None or p >> dshift <= degree_cap}
+        out = _Resident(self, pack, self.kernel, self.scalar, self.den, terms)
+        out.nslots, out.degree_cap = nslots, degree_cap
+        return out
 
     # -- sums ---------------------------------------------------------------
 
@@ -768,14 +794,15 @@ class _Resident:
         rows = [(c, expand(p)) for p, c in self.terms.items()]
         den, factors = kernel.encode_powers(
             row[1:] for _, (outs, _) in rows for row in outs)
-        factors = iter(factors)
-        scale, add = kernel.scale, kernel.add
+        scale_each, add = kernel.scale_each, kernel.add
         out: dict = {}
+        at = 0
         for c, (outs, top) in rows:
             check_power(ctx, top)
-            for p, *_ in outs:
-                q = scale(c, next(factors))
+            n = at + len(outs)
+            for (p, *_), q in zip(outs, scale_each(c, factors[at:n])):
                 out[p] = add(out[p], q) if p in out else q
+            at = n
         return self._clean(out, self.den * den)
 
     # -- exp / log ----------------------------------------------------------

@@ -61,10 +61,14 @@ so renaming the slots of a capped polynomial gives the capped renamed
 polynomial: a relabelled product is the product of the relabelled
 factors, and the argument above holds for the sum of them.  The same
 holds for the Miwa shifts: the input has no zeta-monomials, so its shift
-in slot s is its shift in slot 0 with slots 0 and s renamed.  Each check
-shifts once per pattern of slots (tau^{[z1]}, tau^{[z1,z2]}, ...) and
-relabels; the m-point check builds the row of slot 0 once, from one shift
-and one d_1 chain, and relabels its entries into the other slots.
+in slot s is its shift in slot 0 with slots 0 and s renamed.  The shifts
+tau^{[z1]}, tau^{[z1,z2]}, ... are formed once for all the checks on one
+tau and kept on tau (``_rung``): encoded and shifted under no degree
+cap, each read by a check in its own number of slots under its own cap,
+and relabelled.  The m-point check builds the row of slot 0 once, from
+one shift and one d_1 chain, and relabels its entries into the other
+slots.  The F-form check reads F's shifts the same way, and its t-form
+takes (d_1 F)^{[z1]} as d_1 (F^{[z1]}): d_1 commutes with the shift.
 
 Formal hbar.  B and swap(B), zeta^delta S and P hold terms that the sum
 over the relabellings cancels, and a product with one of them can leave
@@ -77,7 +81,7 @@ where (zeta^delta tau^{[z1..zm]} tau) tau ... stays inside it; S is then
 formed that way.  So a check raises only where the identity as written
 raises.
 
-Integer codes.  ``_embed`` encodes the input once (``tpoly.resident``):
+Integer codes.  ``_rung`` encodes the input once (``tpoly.resident``):
 every coefficient becomes integer numerators over one denominator for the
 polynomial.  From there the Miwa shifts, d_1, the hbar and rational
 scalings, the sums, the tau x tau (or F) products, the relabellings and
@@ -92,7 +96,7 @@ orders and coefficient types, and any ``HbarWindowError`` are the ones
 the same steps on ``TPoly`` values give, which ``tests/test_resident.py``
 checks against its reference residuals; the trusted-region argument
 above is unchanged.
-Every monomial is a packed int (``tpoly._Packing``) from ``_embed`` to
+Every monomial is a packed int (``tpoly._Packing``) from the encoding to
 the verdict: the shifts, derivatives, prefactors, products and
 relabellings rewrite ints and never a (texp, zexp) tuple.  The verdict is
 read from the codes: which monomials are nonzero, and the first of them
@@ -187,17 +191,51 @@ def _check_unit_constant(tau: TPoly):
         raise ValueError("tau is not invertible: zero constant coefficient")
 
 
-def _embed(poly: TPoly, nslots: int, z_cap: int, cap: int | None):
-    """The input in ``nslots`` slots under the total-degree cap ``cap``,
-    encoded once as a resident polynomial (``tpoly.resident``).
+def _rung(poly: TPoly, s: int, nslots: int, z_cap: int,
+          cap: int | None) -> _Resident:
+    """poly^{[z1..zs]} (poly itself at s = 0) in ``nslots`` >= s slots under
+    the total-degree cap ``cap``, read off poly's shift ladder.
+
+    The ladder is kept on ``poly``, one per z cap, and grows on request:
+    rung 0 encodes the input once (``tpoly.resident``), and rung s is the
+    Miwa shift of rung s - 1 in slot s - 1, under no degree cap, so all
+    the checks on one polynomial share its shifts.  A rung is held in the
+    most slots a check has asked for, and a check that asks for more
+    re-embeds it there (``_Resident.with_slots``): its slots from s on are
+    zero, so it fits any number of slots from s on.  A shift keeps the
+    total degree, so a cap drops the same monomials from a rung as from
+    its input.  (The checks' caps are above the weight cap and drop
+    nothing; under a lower one, a monomial the cap drops is still
+    shifted, and can raise.)  A shift that raises ``HbarWindowError``
+    leaves the error's arguments as its rung, and every later request
+    for it raises the error again.
 
     An input that already carries zeta-monomials is refused: capping the
     inputs of d_1 at ``cap`` is exact only when they have no monomial above
     the weight cap in total degree.  Without them, the Miwa shift in slot s
     is the one in slot 0 with the two slots renamed (``_swap``)."""
-    if any(zexp for _, zexp in poly.terms):
-        raise ValueError("the input to a check must not carry zeta-monomials")
-    return resident(poly.with_slots(nslots, z_cap, cap))
+    ladders = getattr(poly, "_ladders", None)
+    if ladders is None:
+        ladders = poly._ladders = {}
+    ladder = ladders.get(z_cap)
+    if ladder is None:
+        if any(zexp for _, zexp in poly.terms):
+            raise ValueError("the input to a check must not carry zeta-monomials")
+        ladder = ladders[z_cap] = [resident(poly.with_slots(nslots, z_cap))]
+    while len(ladder) <= s and isinstance(ladder[-1], _Resident):
+        top = ladder[-1]
+        if top.nslots < nslots:
+            top = ladder[-1] = top.with_slots(nslots, None)
+        try:
+            ladder.append(miwa_shift(top, len(ladder) - 1))
+        except HbarWindowError as exc:
+            ladder.append(exc.args)
+    rung = ladder[min(s, len(ladder) - 1)]
+    if not isinstance(rung, _Resident):
+        raise HbarWindowError(*rung)
+    if rung.nslots < nslots:
+        rung = ladder[s] = rung.with_slots(nslots, None)
+    return rung.with_slots(nslots, cap)
 
 
 def _need_zeta(z_cap: int) -> None:
@@ -226,10 +264,8 @@ _Z1_Z2, _Z2_Z1 = {(1,): 1, (0, 1): -1}, {(0, 1): 1, (1,): -1}
 
 def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
     _check_unit_constant(tau)
-    T = _embed(tau, 2, z_cap, cap)
-    t1 = miwa_shift(T, 0)
+    T, t1, t12 = (_rung(tau, s, 2, z_cap, cap) for s in range(3))
     t2 = t1.relabelled(_swap(2, 1))
-    t12 = miwa_shift(t1, 1)
     _need_zeta(z_cap)
     d1 = t1.diff_t(1).times_zeta(_Z12).scale(T.ctx.hbar_pow(1))
     try:
@@ -256,11 +292,12 @@ def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
 
 
 def _hirota3_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
-    T = _embed(tau, 3, z_cap, cap)
+    T = _rung(tau, 0, 3, z_cap, cap)
     _need_zeta(z_cap)
-    t0 = miwa_shift(T, 0)
+    t0 = _rung(tau, 1, 3, z_cap, cap)
     # (zeta1 - zeta0) zeta2
-    left = miwa_shift(t0, 1).times_zeta({(0, 1, 1): 1, (1, 0, 1): -1})
+    left = _rung(tau, 2, 3, z_cap, cap).times_zeta({(0, 1, 1): 1,
+                                                    (1, 0, 1): -1})
     term = left * t0.relabelled(_swap(3, 2))
     return term.signed_relabellings(_CYCLIC_3)
 
@@ -350,10 +387,7 @@ def _det_m_laplace(T, all_shift, shift, row, m: int):
 
 def _det_m_residual(tau: TPoly, m: int, z_cap: int,
                     cap: int | None) -> _Resident:
-    T = _embed(tau, m, z_cap, cap)
-    all_shift = shift = miwa_shift(T, 0)
-    for s in range(1, m):
-        all_shift = miwa_shift(all_shift, s)
+    T, shift, all_shift = (_rung(tau, s, m, z_cap, cap) for s in (0, 1, m))
     _need_zeta(z_cap)
     row = None
     try:
@@ -386,14 +420,12 @@ def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
 def _kp2_residual(F: TPoly, z_cap: int, x_form: bool,
                   cap: int | None) -> _Resident:
     ctx = F.ctx
-    G2 = _embed(F, 2, z_cap, cap)
-    f1 = miwa_shift(G2, 0)
+    G2, f1, f12 = (_rung(F, s, 2, z_cap, cap) for s in range(3))
     f2 = f1.relabelled(_swap(2, 1))
-    f12 = miwa_shift(f1, 1)
     big_g = (f12 - f1 - f2 + G2).scale(ctx.hbar_pow(-2))
     _need_zeta(z_cap)
-    d_f = G2.diff_x() if x_form else G2.diff_t(1)
-    d_f1 = miwa_shift(d_f, 0)
+    # (d F)^{[z1]}: see check_kp2
+    d_f1 = miwa_shift(G2.diff_x(), 0) if x_form else f1.diff_t(1)
     try:
         jump1 = d_f1.scale(ctx.hbar_pow(-1))
     except HbarWindowError:
@@ -421,6 +453,14 @@ def check_kp2(F: TPoly, z_cap: int = 4, x_form: bool = False) -> Residual:
     solutions whose t_1-flow is an x-shift; assembled series satisfy both,
     and the x-form reacts to low-weight corruption at lower expansion
     order).
+
+    The t-form takes (d_1 F)^{[z1]} as d_1 (F^{[z1]}): the shift is a
+    translation in t, and d_1 keeps valid orders and the dropping of zero
+    series, so the residual is the same.  The x-form shifts d_x F: d_x of
+    a shifted coefficient that cancelled to a zero series of full valid
+    order would drop a monomial that the shift of d_x F keeps at valid
+    order X - 1.  F^{[z1]} and F^{[z1,z2]} come from F's shift ladder,
+    as the tau checks' shifts do from tau's (module docstring).
     """
     trust = F.weight_cap + 1
     tag = "fay-F-form-x" if x_form else "fay-F-form"

@@ -271,10 +271,11 @@ class XSeries:
 # is the minimum over the products added, and a coefficient is an HPoly iff
 # one of the products had an HPoly factor at or below it, as with
 # HPoly * Rational.  ``add``, ``rescale`` (times an int), ``scale``
-# (times the code of a scalar, as ``XSeries.scale``) and ``diff`` (as
+# (times the code of a scalar, as ``XSeries.scale``; ``scale_each`` takes
+# one code times each of many scalars) and ``diff`` (as
 # ``XSeries.diff``) keep the denominator, and ``content`` / ``divide``
 # take out a common factor; the sums of ``tpoly`` (the assemblies' linear
-# combinations among them) are ``scale`` and ``add``.  Each operation
+# combinations among them) are ``scale_each`` and ``add``.  Each operation
 # follows the rational one it stands for in values, valid order,
 # coefficient types and ``HbarWindowError``.
 #
@@ -428,6 +429,11 @@ class _NumericInts:
         return (a[0], 0, [x * f for x in a[2]])
 
     scale = rescale
+
+    @staticmethod
+    def scale_each(a, factors):
+        v, _, nums = a
+        return [(v, 0, [x * f for x in nums]) for f in factors]
 
     @staticmethod
     def content(codes, den):
@@ -667,34 +673,46 @@ class _SymbolicInts:
         return (a[0], a[1], {k: x // g for k, x in a[2].items()})
 
     def scale(self, a, s):
-        """``XSeries.scale`` by the scalar with code ``s``: each nonzero
-        coefficient meets the scalar's window check in index order.  A
-        scalar c hbar^e shifts every key by e."""
+        """``scale_each`` by the one scalar with code ``s``."""
+        return self.scale_each(a, (s,))[0]
+
+    def scale_each(self, a, scalars):
+        """``XSeries.scale`` of the code ``a`` by each scalar code of
+        ``scalars`` in turn: each nonzero coefficient meets the scalar's
+        window check in index order.  A scalar c hbar^e shifts every key by
+        e.  The code's least and greatest exponent are read once, where a
+        scalar first needs them."""
         v, mask, d = a
-        snums, span, is_hpoly = s
-        if is_hpoly:
-            mask = (1 << (v + 1)) - 1
-        if span is not None and d:
-            # every exponent lies in the window, so only a negative s_lo
-            # can leave it at the low end and only a positive s_hi at the
-            # high end
-            ctx, S, lo = self.ctx, self.S, self.lo
-            s_lo, s_hi = span
-            if (s_lo < 0 and min(map(S.__rmod__, d)) + lo + s_lo < ctx.lo
-                    or s_hi > 0 and max(map(S.__rmod__, d)) + lo + s_hi > ctx.hi):
-                for _, c_lo, c_hi in self._spans((v, -1, d)):
-                    check_window(ctx, c_lo + s_lo, c_hi + s_hi)
-        if len(snums) == 1:
-            ((e, y),) = snums.items()
-            if e:
-                return (v, mask, {k + e: x * y for k, x in d.items()})
-            return (v, mask, {k: x * y for k, x in d.items()})
-        acc: dict = {}
-        for e, y in snums.items():
-            for k, x in d.items():
-                k += e
-                acc[k] = acc.get(k, 0) + x * y
-        return (v, mask, {k: n for k, n in acc.items() if n})
+        ctx, S, lo = self.ctx, self.S, self.lo
+        least = most = None
+        out = []
+        for snums, span, is_hpoly in scalars:
+            if span is not None and d:
+                # every exponent lies in the window, so only a negative s_lo
+                # can leave it at the low end and only a positive s_hi at
+                # the high end
+                s_lo, s_hi = span
+                if s_lo < 0 and least is None:
+                    least = min(map(S.__rmod__, d)) + lo
+                if s_hi > 0 and most is None:
+                    most = max(map(S.__rmod__, d)) + lo
+                if (s_lo < 0 and least + s_lo < ctx.lo
+                        or s_hi > 0 and most + s_hi > ctx.hi):
+                    for _, c_lo, c_hi in self._spans((v, -1, d)):
+                        check_window(ctx, c_lo + s_lo, c_hi + s_hi)
+            m = (1 << (v + 1)) - 1 if is_hpoly else mask
+            if len(snums) == 1:
+                ((e, y),) = snums.items()
+                out.append((v, m, {k + e: x * y for k, x in d.items()} if e
+                            else {k: x * y for k, x in d.items()}))
+                continue
+            acc: dict = {}
+            for e, y in snums.items():
+                for k, x in d.items():
+                    k += e
+                    acc[k] = acc.get(k, 0) + x * y
+            out.append((v, m, {k: n for k, n in acc.items() if n}))
+        return out
 
     def diff(self, a):
         v, mask, d = a

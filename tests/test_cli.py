@@ -1,11 +1,14 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +16,7 @@ import hbarkp
 from hbarkp import dataio, fbuild, kpconst, symfun, verify
 from hbarkp.cli import (
     APPENDIX_MAX_MATRICES, DETM_MAX_POINTS, FSERIES_MAX_WEIGHT,
-    PCONST_MAX_BOUND, _least_z_order, main,
+    PCONST_MAX_BOUND, _least_z_order, build_parser, main,
 )
 from hbarkp.fbuild import FSeries
 from hbarkp.hscalar import HContext
@@ -858,3 +861,56 @@ def test_exit_2_on_verifying_a_symbolic_f_table(tmp_path, capsys):
     assert main(["verify", "kp2", "--input", str(table)]) == 2
     assert capsys.readouterr().err == (
         "error: only concrete F tables can be reloaded\n")
+
+
+# per command: --help, an unknown option, a missing required option or
+# argument, and a bad choice (a bad type where the command has no choice)
+_PARSER_CASES = {
+    "schur": [["--help"], ["--weight", "2", "--nope"], [],
+              ["--weight", "2", "--basis", "q"]],
+    "transition": [["--help"], ["--weight", "2", "--nope"], [],
+                   ["--weight", "two"]],
+    "pconst": [["--help"], ["--nope"], ["--bound", "x"]],
+    "tau": [["--help"], ["--input", "a", "--nope"], [], ["--z-order", "x"]],
+    "fseries": [["--help"], ["--nope"], ["--mode", "other"],
+                ["--basis", "t_x"], ["--window", "1"]],
+    "convert": [["--help"], ["to-cauchy", "--input", "a", "--nope"],
+                ["to-cauchy"], ["--input", "a"], ["sideways", "--input", "a"]],
+    "bridge": [["--help"], ["--input", "a", "--nope"], []],
+    "verify": [["--help"], ["fay", "--nope"], [], ["tri"],
+               ["fay", "--points", "x"], ["fay", "extra"]],
+}
+
+
+def _parsed(parser, argv):
+    """stdout, stderr and exit code of parsing ``argv`` (None: parsed)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("command", sorted(_PARSER_CASES))
+def test_a_one_command_parser_prints_what_the_full_parser_prints(command):
+    """``main`` builds only the parser of the command it is given; its help
+    and its usage errors are the full parser's, byte for byte."""
+    full, one = build_parser(), build_parser(command)
+    subparsers = [a for a in one._actions if a.dest == "command"]
+    assert list(subparsers[0].choices) == [command]
+    for argv in _PARSER_CASES[command]:
+        argv = [command] + argv
+        want = _parsed(full, argv)
+        assert want[2] in (0, 2)
+        assert _parsed(one, argv) == want, argv
+        assert _parsed(SimpleNamespace(parse_args=main), argv) == want, argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["nope"], ["-x"]])
+def test_without_a_command_the_full_parser_parses(argv):
+    want = _parsed(build_parser(), argv)
+    assert want[2] in (0, 2)
+    assert _parsed(SimpleNamespace(parse_args=main), argv) == want
