@@ -28,6 +28,7 @@ from .partitions import partitions_upto
 from .rational import Rational
 from .sampling import random_rational_matrix
 from .tpoly import TPoly
+from .xseries import XSeries
 
 
 # Largest weight ``transition`` accepts; its cost grows about x2 per weight.
@@ -204,8 +205,6 @@ def cmd_bridge(args) -> int:
 
 
 def _clamp_series(s, x_order):
-    from .xseries import XSeries
-
     if x_order is None or x_order >= s.valid:
         return s
     if x_order < 0:

@@ -15,7 +15,9 @@ x-coefficient lists are lowest degree first; the list length encodes the
 valid order (length v+1 means trustworthy through x^v), so an empty list
 is refused.  Partition-keyed tables use the "p1,p2,..." key format with
 "" for the empty diagram; a table read back holds every diagram up to its
-weight cap, from "" in "c_lambda" and from weight 1 in "f_lambda".
+weight cap, from "" in "c_lambda" and from weight 1 in "f_lambda".  Every
+key is read only in the spelling this module writes ("1,1", not "1, 1";
+"1", not "01" or "+1"), so no two keys of a table name one entry.
 """
 
 from __future__ import annotations
@@ -95,13 +97,24 @@ def xseries_from_json(ctx: HContext, W: int, X: int, lst) -> XSeries:
     return XSeries(ctx, X, coeffs, valid=min(len(coeffs) - 1, X))
 
 
+def _key(key: str, read, write, what: str, form: str):
+    """``read(key)``, if ``write`` gives ``key`` back: a key spelled any
+    other way (a space, a leading zero, a sign) is refused, so that no two
+    keys of one table name the same entry."""
+    try:
+        value = read(key)
+        if write(value) == key:
+            return value
+    except ValueError:
+        pass
+    raise DataFormatError(f"{what} key {key!r} is not {form}")
+
+
 def _indexed_series(ctx, W, X, mapping, what) -> list[XSeries]:
     if not isinstance(mapping, dict):
         raise DataFormatError(f"{what} must be an object")
-    try:
-        idx = sorted(int(k) for k in mapping)
-    except ValueError as exc:
-        raise DataFormatError(f"non-integer index in {what}") from exc
+    idx = sorted(_key(k, int, str, what, 'an index written as "0", "1", ...')
+                 for k in mapping)
     if idx != list(range(len(idx))) or not idx:
         raise DataFormatError(f"{what} must be indexed 0..K without gaps")
     return [xseries_from_json(ctx, W, X, mapping[str(k)]) for k in idx]
@@ -180,7 +193,8 @@ def _diagram_table(ctx, W, X, mapping, what, least) -> dict:
         raise DataFormatError(f"{what} must be an object")
     table = {}
     for key, lst in mapping.items():
-        lam = Partition.parse(key)
+        lam = _key(key, Partition.parse, Partition.serialize, what,
+                   'a diagram written as "p1,p2,..."')
         if lam.weight < least:
             raise DataFormatError(f"{what} holds diagram {key!r} of weight "
                                   f"{lam.weight}, below its least weight {least}")

@@ -114,9 +114,10 @@ class FSeries(Record):
                 for lam in partitions_upto(self.weight_cap, 1)}
 
 
-def f_series(data: FData, weight_cap: int | None = None) -> FSeries:
-    """Concrete diagram coefficients for every weight <= the cap."""
-    W = data.weight_cap if weight_cap is None else weight_cap
+def f_series(data: FData) -> FSeries:
+    """Concrete diagram coefficients for every weight <= the data's weight
+    cap."""
+    W = data.weight_cap
     if data.K < W:
         raise ValueError("data index cap must reach the weight cap")
     jets = Jets(data.source_map(), data.f0)

@@ -2,9 +2,9 @@
 
 The deformed derivative of order k is (k/hbar) h_k(hbar dtilde) where
 dtilde = {d_1, d_2/2, d_3/3, ...}; it reduces to d_k at hbar = 0 and obeys
-a generalized Leibniz rule.  The Miwa shift t -> t +/- hbar [z^{-1}]
-substitutes t_k -> t_k +/- (hbar/k) zeta^k into one z-slot and equals the
-action of exp(+/- hbar D(z)) with D(z) = sum_k zeta^k d_k / k.
+a generalized Leibniz rule.  The Miwa shift t -> t + hbar [z^{-1}]
+substitutes t_k -> t_k + (hbar/k) zeta^k into one z-slot and equals the
+action of exp(hbar D(z)) with D(z) = sum_k zeta^k d_k / k.
 
 ``DiffOperator`` keeps only its constructors and ``apply``; its ring
 arithmetic (sum, product, scaling, equality, rendering) is
@@ -117,9 +117,9 @@ def dh_apply(k: int, poly: TPoly) -> TPoly:
 
 
 @cache
-def _miwa_rows(pack, p: int, slot: int, sign: int):
+def _miwa_rows(pack, p: int, slot: int):
     """The monomial of the int ``p`` of the packing ``pack``
-    (``tpoly._Packing``) under t_k -> t_k + sign * (hbar/k) zeta_slot^k,
+    (``tpoly._Packing``) under t_k -> t_k + (hbar/k) zeta_slot^k,
     truncated at the slot's z cap, as (rows, top): a row (int, num, den, j)
     is a monomial with factor num/den hbar^j (j None: the monomial itself,
     with no factor), and ``top`` is the largest power of hbar.
@@ -134,13 +134,13 @@ def _miwa_rows(pack, p: int, slot: int, sign: int):
     at = pack.zshift + f * slot
     unit = (1 << at) - (1 << pack.wshift)
     moves, top = _miwa_moves(p & ((1 << pack.zshift) - 1),
-                             pack.Z - ((p >> at) & mask), sign, f)
+                             pack.Z - ((p >> at) & mask), f)
     return tuple((p + dt + zd * unit, num, den, j)
                  for dt, zd, num, den, j in moves), top
 
 
 @cache
-def _miwa_moves(tpart: int, room: int, sign: int, f: int):
+def _miwa_moves(tpart: int, room: int, f: int):
     """The expansion of the t fields ``tpart`` (each ``f`` bits) under the
     shift, at most ``room`` z-degree added, as (moves, top): a move
     (change of the t fields, z-degree added, num, den, j), in the order of
@@ -167,7 +167,7 @@ def _miwa_moves(tpart: int, room: int, sign: int, f: int):
                     new_states.append((dt, zd, num, den, j0))
                     continue
                 new_states.append((dt - j * one, zd2,
-                                   num * comb(a, j) * sign ** j,
+                                   num * comb(a, j),
                                    den * k ** j, j0 + j))
         states = new_states
     moves = []
@@ -177,8 +177,8 @@ def _miwa_moves(tpart: int, room: int, sign: int, f: int):
     return tuple(moves), max(j for *_, j in states)
 
 
-def miwa_shift(poly, slot: int, sign: int = 1):
-    """Substitute t_k -> t_k + sign * (hbar/k) zeta_slot^k, truncated at the
+def miwa_shift(poly, slot: int):
+    """Substitute t_k -> t_k + (hbar/k) zeta_slot^k, truncated at the
     slot's z-degree cap.  Composing shifts in different slots commutes.
 
     The shift moves k units of t-weight into z-degree, so it preserves the
@@ -191,13 +191,11 @@ def miwa_shift(poly, slot: int, sign: int = 1):
     before its rows are formed (``_Resident.substitute``)."""
     if not (0 <= slot < poly.nslots):
         raise ValueError("slot out of range")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     codes = resident(poly) if isinstance(poly, TPoly) else poly
     pack = codes.pack
 
     def expand(p):
-        return _miwa_rows(pack, p, slot, sign)
+        return _miwa_rows(pack, p, slot)
 
     out = codes.substitute(expand)
     return out if codes is poly else out.decode()
@@ -208,5 +206,5 @@ def delta_apply(poly: TPoly, slot: int) -> TPoly:
 
     Expanding in the slot variable it is sum_k zeta^k (deformed d_k)/k.
     """
-    shifted = miwa_shift(poly, slot, 1)
+    shifted = miwa_shift(poly, slot)
     return (shifted - poly).scale(poly.ctx.hbar_pow(-1))

@@ -76,15 +76,12 @@ class DiffPoly(MultisetPoly):
         (``_x_deriv``)."""
         return DiffPoly(self.ctx, _x_deriv(self.terms))
 
-    def substitute(self, data, like: XSeries | None = None) -> XSeries:
-        """Evaluate on concrete sources: (s, l) -> l-th derivative of data[s].
-
-        ``data`` is a dict of sources or its ``xseries.Jets``; ``like``
-        supplies the result's shape when there is no source.  Each
-        monomial is a product of jet codes (``Jets.monomial``, which keeps
-        every product it forms, so the monomials shared by the words of one
-        table are multiplied once), and the sum is decoded once."""
-        jets = data if isinstance(data, Jets) else Jets(data, like)
+    def substitute(self, jets: Jets) -> XSeries:
+        """Evaluate on concrete sources: (s, l) -> l-th derivative of the
+        series of source s, given as its ``xseries.Jets``.  Each monomial
+        is a product of jet codes (``Jets.monomial``, which keeps every
+        product it forms, so the monomials shared by the words of one table
+        are multiplied once), and the sum is decoded once."""
         kernel, terms = jets.kernel, self.terms
         den, scalars = kernel.encode_scalars(terms.values())
         top = max(map(len, terms), default=0)

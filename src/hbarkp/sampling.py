@@ -63,9 +63,10 @@ def random_tau_data(rng: Random, ctx: HContext, weight_cap: int,
     return TauData(ctx, weight_cap, x_cap, tuple(c))
 
 
-def random_f_data(rng: Random, ctx: HContext, weight_cap: int, x_cap: int,
-                  zero_f0_const=True) -> FData:
-    f0 = random_xseries(rng, ctx, x_cap, zero_const=zero_f0_const)
+def random_f_data(rng: Random, ctx: HContext, weight_cap: int,
+                  x_cap: int) -> FData:
+    """Random F data; f_0 has a zero constant term."""
+    f0 = random_xseries(rng, ctx, x_cap, zero_const=True)
     fs = tuple(random_xseries(rng, ctx, x_cap) for _ in range(weight_cap))
     return FData(ctx, weight_cap, x_cap, f0, fs)
 

@@ -27,10 +27,8 @@ the integer rows of L^{-1}.  The assemblies encode them straight into the
 integer kernel and scale the codes of their series by them
 (``tpoly.linear_combination``), and the F-side changes of basis
 (``fbuild``) read the rows of t^hbar as they are.  ``t_hbar`` decodes
-its rows as polynomials for the command line only;
-``schur_over_hbar`` decodes the Schur rows and has no caller in the
-package (the tests use it), and the command line's Schur table is
-``schur``, the rows without their powers of hbar.
+its rows as polynomials for the command line only, and the command
+line's Schur table is ``schur``, the rows without their powers of hbar.
 """
 
 from __future__ import annotations
@@ -152,7 +150,7 @@ def schur_rows(lam: Partition, weight_cap: int) -> tuple:
     return _schur_rows(lam)
 
 
-def _decode(rows, ctx: HContext, weight_cap: int, factor: int = 1) -> TPoly:
+def _decode(rows, ctx: HContext, weight_cap: int, factor: int) -> TPoly:
     """The polynomial of integer rows, each coefficient factor * num/den
     hbar^j formed as one scalar (``HContext.form``; j None: the
     rational)."""
@@ -171,13 +169,6 @@ def schur(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
     terms = {key: Rational(num, den)
              for key, num, den, _ in schur_rows(Partition(lam), weight_cap)}
     return TPoly(ctx, weight_cap, terms=terms)
-
-
-@cache
-def schur_over_hbar(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:
-    """s_lam(t/hbar), the basis of the tau series, decoded from
-    ``schur_rows``."""
-    return _decode(schur_rows(Partition(lam), weight_cap), ctx, weight_cap)
 
 
 def t_monomial(lam: Partition, ctx: HContext, weight_cap: int) -> TPoly:

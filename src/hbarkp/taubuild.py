@@ -165,9 +165,9 @@ class TauSeries(Record):
         return linear_combination(pairs, self.ctx, W)
 
 
-def tau_series(data: TauData, weight_cap: int | None = None) -> TauSeries:
-    """Coefficients for every diagram of weight <= the cap."""
-    W = data.weight_cap if weight_cap is None else weight_cap
+def tau_series(data: TauData) -> TauSeries:
+    """Coefficients for every diagram of weight <= the data's weight cap."""
+    W = data.weight_cap
     if data.K < W:
         raise ValueError("data index cap must reach the weight cap")
     shared = _Table(data)
@@ -185,8 +185,9 @@ def as_xseries(value, ctx: HContext, x_cap: int) -> XSeries:
     return XSeries.constant(ctx, x_cap, value)
 
 
-def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> TauData:
-    """Recover the initial data from an assembled tau polynomial.
+def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int) -> TauData:
+    """Recover the initial data, series of x cap ``x_cap``, from an
+    assembled tau polynomial.
 
     The data are the coefficients of tau(x; hbar[z^{-1}]) = sum_k c_k z^{-k}:
     c_0 = tau at t = 0 and, for k >= 1,
@@ -204,10 +205,6 @@ def extract_cauchy_like_tau(tau: TPoly, K: int, x_cap: int | None = None) -> Tau
     c_1 = c_2 = 0.
     """
     ctx = tau.ctx
-    if x_cap is None:
-        x_cap = next(
-            (c.cap for c in tau.terms.values() if isinstance(c, XSeries)), 0
-        )
     read = [(weight_of(texp), texp, as_xseries(c, ctx, x_cap))
             for (texp, zexp), c in tau.terms.items()
             if not zexp and 0 < weight_of(texp) <= K]

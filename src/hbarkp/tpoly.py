@@ -113,11 +113,10 @@ def _monomial_text(key: tuple) -> str:
     return "*".join(vars_) or "1"
 
 
-def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
-                       nslots: int = 0) -> "TPoly":
+def linear_combination(pairs, ctx: HContext, weight_cap: int) -> "TPoly":
     """The sum over ``pairs`` (rows, coeff) of the basis polynomial of
-    ``rows`` scaled by ``coeff``, as ``TPoly.zero(ctx, weight_cap, z_cap,
-    nslots)`` plus each term in turn would give it.
+    ``rows`` scaled by ``coeff``, as ``TPoly.zero(ctx, weight_cap)`` plus
+    each term in turn would give it.
 
     A basis is given by integer rows (key, num, den, j), num != 0, one per
     monomial ``key`` of the shape, each the scalar num/den hbar^j (j None:
@@ -137,7 +136,7 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
     """
     pairs = list(pairs)
     if not pairs:
-        return TPoly.zero(ctx, weight_cap, z_cap, nslots)
+        return TPoly.zero(ctx, weight_cap)
     cap = pairs[0][1].cap
     if any(coeff.cap != cap or coeff.ctx != ctx for _, coeff in pairs):
         raise ValueError("mixed hbar contexts or x caps")
@@ -160,8 +159,9 @@ def linear_combination(pairs, ctx: HContext, weight_cap: int, z_cap: int = 0,
             _accumulate(kernel, out, zip(keys, scale_each(code, factors)))
         at = n
     series, den = kernel.series, den_c * den_b
-    return TPoly(ctx, weight_cap, z_cap, nslots,
-                 {key: series(den, c) for key, c in out.items()}, _clean=True)
+    return TPoly(ctx, weight_cap,
+                 terms={key: series(den, c) for key, c in out.items()},
+                 _clean=True)
 
 
 def _accumulate(kernel, out: dict, items) -> None:
@@ -417,9 +417,9 @@ class TPoly:
 # same values, valid orders, coefficient types and kept monomials, and
 # the first ``HbarWindowError`` is the same one.  ``times_zeta`` is the
 # product with a polynomial in the zetas alone, with int coefficients:
-# the checks' prefactors.  ``exp``,
-# ``log_unit`` and ``substitute`` (the Miwa shift) run ``TPoly.exp``,
-# ``TPoly.log_unit`` and ``hcalc.miwa_shift``.  ``signed_relabellings``
+# the checks' prefactors.  ``TPoly.exp``, ``TPoly.log_unit`` and
+# ``hcalc.miwa_shift`` run on ``exp``, ``log_unit`` and ``substitute``
+# (the Miwa shift's rows) here.  ``signed_relabellings``
 # sums copies of one polynomial with their slots renamed, as the residuals
 # of the checks that are symmetric in the slots need, and ``with_slots``
 # re-embeds a polynomial in more slots, as the checks read their shared

@@ -832,7 +832,8 @@ def test_exit_2_on_a_diagram_outside_the_table(tmp_path, capsys, tau_file,
 
 @pytest.mark.parametrize("argv, key, value, message", [
     (["tau"], "hbar", {"mode": "complex"}, "unknown hbar mode: 'complex'"),
-    (["tau"], "c", {"0": ["1"], "a": ["1"]}, 'non-integer index in "c"'),
+    (["tau"], "c", {"0": ["1"], "a": ["1"]},
+     '"c" key \'a\' is not an index written as "0", "1", ...'),
     (["tau"], "c", {"0": "1"}, "series must be a list: '1'"),
     (["verify", "kp2"], "basis", "t_other", "unknown basis tag 't_other'"),
 ], ids=["hbar-mode", "c-index", "c-series", "basis"])
@@ -851,6 +852,52 @@ def test_exit_2_on_a_malformed_document(tmp_path, capsys, tau_file, f_file,
     out = tmp_path / "out.json"
     assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# table -> (the command that reads it, a key as dataio writes it, another
+# spelling of that key)
+_KEY_SPELLINGS = {
+    "c": (["tau"], "1", "01"),
+    "f": (["fseries"], "1", "+1"),
+    "cauchy": (["convert", "to-cauchy-like"], "2", " 2"),
+    "c_lambda": (["verify", "fay"], "1,1", "1, 1"),
+    "f_lambda": (["verify", "kp2"], "2,1", "2,01"),
+}
+
+
+def _document_with(name, tmp_path, tau_file, f_file):
+    """A document that holds the table ``name``, from the data files."""
+    if name in ("c", "f"):
+        return read(tau_file if name == "c" else f_file)
+    made = tmp_path / "made.json"
+    argv = {"cauchy": ["convert", "to-cauchy", "--input", f_file],
+            "c_lambda": ["tau", "--input", tau_file],
+            "f_lambda": ["fseries", "--input", f_file]}[name]
+    assert main(argv + ["--output", str(made)]) == 0
+    return read(made)
+
+
+@pytest.mark.parametrize("edit", ["beside", "alone"])
+@pytest.mark.parametrize("name", sorted(_KEY_SPELLINGS))
+def test_exit_2_on_another_spelling_of_a_key(tmp_path, capsys, tau_file,
+                                             f_file, name, edit):
+    """A key is read only as dataio writes it.  Beside the written key,
+    another spelling would name the same entry and replace it; alone, an
+    index such as "+1" would pass the gap check and then be looked up as
+    "1"."""
+    argv, key, spelling = _KEY_SPELLINGS[name]
+    doc = _document_with(name, tmp_path, tau_file, f_file)
+    table = doc[name]
+    table[spelling] = ["5"] if edit == "beside" else table.pop(key)
+    path = tmp_path / "doc.json"
+    dataio.dump(doc, path)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--input", str(path), "--output", str(out)]) == 2
+    form = ('a diagram written as "p1,p2,..."' if name.endswith("lambda")
+            else 'an index written as "0", "1", ...')
+    assert capsys.readouterr().err == (
+        f'error: "{name}" key {spelling!r} is not {form}\n')
     assert not out.exists()
 
 

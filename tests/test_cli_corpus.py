@@ -15,8 +15,10 @@ The corpus covers: every basis of ``schur`` at weight 6 with hbar 1/2,
 ``fseries``; and, per data seed and hbar, ``tau``, ``fseries`` in both
 bases, ``convert`` both ways, ``bridge``, the four checks at z orders 3
 and 4, ``detm --points 2``, the cap clamps, the exit-2 refusals and the
-three tau checks on a corrupted table; last, ``convert`` both ways on an
-hbar = 0 table.  Argparse usage errors are left
+three tau checks on a corrupted table; then ``convert`` both ways on an
+hbar = 0 table; last, the checks on formal tables where a rewritten
+residual leaves the window and the identity as written is computed.
+Argparse usage errors are left
 out: their text depends on the Python version.
 """
 
@@ -182,6 +184,56 @@ def corpus(tmp: Path):
     cauchy = str(tmp / "s0-h0-w6.cauchy.json")
     yield ["convert", "to-cauchy", "--input", f_data, "--output", cauchy]
     yield ["convert", "to-cauchy-like", "--input", cauchy]
+    yield from _fallback_commands(tmp)
+
+
+def _formal_table(window, weight, key, table, **extra):
+    """A formal table of x order 0 in ``window``: ``table`` holds the
+    nonzero entries, every other diagram up to ``weight`` is zero."""
+    from hbarkp import dataio
+    from hbarkp.partitions import partitions_upto
+
+    least = 1 if key == "f_lambda" else 0
+    entries = {lam.serialize(): ["0"] for lam in partitions_upto(weight, least)}
+    entries.update(table)
+    return {"hbar": {"mode": "symbolic", "window": list(window)},
+            "caps": {"weight": weight, "x_order": 0}, key: entries, **extra}
+
+
+def _fallback_commands(tmp: Path):
+    """Formal tables on which a rewritten residual leaves the window where
+    the identity as written is computed instead: for tau = 1 + c t_1, fay
+    in [-3, 3] (c = hbar^-1), the 3-point determinant by Laplace expansion
+    in [-3, 3] (c = hbar^2), and in [-2, 2] (c = hbar^-1) with tau^2
+    leaving the window first, so S is multiplied by tau one factor at a
+    time (the 4-point determinant there leaves it in the product of the
+    diagonal entries); and the F-form check on F = 1 + hbar^-8 t_1^2
+    (W = 2, passing) and F = 1 + hbar^-8 t_1 t_3 + t_2^2 / 2 (W = 4,
+    failing), whose (d_1 F)^{[z1]} / hbar leaves [-8, 8] before the two
+    slots' terms cancel.  Each check that leaves the window names the
+    first power of hbar the identity as written leaves it at."""
+    from hbarkp import dataio
+
+    docs = {
+        "fay-fallback": (_formal_table((-3, 3), 2, "c_lambda", {
+            "": ["1"], "1": [{"-1": "1"}]}), [["fay", "--z-order", "3"]]),
+        "detm-laplace": (_formal_table((-3, 3), 2, "c_lambda", {
+            "": ["1"], "1": [{"2": "1"}]}), [["detm", "--z-order", "4"]]),
+        "detm-chain": (_formal_table((-2, 2), 2, "c_lambda", {
+            "": ["1"], "1": [{"-1": "1"}]}),
+            [["detm", "--z-order", "4"], ["detm", "--points", "4", "--z-order", "5"]]),
+        "kp2-pass": (_formal_table((-8, 8), 2, "f_lambda", {
+            "1,1": [{"-8": "2"}]}, basis="t_plain", mode="concrete", f0=["1"]),
+            [["kp2", "--z-order", "3"]]),
+        "kp2-fail": (_formal_table((-8, 8), 4, "f_lambda", {
+            "3,1": [{"-8": "1"}], "2,2": ["1"]}, basis="t_plain",
+            mode="concrete", f0=["1"]), [["kp2", "--z-order", "3"]]),
+    }
+    for name, (doc, checks) in docs.items():
+        path = tmp / f"{name}.json"
+        dataio.dump(doc, path)
+        for check in checks:
+            yield ["verify", *check, "--input", str(path)]
 
 
 def _run(argv, tmp: Path):

@@ -24,7 +24,7 @@ from hbarkp.partitions import Partition, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_f_data, random_xseries
 from hbarkp.taubuild import tau_series
-from hbarkp.xseries import OrderExhaustedError, XSeries
+from hbarkp.xseries import Jets, OrderExhaustedError, XSeries
 
 SYM = HContext.symbolic(-9, 9)
 
@@ -45,8 +45,9 @@ def mixed_f_data(rng, ctx, W, X):
 
 
 def xseries_substitute(poly, data, like):
-    """``poly.substitute(data, like)`` on XSeries values, one product at a
-    time, term by term in the order of the polynomial's terms."""
+    """``poly.substitute(Jets(data, like))`` on XSeries values, one
+    product at a time, term by term in the order of the polynomial's
+    terms."""
     total = XSeries.zero(like.ctx, like.cap)
     for gens, c in poly.terms.items():
         prod = XSeries.constant(like.ctx, like.cap, 1)
@@ -86,7 +87,8 @@ def test_f_lambda_concrete(num_ctx, rng):
     data = random_f_data(rng, num_ctx, 4, 5)
 
     def concrete(lam):
-        return f_lambda(lam, num_ctx).substitute(data.source_map(), data.f0)
+        return f_lambda(lam, num_ctx).substitute(
+            Jets(data.source_map(), data.f0))
 
     for k in range(1, 5):
         assert concrete(Partition((k,))) == data.series(k)
@@ -283,10 +285,10 @@ def test_bridge_log_consistency(rng):
 
 
 def test_bridge_preconditions(num_ctx, rng):
-    bad = random_f_data(rng, num_ctx, 3, 4, zero_f0_const=False)
-    if not bad.f0.constant_term() == 0:
-        with pytest.raises(ValueError):
-            bridge_to_tau(bad)
+    data = random_f_data(rng, num_ctx, 3, 4)
+    bad = data.replace(f0=data.f0 + XSeries.one(num_ctx, 4))
+    with pytest.raises(ValueError):
+        bridge_to_tau(bad)
     data = random_f_data(rng, HContext.symbolic(-5, 5), 3, 4)
     with pytest.raises(HbarValueError):
         bridge_to_tau(data)

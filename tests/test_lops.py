@@ -14,7 +14,7 @@ from hbarkp.lops import (
 from hbarkp.partitions import compositions, partitions_upto
 from hbarkp.rational import Rational
 from hbarkp.sampling import random_rational
-from hbarkp.xseries import XSeries
+from hbarkp.xseries import Jets, XSeries
 
 CTX = HContext.symbolic(-10, 10)
 
@@ -408,13 +408,12 @@ def test_substitute_examples(num_ctx):
     x = XSeries.x(num_ctx, 4)
     d = gen(1, 1)
     # f_1 = x^2 -> d(f_1) = 2x
-    assert d.substitute({1: x * x}) == x.scale(Rational(2))
+    assert d.substitute(Jets({1: x * x})) == x.scale(Rational(2))
     sq = gen(1, 1) * gen(1, 1)
-    assert sq.substitute({1: x}) == XSeries.one(num_ctx, 4)
+    assert sq.substitute(Jets({1: x})) == XSeries.one(num_ctx, 4)
     # the (2,2) expansion on f_1 = x, f_3 = x^2: (4/3)*2x - 2*1
     expansion = l_apply(2, DiffPoly.generator(num_ctx, 2, 0))
-    got = expansion.substitute({1: x, 3: x * x},
-                               like=XSeries.zero(num_ctx, 4))
+    got = expansion.substitute(Jets({1: x, 3: x * x}))
     want = x.scale(Rational(8, 3)) - XSeries.constant(num_ctx, 4, Rational(2))
     assert got == want
 
@@ -426,7 +425,7 @@ def test_the_zero_polynomial_substitutes_to_a_zero_series(ctx):
     """With no monomial, the value is the zero series of the sources' x cap
     at its full valid order, though the source is valid to a lower one."""
     like = XSeries(ctx, 4, [Rational(1), Rational(3)], valid=1)
-    got = DiffPoly.zero(ctx).substitute({1: like})
+    got = DiffPoly.zero(ctx).substitute(Jets({1: like}))
     assert (got.cap, got.valid) == (4, 4)
     assert list(got.coeffs) == [Rational(0)] * 5
     assert not any(isinstance(c, HPoly) for c in got.coeffs)
@@ -435,7 +434,7 @@ def test_the_zero_polynomial_substitutes_to_a_zero_series(ctx):
 def test_substitute_missing_source(num_ctx):
     x = XSeries.x(num_ctx, 4)
     with pytest.raises(KeyError):
-        (gen(1, 1) * gen(2, 1)).substitute({1: x})
+        (gen(1, 1) * gen(2, 1)).substitute(Jets({1: x}))
 
 
 def test_render():

@@ -14,7 +14,7 @@ from hbarkp.fbuild import FData, FSeries
 from hbarkp.hscalar import HContext
 from hbarkp.partitions import Partition
 from hbarkp.rational import Rational
-from hbarkp.symfun import schur_over_hbar
+from hbarkp.symfun import schur
 from hbarkp.taubuild import TauData, TauSeries
 from hbarkp.verify import Residual
 from hbarkp.xseries import XSeries
@@ -105,10 +105,10 @@ def test_equal_contexts_hash_equal_and_share_cache_entries():
     assert repr(CTX) == (f"HContext(mode='numeric', lo=None, hi=None, "
                          f"value={Rational(1, 2)!r})")
     lam = Partition((2, 1))
-    first = schur_over_hbar(lam, a, 3)
-    before = schur_over_hbar.cache_info()
-    assert schur_over_hbar(lam, b, 3) is first
-    after = schur_over_hbar.cache_info()
+    first = schur(lam, a, 3)
+    before = schur.cache_info()
+    assert schur(lam, b, 3) is first
+    after = schur.cache_info()
     assert after.hits == before.hits + 1
     assert after.currsize == before.currsize
 

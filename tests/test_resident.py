@@ -7,23 +7,23 @@ order, the same values, valid orders and coefficient types, and the same
 ``HbarWindowError`` message.  The reference residuals below are the checks
 written on TPoly values, with the Miwa shift as the state expansion it was
 before ``hcalc`` shared one expansion between TPoly and resident
-polynomials.  Products are compared with the schoolbook product of
-``test_kernels``, and so are the exponential and the logarithm, which
-``ref_exp`` and ``ref_log_unit`` write as the loops TPoly had before it
-ran them on integer codes.
+polynomials (``reference.ref_miwa_shift``).  Products are compared with
+the schoolbook product of ``reference``, and so are the exponential and
+the logarithm, which ``ref_exp`` and ``ref_log_unit`` write as the loops
+TPoly had before it ran them on integer codes.
 
-The residuals are sums of slot relabellings of one polynomial, and the
-Miwa shift of an input without zeta-monomials in slot s is its shift in
-slot 0 relabelled; the reference residuals take the same steps, and the
-same fallbacks where a formal window is left.  The oracles compute the
-identities as they are written: both sides of the Fay identities, the
-three cyclic terms each on its own and the m x m determinant by Laplace
-expansion.  The residuals must agree with them on every nonzero monomial,
-on the verdict and on the failing monomials, and return wherever they
-return.
+The tau residuals are sums of slot relabellings of one polynomial, and
+the Miwa shift of an input without zeta-monomials in slot s is its shift
+in slot 0 relabelled; the reference residuals take the same steps, and
+the same fallbacks where a formal window is left.  The oracles compute
+the identities as they are written: both sides of the Fay identities,
+the three cyclic terms each on its own and the m x m determinant by
+Laplace expansion.  The F-form residual is the identity as written, so
+its oracle is its reference.  The residuals must agree with the oracles
+on every nonzero monomial, on the verdict and on the failing monomials,
+and return wherever they return.
 """
 
-from fractions import Fraction
 from itertools import permutations
 from math import comb
 from random import Random
@@ -48,8 +48,11 @@ from hbarkp.verify import (
     _poly_residual, check_kp2,
 )
 from hbarkp.xseries import XSeries
-from reference import pow_int, var_zeta
-from test_kernels import ref_tpoly_mul
+from reference import (
+    PARTS, assert_same_coeff, assert_same_poly, nonzero_series, polys,
+    pow_int, ref_miwa_shift, ref_tpoly_mul, scalars, series, shapes, var_zeta,
+    window_scalars,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -62,7 +65,6 @@ NEGATIVE = HContext.numeric(Rational(-3, 2))
 ZERO = HContext.numeric(0)
 WIDE = HContext.symbolic(-8, 8)
 NARROW = HContext.symbolic(-2, 2)
-contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, WIDE, NARROW])
 # windows that hold exponent 0 alone, or at an end, or one off each end
 edge_contexts = st.sampled_from([
     HContext.symbolic(0, 0), HContext.symbolic(0, 3), HContext.symbolic(-3, 0),
@@ -74,45 +76,6 @@ residual_contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, GRANTED, WIDE,
 
 
 # -- the TPoly path --------------------------------------------------------------
-
-def ref_miwa_shift(poly: TPoly, slot: int, sign: int = 1) -> TPoly:
-    ctx = poly.ctx
-    Z = poly.z_cap
-    out: dict = {}
-    for (texp, zexp), coeff in poly.terms.items():
-        base_z = zexp[slot] if slot < len(zexp) else 0
-        states = [(list(texp), 0, None)]
-        for pos, a in enumerate(texp):
-            if a == 0:
-                continue
-            k = pos + 1
-            new_states = []
-            for exps, zd, fac in states:
-                for j in range(0, a + 1):
-                    zd2 = zd + k * j
-                    if base_z + zd2 > Z:
-                        break
-                    if j == 0:
-                        new_states.append((exps, zd, fac))
-                        continue
-                    f = Rational(comb(a, j) * sign ** j, k ** j) * ctx.hbar_pow(j)
-                    e2 = list(exps)
-                    e2[pos] = a - j
-                    new_states.append((e2, zd2, f if fac is None else fac * f))
-            states = new_states
-        for exps, zd, fac in states:
-            nz = list(zexp) + [0] * (poly.nslots - len(zexp))
-            nz[slot] += zd
-            while exps and exps[-1] == 0:
-                exps = exps[:-1]
-            while nz and nz[-1] == 0:
-                nz = nz[:-1]
-            key = (tuple(exps), tuple(nz))
-            c = coeff if fac is None else coeff * fac
-            out[key] = out[key] + c if key in out else c
-    return TPoly(ctx, poly.weight_cap, poly.z_cap, poly.nslots, out,
-                 degree_cap=poly.degree_cap)
-
 
 def _degree_bound(p: TPoly) -> int:
     bound = p.weight_cap + p.nslots * p.z_cap
@@ -376,51 +339,7 @@ def oracle_kp2(F, z_cap, x_form, cap):
     return (z2 - z1) * (ref_exp(big_g) - 1) + (z1 * z2) * jump
 
 
-def ref_kp2(F, z_cap, x_form, cap):
-    """B - swap(B), B = zeta1 zeta2 (d F)^{[z1]} / hbar - zeta1 (e^G - 1);
-    where that leaves the window, the identity as written
-    (``oracle_kp2``)."""
-    big_g, d_f, z1, z2 = _kp2_parts(F, z_cap, x_form, cap)
-    d_f1 = ref_miwa_shift(d_f, 0)
-    try:
-        jump1 = d_f1.scale(F.ctx.hbar_pow(-1))
-    except HbarWindowError:
-        return oracle_kp2(F, z_cap, x_form, cap)
-    half = (z1 * z2) * jump1 - z1 * (ref_exp(big_g) - 1)
-    return signed_relabellings(half, SWAP_2)
-
-
 # -- comparison ------------------------------------------------------------------
-
-def assert_same_scalar(got, want):
-    assert isinstance(got, HPoly) == isinstance(want, HPoly), (got, want)
-    if isinstance(want, HPoly):
-        assert got.ctx == want.ctx
-        assert got.terms == want.terms
-    else:
-        assert got == want
-
-
-def assert_same_coeff(got, want):
-    assert isinstance(got, XSeries) == isinstance(want, XSeries), (got, want)
-    if not isinstance(want, XSeries):
-        assert_same_scalar(got, want)
-        return
-    assert (got.cap, got.valid) == (want.cap, want.valid)
-    assert len(got.coeffs) == len(want.coeffs)
-    for g, w in zip(got.coeffs, want.coeffs):
-        assert_same_scalar(g, w)
-
-
-def assert_same_poly(got: TPoly, want: TPoly):
-    assert isinstance(got, TPoly)
-    assert ((got.ctx, got.weight_cap, got.z_cap, got.nslots, got.degree_cap)
-            == (want.ctx, want.weight_cap, want.z_cap, want.nslots,
-                want.degree_cap))
-    assert list(got.terms) == list(want.terms)
-    for key, c in want.terms.items():
-        assert_same_coeff(got.terms[key], c)
-
 
 def outcome(fn, *args):
     """('ok', value) or ('raise', exception type and message); a zero
@@ -442,109 +361,6 @@ def assert_same_outcome(got_fn, want_fn):
 
 
 # -- strategies ------------------------------------------------------------------
-
-fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
-rationals = st.one_of(st.integers(-3, 3), fractions.map(Rational),
-                      st.just(Rational(0)))
-
-
-def hpolys(ctx):
-    return st.dictionaries(st.integers(ctx.lo, ctx.hi), fractions,
-                           max_size=3).map(lambda t: HPoly(ctx, t))
-
-
-def scalars(ctx):
-    if ctx.is_numeric:
-        return rationals
-    return st.one_of(rationals, hpolys(ctx))
-
-
-def window_scalars(ctx):
-    """Nonzero scalars.  In formal hbar, a third of them are one power of
-    hbar at an end of the window or next to it, so that products and powers
-    of them sometimes leave it."""
-    units = st.builds(Fraction, st.integers(-6, 6).filter(bool),
-                      st.integers(1, 12))
-    nonzero = st.one_of(st.integers(-3, 3).filter(bool), units.map(Rational))
-    if ctx.is_numeric:
-        return nonzero
-    ends = st.sampled_from([ctx.lo, min(ctx.lo + 1, ctx.hi),
-                            max(ctx.hi - 1, ctx.lo), ctx.hi])
-    return st.one_of(
-        nonzero,
-        st.dictionaries(st.integers(ctx.lo, ctx.hi), units, min_size=1,
-                        max_size=3).map(lambda t: HPoly(ctx, t)),
-        st.builds(lambda e, r: HPoly(ctx, {e: r}), ends, units))
-
-
-@st.composite
-def series(draw, ctx, cap, scalar=None):
-    scalar = scalars(ctx) if scalar is None else scalar
-    valid = draw(st.integers(0, cap))
-    coeffs = draw(st.lists(scalar, max_size=valid + 1))
-    return XSeries(ctx, cap, coeffs, valid=valid)
-
-
-@st.composite
-def nonzero_series(draw, ctx, cap, scalar=None):
-    scalar = scalars(ctx) if scalar is None else scalar
-    valid = draw(st.integers(0, cap))
-    coeffs = draw(st.lists(scalar, min_size=1, max_size=valid + 1))
-    if scalar_is_zero(coeffs[0]):
-        coeffs[0] = ctx.one() if ctx.is_numeric else ctx.hbar_pow(
-            draw(st.integers(max(-1, ctx.lo), min(1, ctx.hi))))
-    return XSeries(ctx, cap, coeffs, valid=valid)
-
-
-@st.composite
-def shapes(draw, slots=(0, 2), contexts=contexts):
-    """(ctx, x cap or None for scalar coefficients, W, Z, nslots, degree cap)."""
-    ctx = draw(contexts)
-    # x-series coefficients twice as often as scalar ones
-    cap = draw(st.one_of(st.none(), st.integers(0, 2), st.integers(0, 2)))
-    W = draw(st.integers(2, 4))
-    nslots = draw(st.integers(*slots))
-    Z = draw(st.integers(1, 3))
-    D = draw(st.one_of(st.none(), st.integers(W, W + nslots * Z)))
-    return ctx, cap, W, Z, nslots, D
-
-
-PARTS = [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2),
-         (2, 1, 1), (1, 1, 1, 1)]
-
-
-@st.composite
-def polys(draw, shape, size=6, low=False):
-    """2 to ``size`` monomials within the caps, so that the constructor
-    keeps them all, of weight mostly <= 2 if ``low`` (so that products keep
-    them), with zeta exponents.  The coefficients are ``window_scalars``,
-    or series of them, which may be zero below full valid order or of low
-    valid order."""
-    ctx, cap, W, Z, nslots, D = shape
-    scalar = window_scalars(ctx)
-    if cap is None:
-        coeff = scalar
-    else:
-        coeff = st.one_of(
-            nonzero_series(ctx, cap, scalar), nonzero_series(ctx, cap, scalar),
-            series(ctx, cap, scalar).filter(
-                lambda c: c.valid < cap or not c.is_zero()))
-    parts = [p for p in (PARTS[:4] * 3 + PARTS if low else PARTS)
-             if sum(p) <= W]
-    budget = W + nslots * Z if D is None else D
-
-    def key(part, zexp):
-        """The monomial with each zeta exponent cut to the degree left."""
-        left, cut = budget - sum(part), []
-        for d in zexp:
-            cut.append(min(d, left))
-            left -= cut[-1]
-        return texp_of(part), tuple(cut)
-    keys = st.builds(key, st.sampled_from(parts),
-                     st.lists(st.integers(0, Z), max_size=nslots))
-    terms = draw(st.dictionaries(keys, coeff, min_size=2, max_size=size))
-    return TPoly(ctx, W, Z, nslots, terms, degree_cap=D)
-
 
 @st.composite
 def poly_pairs(draw, low=False):
@@ -720,10 +536,9 @@ def test_miwa_shifts_match(data):
     shape = data.draw(shapes(slots=(1, 2)))
     p = data.draw(polys(shape))
     slot = data.draw(st.integers(0, shape[4] - 1))
-    sign = data.draw(st.sampled_from([1, -1]))
-    want = assert_same_outcome(lambda: miwa_shift(p, slot, sign),
-                               lambda: ref_miwa_shift(p, slot, sign))
-    got = outcome(lambda: miwa_shift(resident(p), slot, sign).decode())
+    want = assert_same_outcome(lambda: miwa_shift(p, slot),
+                               lambda: ref_miwa_shift(p, slot))
+    got = outcome(lambda: miwa_shift(resident(p), slot).decode())
     assert got[0] == want[0]
     if want[0] == "raise":
         assert got[1] == want[1]
@@ -920,7 +735,7 @@ def test_kp2_residual_matches(case, x_form):
     if x_form and not any(isinstance(c, XSeries) for c in F.terms.values()):
         return  # scalar coefficients have no x-derivative
     assert_same_outcome(lambda: _kp2_residual(F, Z, x_form, D).decode(),
-                        lambda: ref_kp2(F, Z, x_form, D))
+                        lambda: oracle_kp2(F, Z, x_form, D))
 
 
 def test_the_references_run_without_the_resident_kernel(monkeypatch):
@@ -1067,11 +882,12 @@ def test_the_laplace_fallback_sums_the_vandermonde_in_one_accumulator():
                      ref_det_m(tau, 3, 3, None))
 
 
-def test_kp2_residual_falls_back_to_the_identity_as_written():
-    """In [-8, 8], (d_1 F)^{[z1]} / hbar holds hbar^-9 t_1 for
+def test_kp2_residual_stays_inside_where_a_symmetrised_half_leaves_the_window():
+    """In [-8, 8], (d_1 F)^{[z1]} / hbar would hold hbar^-9 t_1 for
     F = 1 + hbar^-8 t_1^2, which the identity as written cancels against
-    (d_1 F)^{[z2]} / hbar before the scaling; the check passes, as the
-    identity does."""
+    (d_1 F)^{[z2]} / hbar before the scaling; so a half B of a
+    symmetrised residual would leave the window, and the check, which
+    computes the identity as written, passes, as the identity does."""
     F = TPoly(WIDE, 2, terms={((), ()): Rational(1),
                               ((2,), ()): HPoly(WIDE, {-8: Rational(1)})})
     assert check_kp2(F, 3).passed

@@ -346,8 +346,8 @@ def test_data_validation(num_ctx):
     data = TauData(num_ctx, 2, 4, (one, zero, zero))
     with pytest.raises(ValueError):
         c_lambda(Partition((3,)), data)
-    with pytest.raises(ValueError):
-        tau_series(data, 3)
+    with pytest.raises(ValueError, match="must reach the weight cap"):
+        tau_series(TauData(num_ctx, 3, 4, (one, zero, zero)))
 
 
 def test_implied_log_f_derivative(num_ctx, rng):

@@ -5,6 +5,10 @@ the benchmark, or by an alias ``= name`` in its own module; a module-level
 function by its name anywhere other than its definition.  Dunder methods
 are called by the language and are exempt.  Code that nothing reaches is
 code that nothing tests.
+
+The test modules share their references, comparisons and strategies
+through ``tests/reference.py`` alone: no test module imports another, so
+each one runs and changes on its own.
 """
 
 import ast
@@ -57,3 +61,21 @@ def unreferenced():
 
 def test_every_function_and_method_is_referenced():
     assert unreferenced() == []
+
+
+def _imported_modules(tree):
+    """The top-level names of the modules that ``tree`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_no_test_module_imports_another():
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    names = {path.stem for path in tests}
+    found = [(path.name, module) for path in tests
+             for module in _imported_modules(ast.parse(path.read_text()))
+             if module in names]
+    assert tests and found == []
