@@ -261,7 +261,7 @@ def _least_z_order(check: str, points: int) -> int:
     2, 3, 4, 5, 6 points pass at every z order below 3, 3, 3, 3, 4, 4, 5, 6
     respectively and fail at it.  tests/test_cli.py pins all but m = 5, 6.
     """
-    if check == "detm" and points >= 2:
+    if check == "detm":
         return points - 1 + -(-4 // points)
     return 3
 
@@ -287,9 +287,9 @@ def cmd_verify(args) -> int:
         _emit(args, {"checks": results, "pass": ok})
         return 0 if ok else 1
 
-    if args.check == "detm" and args.points > DETM_MAX_POINTS:
-        raise CommandError(f"verify detm needs --points <= {DETM_MAX_POINTS}; "
-                           f"got {args.points}")
+    if args.check == "detm" and not 2 <= args.points <= DETM_MAX_POINTS:
+        raise CommandError(f"verify detm needs 2 <= --points <= "
+                           f"{DETM_MAX_POINTS}; got {args.points}")
     z_cap = args.z_order
     least = _least_z_order(args.check, args.points)
     if z_cap < least:
@@ -405,7 +405,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                        choices=["fay", "hirota3", "detm", "kp2", "appendix"])
         p.add_argument("--input", help="emitted c_lambda / f_lambda table")
         p.add_argument("--points", type=int, default=3,
-                       help=f"m for detm, at most {DETM_MAX_POINTS}")
+                       help=f"m for detm, 2 to {DETM_MAX_POINTS}")
         p.add_argument("--weight", type=int,
                        help="verify at a smaller weight cap")
         p.add_argument("--x-order", type=int, help="verify at a smaller x order")

@@ -55,14 +55,13 @@ tau^{[z1..zm]} tau^{m-1} = S is symmetric.  So the residual is the
 antisymmetrised zeta^delta S - P, with P the product of the diagonal
 entries: m - 1 products for P, one large one for zeta^delta S after the
 m - 2 of tau^{m-1} (formed first; under the weight cap it has no more
-monomials than tau), and m! relabellings, where the Laplace determinant
-takes m 2^(m-1) products.  The zeta powers are multiplied in first, into
-each entry and into the symmetric factor, so the cap prunes the products
-early.  The weight cap,
-the per-slot z cap and the total-degree cap are the same in every slot,
-so renaming the slots of a capped polynomial gives the capped renamed
-polynomial: a relabelled product is the product of the relabelled
-factors, and the argument above holds for the sum of them.  The same
+monomials than tau), and m! relabellings.  The zeta powers are
+multiplied in first, into each entry and into the symmetric factor, so
+the cap prunes the products early.  The weight cap, the per-slot z cap
+and the total-degree cap are the same in every slot, so renaming the
+slots of a capped polynomial gives the capped renamed polynomial: a
+relabelled product is the product of the relabelled factors, and the
+argument above holds for the sum of them.  The same
 holds for the Miwa shifts: the input has no zeta-monomials, so its shift
 in slot s is its shift in slot 0 with slots 0 and s renamed.  The shifts
 tau^{[z1]}, tau^{[z1,z2]}, ... are formed once for all the checks on one
@@ -73,32 +72,29 @@ one shift and one d_1 chain, and relabels its entries into the other
 slots.  The F-form check reads F's shifts the same way, and its t-form
 takes (d_1 F)^{[z1]} as d_1 (F^{[z1]}): d_1 commutes with the shift.
 
-Formal hbar.  B and swap(B), zeta^delta S and P hold terms that the sum
-over the relabellings cancels, and a product with one of them can leave
-the window where the identity as written stays inside it.  The Fay and
-m-point checks then compute the identity as written: the Fay check its
-two sides, the m-point check the Vandermonde times tau^{[z1..zm]} tau ...
-tau (tau multiplied in one factor at a time) minus the Laplace
-determinant of the relabelled rows.  tau^{m-1} can also leave the window
-where (zeta^delta tau^{[z1..zm]} tau) tau ... stays inside it; S is then
-formed that way.  So a check raises only where the identity as written
-raises.
+Formal hbar.  Each check computes one residual.  B and swap(B),
+zeta^delta S and P hold terms that the sum over the relabellings
+cancels, and tau^{m-1} is formed before it meets zeta^delta
+tau^{[z1..zm]}, so a product can leave the window where the identity as
+written would not.  The check then raises ``HbarWindowError``, as every
+other stage does where a value leaves the window, and a wider window is
+the remedy.  Under the checks' own caps no input is known on which the
+identity as written returns and the residual raises;
+``tests/test_resident.py`` keeps drawing them.
 
 Integer codes.  ``_rung`` encodes the input once (``tpoly.resident``):
 every coefficient becomes integer numerators over one denominator for the
 polynomial.  From there the Miwa shifts, d_1, the hbar and rational
-scalings, the sums, the tau x tau (or F) products, the relabellings and
-the determinant's ring products all act on those integers.  A zeta
-prefactor is a polynomial in the zetas alone with int coefficients,
-{zeta exponents: coefficient}, and ``P.times_zeta(prefactor)`` shifts
-the keys of P by each term's exponents, summing the pairs as the product
-with that polynomial does; an hbar zeta1 zeta2 prefactor is the shift
-followed by ``scale``.  The Vandermonde's terms come in the order that
-multiplying its factors in turn gives them.  The residual, its valid
-orders and coefficient types, and any ``HbarWindowError`` are the ones
-the same steps on ``TPoly`` values give, which ``tests/test_resident.py``
-checks against its reference residuals; the trusted-region argument
-above is unchanged.
+scalings, the sums, the tau x tau (or F) products and the relabellings
+all act on those integers.  A zeta prefactor is a polynomial in the
+zetas alone with int coefficients, {zeta exponents: coefficient}, and
+``P.times_zeta(prefactor)`` shifts the keys of P by each term's
+exponents, summing the pairs as the product with that polynomial does;
+an hbar zeta1 zeta2 prefactor is the shift followed by ``scale``.  The
+residual, its valid orders and coefficient types, and any
+``HbarWindowError`` are the ones the same steps on ``TPoly`` values
+give, which ``tests/test_resident.py`` checks against its reference
+residuals; the trusted-region argument above is unchanged.
 Every monomial is a packed int (``tpoly._Packing``) from the encoding to
 the verdict: the shifts, derivatives, prefactors, products and
 relabellings rewrite ints and never a (texp, zexp) tuple.  The verdict is
@@ -113,16 +109,14 @@ first read.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
-from operator import add, not_
 
 from .hscalar import HbarWindowError, render_scalar, scalar_is_zero
 from .linalg import det, minor
 from .hcalc import miwa_shift
 from .rational import Rational
 from .record import Record
-from .sparse import mul_terms
 from .tpoly import CapError, TPoly, _Resident, _coeff_is_zero, resident
 from .xseries import XSeries
 
@@ -260,9 +254,9 @@ _SWAP_2 = ((0, 1), (1, 0))
 _CYCLIC_3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # zeta prefactors in two slots ({zeta exponents: coefficient}, the terms
 # of each in the order of the zeta polynomial it stands for): zeta1,
-# zeta1 zeta2, zeta1 - zeta2 and zeta2 - zeta1
+# zeta1 zeta2 and zeta2 - zeta1
 _Z1, _Z12 = {(1,): 1}, {(1, 1): 1}
-_Z1_Z2, _Z2_Z1 = {(1,): 1, (0, 1): -1}, {(0, 1): 1, (1,): -1}
+_Z2_Z1 = {(0, 1): 1, (1,): -1}
 
 
 def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
@@ -271,13 +265,7 @@ def _fay_residual(tau: TPoly, z_cap: int, cap: int | None) -> _Resident:
     t2 = t1.relabelled(_swap(2, 1))
     _need_zeta(z_cap)
     d1 = t1.diff_t(1).times_zeta(_Z12).scale(T.ctx.hbar_pow(1))
-    try:
-        half = (d1 + t1.times_zeta(_Z1)) * t2 - t12.times_zeta(_Z1) * T
-    except HbarWindowError:
-        # B holds terms that B - swap(B) cancels: the identity as written
-        left = d1 * t2 - d1.relabelled(_swap(2, 1)) * t1
-        dz12, dz1 = t12.times_zeta(_Z1_Z2), t1.times_zeta(_Z1_Z2)
-        return left - (dz12 * T - dz1 * t2)
+    half = (d1 + t1.times_zeta(_Z1)) * t2 - t12.times_zeta(_Z1) * T
     return half.signed_relabellings(_SWAP_2)
 
 
@@ -288,12 +276,9 @@ def check_fay(tau: TPoly, z_cap: int = 4) -> Residual:
       = (zeta1 - zeta2) ( tau^{[z1,z2]} tau - tau^{[z1]} tau^{[z2]} ).
 
     The residual is B - swap(B), B = (hbar zeta1 zeta2 d_1 tau^{[z1]}
-    + zeta1 tau^{[z1]}) tau^{[z2]} - zeta1 tau^{[z1,z2]} tau, and the
-    identity as written where B leaves a formal window (module docstring).
-    The identity as written is not the only path because its four
-    tau-sized products cost more: 61-82 % more than B's two at
-    W = 4, 6, 8 (hbar = 1/2, z cap 4, best of five on a shared 2-core
-    host).
+    + zeta1 tau^{[z1]}) tau^{[z2]} - zeta1 tau^{[z1,z2]} tau: two
+    tau-sized products where the identity as written takes four.  In
+    formal hbar it raises where B leaves the window (module docstring).
     """
     trust = tau.weight_cap + 1
     return _poly_residual("differential-fay", _fay_residual(tau, z_cap, trust))
@@ -343,69 +328,21 @@ def _det_m_row(shift, m: int) -> list:
     return row
 
 
-def _times_tau(left, T, n: int):
-    """left tau ... tau, n factors tau, multiplied in one at a time."""
-    for _ in range(n):
-        left = left * T
-    return left
-
-
-def _det_m_relabelled(T, all_shift, row: list, m: int):
-    """The residual as the antisymmetrised zeta^delta S - P, with
-    S = tau^{[z1..zm]} tau^{m-1} and P the product of the diagonal
-    entries, entry k of slot 0's ``row`` relabelled into slot k."""
-    left = all_shift.times_zeta({tuple(range(m - 1, -1, -1)): 1})
-    if left.terms:
-        try:
-            left = left * _times_tau(T, T, m - 2)
-        except HbarWindowError:
-            # tau^{m-1} forms products that (left tau) tau ... cancels
-            # first; the chain leaves the window only where S did before
-            left = _times_tau(left, T, m - 1)
-    diagonal = row[0]
-    for s in range(1, m):
-        diagonal = diagonal * row[s].relabelled(_swap(m, s))
-    return (left - diagonal).signed_relabellings(permutations(range(m)))
-
-
-def _vandermonde(m: int) -> dict:
-    """prod_{i<j} (zeta_i - zeta_j) as {zeta exponents: int}, its terms in
-    the order that multiplying the factors in turn, each zeta_i before
-    zeta_j, gives them."""
-    unit = [(0,) * s + (1,) + (0,) * (m - 1 - s) for s in range(m)]
-    terms = {(0,) * m: 1}
-    for i, j in combinations(range(m), 2):
-        terms = mul_terms(terms, {unit[i]: 1, unit[j]: -1},
-                          lambda a, b: tuple(map(add, a, b)), not_)
-    return terms
-
-
-def _det_m_laplace(T, all_shift, shift, row, m: int):
-    """The residual as the identity is written: the Vandermonde times
-    tau^{[z1..zm]} tau ... tau, minus the Laplace determinant of the m x m
-    entries, row j slot 0's ``row`` relabelled (built from ``shift`` if
-    ``row`` is None)."""
-    left = _times_tau(all_shift.times_zeta(_vandermonde(m)), T, m - 1)
-    if row is None:
-        row = _det_m_row(shift, m)
-    rows = [row] + [[e.relabelled(_swap(m, j)) for e in row]
-                    for j in range(1, m)]
-    return left - det(rows)
-
-
 def _det_m_residual(tau: TPoly, m: int, z_cap: int,
                     cap: int | None) -> _Resident:
     T, shift, all_shift = (_rung(tau, s, m, z_cap, cap) for s in (0, 1, m))
     _need_zeta(z_cap)
-    row = None
-    try:
-        row = _det_m_row(shift, m)
-        return _det_m_relabelled(T, all_shift, row, m)
-    except HbarWindowError:
-        # zeta^delta S and P hold terms that the antisymmetrisation
-        # cancels, and a product with one of them can leave a formal
-        # window that the identity as written stays inside.
-        return _det_m_laplace(T, all_shift, shift, row, m)
+    row = _det_m_row(shift, m)
+    left = all_shift.times_zeta({tuple(range(m - 1, -1, -1)): 1})
+    if left.terms:
+        power = T
+        for _ in range(m - 2):
+            power = power * T
+        left = left * power
+    diagonal = row[0]
+    for s in range(1, m):
+        diagonal = diagonal * row[s].relabelled(_swap(m, s))
+    return (left - diagonal).signed_relabellings(permutations(range(m)))
 
 
 def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
@@ -416,14 +353,10 @@ def check_det_m(tau: TPoly, m: int, z_cap: int = 4) -> Residual:
 
     The residual is the sum over the permutations pi of the slots of
     sgn(pi) pi(zeta^delta tau^{[z1..zm]} tau^{m-1} - prod_k entry_{kk}),
-    delta = (m-1, ..., 1, 0); see the module docstring.  Where that leaves
-    a formal window, S is multiplied by tau one factor at a time, and the
-    Laplace determinant is computed where that leaves it as well.  Neither
-    is the only path because both cost more: at m = 3 the chain of tau
-    factors takes 10-62 % longer than tau^{m-1} formed first at
-    W = 4, 6, 8 (hbar = 1/2, z cap 4, best of five on a shared 2-core
-    host), and the Laplace determinant takes m 2^(m-1) products where P
-    takes m - 1.
+    delta = (m-1, ..., 1, 0); see the module docstring.  It takes m - 1
+    products for P where the Laplace determinant of the identity as
+    written takes m 2^(m-1).  In formal hbar it raises where a product
+    leaves the window.
     """
     if m < 2:
         raise ValueError("needs at least two points")

@@ -94,7 +94,7 @@ def test_transition_refuses_weights_above_its_limit(tmp_path, monkeypatch,
 def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
                                                     monkeypatch, capsys):
     """--points 6 reaches the check (a stub here: the real one takes
-    seconds) and --points 7 exits 2 before loading the table."""
+    seconds); --points 7, 1 and 0 exit 2 before loading the table."""
     table = tmp_path / "tau_table.json"
     assert main(["tau", "--input", tau_file, "--output", str(table),
                  "--z-order", "7"]) == 0
@@ -110,11 +110,16 @@ def test_verify_detm_refuses_points_above_its_limit(tmp_path, tau_file,
     assert main(argv + ["--points", str(DETM_MAX_POINTS)]) == 0
     assert called == [6]
     capsys.readouterr()
-    assert main(argv + ["--points", "7"]) == 2
-    assert called == [6]
-    err = capsys.readouterr().err
-    assert "--points <= 6" in err
-    assert err.count("\n") == 1
+    loaded = []
+    real_load = dataio.load
+    monkeypatch.setattr(dataio, "load",
+                        lambda path: loaded.append(path) or real_load(path))
+    for points in ("7", "1", "0"):
+        assert main(argv + ["--points", points]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: verify detm needs 2 <= --points <= 6; "
+                       f"got {points}\n")
+    assert called == [6] and loaded == []
 
 
 def test_schur_refuses_weights_above_its_limit(tmp_path, monkeypatch, capsys):

@@ -16,10 +16,10 @@ The corpus covers: every basis of ``schur`` at weight 6 with hbar 1/2,
 bases, ``convert`` both ways, ``bridge``, the four checks at z orders 3
 and 4, ``detm --points 2``, the cap clamps, the exit-2 refusals and the
 three tau checks on a corrupted table; then ``convert`` both ways on an
-hbar = 0 table; last, the checks on formal tables where a rewritten
-residual leaves the window and the identity as written is computed.
-Argparse usage errors are left
-out: their text depends on the Python version.
+hbar = 0 table; last, the checks on formal tables near the edge of their
+window, which pin the residuals' window errors and the F-form verdicts
+there.  Argparse usage errors are left out: their text depends on the
+Python version.
 """
 
 from __future__ import annotations
@@ -201,17 +201,17 @@ def _formal_table(window, weight, key, table, **extra):
 
 
 def _fallback_commands(tmp: Path):
-    """Formal tables on which a rewritten residual leaves the window where
-    the identity as written is computed instead: for tau = 1 + c t_1, fay
-    in [-3, 3] (c = hbar^-1), the 3-point determinant by Laplace expansion
-    in [-3, 3] (c = hbar^2), and in [-2, 2] (c = hbar^-1) with tau^2
-    leaving the window first, so S is multiplied by tau one factor at a
-    time (the 4-point determinant there leaves it in the product of the
-    diagonal entries); and the F-form check on F = 1 + hbar^-8 t_1^2
-    (W = 2, passing) and F = 1 + hbar^-8 t_1 t_3 + t_2^2 / 2 (W = 4,
-    failing), whose (d_1 F)^{[z1]} / hbar leaves [-8, 8] before the two
-    slots' terms cancel.  Each check that leaves the window names the
-    first power of hbar the identity as written leaves it at."""
+    """Formal tables on which a check's residual leaves the window, so the
+    check exits 2 naming the first power of hbar outside it: for
+    tau = 1 + c t_1, fay in [-3, 3] (c = hbar^-1), the 3-point determinant
+    in [-3, 3] (c = hbar^2), and the 3- and 4-point determinants in
+    [-2, 2] (c = hbar^-1).  The file names are kept from when these
+    residuals fell back to the identities as written, so the lines and
+    their digests keep their names.  Also the F-form check on
+    F = 1 + hbar^-8 t_1^2 (W = 2, passing) and
+    F = 1 + hbar^-8 t_1 t_3 + t_2^2 / 2 (W = 4, failing), which computes
+    the identity as written: a symmetrised half of it would leave [-8, 8]
+    in (d_1 F)^{[z1]} / hbar before the two slots' terms cancel."""
     from hbarkp import dataio
 
     docs = {

@@ -14,14 +14,17 @@ TPoly had before it ran them on integer codes.
 
 The tau residuals are sums of slot relabellings of one polynomial, and
 the Miwa shift of an input without zeta-monomials in slot s is its shift
-in slot 0 relabelled; the reference residuals take the same steps, and
-the same fallbacks where a formal window is left.  The oracles compute
-the identities as they are written: both sides of the Fay identities,
-the three cyclic terms each on its own and the m x m determinant by
-Laplace expansion.  The F-form residual is the identity as written, so
-its oracle is its reference.  The residuals must agree with the oracles
-on every nonzero monomial, on the verdict and on the failing monomials,
-and return wherever they return.
+in slot 0 relabelled; the reference residuals take the same steps.  The
+oracles compute the identities as they are written: both sides of the
+Fay identities, the three cyclic terms each on its own and the m x m
+determinant by Laplace expansion.  The F-form residual is the identity
+as written, so its oracle is its reference.  The residuals must agree
+with the oracles on every nonzero monomial, on the verdict and on the
+failing monomials.  The Fay and m-point residuals hold terms that their
+sums over the slot relabellings cancel, so in formal hbar they could
+leave a window that the identity as written stays inside; the public
+checks must return wherever the oracles return at the checks' own caps,
+and the hirota3 and F-form residuals at every cap.
 """
 
 from itertools import permutations
@@ -45,7 +48,7 @@ from hbarkp.taubuild import tau_series
 from hbarkp.tpoly import TPoly, _coeff_is_zero, resident, texp_of
 from hbarkp.verify import (
     _det_m_residual, _fay_residual, _hirota3_residual, _kp2_residual,
-    _poly_residual, check_kp2,
+    _poly_residual, check_det_m, check_fay, check_kp2,
 )
 from hbarkp.xseries import XSeries
 from reference import (
@@ -60,6 +63,8 @@ RESIDUAL_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
                              database=None)
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
                            database=None)
+PUBLIC_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True,
+                           database=None)
 NUMERIC = HContext.numeric(Rational(2, 3))
 NEGATIVE = HContext.numeric(Rational(-3, 2))
 ZERO = HContext.numeric(0)
@@ -73,6 +78,7 @@ edge_contexts = st.sampled_from([
 GRANTED = HContext.symbolic(-30, 30)
 residual_contexts = st.sampled_from([NUMERIC, NEGATIVE, ZERO, GRANTED, WIDE,
                                      NARROW])
+formal_contexts = st.sampled_from([GRANTED, WIDE, NARROW])
 
 
 # -- the TPoly path --------------------------------------------------------------
@@ -136,18 +142,14 @@ def _unit_constant(tau):
 
 def ref_fay(tau, z_cap, cap):
     """B - swap(B), B = (hbar zeta1 zeta2 d_1 tau^{[z1]} + zeta1 tau^{[z1]})
-    tau^{[z2]} - zeta1 tau^{[z1,z2]} tau; where that leaves the window,
-    the identity as written (``oracle_fay``)."""
+    tau^{[z2]} - zeta1 tau^{[z1,z2]} tau."""
     _unit_constant(tau)
     T = tau.with_slots(2, z_cap, cap)
     t1 = ref_miwa_shift(T, 0)
     t2, t12 = relabelled(t1, (1, 0)), ref_miwa_shift(t1, 1)
     z1, z2 = _zetas(T)
     d1 = (z1 * z2).scale(T.ctx.hbar_pow(1)) * t1.diff_t(1)
-    try:
-        half = (d1 + z1 * t1) * t2 - (z1 * t12) * T
-    except HbarWindowError:
-        return oracle_fay(tau, z_cap, cap)
+    half = (d1 + z1 * t1) * t2 - (z1 * t12) * T
     return signed_relabellings(half, SWAP_2)
 
 
@@ -199,36 +201,9 @@ def ref_hirota3(tau, z_cap, cap):
 
 
 def ref_det_m(tau, m, z_cap, cap):
-    """zeta^delta tau^{[z1..zm]} tau^{m-1} minus the product of the
-    diagonal entries, antisymmetrised over the slots; where that leaves
-    the window, the Laplace determinant (``oracle_det_m``)."""
-    try:
-        return relabelled_det_m(tau, m, z_cap, cap)
-    except HbarWindowError:
-        return oracle_det_m(tau, m, z_cap, cap)
-
-
-def times_s(left, T, m, power_first):
-    """left tau^{m-1}, with tau^{m-1} formed first if ``power_first`` and
-    inside the window; else tau multiplied in m - 1 times."""
-    if left.terms and power_first:
-        try:
-            power = T
-            for _ in range(m - 2):
-                power = power * T
-            return left * power
-        except HbarWindowError:
-            pass
-    for _ in range(m - 1):
-        left = left * T
-    return left
-
-
-def relabelled_det_m(tau, m, z_cap, cap, power_first=True):
-    """S = (zeta^delta tau^{[z1..zm]}) tau^{m-1}, or multiplied by tau
-    m - 1 times where tau^{m-1} leaves the window (always, unless
-    ``power_first``), and the diagonal entries built in slot 0 and
-    relabelled into their slots."""
+    """zeta^delta tau^{[z1..zm]} tau^{m-1}, with tau^{m-1} formed first,
+    minus the product of the diagonal entries, built in slot 0 and
+    relabelled into their slots; antisymmetrised over the slots."""
     ctx = tau.ctx
     T = tau.with_slots(m, z_cap, cap)
     all_shift = T
@@ -250,7 +225,12 @@ def relabelled_det_m(tau, m, z_cap, cap, power_first=True):
     lift = pow_int(zs[0], m - 1)
     for s in range(1, m - 1):
         lift = lift * pow_int(zs[s], m - 1 - s)
-    left = times_s(lift * all_shift, T, m, power_first)
+    left = lift * all_shift
+    if left.terms:
+        power = T
+        for _ in range(m - 2):
+            power = power * T
+        left = left * power
     diagonal = row[0]
     for s in range(1, m):
         diagonal = diagonal * relabelled(row[s], swap(m, s))
@@ -686,9 +666,9 @@ def test_a_narrow_window_raises_the_same_error_in_a_miwa_shift():
 # -- whole residuals -----------------------------------------------------------------
 
 @st.composite
-def inputs(draw, max_weight=4):
+def inputs(draw, max_weight=4, contexts=residual_contexts):
     """(tau or F without zeta-monomials, z cap, total-degree cap)."""
-    ctx = draw(residual_contexts)
+    ctx = draw(contexts)
     cap = draw(st.one_of(st.none(), st.integers(0, 1), st.integers(0, 2)))
     # the bilinear identities first see a non-solution at weight 4
     W = draw(st.integers(3, max_weight))
@@ -760,14 +740,15 @@ def test_the_references_run_without_the_resident_kernel(monkeypatch):
 
 # -- the relabelled residuals against the identities as written ------------------------
 
-def assert_agrees_with_oracle(identity, got_fn, oracle_fn):
-    """Where the oracle returns, the residual must return as well, keep
-    every monomial of the oracle and agree with it on the verdict, the
-    first failing monomial and every nonzero monomial.  It may keep zero
-    series below full valid order that the oracle's sums cancelled away.
-    Where the oracle raises, nothing is asserted."""
+def assert_agrees_with_oracle(identity, got_fn, oracle_fn, must_return=True):
+    """Where both return, the residual must keep every monomial of the
+    oracle and agree with it on the verdict, the first failing monomial
+    and every nonzero monomial.  It may keep zero series below full valid
+    order that the oracle's sums cancelled away.  With ``must_return`` the
+    residual must also return wherever the oracle returns.  Where the
+    oracle raises, nothing is asserted."""
     got, want = outcome(got_fn), outcome(oracle_fn)
-    if want[0] == "raise":
+    if want[0] == "raise" or (got[0] == "raise" and not must_return):
         return
     assert got[0] == "ok", (got, want)
     codes, want = got[1], want[1]
@@ -785,13 +766,22 @@ def assert_agrees_with_oracle(identity, got_fn, oracle_fn):
     assert got.nonzero == len(got.failing)
 
 
+def det_m_trust(tau, m):
+    return tau.weight_cap + m * (m - 1) // 2
+
+
+# The Fay and m-point residuals must return where the oracles return only
+# at the cap the public checks pass, ``trust``; under no cap or another
+# one, they are compared where both return.
+
 @ORACLE_SETTINGS
 @given(inputs())
 def test_fay_residual_agrees_with_the_identity(case):
     tau, Z, D = case
     assert_agrees_with_oracle("differential-fay",
                               lambda: _fay_residual(tau, Z, D),
-                              lambda: oracle_fay(tau, Z, D))
+                              lambda: oracle_fay(tau, Z, D),
+                              must_return=D == tau.weight_cap + 1)
 
 
 @ORACLE_SETTINGS
@@ -820,28 +810,8 @@ def test_det_m_residual_agrees_with_the_laplace_determinant(case, m):
     tau, Z, D = case
     assert_agrees_with_oracle("determinant",
                               lambda: _det_m_residual(tau, m, Z, D),
-                              lambda: oracle_det_m(tau, m, Z, D))
-
-
-def chain_det_m(tau, m, z_cap, cap):
-    """The m-point residual with S multiplied by tau m - 1 times, and the
-    Laplace determinant where that leaves the window."""
-    try:
-        return relabelled_det_m(tau, m, z_cap, cap, power_first=False)
-    except HbarWindowError:
-        return oracle_det_m(tau, m, z_cap, cap)
-
-
-@RESIDUAL_SETTINGS
-@given(inputs(), st.integers(2, 4))
-def test_det_m_residual_returns_where_the_chained_products_return(case, m):
-    """tau^{m-1} can leave a formal window where (zeta^delta tau^{[z1..zm]}
-    tau) tau ... stays inside it, and the Laplace determinant leaves it;
-    the m-point residual must still return there."""
-    tau, Z, D = case
-    assert_agrees_with_oracle("determinant",
-                              lambda: _det_m_residual(tau, m, Z, D),
-                              lambda: chain_det_m(tau, m, Z, D))
+                              lambda: oracle_det_m(tau, m, Z, D),
+                              must_return=D == det_m_trust(tau, m))
 
 
 @ORACLE_SETTINGS
@@ -850,36 +820,33 @@ def test_five_point_residual_agrees_with_the_laplace_determinant(case):
     tau, Z, D = case
     assert_agrees_with_oracle("determinant",
                               lambda: _det_m_residual(tau, 5, Z, D),
-                              lambda: oracle_det_m(tau, 5, Z, D))
+                              lambda: oracle_det_m(tau, 5, Z, D),
+                              must_return=D == det_m_trust(tau, 5))
 
 
-def test_det_m_residual_returns_where_only_tau_squared_leaves_the_window():
-    """Under a total-degree cap of 6 < W + 3, tau^2 forms (hbar^22 t_2)^2,
-    which (zeta^delta tau^{[z1,z2,z3]} tau) tau never meets, and the
-    Laplace determinant leaves [-30, 30] as well; the 3-point residual is
-    then the one with S multiplied by tau twice."""
-    h22 = HPoly(GRANTED, {22: Rational(1)})
-    tau = TPoly(GRANTED, 4, terms={((), ()): Rational(1), ((0, 1), ()): h22})
-    T = tau.with_slots(3, 4, 6)
-    assert outcome(lambda: T * T)[0] == "raise"
-    assert outcome(oracle_det_m, tau, 3, 4, 6)[0] == "raise"
-    assert_same_poly(_det_m_residual(tau, 3, 4, 6).decode(),
-                     relabelled_det_m(tau, 3, 4, 6, power_first=False))
-
-
-def test_the_laplace_fallback_sums_the_vandermonde_in_one_accumulator():
-    """In [-8, 8] the 3-point residual of this tau takes the Laplace
-    fallback.  There a monomial of the Vandermonde times tau^{[z1,z2,z3]}
-    cancels to a zero series of full valid order after some of the
-    Vandermonde's terms, and a later term feeds it again: the product
-    keeps the monomial where it first met it, where a chain of sums, one
-    per term, would drop it and start it afresh at the end."""
-    tau = TPoly(WIDE, 3, terms={
-        ((), ()): XSeries.one(WIDE, 1),
-        ((2,), ()): XSeries(WIDE, 1, [Rational(3)], valid=0),
-        ((3,), ()): XSeries(WIDE, 1, [WIDE.hbar_pow(1), Rational(1)])})
-    assert_same_poly(_det_m_residual(tau, 3, 3, None).decode(),
-                     ref_det_m(tau, 3, 3, None))
+@PUBLIC_SETTINGS
+@given(inputs(contexts=formal_contexts), st.sampled_from(["fay", 2, 3, 4]))
+def test_the_checks_return_where_the_identities_return_at_their_caps(case, m):
+    """In formal hbar, wherever the identity as written returns under the
+    cap a public check passes, the check returns as well, with the
+    verdict, first failing monomial and failing monomials of the identity
+    as written."""
+    tau, Z, _ = case
+    if m == "fay":
+        identity, trust = "differential-fay", tau.weight_cap + 1
+        got = outcome(check_fay, tau, Z)
+        want = outcome(oracle_fay, tau, Z, trust)
+    else:
+        identity, trust = f"determinant-{m}-point", det_m_trust(tau, m)
+        got = outcome(check_det_m, tau, m, Z)
+        want = outcome(oracle_det_m, tau, m, Z, trust)
+    if want[0] == "raise":
+        return
+    assert got[0] == "ok", (got, want)
+    got, want = got[1], _poly_residual(identity, resident(want[1]))
+    assert (got.identity, got.caps["trust"]) == (identity, trust)
+    assert (got.passed, got.worst, got.failing) == \
+        (want.passed, want.worst, want.failing)
 
 
 def test_kp2_residual_stays_inside_where_a_symmetrised_half_leaves_the_window():
@@ -893,14 +860,3 @@ def test_kp2_residual_stays_inside_where_a_symmetrised_half_leaves_the_window():
     assert check_kp2(F, 3).passed
     assert_same_poly(_kp2_residual(F, 3, False, 3).decode(),
                      oracle_kp2(F, 3, False, 3))
-
-
-def test_fay_residual_raises_the_error_of_the_identity_as_written():
-    """Uncapped, in [-30, 30], the half B of the residual of
-    1 + hbar^-29 t_2 first leaves the window at hbar^-56, the identity as
-    written at hbar^-57; the residual names the identity's exponent."""
-    tau = TPoly(GRANTED, 3, terms={((), ()): Rational(1),
-                                   ((0, 1), ()): HPoly(GRANTED, {-29: 1})})
-    for fn in (_fay_residual, oracle_fay):
-        assert outcome(fn, tau, 3, None)[1] == (
-            HbarWindowError, "hbar^-57 outside window [-30, 30]")
